@@ -1,5 +1,6 @@
 // Experiment E8 — solver and analysis performance, plus the design-choice
 // ablations called out in DESIGN.md §6:
+//   * one byte-gate pattern: the micromagnetic validation run, end to end
 //   * integrator comparison (Euler / Heun / RK4 / RKF54) in cell-steps/s
 //   * field-term costs (exchange, local demag, Newell FFT demag)
 //   * FFT throughput across sizes (radix-2 vs Bluestein)
@@ -9,6 +10,8 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "core/encoding.h"
+#include "core/micromag_gate.h"
 #include "fft/fft.h"
 #include "fft/goertzel.h"
 #include "fft/spectrum.h"
@@ -43,10 +46,39 @@ mag::Simulation make_chain_sim(std::size_t nx, mag::Stepper stepper) {
   auto& m = sim.magnetization();
   for (std::size_t i = 0; i < m.size(); ++i) {
     const double x = 0.02 * std::sin(0.1 * static_cast<double>(i));
-    m[i] = mag::Vec3{x, 0.0, 1.0}.normalized();
+    m.set(i, mag::Vec3{x, 0.0, 1.0}.normalized());
   }
   return sim;
 }
+
+// One MicromagGateRunner::run_uniform of the reduced-model byte gate (8
+// channels, 3-input MAJ): the whole LLG run plus decode that the paper's
+// OOMMF-equivalent validation repeats per input pattern. The runner is
+// calibrated before timing; iterations cycle through the 8 patterns.
+void BM_MicromagBytePattern(benchmark::State& state) {
+  auto gate = bench::make_byte_gate_setup(8);
+  core::MicromagGateRunner runner(gate.layout, gate.wg, gate.cfg);
+  const auto patterns = core::all_patterns(3);
+  const auto calibration = runner.run_uniform(patterns[0]);
+  const double cells =
+      std::ceil(runner.guide_length() / gate.cfg.cell_size);
+  // Probes chunk the run at each sample deadline, and each chunk takes
+  // ceil(sample_dt / dt) fixed steps, the last one partial.
+  const double steps =
+      static_cast<double>(calibration.times.size() - 1) *
+      std::ceil(gate.cfg.sample_dt / gate.cfg.integrator.dt);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        runner.run_uniform(patterns[next++ % patterns.size()]));
+  }
+  const auto runs = static_cast<double>(state.iterations());
+  state.counters["patterns_per_s"] =
+      benchmark::Counter(runs, benchmark::Counter::kIsRate);
+  state.counters["cell_steps_per_s"] =
+      benchmark::Counter(runs * cells * steps, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MicromagBytePattern)->Unit(benchmark::kMillisecond);
 
 void BM_Integrator(benchmark::State& state) {
   const auto stepper = static_cast<mag::Stepper>(state.range(0));

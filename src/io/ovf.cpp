@@ -47,7 +47,7 @@ void write_ovf(const std::string& path, const VectorField& field,
   out << "# End: Header\n";
   out << "# Begin: Data Text\n";
   for (std::size_t c = 0; c < field.size(); ++c) {
-    const Vec3& v = field[c];
+    const Vec3 v = field[c];
     out << v.x << " " << v.y << " " << v.z << "\n";
   }
   out << "# End: Data Text\n";
@@ -110,7 +110,7 @@ VectorField read_ovf(const std::string& path) {
   SW_REQUIRE(data.size() == nx * ny * nz, "OVF data size mismatch");
 
   VectorField field(Mesh(nx, ny, nz, dx, dy, dz));
-  for (std::size_t c = 0; c < data.size(); ++c) field[c] = data[c];
+  for (std::size_t c = 0; c < data.size(); ++c) field.set(c, data[c]);
   return field;
 }
 

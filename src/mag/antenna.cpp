@@ -38,23 +38,33 @@ void AntennaField::add(const Antenna& a) {
   p.i_end = std::min<std::size_t>(mesh_.cell_at_x(x1) + 1, mesh_.nx());
   SW_ASSERT(p.i_begin < p.i_end, "empty antenna footprint");
   antennas_.push_back(p);
+  drive_t_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 void AntennaField::accumulate(double t, const VectorField& /*m*/,
                               VectorField& H) const {
+  SW_REQUIRE(H.size() == mesh_.cell_count(), "field size mismatch");
+  if (!(t == drive_t_)) {
+    drive_.resize(antennas_.size());
+    for (std::size_t a = 0; a < antennas_.size(); ++a) {
+      drive_[a] = antennas_[a].ant.drive(t);
+    }
+    drive_t_ = t;
+  }
   const std::size_t nx = mesh_.nx();
-  const std::size_t ny = mesh_.ny();
-  const std::size_t nz = mesh_.nz();
-  for (const auto& p : antennas_) {
-    const double d = p.ant.drive(t);
+  const std::size_t rows = mesh_.ny() * mesh_.nz();
+  // Antennas are added one at a time in order: footprints may overlap.
+  for (std::size_t a = 0; a < antennas_.size(); ++a) {
+    const double d = drive_[a];
     if (d == 0.0) continue;
+    const Placed& p = antennas_[a];
     const Vec3 h = p.ant.direction * (p.ant.amplitude * d);
-    for (std::size_t k = 0; k < nz; ++k) {
-      for (std::size_t j = 0; j < ny; ++j) {
-        const std::size_t row = nx * (j + ny * k);
-        for (std::size_t i = p.i_begin; i < p.i_end; ++i) {
-          H[row + i] += h;
-        }
+    const double hc[3] = {h.x, h.y, h.z};
+    for (std::size_t c = 0; c < 3; ++c) {
+      double* plane = H.comp(c);
+      for (std::size_t r = 0; r < rows; ++r) {
+        double* row = plane + nx * r;
+        for (std::size_t i = p.i_begin; i < p.i_end; ++i) row[i] += hc[c];
       }
     }
   }

@@ -6,6 +6,7 @@
 // on a waveguide so the inner loop touches each excited cell once.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "mag/field_term.h"
@@ -45,7 +46,6 @@ class AntennaField final : public FieldTerm {
   void accumulate(double t, const VectorField& m,
                   VectorField& H) const override;
   std::string name() const override { return "antennas"; }
-  bool time_dependent() const override { return true; }
   double energy_prefactor() const override { return 1.0; }
 
  private:
@@ -57,6 +57,12 @@ class AntennaField final : public FieldTerm {
 
   Mesh mesh_;
   std::vector<Placed> antennas_;
+  // Drive factors of every antenna at time drive_t_ (NaN: none yet). The
+  // integrators evaluate several stages at one time (RK4's k2 and k3 share
+  // t + dt/2, and the next step's k1 repeats k4's t + dt), so a repeated t
+  // reuses them instead of calling sin() again.
+  mutable double drive_t_ = std::numeric_limits<double>::quiet_NaN();
+  mutable std::vector<double> drive_;
 };
 
 }  // namespace sw::mag

@@ -23,11 +23,8 @@ DemagLocalField DemagLocalField::from_shape(const Material& mat, double lx,
 
 void DemagLocalField::accumulate(double /*t*/, const VectorField& m,
                                  VectorField& H) const {
-  SW_REQUIRE(m.size() == H.size(), "field size mismatch");
-  for (std::size_t c = 0; c < m.size(); ++c) {
-    H[c] += {-ms_ * n_.x * m[c].x, -ms_ * n_.y * m[c].y,
-             -ms_ * n_.z * m[c].z};
-  }
+  // H_a += (-Ms * N_a) * m_a.
+  H.add_scaled(m, {-ms_ * n_.x, -ms_ * n_.y, -ms_ * n_.z});
 }
 
 }  // namespace sw::mag

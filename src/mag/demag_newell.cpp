@@ -211,20 +211,23 @@ void DemagNewellField::build_kernel() {
 void DemagNewellField::accumulate(double /*t*/, const VectorField& m,
                                   VectorField& H) const {
   SW_REQUIRE(m.mesh() == mesh_, "field/mesh mismatch");
+  SW_REQUIRE(H.size() == m.size(), "field size mismatch");
   const std::size_t total = px_ * py_ * pz_;
-  mx_.assign(total, {});
-  my_.assign(total, {});
-  mz_.assign(total, {});
-
+  std::vector<Complex>* const padded[3] = {&mx_, &my_, &mz_};
   const std::size_t nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
-  for (std::size_t k = 0; k < nz; ++k) {
-    for (std::size_t j = 0; j < ny; ++j) {
-      for (std::size_t i = 0; i < nx; ++i) {
-        const Vec3& v = m[mesh_.index(i, j, k)];
-        const std::size_t p = i + px_ * (j + py_ * k);
-        mx_[p] = v.x * ms_;
-        my_[p] = v.y * ms_;
-        mz_[p] = v.z * ms_;
+
+  // Scatter M = Ms * m into the zero-padded grids, one component at a time.
+  for (std::size_t a = 0; a < 3; ++a) {
+    std::vector<Complex>& dst = *padded[a];
+    dst.assign(total, {});
+    const double* src = m.comp(a);
+    for (std::size_t k = 0; k < nz; ++k) {
+      for (std::size_t j = 0; j < ny; ++j) {
+        const std::size_t row = nx * (j + ny * k);
+        const std::size_t prow = px_ * (j + py_ * k);
+        for (std::size_t i = 0; i < nx; ++i) {
+          dst[prow + i] = src[row + i] * ms_;
+        }
       }
     }
   }
@@ -244,12 +247,16 @@ void DemagNewellField::accumulate(double /*t*/, const VectorField& m,
   fft3(my_, +1);
   fft3(mz_, +1);
 
-  for (std::size_t k = 0; k < nz; ++k) {
-    for (std::size_t j = 0; j < ny; ++j) {
-      for (std::size_t i = 0; i < nx; ++i) {
-        const std::size_t p = i + px_ * (j + py_ * k);
-        H[mesh_.index(i, j, k)] +=
-            {mx_[p].real(), my_[p].real(), mz_[p].real()};
+  for (std::size_t a = 0; a < 3; ++a) {
+    const std::vector<Complex>& src = *padded[a];
+    double* dst = H.comp(a);
+    for (std::size_t k = 0; k < nz; ++k) {
+      for (std::size_t j = 0; j < ny; ++j) {
+        const std::size_t row = nx * (j + ny * k);
+        const std::size_t prow = px_ * (j + py_ * k);
+        for (std::size_t i = 0; i < nx; ++i) {
+          dst[row + i] += src[prow + i].real();
+        }
       }
     }
   }

@@ -22,9 +22,6 @@ class FieldTerm {
   /// Short identifier for logs and energy tables.
   virtual std::string name() const = 0;
 
-  /// True if the term depends on time explicitly (affects caching upstream).
-  virtual bool time_dependent() const { return false; }
-
   /// Energy density prefactor: E = -pf * mu0 * Ms * sum_c m.H V_cell.
   /// 0.5 for self-consistent (m-dependent) terms such as exchange, demag and
   /// anisotropy; 1.0 for external fields (Zeeman, antennas).

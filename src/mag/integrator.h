@@ -44,8 +44,8 @@ struct IntegratorOptions {
   bool renormalize = true;    ///< renormalise |m| after each step
 };
 
-/// Time stepper owning its scratch fields. Reusable across runs on the same
-/// mesh; create a new one when the mesh changes.
+/// Time stepper owning its scratch fields, which follow the mesh of the field
+/// being advanced, so one integrator is reusable across runs and meshes.
 class Integrator {
  public:
   explicit Integrator(const IntegratorOptions& opts) : opts_(opts) {}

@@ -16,7 +16,16 @@ struct LlgParams {
   /// Optional per-cell damping overriding `alpha` (absorbing boundaries).
   /// Must be null or sized like the magnetisation field; not owned.
   const std::vector<double>* alpha_per_cell = nullptr;
+
+  /// Optional damping_prefactors(gamma_mu0, *alpha_per_cell), computed once
+  /// by a caller that evaluates the right-hand side many times; when null,
+  /// llg_rhs computes it per call. Not owned.
+  const std::vector<double>* prefactor_per_cell = nullptr;
 };
+
+/// The per-cell LLG prefactor -gamma_mu0 / (1 + a^2) for every a in `alpha`.
+std::vector<double> damping_prefactors(double gamma_mu0,
+                                       const std::vector<double>& alpha);
 
 /// dm/dt = -gamma'/(1+a^2) [ m x H + a m x (m x H) ], the explicit
 /// (Landau-Lifshitz) form of the Gilbert equation.

@@ -33,22 +33,24 @@ void Probe::maybe_sample(double t, const VectorField& m) {
 }
 
 void Probe::sample(double t, const VectorField& m) {
-  // Average over the x-window across the full cross-section.
-  Vec3 acc;
-  std::size_t count = 0;
-  const std::size_t nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
-  for (std::size_t k = 0; k < nz; ++k) {
-    for (std::size_t j = 0; j < ny; ++j) {
-      const std::size_t row = nx * (j + ny * k);
+  SW_REQUIRE(m.size() == mesh_.cell_count(), "field size mismatch");
+  // Average over the x-window across the full cross-section, each component
+  // summed in cell order.
+  const std::size_t nx = mesh_.nx();
+  const std::size_t rows = mesh_.ny() * mesh_.nz();
+  double acc[3] = {0.0, 0.0, 0.0};
+  for (std::size_t a = 0; a < 3; ++a) {
+    const double* plane = m.comp(a);
+    for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t i = i_begin_; i < i_end_; ++i) {
-        acc += m[row + i];
-        ++count;
+        acc[a] += plane[nx * r + i];
       }
     }
   }
+  const std::size_t count = rows * (i_end_ - i_begin_);
   ProbeSample s;
   s.t = t;
-  s.m = acc * (1.0 / static_cast<double>(count));
+  s.m = Vec3{acc[0], acc[1], acc[2]} * (1.0 / static_cast<double>(count));
   samples_.push_back(s);
 }
 

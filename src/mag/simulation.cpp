@@ -68,7 +68,12 @@ void Simulation::run_until(double t_end) {
   p.gamma_mu0 = sw::util::kGammaMu0;
   p.alpha = mat_.alpha;
   p.precession = true;
-  if (!alpha_profile_.empty()) p.alpha_per_cell = &alpha_profile_;
+  std::vector<double> prefactors;
+  if (!alpha_profile_.empty()) {
+    prefactors = damping_prefactors(p.gamma_mu0, alpha_profile_);
+    p.alpha_per_cell = &alpha_profile_;
+    p.prefactor_per_cell = &prefactors;
+  }
 
   const RhsFn rhs = [this, &p](double t, const VectorField& m,
                                VectorField& dmdt) {

@@ -21,7 +21,7 @@ ThermalField::ThermalField(const Mesh& mesh, const Material& mat,
   // Brown's fluctuation-dissipation result, gamma in LL convention.
   sigma_ = std::sqrt(2.0 * mat.alpha * kBoltzmann * temperature /
                      (kGammaMu0 * kMu0 * mat.Ms * v * dt));
-  current_.resize(mesh.cell_count());
+  current_ = VectorField(mesh);
 }
 
 void ThermalField::refresh(long step) const {
@@ -33,8 +33,9 @@ void ThermalField::refresh(long step) const {
   std::mt19937_64 rng(seed_ ^ (0x9E3779B97F4A7C15ull *
                                static_cast<std::uint64_t>(step + 1)));
   std::normal_distribution<double> gauss(0.0, sigma_);
-  for (auto& h : current_) {
-    h = {gauss(rng), gauss(rng), gauss(rng)};
+  for (std::size_t c = 0; c < current_.size(); ++c) {
+    // Braced initialisation draws x, y, z in that order.
+    current_.set(c, {gauss(rng), gauss(rng), gauss(rng)});
   }
 }
 
@@ -46,7 +47,11 @@ void ThermalField::accumulate(double t, const VectorField& /*m*/,
   // realisation; adding 1e-12*dt guards the k*dt boundary itself.
   const long step = static_cast<long>(std::floor(t / dt_ + 1e-12));
   refresh(step);
-  for (std::size_t c = 0; c < H.size(); ++c) H[c] += current_[c];
+  for (std::size_t a = 0; a < 3; ++a) {
+    double* h = H.comp(a);
+    const double* noise = current_.comp(a);
+    for (std::size_t c = 0; c < H.size(); ++c) h[c] += noise[c];
+  }
 }
 
 }  // namespace sw::mag

@@ -31,7 +31,6 @@ class ThermalField final : public FieldTerm {
   void accumulate(double t, const VectorField& m,
                   VectorField& H) const override;
   std::string name() const override { return "thermal"; }
-  bool time_dependent() const override { return true; }
   // Noise does not contribute a well-defined energy; report zero weight.
   double energy_prefactor() const override { return 0.0; }
 
@@ -49,7 +48,7 @@ class ThermalField final : public FieldTerm {
   // see the same realisation) and refresh between steps: realisations are
   // keyed on the step index derived from t.
   double dt_ = 0.0;
-  mutable std::vector<Vec3> current_;
+  mutable VectorField current_;
   mutable long current_step_ = -1;
 
   void refresh(long step) const;

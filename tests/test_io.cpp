@@ -82,7 +82,7 @@ TEST(Ovf, RoundTripPreservesFieldAndMesh) {
   const sw::mag::Mesh mesh(6, 3, 2, 2e-9, 5e-9, 1e-9);
   sw::mag::VectorField f(mesh);
   for (std::size_t c = 0; c < f.size(); ++c) {
-    f[c] = {static_cast<double>(c), -0.5 * static_cast<double>(c), 1.0};
+    f.set(c, {static_cast<double>(c), -0.5 * static_cast<double>(c), 1.0});
   }
   const auto path = temp_path("sw_test.ovf");
   write_ovf(path, f, "round trip");

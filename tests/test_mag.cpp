@@ -95,7 +95,7 @@ TEST(VectorField, FillAndAverage) {
   const Mesh mesh(4, 2, 1, 1e-9, 1e-9, 1e-9);
   VectorField f(mesh, {0, 0, 1});
   EXPECT_DOUBLE_EQ(f.average().z, 1.0);
-  f.at(0, 0, 0) = {0, 0, -1};
+  f.set(mesh.index(0, 0, 0), {0, 0, -1});
   EXPECT_NEAR(f.average().z, 6.0 / 8.0, 1e-15);
 }
 
@@ -116,7 +116,7 @@ TEST(VectorField, NormalizeRestoresUnitLength) {
   VectorField f(mesh, {0.1, 0.2, 0.9});
   f.normalize();
   EXPECT_NEAR(f[0].norm(), 1.0, 1e-15);
-  f[1] = {0, 0, 0};
+  f.set(1, {0, 0, 0});
   f.normalize();  // zero vectors untouched
   EXPECT_DOUBLE_EQ(f[1].norm(), 0.0);
 }
@@ -124,7 +124,7 @@ TEST(VectorField, NormalizeRestoresUnitLength) {
 TEST(VectorField, MaxNorm) {
   const Mesh mesh(3, 1, 1, 1e-9, 1e-9, 1e-9);
   VectorField f(mesh);
-  f[2] = {0, -3, 4};
+  f.set(2, {0, -3, 4});
   EXPECT_DOUBLE_EQ(f.max_norm(), 5.0);
 }
 
@@ -305,7 +305,7 @@ TEST(ExchangeField, CosineModeEigenvalue) {
   VectorField m(mesh);
   for (std::size_t i = 0; i < n; ++i) {
     const double x = (static_cast<double>(i) + 0.5) * dx;
-    m[i] = Vec3{eps * std::cos(k * x), 0, 1}.normalized();
+    m.set(i, Vec3{eps * std::cos(k * x), 0, 1}.normalized());
   }
   VectorField h(mesh);
   ex.accumulate(0.0, m, h);
@@ -638,6 +638,55 @@ TEST(Integrator, StatsAccumulate) {
   EXPECT_EQ(integ.stats().rhs_evals, 40u);
 }
 
+TEST(Integrator, ReusedAcrossMeshesWithEqualCellCounts) {
+  // One integrator advancing an 8x1x1 field and then a 4x2x1 field: its
+  // scratch stages must take the new mesh although the cell count is the
+  // same, or the exchange term rejects the second RK stage.
+  const Material mat = make_fecob();
+  const Mesh chain(8, 1, 1, 2e-9, 50e-9, 1e-9);
+  const Mesh sheet(4, 2, 1, 2e-9, 2e-9, 1e-9);
+  const ExchangeField ex_chain(chain, mat);
+  const ExchangeField ex_sheet(sheet, mat);
+  const auto rhs_for = [](const ExchangeField& ex) {
+    return RhsFn([&ex](double, const VectorField& mm, VectorField& out) {
+      VectorField h(mm.mesh());
+      ex.accumulate(0.0, mm, h);
+      LlgParams p;
+      p.gamma_mu0 = kGammaMu0;
+      p.alpha = 0.01;
+      llg_rhs(p, mm, h, out);
+    });
+  };
+  const auto tilted = [](const Mesh& mesh) {
+    VectorField m(mesh);
+    for (std::size_t c = 0; c < m.size(); ++c) {
+      m.set(c, Vec3{0.1 * static_cast<double>(c), 0.05, 1.0}.normalized());
+    }
+    return m;
+  };
+  IntegratorOptions opts;
+  opts.stepper = Stepper::kRk4;
+  opts.dt = 1e-13;
+
+  Integrator shared(opts);
+  VectorField a = tilted(chain);
+  shared.advance(rhs_for(ex_chain), a, 0.0, 1e-12);
+  VectorField b = tilted(sheet);
+  ASSERT_NO_THROW(shared.advance(rhs_for(ex_sheet), b, 0.0, 1e-12));
+
+  VectorField fresh = tilted(sheet);
+  Integrator(opts).advance(rhs_for(ex_sheet), fresh, 0.0, 1e-12);
+  for (std::size_t c = 0; c < b.size(); ++c) {
+    EXPECT_EQ(b[c].x, fresh[c].x);
+    EXPECT_EQ(b[c].y, fresh[c].y);
+    EXPECT_EQ(b[c].z, fresh[c].z);
+  }
+
+  VectorField sum(chain);
+  sum.assign_sum(b, b, 1.0);
+  EXPECT_TRUE(sum.mesh() == sheet);
+}
+
 TEST(Integrator, NameRoundTrip) {
   EXPECT_EQ(stepper_from_name("rk4"), Stepper::kRk4);
   EXPECT_EQ(stepper_from_name(stepper_name(Stepper::kHeun)), Stepper::kHeun);
@@ -696,7 +745,7 @@ TEST(Probe, SamplesAtRequestedRate) {
 TEST(Probe, AveragesWindow) {
   const Mesh mesh(10, 1, 1, 2e-9, 50e-9, 1e-9);
   VectorField m(mesh, {0, 0, 1});
-  m[5] = {1, 0, 0};
+  m.set(5, {1, 0, 0});
   Probe p("win", mesh, 11e-9, 4e-9, 1e-12);  // covers cells 4..6
   p.sample(0.0, m);
   EXPECT_NEAR(p.samples()[0].m.x, 1.0 / 3.0, 1e-12);
@@ -722,9 +771,7 @@ TEST(Simulation, RelaxAlignsWithEasyAxis) {
   sim.add_term<UniaxialAnisotropyField>(mat);
   sim.add_term<DemagLocalField>(mat, demag_factors_waveguide(50e-9, 1e-9));
   // Tilt the state away from equilibrium.
-  for (auto& v : sim.magnetization().values()) {
-    v = Vec3{0.3, 0.1, 0.95}.normalized();
-  }
+  sim.magnetization().fill(Vec3{0.3, 0.1, 0.95}.normalized());
   const double torque = sim.relax(10.0, 10e-9);
   EXPECT_LT(torque, 10.0);
   EXPECT_GT(sim.magnetization().average().z, 0.999);
@@ -742,9 +789,7 @@ TEST(Simulation, UniformPrecessionMatchesKittel) {
   sim.add_term<DemagLocalField>(mat, nf);
 
   // Small uniform tilt, then free precession.
-  for (auto& v : sim.magnetization().values()) {
-    v = Vec3{0.02, 0.0, 1.0}.normalized();
-  }
+  sim.magnetization().fill(Vec3{0.02, 0.0, 1.0}.normalized());
   auto& probe = sim.add_probe("fmr", 4e-9, 8e-9, 0.5e-12);
   sim.run_until(2e-9);
 
