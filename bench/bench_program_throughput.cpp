@@ -1,11 +1,12 @@
 // Experiment E9 — compiled-program evaluation throughput.
 //
 // The gate-cascade compiler turns an arbitrary truth table into a
-// multi-stage EvalProgram whose per-stage plans are built once and whose
-// interconnect gathers are resolved ahead of time. This bench measures
-// what that buys over the pre-compiler serving shape, where every batch
-// pays per-stage design + plan construction and materialises each stage's
-// inputs by hand:
+// multi-stage EvalProgram that builds one stage artefact (gate + plan) per
+// distinct stage GateSpec and gathers each stage's inputs slot by slot,
+// deciding every slot's source once per block rather than per word. This
+// bench measures what that buys over the pre-compiler serving shape, where
+// every batch pays per-stage design + plan construction and materialises
+// each stage's inputs by hand:
 //   * staged: per batch, for every stage, design the gate, build a
 //     one-shot BatchEvaluator and gather its input matrix from the
 //     primary word / earlier stage outputs (the MajorityCascade-era
@@ -205,6 +206,19 @@ void BM_FusedProgramSweep(benchmark::State& state) {
                           static_cast<std::int64_t>(kNumWords));
 }
 BENCHMARK(BM_FusedProgramSweep)->Unit(benchmark::kMillisecond);
+
+// Per-layer number for program builds: one EvalProgram construction of the
+// same cascade (each distinct stage GateSpec designed and planned once),
+// what a plan-cache miss pays before any stage is shared across programs.
+void BM_ProgramBuild(benchmark::State& state) {
+  const auto& s = setup();
+  for (auto _ : state) {
+    const wavesim::EvalProgram program(s.spec, s.designer, s.engine,
+                                       {.num_threads = 1});
+    benchmark::DoNotOptimize(&program);
+  }
+}
+BENCHMARK(BM_ProgramBuild)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "serve/plan_cache.h"
 
+#include <bit>
 #include <chrono>
 #include <utility>
 
@@ -12,6 +13,29 @@ namespace {
 template <typename T>
 bool ready(const std::shared_future<T>& fut) {
   return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// Stage-table bucket of a (GateSpec, precision): FNV-1a over the fields
+/// GateSpec::operator== compares, doubles by value (+0.0 and -0.0 compare
+/// equal, so they hash alike).
+std::uint64_t stage_hash(const sw::core::GateSpec& spec,
+                         sw::wavesim::Precision precision) {
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kFnvPrime; };
+  const auto mix_f64 = [&mix](double v) {
+    mix(v == 0.0 ? 0 : std::bit_cast<std::uint64_t>(v));
+  };
+  mix(static_cast<std::uint64_t>(precision));
+  mix(spec.num_inputs);
+  mix(spec.frequencies.size());
+  for (const double f : spec.frequencies) mix_f64(f);
+  mix_f64(spec.transducer_width);
+  mix_f64(spec.min_gap);
+  mix_f64(spec.min_same_channel_spacing);
+  mix(static_cast<std::uint64_t>(spec.multiple_search));
+  mix(spec.invert_output.size());
+  for (const std::uint8_t b : spec.invert_output) mix(b);
+  return h;
 }
 
 }  // namespace
@@ -264,8 +288,13 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
     try {
       sw::wavesim::BatchOptions options = evaluator_options_;
       options.precision = precision;
-      auto built = std::make_shared<const CachedProgram>(program, *designer_,
-                                                         *engine_, options);
+      auto built = std::make_shared<const CachedProgram>(
+          program,
+          [this](const sw::core::GateSpec& spec,
+                 sw::wavesim::Precision stage_precision) {
+            return resolve_stage(spec, stage_precision);
+          },
+          options);
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.program_builds;
@@ -300,6 +329,75 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
     }
   }
   return {fut.get(), !build_here};
+}
+
+PlanCache::StageSlot* PlanCache::find_stage_locked(
+    std::uint64_t hash, const sw::core::GateSpec& spec,
+    sw::wavesim::Precision precision) {
+  const auto [first, last] = stages_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.precision == precision && it->second.spec == spec) {
+      return &it->second;
+    }
+  }
+  return nullptr;
+}
+
+PlanCache::StagePtr PlanCache::resolve_stage(
+    const sw::core::GateSpec& spec, sw::wavesim::Precision precision) {
+  const std::uint64_t hash = stage_hash(spec, precision);
+  std::promise<StagePtr> builder;
+  std::shared_future<StagePtr> pending;
+  StageSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slot = find_stage_locked(hash, spec, precision);
+    if (slot != nullptr) {
+      if (StagePtr live = slot->stage.lock()) return live;
+    } else {
+      // Entries whose artefact every program has released go on insert,
+      // so the table stays the size of the live stages plus builds.
+      std::erase_if(stages_, [](const auto& entry) {
+        return !entry.second.building.valid() && entry.second.stage.expired();
+      });
+      slot = &stages_.emplace(hash, StageSlot{spec, precision, {}, {}})->second;
+    }
+    if (slot->building.valid()) {
+      pending = slot->building;
+    } else {
+      slot->building = builder.get_future().share();
+    }
+  }
+  // Another caller is building this stage: wait for the finished artefact
+  // (or its builder's exception).
+  if (pending.valid()) return pending.get();
+  try {
+    auto stage = std::make_shared<const sw::wavesim::EvalStage>(
+        spec, *designer_, *engine_, evaluator_options_.freq_tol, precision);
+    {
+      // The entry cannot have moved or gone: the table is node-based and
+      // nothing erases an entry whose build is in flight but its builder.
+      std::lock_guard<std::mutex> lock(mutex_);
+      slot->stage = stage;
+      slot->building = {};
+      ++stats_.stage_builds;
+    }
+    builder.set_value(stage);
+    return stage;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto [first, last] = stages_.equal_range(hash);
+      for (auto it = first; it != last; ++it) {
+        if (&it->second == slot) {
+          stages_.erase(it);
+          break;
+        }
+      }
+    }
+    builder.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 PlanCacheStats PlanCache::stats() const {

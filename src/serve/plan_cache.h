@@ -20,6 +20,14 @@
 // against the historical hazard of two threads memoising into one engine
 // (the engine is additionally mutex-guarded now). Distinct layouts build
 // concurrently.
+//
+// Program entries share their stages. Lowering emits few distinct stage
+// GateSpecs, so a program build resolves each stage's artefact (designed
+// gate + EvalPlan, wavesim::EvalStage) through a stage table beside the
+// LRU: one build per (GateSpec, precision), with the same one-builder-per-
+// key discipline. The table holds only weak references, so a stage lives
+// exactly as long as some cached or in-flight program uses it, and it adds
+// no LRU entries and no capacity of its own.
 #pragma once
 
 #include <cstdint>
@@ -88,17 +96,18 @@ class CachedPlan {
   sw::wavesim::BatchEvaluator evaluator_;
 };
 
-/// One cached multi-stage program: the fused EvalProgram (which owns its
-/// per-stage gates and plans) built once from a portable ProgramSpec
-/// against the cache's designer and engine. Immutable once constructed and
-/// handed out as shared_ptr<const>, like CachedPlan.
+/// One cached multi-stage program: the fused EvalProgram built once from a
+/// portable ProgramSpec, its stage artefacts (designed gate + EvalPlan)
+/// resolved through the cache's stage table, so it shares them with every
+/// other cached or in-flight program of the same (stage GateSpec,
+/// precision). Immutable once constructed and handed out as
+/// shared_ptr<const>, like CachedPlan.
 class CachedProgram {
  public:
   CachedProgram(sw::wavesim::ProgramSpec spec,
-                const sw::core::InlineGateDesigner& designer,
-                const sw::wavesim::WaveEngine& engine,
+                const sw::wavesim::StageResolver& resolve,
                 sw::wavesim::BatchOptions options)
-      : program_(std::move(spec), designer, engine, options) {}
+      : program_(std::move(spec), resolve, options) {}
 
   CachedProgram(const CachedProgram&) = delete;
   CachedProgram& operator=(const CachedProgram&) = delete;
@@ -142,6 +151,10 @@ struct PlanCacheStats {
   /// Deepest stage-to-stage path among built programs (physical cascade
   /// latency in stages).
   std::uint64_t max_program_depth = 0;
+  /// Stage artefacts (designed gate + EvalPlan) built for programs. A
+  /// program build reuses the artefact of any live program with an equal
+  /// (stage GateSpec, precision), so this stays far below program_stages.
+  std::uint64_t stage_builds = 0;
 };
 
 class PlanCache {
@@ -217,6 +230,18 @@ class PlanCache {
     std::uint64_t last_used = 0;
   };
 
+  using StagePtr = std::shared_ptr<const sw::wavesim::EvalStage>;
+
+  /// One stage-table entry. It references its artefact weakly, so the
+  /// artefact lives exactly as long as some cached or in-flight program
+  /// holds it; while its one builder runs, `building` is armed instead.
+  struct StageSlot {
+    sw::core::GateSpec spec;
+    sw::wavesim::Precision precision = sw::wavesim::Precision::kFloat64;
+    std::weak_ptr<const sw::wavesim::EvalStage> stage;
+    std::shared_future<StagePtr> building;
+  };
+
   static std::uint64_t bucket_hash(const LayoutKey& key,
                                    sw::wavesim::Precision precision);
   static bool slot_ready(const Slot& slot);
@@ -226,6 +251,16 @@ class PlanCache {
   void erase_locked(const LayoutKey& key, sw::wavesim::Precision precision,
                     bool is_program);
 
+  /// The program builds' StageResolver: a live artefact from the stage
+  /// table, else one build per (spec, precision) that concurrent callers
+  /// wait on. A failed build leaves no entry and throws to every waiter.
+  StagePtr resolve_stage(const sw::core::GateSpec& spec,
+                         sw::wavesim::Precision precision);
+  /// Stage-table entry for (spec, precision) under `hash`, or nullptr.
+  StageSlot* find_stage_locked(std::uint64_t hash,
+                               const sw::core::GateSpec& spec,
+                               sw::wavesim::Precision precision);
+
   const sw::wavesim::WaveEngine* engine_;
   std::size_t capacity_;
   sw::wavesim::BatchOptions evaluator_options_;
@@ -233,6 +268,9 @@ class PlanCache {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::vector<Slot>> slots_;
+  /// The stage table, keyed by stage_hash. Node-based, so a builder's
+  /// entry pointer stays valid while other entries come and go.
+  std::unordered_multimap<std::uint64_t, StageSlot> stages_;
   std::size_t size_ = 0;
   std::uint64_t tick_ = 0;
   PlanCacheStats stats_;

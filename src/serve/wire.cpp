@@ -41,6 +41,14 @@ void append_spec(std::vector<std::uint8_t>& out,
   for (const std::uint8_t b : spec.invert_output) out.push_back(b ? 1 : 0);
 }
 
+/// Reject a declared element count before sizing a vector by it: the
+/// reader must still hold `count` elements of at least `min_bytes` each,
+/// so a frame can never make the decoder allocate more than it carries.
+void require_encoded(const ByteReader& r, std::uint64_t count,
+                     std::size_t min_bytes, const char* what) {
+  SW_REQUIRE(count <= r.remaining() / min_bytes, what);
+}
+
 /// Read one GateSpec's fields from the current reader position (shared by
 /// the v2 spec block and each stage of the v3 program block).
 sw::core::GateSpec decode_spec_fields(ByteReader& r) {
@@ -51,6 +59,7 @@ sw::core::GateSpec decode_spec_fields(ByteReader& r) {
   const std::uint64_t nf = r.u64();
   SW_REQUIRE(nf <= kMaxCols && spec.num_inputs * nf <= kMaxCols,
              "implausible channel count in spec block");
+  require_encoded(r, nf, 8, "frequency count exceeds the spec block");
   spec.frequencies.resize(static_cast<std::size_t>(nf));
   for (auto& f : spec.frequencies) f = r.f64();
   spec.transducer_width = r.f64();
@@ -60,6 +69,7 @@ sw::core::GateSpec decode_spec_fields(ByteReader& r) {
       static_cast<int>(static_cast<std::int64_t>(r.u64()));
   const std::uint64_t ninv = r.u64();
   SW_REQUIRE(ninv <= kMaxCols, "implausible invert flag count in spec block");
+  require_encoded(r, ninv, 1, "invert flag count exceeds the spec block");
   spec.invert_output.resize(static_cast<std::size_t>(ninv));
   for (auto& b : spec.invert_output) b = r.u8();
   return spec;
@@ -89,6 +99,11 @@ constexpr std::uint16_t kProgramBlockFormat = 1;
 // Synthesis depth for n <= 4 truth tables is single digits; anything near
 // this cap is a corrupt or hostile frame, not a real cascade.
 constexpr std::uint64_t kMaxStages = 4096;
+// Smallest encodings the decoder sizes vectors by: a stage is at least its
+// seven fixed GateSpec words plus the source count, a source is
+// u8 + u64 + u64 + u8.
+constexpr std::size_t kMinStageBytes = 8 * 8;
+constexpr std::size_t kSourceBytes = 18;
 
 void append_program(std::vector<std::uint8_t>& out,
                     const sw::wavesim::ProgramSpec& program) {
@@ -126,12 +141,16 @@ sw::wavesim::ProgramSpec decode_program(std::span<const std::uint8_t> bytes) {
   const std::uint64_t num_stages = r.u64();
   SW_REQUIRE(num_stages <= kMaxStages,
              "implausible stage count in program block");
+  require_encoded(r, num_stages, kMinStageBytes,
+                  "stage count exceeds the program block");
   program.stages.resize(static_cast<std::size_t>(num_stages));
   for (auto& stage : program.stages) {
     stage.gate = decode_spec_fields(r);
     const std::uint64_t num_sources = r.u64();
     SW_REQUIRE(num_sources <= kMaxCols,
                "implausible source count in program block");
+    require_encoded(r, num_sources, kSourceBytes,
+                    "source count exceeds the program block");
     stage.sources.resize(static_cast<std::size_t>(num_sources));
     for (auto& src : stage.sources) {
       const std::uint8_t kind = r.u8();

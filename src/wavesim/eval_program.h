@@ -6,12 +6,18 @@
 // paper's "passed to potential following SW gates", with the regenerating
 // transducers between stages flipping drive phases for free complements
 // and pinning constants. EvalProgram is the frozen multi-stage artefact:
-// one EvalPlan per stage plus an interconnect map (SlotSource per input
-// slot), evaluated block-wise so a word batch runs end to end through
-// every stage inside one pass — decoded verdict bits re-encoded as the
-// next stage's inputs in scratch buffers that stay cache-hot, no
-// per-stage replan, no per-stage round trip, no intermediate matrices of
-// batch size.
+// one shared EvalStage (designed gate + EvalPlan) per distinct stage
+// GateSpec plus an interconnect map (SlotSource per input slot), evaluated
+// block-wise so a word batch runs end to end through every stage inside
+// one pass — decoded verdict bits re-encoded as the next stage's inputs in
+// scratch buffers that stay cache-hot, no per-stage replan, no per-stage
+// round trip, no intermediate matrices of batch size.
+//
+// Lowering emits few distinct stage GateSpecs (a compiled cascade is MAJ
+// and inverted-MAJ gates on one fabric), so stages are resolved once per
+// distinct (GateSpec, resolved precision): within a program by equality,
+// and — through a StageResolver such as serve::PlanCache's stage table —
+// across programs. An EvalStage is immutable, so sharing it is free.
 //
 // Each stage dispatches through the same kernel ladder as a single plan
 // (scalar/AVX2/AVX-512; eval_bits / eval_bits_f32 / eval_bits_mixed per
@@ -29,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -115,15 +122,48 @@ struct StageTimings {
   std::vector<std::atomic<std::uint64_t>> ns;
 };
 
+/// The expensive, immutable half of a program stage: the gate designed
+/// from one GateSpec and the EvalPlan frozen from it at one requested
+/// precision. Programs hold it by shared_ptr<const>, so every stage (of any
+/// program) with an equal (GateSpec, resolved precision) can use one.
+class EvalStage {
+ public:
+  /// Designs `spec` with `designer` and builds its plan on `engine` at
+  /// `precision` (already resolved; the plan's margin analysis decides
+  /// f32 / block-f32 / f64). Throws whatever the design or plan throws.
+  EvalStage(const sw::core::GateSpec& spec,
+            const sw::core::InlineGateDesigner& designer,
+            const WaveEngine& engine, double freq_tol, Precision precision);
+
+  const sw::core::DataParallelGate& gate() const { return gate_; }
+  const EvalPlan& plan() const { return plan_; }
+
+ private:
+  sw::core::DataParallelGate gate_;  ///< owns the layout
+  EvalPlan plan_;
+};
+
+/// Returns the stage artefact for a (GateSpec, resolved precision): a fresh
+/// build or one shared with other programs. Must return a fully built
+/// stage or throw.
+using StageResolver = std::function<std::shared_ptr<const EvalStage>(
+    const sw::core::GateSpec&, Precision)>;
+
 class EvalProgram {
  public:
-  /// Designs every stage's layout with `designer`, builds the per-stage
-  /// EvalPlans on `engine` at options.precision (kAuto resolved; each
+  /// Designs every distinct stage GateSpec once with `designer`, builds
+  /// its EvalPlan on `engine` at options.precision (kAuto resolved; each
   /// stage's margin analysis decides f32 / block-f32 / f64 independently)
   /// and keeps a worker pool of options.num_threads for the word loop.
   /// Neither designer nor engine needs to outlive the program.
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
               const WaveEngine& engine, BatchOptions options = {});
+
+  /// Same, with stage artefacts from `resolve`, called once per distinct
+  /// stage GateSpec with options.precision resolved. Stages with equal
+  /// GateSpecs share the returned artefact.
+  EvalProgram(ProgramSpec spec, const StageResolver& resolve,
+              BatchOptions options = {});
 
   const ProgramSpec& spec() const { return spec_; }
   std::size_t num_stages() const { return stages_.size(); }
@@ -134,10 +174,10 @@ class EvalProgram {
   std::size_t depth() const { return depth_; }
 
   const EvalPlan& stage_plan(std::size_t stage) const {
-    return *stages_[stage].plan;
+    return stages_[stage]->plan();
   }
   const sw::core::DataParallelGate& stage_gate(std::size_t stage) const {
-    return *stages_[stage].gate;
+    return stages_[stage]->gate();
   }
 
   /// Aggregate precision mix: "f64" / "f32" when every stage agrees, else
@@ -157,8 +197,8 @@ class EvalProgram {
 
   /// evaluate_bits with per-stage time attribution: `timings` must be
   /// sized num_stages() (or null for the plain path — identical cost).
-  /// Two steady_clock reads per stage per 1024-word block, so the serving
-  /// layer can always leave collection on.
+  /// One steady_clock read per stage per 1024-word block (plus one per
+  /// block), so the serving layer can always leave collection on.
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits,
       StageTimings* timings) const;
@@ -174,19 +214,14 @@ class EvalProgram {
       const kernels::Kernel& kernel) const;
 
  private:
-  struct Stage {
-    std::unique_ptr<sw::core::DataParallelGate> gate;  ///< owns the layout
-    std::shared_ptr<const EvalPlan> plan;
-  };
+  struct BlockScratch;
 
-  /// Run words [begin, end) through every stage; stage_bits must hold
-  /// num_stages() * (end - begin) * num_channels() bytes and receives
-  /// stage s's outputs at [s * (end - begin) * num_channels(), ...) in
-  /// block-local row-major order.
+  /// Run words [begin, end) through every stage; scratch.stage_out
+  /// receives stage s's outputs at [s * (end - begin) * num_channels(),
+  /// ...) in block-local row-major order.
   void eval_range(const kernels::Kernel& kernel,
                   std::span<const std::uint8_t> bits, std::size_t begin,
-                  std::size_t end, std::vector<std::uint8_t>& slot_scratch,
-                  std::vector<std::uint8_t>& stage_bits,
+                  std::size_t end, BlockScratch& scratch,
                   StageTimings* timings) const;
 
   std::vector<std::uint8_t> evaluate_impl(std::size_t num_words,
@@ -196,7 +231,8 @@ class EvalProgram {
                                           StageTimings* timings) const;
 
   ProgramSpec spec_;
-  std::vector<Stage> stages_;
+  /// Per stage; equal stage GateSpecs point at one artefact.
+  std::vector<std::shared_ptr<const EvalStage>> stages_;
   std::size_t depth_ = 0;
   std::size_t max_slots_ = 0;
   mutable sw::util::ThreadPool pool_;

@@ -2,11 +2,15 @@
 // back as a majority chain computing exactly that function (exhaustively for
 // n <= 3, sampled plus structured specials for n = 4), and lowering a chain
 // to an EvalProgram must be bit-exact against both the Boolean reference and
-// the per-stage physics path (MajorityCascade) on every channel.
+// the per-stage physics path (MajorityCascade) on every channel. The
+// program's gather is pinned on every slot source kind, non-canonical input
+// bytes and partial blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "compile/lower.h"
@@ -14,10 +18,14 @@
 #include "compile/truth_table.h"
 #include "core/cascade.h"
 #include "core/encoding.h"
+#include "core/gate.h"
 #include "core/gate_design.h"
 #include "dispersion/fvmsw.h"
 #include "mag/material.h"
+#include "serve/eval_request.h"
+#include "serve/service.h"
 #include "util/error.h"
+#include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_program.h"
 #include "wavesim/wave_engine.h"
 
@@ -324,6 +332,122 @@ TEST(ProgramPhysics, FullAdderFourChannels) {
 TEST(ProgramPhysics, FullAdderEightChannelFullSweep) {
   const CompileFixture fix;
   expect_program_matches_physics(fix, 8, 65536);
+}
+
+// --------------------------------------------------------------------------
+// The gather: every slot source kind, non-canonical input bytes, partial
+// blocks
+
+/// A cascade exercising every slot source: constants (one of them a
+/// negated kOne), plain and negated primary columns, plain and negated
+/// stage outputs, and an inverted-output stage.
+ProgramSpec gather_program(const GateSpec& base) {
+  using sw::compile::MajNode;
+  CompiledCircuit circuit;
+  circuit.num_inputs = 3;
+  circuit.nodes.push_back(MajNode{{sw::compile::input_lit(0),
+                                   sw::compile::input_lit(1),
+                                   sw::compile::const_zero()}});
+  circuit.nodes.push_back(MajNode{{sw::compile::input_lit(0, true),
+                                   sw::compile::input_lit(2),
+                                   sw::compile::const_one()},
+                                  /*invert_output=*/true});
+  circuit.nodes.push_back(MajNode{{sw::compile::node_lit(0),
+                                   sw::compile::node_lit(1, true),
+                                   sw::compile::input_lit(2)}});
+  circuit.depth = sw::compile::circuit_depth(circuit);
+  ProgramSpec spec = sw::compile::lower_to_program(circuit, base);
+  // Same drive bit, other encoding: pinned phase pi flipped back to 0.
+  for (auto& src : spec.stages[0].sources) {
+    if (src.kind == sw::wavesim::SlotSource::Kind::kZero) {
+      src = {sw::wavesim::SlotSource::Kind::kOne, 0, 0, true};
+      break;
+    }
+  }
+  return spec;
+}
+
+/// Per-stage reference: each stage run by its own BatchEvaluator on an
+/// input matrix gathered word by word. Returns words x (stages x n), the
+/// evaluate_all_bits layout.
+std::vector<std::uint8_t> per_stage_reference(
+    const CompileFixture& fix, const ProgramSpec& spec, std::size_t num_words,
+    const std::vector<std::uint8_t>& primary) {
+  using sw::wavesim::SlotSource;
+  const std::size_t n = spec.num_channels();
+  const std::size_t cols = spec.primary_slot_count();
+  const std::size_t width = spec.num_stages() * n;
+  std::vector<std::uint8_t> all(num_words * width);
+  for (std::size_t s = 0; s < spec.num_stages(); ++s) {
+    const auto& stage = spec.stages[s];
+    const sw::core::DataParallelGate gate(fix.designer.design(stage.gate),
+                                          fix.engine);
+    const sw::wavesim::BatchEvaluator evaluator(gate, {.num_threads = 1});
+    const std::size_t slots = stage.sources.size();
+    std::vector<std::uint8_t> packed(num_words * slots);
+    for (std::size_t w = 0; w < num_words; ++w) {
+      for (std::size_t j = 0; j < slots; ++j) {
+        const SlotSource& src = stage.sources[j];
+        bool v = src.kind == SlotSource::Kind::kOne;
+        if (src.kind == SlotSource::Kind::kPrimary) {
+          v = primary[w * cols + src.index] != 0;
+        } else if (src.kind == SlotSource::Kind::kStage) {
+          v = all[w * width + src.stage * n + src.index] != 0;
+        }
+        packed[w * slots + j] = static_cast<std::uint8_t>(v != src.negated);
+      }
+    }
+    const auto out = evaluator.evaluate_bits(num_words, packed);
+    for (std::size_t w = 0; w < num_words; ++w) {
+      std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(w * n), n,
+                  all.begin() + static_cast<std::ptrdiff_t>(w * width + s * n));
+    }
+  }
+  return all;
+}
+
+TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
+  const CompileFixture fix;
+  const std::size_t n = 4;
+  const ProgramSpec spec = gather_program(fix.base_spec(n));
+  const std::size_t cols = spec.primary_slot_count();
+  const std::size_t stages = spec.num_stages();
+  sw::serve::EvaluatorService service(fix.model, fix.wg.material.alpha);
+  // One and three pool threads: blocks end at 1024-word boundaries and at
+  // pool chunk boundaries.
+  const EvalProgram inline_program(spec, fix.designer, fix.engine,
+                                   {.num_threads = 1});
+  const EvalProgram pooled_program(spec, fix.designer, fix.engine,
+                                   {.num_threads = 3});
+  std::mt19937 rng(97);
+  for (const std::size_t words : {1u, 8u, 1023u, 1025u, 2049u}) {
+    std::vector<std::uint8_t> canonical(words * cols);
+    for (auto& b : canonical) b = static_cast<std::uint8_t>(rng() & 1);
+    // Every nonzero byte means 1: encode the ones as 1, 2, 0x80 or 0xFF.
+    std::vector<std::uint8_t> raw = canonical;
+    const std::uint8_t ones[] = {1, 2, 0x80, 0xFF};
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] != 0) raw[i] = ones[i % 4];
+    }
+    const auto reference = per_stage_reference(fix, spec, words, canonical);
+    std::vector<std::uint8_t> last(words * n);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::copy_n(reference.begin() +
+                      static_cast<std::ptrdiff_t>((w * stages + stages - 1) * n),
+                  n, last.begin() + static_cast<std::ptrdiff_t>(w * n));
+    }
+    for (const EvalProgram* program : {&inline_program, &pooled_program}) {
+      EXPECT_EQ(program->evaluate_all_bits(words, raw), reference)
+          << words << " words";
+      EXPECT_EQ(program->evaluate_bits(words, raw), last) << words << " words";
+      EXPECT_EQ(program->evaluate_bits(words, canonical), last)
+          << words << " words";
+    }
+    const auto served =
+        service.submit(sw::serve::EvalRequest::for_program(spec, raw, words))
+            .get();
+    EXPECT_EQ(served.bits, last) << words << " words";
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Serving-layer tests: canonical layout hashing (stability across designs
 // and process runs), plan-cache hit/miss/eviction accounting and
-// single-build-under-contention, wire-format round trips with hostile
+// single-build-under-contention, program stage sharing (per GateSpec and
+// precision, no longer than some program holds it, failed designs leave no
+// entry, concurrent builders agree), wire-format round trips with hostile
 // input rejection, admission-control shed-vs-block semantics, and the
 // EvaluatorService end-to-end against the scalar gate path.
 #include <gtest/gtest.h>
@@ -916,6 +918,191 @@ TEST(PlanCache, ProgramLookupWithoutDesignerThrows) {
   EXPECT_THROW((void)cache.get_or_build_program(program), sw::util::Error);
   // Layout lookups stay unaffected.
   EXPECT_FALSE(cache.get_or_build(fix.majority_layout(3, 2)).hit);
+}
+
+// --------------------------------------------------------------------------
+// Stage sharing: one artefact per (stage GateSpec, precision) across the
+// programs the cache holds or hands out.
+
+/// A two-stage program with one plain and one inverted-output MAJ stage
+/// (the two stage GateSpecs lowering emits on an n-channel fabric).
+/// `variant` picks one of two different interconnects.
+sw::wavesim::ProgramSpec maj_and_inverted_maj(int variant, std::size_t n) {
+  using sw::compile::MajNode;
+  using sw::compile::input_lit;
+  using sw::compile::node_lit;
+  sw::compile::CompiledCircuit circuit;
+  circuit.num_inputs = 3;
+  if (variant == 0) {
+    circuit.nodes.push_back(
+        MajNode{{input_lit(0), input_lit(1), input_lit(2)}});
+    circuit.nodes.push_back(
+        MajNode{{node_lit(0), input_lit(0), input_lit(2, true)}, true});
+  } else {
+    circuit.nodes.push_back(
+        MajNode{{input_lit(0, true), input_lit(1), input_lit(2)}, true});
+    circuit.nodes.push_back(
+        MajNode{{node_lit(0), input_lit(1), input_lit(2)}});
+  }
+  circuit.depth = sw::compile::circuit_depth(circuit);
+  GateSpec base;
+  base.num_inputs = 3;
+  base.frequencies = channel_frequencies(n);
+  return sw::compile::lower_to_program(circuit, base);
+}
+
+/// The program's output on `matrix`, evaluated by a standalone EvalProgram
+/// that shares nothing with any cache.
+std::vector<std::uint8_t> standalone_bits(
+    const ServeFixture& fix, const sw::wavesim::ProgramSpec& program,
+    const std::vector<std::uint8_t>& matrix, std::size_t words,
+    sw::wavesim::Precision precision = sw::wavesim::Precision::kAuto) {
+  const sw::wavesim::EvalProgram standalone(
+      program, fix.designer, fix.engine,
+      {.num_threads = 1, .precision = precision});
+  return standalone.evaluate_bits(words, matrix);
+}
+
+TEST(PlanCache, ProgramsShareStagesPerGateSpecAndPrecision) {
+  const ServeFixture fix;
+  PlanCache cache(fix.engine, 8, {.num_threads = 1}, &fix.designer);
+  const auto a = maj_and_inverted_maj(0, 4);
+  const auto b = maj_and_inverted_maj(1, 4);
+  ASSERT_NE(a, b);
+  const auto f64 = sw::wavesim::Precision::kFloat64;
+  const auto pa = cache.get_or_build_program(a, f64).program;
+  const auto pb = cache.get_or_build_program(b, f64).program;
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.program_builds, 2u);
+  EXPECT_EQ(stats.program_stages, 4u);
+  EXPECT_EQ(stats.stage_builds, 2u);  // MAJ and inverted MAJ, once each
+  // Program a runs MAJ then inverted MAJ, b the reverse: the same artefacts.
+  EXPECT_EQ(&pa->program().stage_plan(0), &pb->program().stage_plan(1));
+  EXPECT_EQ(&pa->program().stage_plan(1), &pb->program().stage_plan(0));
+
+  const std::size_t words = 64;
+  const auto matrix = random_matrix(words, a.primary_slot_count(), 71);
+  EXPECT_EQ(pa->program().evaluate_bits(words, matrix),
+            standalone_bits(fix, a, matrix, words, f64));
+  EXPECT_EQ(pb->program().evaluate_bits(words, matrix),
+            standalone_bits(fix, b, matrix, words, f64));
+
+  // f32 and f64 stages never share: an f32 entry builds its own pair.
+  const auto f32 = sw::wavesim::Precision::kFloat32;
+  const auto pa32 = cache.get_or_build_program(a, f32).program;
+  stats = cache.stats();
+  EXPECT_EQ(stats.stage_builds, 4u);
+  EXPECT_NE(&pa32->program().stage_plan(0), &pa->program().stage_plan(0));
+  EXPECT_EQ(pa32->program().evaluate_bits(words, matrix),
+            standalone_bits(fix, a, matrix, words, f32));
+  (void)cache.get_or_build_program(b, f32);
+  EXPECT_EQ(cache.stats().stage_builds, 4u);
+}
+
+TEST(PlanCache, SharedStagesLiveOnlyAsLongAsTheirPrograms) {
+  const ServeFixture fix;
+  PlanCache cache(fix.engine, /*capacity=*/1, {.num_threads = 1},
+                  &fix.designer);
+  const auto a = maj_and_inverted_maj(0, 2);
+  const auto layout = fix.majority_layout(3, 2);
+
+  auto held = cache.get_or_build_program(a).program;
+  EXPECT_EQ(cache.stats().stage_builds, 2u);
+  // Evicted but still in flight: a rebuild shares the held stages.
+  (void)cache.get_or_build(layout);
+  auto rebuilt = cache.get_or_build_program(a);
+  EXPECT_FALSE(rebuilt.hit);
+  EXPECT_EQ(cache.stats().stage_builds, 2u);
+  EXPECT_EQ(&rebuilt.program->program().stage_plan(0),
+            &held->program().stage_plan(0));
+
+  // Evicted and released everywhere: the table does not keep the stages.
+  held.reset();
+  rebuilt.program.reset();
+  (void)cache.get_or_build(layout);
+  EXPECT_FALSE(cache.get_or_build_program(a).hit);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.stage_builds, 4u);
+  EXPECT_EQ(stats.program_builds, 3u);
+  EXPECT_EQ(stats.evictions, 4u);  // every build but the first evicts
+}
+
+/// Dispersion that can be told to throw, so a stage design fails on demand.
+class SwitchableDispersion : public sw::disp::DispersionModel {
+ public:
+  explicit SwitchableDispersion(const sw::disp::DispersionModel& inner)
+      : inner_(inner) {}
+  double frequency(double k) const override {
+    SW_REQUIRE(!fail, "dispersion switched off");
+    return inner_.frequency(k);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::atomic<bool> fail{false};
+
+ private:
+  const sw::disp::DispersionModel& inner_;
+};
+
+TEST(PlanCache, FailedStageDesignLeavesNoEntryAndRetries) {
+  const ServeFixture fix;
+  SwitchableDispersion model(fix.model);
+  const InlineGateDesigner designer(model);
+  PlanCache cache(fix.engine, 4, {.num_threads = 1}, &designer);
+  const auto a = maj_and_inverted_maj(0, 2);
+
+  model.fail = true;
+  EXPECT_THROW((void)cache.get_or_build_program(a), sw::util::Error);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().stage_builds, 0u);
+
+  // A poisoned stage entry would rethrow here; the retry builds instead.
+  model.fail = false;
+  const auto built = cache.get_or_build_program(a);
+  EXPECT_FALSE(built.hit);
+  EXPECT_EQ(cache.stats().stage_builds, 2u);
+  const std::size_t words = 32;
+  const auto matrix = random_matrix(words, a.primary_slot_count(), 73);
+  EXPECT_EQ(built.program->program().evaluate_bits(words, matrix),
+            standalone_bits(fix, a, matrix, words));
+}
+
+TEST(PlanCache, ConcurrentOverlappingProgramBuildsAreBitIdentical) {
+  const ServeFixture fix;
+  // Capacity 2 for 4 programs: entries are evicted and rebuilt while other
+  // threads resolve the same stages.
+  PlanCache cache(fix.engine, 2, {.num_threads = 1}, &fix.designer);
+  const std::vector<sw::wavesim::ProgramSpec> programs = {
+      maj_and_inverted_maj(0, 4), maj_and_inverted_maj(1, 4),
+      synthesize_program(0x1B, 3, 4), synthesize_program(0x96, 3, 4)};
+  const std::size_t words = 48;
+  const auto matrix = random_matrix(words, programs[0].primary_slot_count(), 79);
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const auto& p : programs) {
+    expected.push_back(standalone_bits(fix, p, matrix, words));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 12;
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const std::size_t i = (t + r) % programs.size();
+        const auto built = cache.get_or_build_program(programs[i]).program;
+        if (built->program().evaluate_bits(words, matrix) != expected[i]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  go = true;
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds);
 }
 
 TEST(EvaluatorService, ProgramRequestMatchesPerStagePhysicsOracle) {

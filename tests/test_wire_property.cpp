@@ -7,13 +7,43 @@
 // seed so CI failures reproduce locally.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <vector>
 
 #include "core/gate_design.h"
+#include "serve/layout_hash.h"
 #include "serve/wire.h"
 #include "util/error.h"
+#include "wavesim/eval_program.h"
+
+// Global operator new replaced by a counting version, so a test can bound
+// the largest single allocation a decode makes. Off unless a test arms it.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line: inlined into a caller, the free() of memory GCC knows came
+// from operator new reads as a mismatched deallocation.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -201,6 +231,96 @@ TEST(WireProperty, OversizedLengthPrefixesAreRejectedCheaply) {
 
   stamp_u64(48, ~std::uint64_t{0});  // payload_size inconsistent / absurd
   EXPECT_THROW((void)decode_frame(bytes), sw::util::Error);
+}
+
+void stamp_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// Recompute the checksums a hostile sender would: the v3 program block's
+/// own trailing checksum (when `program_block`), then the frame checksum
+/// over spec block + payload.
+void reseal(std::vector<std::uint8_t>& bytes, bool program_block) {
+  constexpr std::size_t kHeader = 64;
+  std::size_t spec_size = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    spec_size |= static_cast<std::size_t>(bytes[40 + i]) << (8 * i);
+  }
+  if (program_block) {
+    stamp_u64(bytes, kHeader + spec_size - 8,
+              chunked_fnv1a64({bytes.data() + kHeader, spec_size - 8}));
+  }
+  stamp_u64(bytes, 56,
+            chunked_fnv1a64({bytes.data() + kHeader, bytes.size() - kHeader}));
+}
+
+TEST(WireProperty, HostileCountsAllocateNoMoreThanTheFrameCarries) {
+  // Minimal well-formed requests: one input on one channel, no words.
+  GateSpec spec;
+  spec.num_inputs = 1;
+  spec.frequencies = {1e10};
+  SweepFrame v2;
+  v2.num_cols = 1;
+  v2.spec = spec;
+  sw::wavesim::ProgramSpec program;
+  program.num_primary_inputs = 1;
+  program.stages.push_back(
+      {spec, {{sw::wavesim::SlotSource::Kind::kPrimary, 0, 0, false}}});
+  SweepFrame v3;
+  v3.num_cols = 1;
+  v3.program = program;
+  const auto v2_bytes = encode_frame(v2);
+  const auto v3_bytes = encode_frame(v3);
+  ASSERT_EQ(decode_frame(v3_bytes).program, program);
+
+  // Byte offsets of the count fields. The v2 spec block starts after the
+  // 64-byte header: num_inputs, frequency count, one frequency, three
+  // doubles, multiple_search, invert flag count. The v3 block starts with
+  // u16 format, u64 primary inputs, u64 stage count, then stage 0's spec
+  // fields (same layout) and its u64 source count.
+  constexpr std::size_t kV2Frequencies = 72;
+  constexpr std::size_t kV2Flags = 120;
+  constexpr std::size_t kV3Stages = 74;
+  constexpr std::size_t kV3Frequencies = 90;
+  constexpr std::size_t kV3Flags = 138;
+  constexpr std::size_t kV3Sources = 146;
+  constexpr std::uint64_t kMillion = std::uint64_t{1} << 20;
+  struct Hostile {
+    const char* what;
+    bool program;
+    std::size_t at;
+    std::uint64_t count;
+  };
+  const Hostile cases[] = {
+      {"v2 frequency count", false, kV2Frequencies, kMillion},
+      {"v2 invert flag count", false, kV2Flags, kMillion},
+      {"v3 stage count", true, kV3Stages, 4096},
+      {"v3 stage frequency count", true, kV3Frequencies, kMillion},
+      {"v3 stage invert flag count", true, kV3Flags, kMillion},
+      {"v3 source count", true, kV3Sources, kMillion},
+  };
+  for (const Hostile& c : cases) {
+    auto bytes = c.program ? v3_bytes : v2_bytes;
+    ASSERT_LT(bytes.size(), 256u);
+    stamp_u64(bytes, c.at, c.count);
+    reseal(bytes, c.program);
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    bool rejected = false;
+    try {
+      (void)decode_frame(bytes);
+    } catch (const sw::util::Error&) {
+      rejected = true;
+    }
+    g_track_allocations = false;
+    EXPECT_TRUE(rejected) << c.what;
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{64} * 1024)
+        << c.what << ": a " << bytes.size()
+        << "-byte frame drove a large allocation";
+  }
 }
 
 TEST(WireProperty, ShapeContractsAreEnforcedOnEncode) {
