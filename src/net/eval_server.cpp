@@ -8,9 +8,12 @@
 #include <netinet/tcp.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,6 +45,45 @@ void set_fd_nonblocking(int fd) {
   SW_REQUIRE(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
              std::string("fcntl(O_NONBLOCK) failed: ") + std::strerror(errno));
 }
+
+/// A connection's unparsed input. A std::vector value-initialises every
+/// byte it grows by, so sizing one for each kReadChunk recv would zero-fill
+/// 256 KiB on the event thread per read. This buffer hands recv its
+/// uninitialised spare capacity instead; only bytes recv reported writing
+/// are contents.
+class ReadBuffer {
+ public:
+  std::size_t size() const { return size_; }
+  const std::uint8_t* data() const { return bytes_.get(); }
+  std::uint8_t operator[](std::size_t i) const { return bytes_[i]; }
+
+  /// The next `n` bytes past the contents, for recv to fill. Grows like
+  /// std::vector::resize (to at least twice the contents) when short, and
+  /// copies only the contents across.
+  std::span<std::uint8_t> spare(std::size_t n) {
+    if (capacity_ - size_ < n) {
+      const std::size_t capacity = size_ + std::max(size_, n);
+      std::unique_ptr<std::uint8_t[]> grown(new std::uint8_t[capacity]);
+      if (size_ > 0) std::memcpy(grown.get(), bytes_.get(), size_);
+      bytes_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    return {bytes_.get() + size_, n};
+  }
+  /// Count the first `n` bytes of the last spare() as contents.
+  void commit(std::size_t n) { size_ += n; }
+  void clear() { size_ = 0; }  ///< capacity kept
+  /// Drop the first `n` bytes of the contents.
+  void erase_front(std::size_t n) {
+    std::memmove(bytes_.get(), bytes_.get() + n, size_ - n);
+    size_ -= n;
+  }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
 
 }  // namespace
 
@@ -107,7 +149,7 @@ struct EvalServer::CompletionQueue {
 struct EvalServer::Conn {
   std::uint64_t id = 0;
   Connection conn;
-  std::vector<std::uint8_t> rbuf;  ///< unparsed input; [rpos, end) live
+  ReadBuffer rbuf;  ///< unparsed input; [rpos, end) live
   std::size_t rpos = 0;
   std::vector<std::uint8_t> wbuf;  ///< unflushed output; [wpos, end) live
   std::size_t wpos = 0;
@@ -329,20 +371,13 @@ void EvalServer::handle_readable(Conn& conn) {
   for (;;) {
     if (conn.paused || conn.draining || conn.peer_eof) break;
     if (conn.rbuf.size() - conn.rpos >= kMaxBufferedRead) break;
-    const std::size_t old_size = conn.rbuf.size();
-    conn.rbuf.resize(old_size + kReadChunk);
-    const std::ptrdiff_t n =
-        conn.conn.recv_some({conn.rbuf.data() + old_size, kReadChunk});
-    if (n < 0) {
-      conn.rbuf.resize(old_size);
-      break;  // drained
-    }
+    const std::ptrdiff_t n = conn.conn.recv_some(conn.rbuf.spare(kReadChunk));
+    if (n < 0) break;  // drained
     if (n == 0) {
-      conn.rbuf.resize(old_size);
       conn.peer_eof = true;
       break;
     }
-    conn.rbuf.resize(old_size + static_cast<std::size_t>(n));
+    conn.rbuf.commit(static_cast<std::size_t>(n));
     read_total += static_cast<std::uint64_t>(n);
     conn.last_progress = std::chrono::steady_clock::now();
     process_buffered(conn);
@@ -394,8 +429,7 @@ void EvalServer::process_buffered(Conn& conn) {
     conn.rbuf.clear();
     conn.rpos = 0;
   } else if (conn.rpos >= (1u << 20)) {
-    conn.rbuf.erase(conn.rbuf.begin(),
-                    conn.rbuf.begin() + static_cast<std::ptrdiff_t>(conn.rpos));
+    conn.rbuf.erase_front(conn.rpos);
     conn.rpos = 0;
   }
 }

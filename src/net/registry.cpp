@@ -237,8 +237,11 @@ void RegistryServer::stop() {
     threads.swap(threads_);
   }
   shutdown_cv_.notify_all();
-  listener_.close();
+  // The accept loop sees stopping_ within one poll_tick. Join it before
+  // closing the listener, so the close never races its accept() on the
+  // descriptor.
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }

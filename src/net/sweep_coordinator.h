@@ -5,29 +5,45 @@
 // The paper's headline workload — all 2^n operand words through an n-bit
 // data-parallel gate — is embarrassingly parallel by word offset, so the
 // coordinator splits the input matrix into contiguous word-range shards
-// and streams them to N workers over the socket transport (one blocking
-// request/response per shard per connection, exactly the frame pair the
-// file-based PR 2 flow used). Completion is tracked per shard, not per
-// worker:
+// and streams them to N workers over the socket transport, one thread
+// per worker connection.
+//
+// Each connection keeps a window of two shards in flight, so one shard
+// evaluates while the next is encoded, sent and decoded. Every request
+// carries a fresh envelope tag (never 0) and the server echoes it, so a
+// reply is matched to its shard by tag, in whatever order it arrives.
+// Replies already readable are retired before the next shard is encoded.
+// A worker with one shard in flight claims only pending shards; only an
+// idle worker (empty window) waits for work and may take a straggler
+// duplicate, so no worker ever holds one shard twice. The depth is fixed,
+// not an option: deeper windows mostly queue shards at the server (four
+// gave 1.2x the words/s of two at 1.5x the median shard latency).
+//
+// Completion is tracked per shard, not per worker:
 //
 //   * a shard is only retired when its response frame arrives and
 //     validates (kind, layout hash, word range, channel count);
 //   * a shard still in flight past `straggler_deadline` becomes eligible
 //     for duplication, and the *fastest currently-idle* worker (most
 //     shards completed, ties to the lowest index) claims it — a stalled
-//     or SIGSTOPped worker therefore delays the sweep by at most one
-//     deadline, and a dead one by nothing at all once its connection
-//     errors out;
+//     or SIGSTOPped worker therefore delays the sweep by about one
+//     deadline (both shards of its window fall overdue together), and a
+//     dead one by nothing at all once its connection errors out;
 //   * when both the original and the duplicate eventually answer, the
 //     second result is checked bit-for-bit against the first — a
 //     divergent duplicate means non-deterministic workers, which for this
 //     workload is data corruption, and aborts the sweep rather than
-//     letting a coin flip decide the truth table.
+//     letting a coin flip decide the truth table. After the sweep
+//     completes, a worker still owed replies waits up to
+//     `duplicate_grace` for all of them.
 //
-// Workers that fail (connect failure, stream error, mid-frame stall)
-// return their in-flight shard to the pending pool and drop out; the
-// sweep aborts only when every worker is gone or the wall deadline
-// passes, so CI legs can never hang.
+// Failures are handled per shard. A tagged kOverload reply (the worker
+// shed that request under admission control) re-queues only its shard;
+// the connection stays up and the worker backs off one `poll_tick`
+// before claiming again. A connection error, an unknown tag or a
+// malformed reply returns every shard in the window to the pending pool
+// and drops the worker. The sweep aborts only when every worker is gone
+// or the wall deadline passes, so CI legs can never hang.
 #pragma once
 
 #include <chrono>

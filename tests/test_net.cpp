@@ -1,13 +1,15 @@
 // Networked-serving tests: endpoint parsing, socket round trips and
 // timeout behaviour over TCP and unix-domain transports, the message
 // envelope, EvalServer end-to-end against the in-process evaluator
-// (including pipelined tagged out-of-order completion, kShed mapping to
-// a typed error frame on a surviving connection, connection-cap refusal
-// with a live accept loop, metrics scraping and layout-hash rejection),
-// the worker registry (advert codec, TTL upsert/expiry, tag echo), and
-// the SweepCoordinator's distributed exhaustive sweep with registry
-// discovery, straggler re-sharding, bit-exact duplicate deduplication
-// and divergent-duplicate abort.
+// (including pipelined tagged out-of-order completion, frames trickled a
+// few bytes per read or straddling the read chunk and buffer compaction,
+// kShed mapping to a typed error frame on a surviving connection,
+// connection-cap refusal with a live accept loop, metrics scraping and
+// layout-hash rejection), the worker registry (advert codec, TTL
+// upsert/expiry, tag echo), and the SweepCoordinator's distributed
+// exhaustive sweep with its two-shard window per connection, registry
+// discovery, straggler re-sharding, shed-shard re-queueing, bit-exact
+// duplicate deduplication and divergent-duplicate abort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <random>
@@ -292,18 +295,34 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_NE(text.find("sw_net_frames_received 3"), std::string::npos);
   EXPECT_NE(text.find("sw_net_connections_accepted 1"), std::string::npos);
   // The kernel/precision identity gauge and the detector-granularity f32
-  // share must scrape: the kernel label is the active kernel's name and
-  // the ratio is a bare number (0 here — no f32 builds in this fixture).
+  // share must scrape: the kernel label is the active kernel's name, and
+  // the ratio and block-plan lines carry what the service's own stats say
+  // (rendered as render_service_metrics does), whatever precision the
+  // process resolved.
   EXPECT_NE(
       text.find("sw_serve_kernel_info{kernel=\"" +
                 std::string(sw::wavesim::active_kernel_name()) + "\""),
       std::string::npos)
       << text;
-  EXPECT_NE(text.find("sw_serve_f32_detector_ratio 0"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("sw_serve_plan_cache_block_plans 0"),
-            std::string::npos)
-      << text;
+  const sw::serve::ServiceStats stats = fx.service.stats();
+  const double mix_total =
+      static_cast<double>(stats.cache.f32_detectors) +
+      static_cast<double>(stats.cache.f64_rescue_detectors);
+  const double ratio =
+      mix_total > 0.0
+          ? static_cast<double>(stats.cache.f32_detectors) / mix_total
+          : 0.0;
+  char line[96];
+  std::snprintf(line, sizeof line, "\nsw_serve_f32_detector_ratio %.9g\n",
+                ratio);
+  EXPECT_NE(text.find(line), std::string::npos) << text;
+  std::snprintf(line, sizeof line, "\nsw_serve_plan_cache_block_plans %llu\n",
+                static_cast<unsigned long long>(stats.cache.block_plans));
+  EXPECT_NE(text.find(line), std::string::npos) << text;
+  if (stats.precision == "f32") {
+    // An f32 service built this fixture's plan with f32 detectors.
+    EXPECT_GT(ratio, 0.0) << text;
+  }
 
   const auto counters = fx.server.counters();
   EXPECT_EQ(counters.frames_received, 3u);
@@ -704,6 +723,88 @@ TEST(EvalServer, PipelinedTaggedRequestsCompleteOutOfOrder) {
   EXPECT_EQ(counters.errors_sent, 0u);
 }
 
+TEST(EvalServer, ServesTrickledAndChunkStraddlingFrames) {
+  // The read path from both ends: a frame that arrives a few bytes per
+  // recv, then pipelined frames whose boundaries fall inside the server's
+  // 256 KiB read chunks and across its 1 MiB buffer compaction.
+  ServerFixture fx(loopback());
+  const GateLayout layout = fx.designer.design(majority_spec(3, 8));
+  const std::uint64_t hash = sw::serve::hash_layout(layout);
+  const std::size_t slots = 8 * 3;
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+
+  // 1. One request written in 1-7-byte pieces, each its own segment.
+  {
+    const std::size_t words = 67;
+    const auto matrix = random_matrix(words, slots, 91);
+    std::vector<std::uint8_t> bytes;
+    append_frame_message(
+        bytes,
+        sw::serve::make_request_view(layout.spec, hash, 0, words, matrix), 1);
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<std::size_t> piece(1, 7);
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const std::size_t n = std::min(piece(rng), bytes.size() - sent);
+      conn.send_all({bytes.data() + sent, n}, 2000ms);
+      sent += n;
+      std::this_thread::sleep_for(200us);
+    }
+    const auto message = recv_message(conn, 60000ms);
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->kind, MessageKind::kFrame);
+    EXPECT_EQ(message->tag, 1u);
+    const auto frame = sw::serve::decode_frame(message->payload);
+    EXPECT_EQ(frame.num_words, words);
+    EXPECT_EQ(frame.matrix, evaluator.evaluate_bits(words, matrix));
+  }
+
+  // 2. One write of five ~300 KB frames (1.5 MB): no frame boundary lines
+  // up with a 256 KiB chunk, and the parsed prefix can pass 1 MiB while
+  // the last frame is still partial, which compacts the buffer.
+  {
+    const std::size_t words = 100003;
+    const std::size_t frames = 5;
+    const auto matrix = random_matrix(words, slots, 93);
+    const auto expected = evaluator.evaluate_bits(words, matrix);
+    std::vector<std::uint8_t> burst;
+    for (std::size_t i = 0; i < frames; ++i) {
+      append_frame_message(
+          burst,
+          sw::serve::make_request_view(layout.spec, hash, i * words, words,
+                                       matrix),
+          100 + i);
+    }
+    ASSERT_GT(burst.size(), std::size_t{1} << 20);
+    // The server keeps reading while it evaluates (five frames stay under
+    // its in-flight and write-queue caps), so the write completes before
+    // any reply is read.
+    conn.send_all(burst, 60000ms);
+    std::vector<bool> seen(frames, false);
+    for (std::size_t i = 0; i < frames; ++i) {
+      const auto message = recv_message(conn, 60000ms);
+      ASSERT_TRUE(message.has_value());
+      ASSERT_EQ(message->kind, MessageKind::kFrame);
+      ASSERT_GE(message->tag, 100u);
+      ASSERT_LT(message->tag, 100u + frames);
+      const std::size_t k = static_cast<std::size_t>(message->tag - 100);
+      EXPECT_FALSE(seen[k]) << "tag " << message->tag << " answered twice";
+      seen[k] = true;
+      const auto frame = sw::serve::decode_frame(message->payload);
+      EXPECT_EQ(frame.word_offset, k * words);
+      EXPECT_EQ(frame.num_words, words);
+      EXPECT_EQ(frame.matrix, expected)
+          << "wrong bits for tag " << message->tag;
+    }
+  }
+  const auto counters = fx.server.counters();
+  EXPECT_EQ(counters.frames_received, 6u);
+  EXPECT_EQ(counters.responses_sent, 6u);
+  EXPECT_EQ(counters.errors_sent, 0u);
+}
+
 TEST(EvalServer, RefusesConnectionsPastCapButKeepsAccepting) {
   EvalServerOptions server_options;
   server_options.max_connections = 2;
@@ -1046,25 +1147,28 @@ class FaultyWorker {
     auto conn = listener_.accept(30000ms);
     if (!conn) return;
     try {
+      // A conforming protocol-v2 peer: requests are answered in arrival
+      // order, each reply echoing its request's tag.
       for (;;) {
-        auto frame = recv_frame(*conn, 30000ms);
-        if (!frame) return;  // coordinator closed: sweep is over
+        const auto request = recv_message(*conn, 30000ms);
+        if (!request) return;  // coordinator closed: sweep is over
+        const auto frame = sw::serve::decode_frame(request->payload);
         got_request_.store(true);
         if (mode_ == Mode::kStalled) {
-          // Swallow the request; the shard must be re-sharded. Wait for
-          // the coordinator to abandon us (EOF) rather than replying.
-          std::uint8_t byte;
-          (void)conn->recv_all({&byte, 1}, 60000ms);
+          // Swallow every request; the shards must be re-sharded. Drain
+          // until the coordinator abandons us (EOF) rather than replying.
+          std::uint8_t sink[4096];
+          while (conn->wait_readable(60000ms) && conn->recv_some(sink) != 0) {
+          }
           return;
         }
         auto bits = evaluator_.evaluate_bits(
-            static_cast<std::size_t>(frame->num_words), frame->matrix);
+            static_cast<std::size_t>(frame.num_words), frame.matrix);
         if (mode_ == Mode::kCorrupt) bits[0] ^= 1;
         std::this_thread::sleep_for(delay_);
-        send_message(*conn,
-                     make_frame_message(sw::serve::make_response_frame(
-                         *frame, gate_.layout().spec.frequencies.size(),
-                         std::move(bits))),
+        const auto response = sw::serve::make_response_frame(
+            frame, gate_.layout().spec.frequencies.size(), std::move(bits));
+        send_message(*conn, make_frame_message(response, request->tag),
                      30000ms);
       }
     } catch (const sw::util::Error&) {
@@ -1104,6 +1208,117 @@ struct SmallSweep {
   static constexpr std::size_t kSlots = kChannels * 3;
   static constexpr std::size_t kWords = 4096;
 };
+
+TEST(SweepCoordinator, KeepsTwoShardsInFlightPerConnection) {
+  // One worker connection, two service threads: the coordinator must put a
+  // second shard into the service while the first is still there, and
+  // never a third. The first two requests are held together, so the
+  // window is full and unanswered: the first waits for a second to start
+  // beside it (bounded, so a stop-and-wait coordinator fails rather than
+  // hangs), then both give a deeper window 200 ms to show a third. Every
+  // request start and every tick of the hold samples how many shards the
+  // service holds (admitted, not yet settled).
+  constexpr std::size_t kShardWords = 512;
+  std::atomic<const sw::serve::EvaluatorService*> service{nullptr};
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> peak{0};
+  const auto in_service = [&] {
+    const std::size_t n =
+        service.load()->stats().inflight_words / kShardWords;
+    std::size_t seen = peak.load();
+    while (n > seen && !peak.compare_exchange_weak(seen, n)) {
+    }
+    return n;
+  };
+  sw::serve::ServiceOptions service_options;
+  service_options.num_threads = 2;
+  service_options.on_request_start = [&](std::uint64_t) {
+    (void)in_service();
+    if (started.fetch_add(1) >= 2) return;
+    const auto second_deadline = std::chrono::steady_clock::now() + 10s;
+    while (started.load() < 2 &&
+           std::chrono::steady_clock::now() < second_deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    const auto third_deadline = std::chrono::steady_clock::now() + 200ms;
+    while (in_service() < 3 &&
+           std::chrono::steady_clock::now() < third_deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
+  ServerFixture worker(loopback(), std::move(service_options));
+  service.store(&worker.service);
+
+  const GateLayout layout =
+      worker.designer.design(majority_spec(3, SmallSweep::kChannels));
+  const auto matrix =
+      random_matrix(SmallSweep::kWords, SmallSweep::kSlots, 37);
+  const WaveEngine engine(worker.model, worker.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto expected = evaluator.evaluate_bits(SmallSweep::kWords, matrix);
+
+  SweepOptions options;
+  options.shard_words = kShardWords;  // 8 shards
+  SweepCoordinator coordinator({worker.server.local_endpoint()}, options);
+  SweepReport report;
+  const auto merged =
+      coordinator.run(layout, matrix, SmallSweep::kWords, &report);
+
+  EXPECT_EQ(merged, expected);
+  EXPECT_EQ(report.shards, 8u);
+  EXPECT_EQ(report.dead_workers, 0u);
+  EXPECT_EQ(peak.load(), 2u)
+      << "shards one connection had in the service at once";
+}
+
+TEST(SweepCoordinator, RequeuesAShedShardAndCompletes) {
+  // Admission sheds past one shard's words, and the first request is held
+  // until something has been shed: the window's second shard comes back
+  // as a tagged kOverload reply, which must re-queue just that shard on a
+  // connection that stays up.
+  constexpr std::size_t kShardWords = 512;
+  std::atomic<const sw::serve::EvaluatorService*> service{nullptr};
+  std::atomic<bool> first{true};
+  sw::serve::ServiceOptions service_options;
+  service_options.admission.policy = sw::serve::OverloadPolicy::kShed;
+  service_options.admission.max_inflight_words = kShardWords;
+  service_options.on_request_start = [&](std::uint64_t) {
+    if (!first.exchange(false)) return;
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (service.load()->stats().shed < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
+  ServerFixture worker(loopback(), std::move(service_options));
+  service.store(&worker.service);
+
+  const GateLayout layout =
+      worker.designer.design(majority_spec(3, SmallSweep::kChannels));
+  const auto matrix =
+      random_matrix(SmallSweep::kWords, SmallSweep::kSlots, 39);
+  const WaveEngine engine(worker.model, worker.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto expected = evaluator.evaluate_bits(SmallSweep::kWords, matrix);
+
+  SweepOptions options;
+  options.shard_words = kShardWords;
+  options.poll_tick = 10ms;  // the back-off after each shed shard
+  // Only the re-queue may bring a shed shard back, not a straggler copy.
+  options.straggler_deadline = 60s;
+  SweepCoordinator coordinator({worker.server.local_endpoint()}, options);
+  SweepReport report;
+  const auto merged =
+      coordinator.run(layout, matrix, SmallSweep::kWords, &report);
+
+  EXPECT_EQ(merged, expected);
+  EXPECT_GE(report.overload_retries, 1u);
+  EXPECT_EQ(report.resharded, 0u);
+  EXPECT_EQ(report.dead_workers, 0u);
+  EXPECT_GE(worker.service.stats().shed, report.overload_retries);
+}
 
 TEST(SweepCoordinator, ReshardsStragglersAndDedupsLateDuplicates) {
   const GateSpec spec = majority_spec(3, SmallSweep::kChannels);
