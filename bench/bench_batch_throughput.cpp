@@ -6,9 +6,9 @@
 // parallel AND gate two ways:
 //   * scalar: a per-word loop over ParallelLogicGate::evaluate, which
 //     redoes the dispersion-dependent phasor arithmetic for every word;
-//   * batched: ParallelLogicGate::evaluate_batch, which precomputes the two
-//     possible phasor contributions of every source once and fans words
-//     across the thread pool.
+//   * batched: ParallelLogicGate::pack_batch feeding a BatchEvaluator,
+//     which precomputes the two possible phasor contributions of every
+//     source once and fans words across the thread pool.
 // It prints both throughputs and the speedup (the PR's acceptance bar is
 // >= 4x on a multi-core host; the precompute alone clears that bar even on
 // one core), cross-checks that both paths decode identically, and registers
@@ -88,9 +88,9 @@ std::vector<std::vector<std::uint8_t>> run_scalar(const BenchSetup& s) {
 }
 
 std::vector<std::vector<std::uint8_t>> run_batched(const BenchSetup& s) {
-  // The replacement for the deprecated evaluate_batch hook: pack the
-  // operands, evaluate on a BatchEvaluator. Plan construction stays inside
-  // the timed region, matching what the old one-shot call measured.
+  // Pack the operands, evaluate on a BatchEvaluator. Plan construction
+  // stays inside the timed region, so the batched row is the whole cost of
+  // one batched call.
   const wavesim::BatchEvaluator evaluator(s.gate.gate());
   const auto decoded = evaluator.evaluate_bits(
       s.table.a_words.size(),
@@ -137,8 +137,8 @@ void run_experiment(bench::BenchJson& json) {
               scalar_s / batch_s);
   std::printf("Outputs cross-checked identical on all %zu words.\n\n",
               scalar.size());
-  // evaluate_batch routes through evaluate_bits with default options, so
-  // the batch row runs at the process-wide precision (f32 on that CI leg).
+  // The batched row's evaluator uses default options, so it runs at the
+  // process-wide precision (f32 on that CI leg).
   json.add("scalar_per_word_loop", "none", "f64", words / scalar_s);
   json.add("batch_evaluator", std::string(wavesim::active_kernel_name()),
            std::string(wavesim::precision_name(wavesim::active_precision())),

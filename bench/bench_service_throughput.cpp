@@ -3,9 +3,8 @@
 // The serving question: a stream of packed word batches arrives for the
 // same gate layout — what does plan caching buy over PR 1's per-call
 // pattern of reconstructing a BatchEvaluator for every batch? The baseline
-// rebuilds the evaluator per call exactly as the one-shot evaluate_batch
-// hooks do (plan precompute + pool setup each time, engine memoisation
-// shared); the service path submits the same batches to a long-lived
+// builds a fresh evaluator per call (plan precompute + pool setup each
+// time, engine memoisation shared); the service path submits the same batches to a long-lived
 // EvaluatorService whose plan cache makes the steady-state cost just the
 // packed-bit evaluation. A ≥ 2x floor on the speedup gates CI (the
 // acceptance bar of the serving PR); both paths are cross-checked

@@ -5,7 +5,6 @@
 
 #include "util/constants.h"
 #include "util/error.h"
-#include "wavesim/batch_evaluator.h"
 
 namespace sw::core {
 
@@ -60,29 +59,6 @@ std::vector<ChannelResult> DataParallelGate::evaluate_uniform(
     const Bits& pattern) const {
   const std::vector<Bits> inputs(layout_.spec.frequencies.size(), pattern);
   return evaluate(inputs);
-}
-
-namespace {
-sw::wavesim::BatchEvaluator one_shot_evaluator(const DataParallelGate& gate,
-                                               std::size_t num_threads,
-                                               std::size_t num_words) {
-  sw::wavesim::BatchOptions opts;
-  opts.num_threads = sw::wavesim::clamp_batch_threads(num_threads, num_words);
-  return sw::wavesim::BatchEvaluator(gate, opts);
-}
-}  // namespace
-
-std::vector<std::vector<ChannelResult>> DataParallelGate::evaluate_batch(
-    const std::vector<std::vector<Bits>>& batch,
-    std::size_t num_threads) const {
-  return one_shot_evaluator(*this, num_threads, batch.size()).evaluate(batch);
-}
-
-std::vector<std::vector<ChannelResult>>
-DataParallelGate::evaluate_batch_uniform(const std::vector<Bits>& patterns,
-                                         std::size_t num_threads) const {
-  return one_shot_evaluator(*this, num_threads, patterns.size())
-      .evaluate_uniform(patterns);
 }
 
 std::uint8_t DataParallelGate::expected_majority(std::size_t channel,

@@ -40,24 +40,6 @@ class DataParallelGate {
   /// Convenience: apply the same m-bit pattern to every channel.
   std::vector<ChannelResult> evaluate_uniform(const Bits& pattern) const;
 
-  /// \deprecated One-shot batched evaluation that rebuilds the SoA
-  /// EvalPlan on every call. Hold a sw::wavesim::BatchEvaluator over the
-  /// gate (or submit through sw::serve::EvaluatorService, which caches
-  /// plans across targets) instead; results are identical bit-for-bit.
-  [[deprecated(
-      "hold a sw::wavesim::BatchEvaluator (or submit an EvalRequest to "
-      "serve::EvaluatorService) instead of the per-call plan rebuild")]]
-  std::vector<std::vector<ChannelResult>> evaluate_batch(
-      const std::vector<std::vector<Bits>>& batch,
-      std::size_t num_threads = 0) const;
-
-  /// \deprecated Batched uniform evaluation; same per-call plan rebuild as
-  /// evaluate_batch. Use BatchEvaluator::evaluate_uniform.
-  [[deprecated(
-      "hold a sw::wavesim::BatchEvaluator and call evaluate_uniform")]]
-  std::vector<std::vector<ChannelResult>> evaluate_batch_uniform(
-      const std::vector<Bits>& patterns, std::size_t num_threads = 0) const;
-
   /// Expected (reference Boolean) output of a channel for the given bits:
   /// MAJ for odd m, complemented when the channel's detector is inverted.
   std::uint8_t expected_majority(std::size_t channel,

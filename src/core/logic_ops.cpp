@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "util/error.h"
-#include "wavesim/batch_evaluator.h"
 
 namespace sw::core {
 
@@ -111,26 +110,6 @@ std::vector<std::uint8_t> ParallelLogicGate::pack_batch(
     }
   }
   return packed;
-}
-
-std::vector<std::vector<std::uint8_t>> ParallelLogicGate::evaluate_batch(
-    const std::vector<Bits>& a_words, const std::vector<Bits>& b_words,
-    std::size_t num_threads) const {
-  const std::size_t n = layout().spec.frequencies.size();
-  const std::size_t words = a_words.size();
-  const std::vector<std::uint8_t> packed = pack_batch(a_words, b_words);
-
-  sw::wavesim::BatchOptions opts;
-  opts.num_threads = sw::wavesim::clamp_batch_threads(num_threads, words);
-  const sw::wavesim::BatchEvaluator evaluator(*gate_, opts);
-  const auto decoded = evaluator.evaluate_bits(words, packed);
-
-  std::vector<std::vector<std::uint8_t>> out(words);
-  for (std::size_t w = 0; w < words; ++w) {
-    out[w].assign(decoded.begin() + static_cast<std::ptrdiff_t>(w * n),
-                  decoded.begin() + static_cast<std::ptrdiff_t>((w + 1) * n));
-  }
-  return out;
 }
 
 void ParallelLogicGate::verify() const {

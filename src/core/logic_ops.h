@@ -50,11 +50,10 @@ class ParallelLogicGate {
   BooleanOp op() const { return op_; }
   const GateLayout& layout() const { return gate_->layout(); }
 
-  /// The underlying majority fabric. Long-lived callers with repeated
-  /// batches should build a sw::wavesim::BatchEvaluator over this once
-  /// (input slots per channel: 0 = a, 1 = b for binary ops, last = the
-  /// pinned constant) instead of paying evaluate_batch's per-call
-  /// precompute.
+  /// The underlying majority fabric. Batched callers build a
+  /// sw::wavesim::BatchEvaluator over it once and feed it pack_batch()
+  /// matrices (input slots per channel: 0 = a, 1 = b for binary ops, last =
+  /// the pinned constant).
   const DataParallelGate& gate() const { return *gate_; }
 
   /// Data inputs per channel: 2 bits for binary ops, 1 for buffer/not.
@@ -71,20 +70,6 @@ class ParallelLogicGate {
   /// evaluates. b_words may be empty for unary ops.
   std::vector<std::uint8_t> pack_batch(const std::vector<Bits>& a_words,
                                        const std::vector<Bits>& b_words) const;
-
-  /// \deprecated Batched evaluation: word w is the operand pair
-  /// (a_words[w], b_words[w]); b_words may be empty for unary ops. Output
-  /// words match a per-word `evaluate` loop bit-for-bit, but every call
-  /// rebuilds the underlying BatchEvaluator — hold one over gate() (slot
-  /// packing documented there) or submit through
-  /// sw::serve::EvaluatorService instead.
-  [[deprecated(
-      "hold a sw::wavesim::BatchEvaluator over gate() (or submit an "
-      "EvalRequest to serve::EvaluatorService) instead of the per-call "
-      "plan rebuild")]]
-  std::vector<std::vector<std::uint8_t>> evaluate_batch(
-      const std::vector<Bits>& a_words, const std::vector<Bits>& b_words,
-      std::size_t num_threads = 0) const;
 
   /// Exhaustive check over all operand combinations on every channel;
   /// throws on any mismatch with boolean_op_eval.

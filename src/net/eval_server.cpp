@@ -39,6 +39,9 @@ constexpr std::size_t kReadChunk = 256u << 10;
 // (back-pressure also comes from the in-flight cap; this bounds memory
 // against a client that blasts frames faster than they are admitted).
 constexpr std::size_t kMaxBufferedRead = 4u << 20;
+// Designed v2 layouts kept by wire hash; sized like the service's default
+// plan cache, which holds the programs built from them.
+constexpr std::size_t kLayoutCacheCapacity = 32;
 
 void set_fd_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -512,7 +515,6 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     meta.word_offset = request.word_offset;
     meta.num_words = request.num_words;
     sw::serve::EvalRequest eval_request;
-    sw::core::GateLayout layout;
     if (request.program) {
       // v3: prove both ends mean the same program before evaluating, the
       // same contract layout_for enforces for geometry. The service's plan
@@ -525,9 +527,9 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
       eval_request = sw::serve::EvalRequest::for_program(
           *request.program, std::move(request.matrix), num_words);
     } else {
-      layout = layout_for(request);
+      // Borrows the cached layout: submit_async copies what it keeps.
       eval_request = sw::serve::EvalRequest::for_layout(
-          layout, std::move(request.matrix), num_words);
+          layout_for(request), std::move(request.matrix), num_words);
     }
     trace.end(decode_slot);
     eval_request.trace = std::move(trace);
@@ -754,30 +756,25 @@ void EvalServer::reap_stalled() {
   for (const std::uint64_t id : stalled) close_conn(id);
 }
 
-sw::core::GateLayout EvalServer::layout_for(
+const sw::core::GateLayout& EvalServer::layout_for(
     const sw::serve::SweepFrame& request) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = layouts_.find(request.layout_hash);
-    if (it != layouts_.end() && it->second.spec == *request.spec) {
-      return it->second;
-    }
+  auto it = layouts_.find(request.layout_hash);
+  if (it != layouts_.end() && it->second.spec == *request.spec) {
+    return it->second;
   }
   sw::core::GateLayout layout = designer_(*request.spec);
   const std::uint64_t local_hash = sw::serve::hash_layout(layout);
   SW_REQUIRE(local_hash == request.layout_hash,
              "layout hash mismatch: server geometry differs from the "
              "client's");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (layouts_.size() >= options_.layout_cache_capacity &&
-      layouts_.count(request.layout_hash) == 0) {
+  if (it == layouts_.end() && layouts_.size() >= kLayoutCacheCapacity) {
     // The layout cache is a small redesign-avoidance map, not an LRU:
     // dropping an arbitrary entry under pressure is fine because misses
     // only cost a redesign, never a wrong answer.
     layouts_.erase(layouts_.begin());
   }
-  layouts_.emplace(request.layout_hash, layout);
-  return layout;
+  return layouts_.insert_or_assign(request.layout_hash, std::move(layout))
+      .first->second;
 }
 
 void EvalServer::heartbeat_loop() {

@@ -76,9 +76,6 @@ struct EvalServerOptions {
   /// that sends but never reads otherwise grows the reply buffer without
   /// bound).
   std::size_t max_pending_write_bytes = 4u << 20;
-  /// Designed layouts cached by wire hash (each verified against its
-  /// request's spec); sized like the service plan cache it feeds.
-  std::size_t layout_cache_capacity = 32;
   /// When set, a heartbeat thread registers this worker with the registry
   /// at this endpoint every `heartbeat_interval`.
   std::optional<Endpoint> registry;
@@ -166,7 +163,10 @@ class EvalServer {
   void update_epoll(Conn& conn);
   void close_conn(std::uint64_t conn_id);
   void reap_stalled();
-  sw::core::GateLayout layout_for(const sw::serve::SweepFrame& request);
+  /// The designed layout of a v2 frame: from layouts_ when the cached
+  /// entry's spec matches, else designed and hash-checked against the
+  /// frame. The reference stays valid until the next layout_for call.
+  const sw::core::GateLayout& layout_for(const sw::serve::SweepFrame& request);
 
   sw::serve::EvaluatorService* service_;
   Designer designer_;
@@ -187,8 +187,8 @@ class EvalServer {
   ServerCounters counters_;
   /// Wire hash -> designed layout, each entry verified against the spec
   /// that produced it (a 64-bit collision therefore cannot alias two
-  /// specs: hits re-compare the full GateSpec). Event-thread only, but
-  /// kept under mutex_ for counters()' consistency with the old API.
+  /// specs: hits re-compare the full GateSpec). Owned by the event thread
+  /// exclusively; no lock.
   std::unordered_map<std::uint64_t, sw::core::GateLayout> layouts_;
 
   std::thread event_thread_;

@@ -1,12 +1,11 @@
 // The one request type of the serving API.
 //
-// Historically EvaluatorService grew three submit entry points (packed
-// layout, nested-batch layout, packed async); adding multi-stage programs
-// would have doubled that. EvalRequest collapses the request shape into a
-// single value: a packed word batch bound to *either* a single gate layout
-// *or* a multi-stage ProgramSpec, plus an optional per-request precision
-// hint, consumed by EvaluatorService::submit / submit_async. The legacy
-// overloads survive as thin deprecated shims over this type.
+// EvalRequest is a single value: a packed word batch bound to *either* a
+// single gate layout *or* a multi-stage ProgramSpec, plus an optional
+// per-request precision hint, consumed by EvaluatorService::submit /
+// submit_async. Both targets become one wavesim::EvalProgram in the
+// service (a gate is the one-stage, identity-source case), so they differ
+// only in how the packed matrix's columns are named.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +26,8 @@ namespace sw::serve {
 /// returns, so the pointee need only outlive the submit call itself.
 struct EvalRequest {
   /// Single-gate target: packed_bits is the row-major num_words x
-  /// slot_count matrix of BatchEvaluator::evaluate_bits
-  /// (slot = channel * num_inputs + input).
+  /// slot_count matrix, slot = channel * num_inputs + input (the same
+  /// columns as a one-stage program whose slot j reads primary column j).
   const sw::core::GateLayout* layout = nullptr;
   /// Multi-stage target: packed_bits is the row-major num_words x
   /// primary_slot_count() matrix of EvalProgram::evaluate_bits (column =

@@ -67,20 +67,12 @@ std::uint64_t PlanCache::bucket_hash(const LayoutKey& key,
              : key.hash();
 }
 
-bool PlanCache::slot_ready(const Slot& slot) {
-  return slot.is_program ? ready(slot.program) : ready(slot.plan);
-}
-
 PlanCache::Slot* PlanCache::find_locked(const LayoutKey& key,
-                                        sw::wavesim::Precision precision,
-                                        bool is_program) {
+                                        sw::wavesim::Precision precision) {
   const auto bucket = slots_.find(bucket_hash(key, precision));
   if (bucket == slots_.end()) return nullptr;
   for (auto& slot : bucket->second) {
-    if (slot.precision == precision && slot.is_program == is_program &&
-        slot.key == key) {
-      return &slot;
-    }
+    if (slot.precision == precision && slot.key == key) return &slot;
   }
   return nullptr;
 }
@@ -98,7 +90,7 @@ void PlanCache::evict_for_insert_locked() {
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
       for (std::size_t i = 0; i < it->second.size(); ++i) {
         const Slot& slot = it->second[i];
-        if (!slot_ready(slot)) continue;
+        if (!ready(slot.program)) continue;
         if (!found || slot.last_used < oldest) {
           found = true;
           oldest = slot.last_used;
@@ -117,155 +109,66 @@ void PlanCache::evict_for_insert_locked() {
 }
 
 void PlanCache::erase_locked(const LayoutKey& key,
-                             sw::wavesim::Precision precision,
-                             bool is_program) {
+                             sw::wavesim::Precision precision) {
   const auto bucket = slots_.find(bucket_hash(key, precision));
   if (bucket == slots_.end()) return;
-  auto& vec = bucket->second;
-  for (std::size_t i = 0; i < vec.size(); ++i) {
-    if (vec[i].precision == precision && vec[i].is_program == is_program &&
-        vec[i].key == key) {
-      vec.erase(vec.begin() + static_cast<std::ptrdiff_t>(i));
-      if (vec.empty()) slots_.erase(bucket);
-      --size_;
-      return;
+  size_ -= std::erase_if(bucket->second, [&](const Slot& slot) {
+    return slot.precision == precision && slot.key == key;
+  });
+  if (bucket->second.empty()) slots_.erase(bucket);
+}
+
+void PlanCache::record_precision_mix_locked(
+    const sw::wavesim::EvalProgram& program,
+    sw::wavesim::Precision precision) {
+  if (precision != sw::wavesim::Precision::kFloat32) return;
+  // Exactly one of the three per-plan counters, plus the detector-
+  // granularity mix either way.
+  for (std::size_t s = 0; s < program.num_stages(); ++s) {
+    const auto& plan = program.stage_plan(s);
+    if (plan.has_f32()) {
+      ++stats_.f32_plans;
+    } else if (plan.is_block()) {
+      ++stats_.block_plans;
+    } else {
+      ++stats_.f32_fallbacks;
     }
+    stats_.f32_detectors += plan.num_f32_detectors();
+    stats_.f64_rescue_detectors += plan.num_f64_rescue_detectors();
   }
 }
 
-PlanCache::PlanPtr PlanCache::try_get(const sw::core::GateLayout& layout) {
-  return try_get(layout, evaluator_options_.precision);
+sw::wavesim::Precision PlanCache::resolve(
+    std::optional<sw::wavesim::Precision> precision) const {
+  return precision ? sw::wavesim::resolve_precision(*precision)
+                   : evaluator_options_.precision;
 }
 
-PlanCache::PlanPtr PlanCache::try_get(const sw::core::GateLayout& layout,
-                                      sw::wavesim::Precision precision) {
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(layout);
-  std::shared_future<PlanPtr> fut;
+PlanCache::ProgramPtr PlanCache::find_ready(const LayoutKey& key,
+                                            sw::wavesim::Precision precision) {
+  std::shared_future<ProgramPtr> fut;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = find_locked(key, precision, /*is_program=*/false);
-    if (slot == nullptr || !ready(slot->plan)) return nullptr;
+    Slot* slot = find_locked(key, precision);
+    if (slot == nullptr || !ready(slot->program)) return nullptr;
     ++stats_.hits;
     slot->last_used = ++tick_;
-    fut = slot->plan;
+    fut = slot->program;
   }
   // A ready slot always carries a value: failed builds erase their slot
   // before publishing the exception, so they are never observable here.
   return fut.get();
 }
 
-PlanCache::ProgramPtr PlanCache::try_get_program(
-    const sw::wavesim::ProgramSpec& program) {
-  return try_get_program(program, evaluator_options_.precision);
-}
-
-PlanCache::ProgramPtr PlanCache::try_get_program(
-    const sw::wavesim::ProgramSpec& program,
-    sw::wavesim::Precision precision) {
-  SW_REQUIRE(designer_ != nullptr,
-             "plan cache was built without a designer; cannot serve programs");
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(program);
-  std::shared_future<ProgramPtr> fut;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = find_locked(key, precision, /*is_program=*/true);
-    if (slot == nullptr || !ready(slot->program)) return nullptr;
-    ++stats_.hits;
-    slot->last_used = ++tick_;
-    fut = slot->program;
-  }
-  return fut.get();
-}
-
-PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout) {
-  return get_or_build(layout, evaluator_options_.precision);
-}
-
-PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout,
-                                          sw::wavesim::Precision precision) {
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(layout);
-  std::promise<PlanPtr> builder;
-  std::shared_future<PlanPtr> fut;
-  bool build_here = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (Slot* slot = find_locked(key, precision, /*is_program=*/false)) {
-      ++stats_.hits;
-      slot->last_used = ++tick_;
-      fut = slot->plan;
-    } else {
-      ++stats_.misses;
-      evict_for_insert_locked();
-      Slot fresh;
-      fresh.key = key;
-      fresh.precision = precision;
-      fresh.plan = builder.get_future().share();
-      fresh.last_used = ++tick_;
-      fut = fresh.plan;
-      slots_[bucket_hash(key, precision)].push_back(std::move(fresh));
-      ++size_;
-      build_here = true;
-    }
-  }
-  if (build_here) {
-    try {
-      sw::wavesim::BatchOptions options = evaluator_options_;
-      options.precision = precision;
-      auto plan =
-          std::make_shared<const CachedPlan>(layout, *engine_, options);
-      if (precision == sw::wavesim::Precision::kFloat32) {
-        const auto& built = plan->plan();
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Exactly one of the three per-build counters, plus the
-        // detector-granularity mix either way.
-        if (built.has_f32()) {
-          ++stats_.f32_plans;
-        } else if (built.is_block()) {
-          ++stats_.block_plans;
-        } else {
-          ++stats_.f32_fallbacks;
-        }
-        stats_.f32_detectors += built.num_f32_detectors();
-        stats_.f64_rescue_detectors += built.num_f64_rescue_detectors();
-      }
-      builder.set_value(std::move(plan));
-    } catch (...) {
-      // Drop the poisoned entry first so no new lookup can ever observe a
-      // ready-with-exception slot, then wake the waiters with the error.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        erase_locked(key, precision, /*is_program=*/false);
-      }
-      builder.set_exception(std::current_exception());
-    }
-  }
-  return {fut.get(), !build_here};
-}
-
-PlanCache::ProgramLookup PlanCache::get_or_build_program(
-    const sw::wavesim::ProgramSpec& program) {
-  return get_or_build_program(program, evaluator_options_.precision);
-}
-
-PlanCache::ProgramLookup PlanCache::get_or_build_program(
-    const sw::wavesim::ProgramSpec& program,
-    sw::wavesim::Precision precision) {
-  SW_REQUIRE(designer_ != nullptr,
-             "plan cache was built without a designer; cannot serve programs");
-  // Reject malformed specs before touching the cache: a spec that cannot
-  // validate must not occupy a slot (its build would fail every time).
-  program.validate();
-  precision = sw::wavesim::resolve_precision(precision);
-  const LayoutKey key = LayoutKey::from(program);
+PlanCache::Lookup PlanCache::find_or_build(const LayoutKey& key,
+                                           sw::wavesim::Precision precision,
+                                           const BuildFn& build) {
   std::promise<ProgramPtr> builder;
   std::shared_future<ProgramPtr> fut;
   bool build_here = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (Slot* slot = find_locked(key, precision, /*is_program=*/true)) {
+    if (Slot* slot = find_locked(key, precision)) {
       ++stats_.hits;
       slot->last_used = ++tick_;
       fut = slot->program;
@@ -275,7 +178,6 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
       Slot fresh;
       fresh.key = key;
       fresh.precision = precision;
-      fresh.is_program = true;
       fresh.program = builder.get_future().share();
       fresh.last_used = ++tick_;
       fut = fresh.program;
@@ -288,14 +190,68 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
     try {
       sw::wavesim::BatchOptions options = evaluator_options_;
       options.precision = precision;
-      auto built = std::make_shared<const CachedProgram>(
-          program,
-          [this](const sw::core::GateSpec& spec,
-                 sw::wavesim::Precision stage_precision) {
-            return resolve_stage(spec, stage_precision);
-          },
-          options);
+      builder.set_value(build(options));
+    } catch (...) {
+      // Drop the poisoned entry first so no new lookup can ever observe a
+      // ready-with-exception slot, then wake the waiters with the error.
       {
+        std::lock_guard<std::mutex> lock(mutex_);
+        erase_locked(key, precision);
+      }
+      builder.set_exception(std::current_exception());
+    }
+  }
+  return {fut.get(), !build_here};
+}
+
+PlanCache::ProgramPtr PlanCache::try_get(
+    const sw::core::GateLayout& layout,
+    std::optional<sw::wavesim::Precision> precision) {
+  return find_ready(LayoutKey::from(layout), resolve(precision));
+}
+
+PlanCache::ProgramPtr PlanCache::try_get(
+    const sw::wavesim::ProgramSpec& program,
+    std::optional<sw::wavesim::Precision> precision) {
+  SW_REQUIRE(designer_ != nullptr,
+             "plan cache was built without a designer; cannot serve programs");
+  return find_ready(LayoutKey::from(program), resolve(precision));
+}
+
+PlanCache::Lookup PlanCache::get_or_build(
+    const sw::core::GateLayout& layout,
+    std::optional<sw::wavesim::Precision> precision) {
+  const sw::wavesim::Precision resolved = resolve(precision);
+  return find_or_build(
+      LayoutKey::from(layout), resolved,
+      [&](const sw::wavesim::BatchOptions& options) {
+        auto built = std::make_shared<const sw::wavesim::EvalProgram>(
+            layout, *engine_, options);
+        std::lock_guard<std::mutex> lock(mutex_);
+        record_precision_mix_locked(*built, resolved);
+        return built;
+      });
+}
+
+PlanCache::Lookup PlanCache::get_or_build(
+    const sw::wavesim::ProgramSpec& program,
+    std::optional<sw::wavesim::Precision> precision) {
+  SW_REQUIRE(designer_ != nullptr,
+             "plan cache was built without a designer; cannot serve programs");
+  // Reject malformed specs before touching the cache: a spec that cannot
+  // validate must not occupy a slot (its build would fail every time).
+  program.validate();
+  const sw::wavesim::Precision resolved = resolve(precision);
+  return find_or_build(
+      LayoutKey::from(program), resolved,
+      [&](const sw::wavesim::BatchOptions& options) {
+        auto built = std::make_shared<const sw::wavesim::EvalProgram>(
+            program,
+            [this](const sw::core::GateSpec& spec,
+                   sw::wavesim::Precision stage_precision) {
+              return resolve_stage(spec, stage_precision);
+            },
+            options);
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.program_builds;
         stats_.program_stages += built->num_stages();
@@ -304,31 +260,9 @@ PlanCache::ProgramLookup PlanCache::get_or_build_program(
         }
         // Per-stage precision verdicts roll into the same detector mix the
         // metrics endpoint exports for single plans.
-        if (precision == sw::wavesim::Precision::kFloat32) {
-          for (std::size_t s = 0; s < built->num_stages(); ++s) {
-            const auto& plan = built->program().stage_plan(s);
-            if (plan.has_f32()) {
-              ++stats_.f32_plans;
-            } else if (plan.is_block()) {
-              ++stats_.block_plans;
-            } else {
-              ++stats_.f32_fallbacks;
-            }
-            stats_.f32_detectors += plan.num_f32_detectors();
-            stats_.f64_rescue_detectors += plan.num_f64_rescue_detectors();
-          }
-        }
-      }
-      builder.set_value(std::move(built));
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        erase_locked(key, precision, /*is_program=*/true);
-      }
-      builder.set_exception(std::current_exception());
-    }
-  }
-  return {fut.get(), !build_here};
+        record_precision_mix_locked(*built, resolved);
+        return built;
+      });
 }
 
 PlanCache::StageSlot* PlanCache::find_stage_locked(

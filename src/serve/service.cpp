@@ -5,6 +5,7 @@
 #include <limits>
 #include <mutex>
 #include <utility>
+#include <variant>
 
 #include "util/error.h"
 #include "wavesim/kernels/kernel.h"
@@ -13,11 +14,6 @@ namespace sw::serve {
 
 namespace {
 
-/// One line per process *per precision*, not per service: the kernel is
-/// process-wide, but precision is per-service configuration — a later
-/// service running a different precision still gets its line (else an
-/// operator would read the first service's choice as the process's), while
-/// repeated construction at one precision stays quiet.
 /// Seconds covered by an open-and-closed span slot (0 for kNoSlot, so a
 /// truncated trace degrades to missing histogram samples, not UB).
 double span_seconds(const sw::obs::TraceContext& trace, std::size_t slot) {
@@ -26,6 +22,11 @@ double span_seconds(const sw::obs::TraceContext& trace, std::size_t slot) {
   return static_cast<double>(s.end_ns - s.start_ns) * 1e-9;
 }
 
+/// One line per process *per precision*, not per service: the kernel is
+/// process-wide, but precision is per-service configuration — a later
+/// service running a different precision still gets its line (else an
+/// operator would read the first service's choice as the process's), while
+/// repeated construction at one precision stays quiet.
 void log_kernel_once(sw::wavesim::Precision precision) {
   static std::mutex mutex;
   static bool logged[3] = {};
@@ -49,13 +50,10 @@ struct EvaluatorService::Request {
   std::chrono::steady_clock::time_point submitted_at;
   /// Per-request precision override (EvalRequest::precision).
   std::optional<sw::wavesim::Precision> precision;
-  bool is_program = false;
   /// Resolved on the submit fast path; when null the worker consults the
-  /// cache with the copied spec (and builds the entry on a cold miss).
-  PlanCache::PlanPtr plan;
+  /// cache with the copied target (and builds the entry on a cold miss).
   PlanCache::ProgramPtr program;
-  sw::core::GateLayout layout;
-  sw::wavesim::ProgramSpec program_spec;
+  std::variant<sw::core::GateLayout, sw::wavesim::ProgramSpec> target;
   std::vector<std::uint8_t> bits;
   /// Phase spans, seeded by the transport (wire decode) and grown here.
   sw::obs::TraceContext trace;
@@ -111,7 +109,6 @@ void EvaluatorService::post_request(EvalRequest&& source,
     source.program->validate();
     slots = source.program->primary_slot_count();
     request->num_channels = source.program->num_channels();
-    request->is_program = true;
   }
   const std::size_t num_words = source.num_words;
   SW_REQUIRE(slots > 0, "request target has no input slots");
@@ -141,17 +138,12 @@ void EvaluatorService::post_request(EvalRequest&& source,
   // touch hit counters or LRU recency (and must not pay the hash).
   const std::size_t lookup_slot =
       request->trace.begin(sw::obs::Phase::kPlanLookup);
-  if (request->is_program) {
-    request->program =
-        source.precision
-            ? cache_.try_get_program(*source.program, *source.precision)
-            : cache_.try_get_program(*source.program);
-    if (!request->program) request->program_spec = *source.program;
+  if (source.layout != nullptr) {
+    request->program = cache_.try_get(*source.layout, source.precision);
+    if (!request->program) request->target = *source.layout;
   } else {
-    request->plan = source.precision
-                        ? cache_.try_get(*source.layout, *source.precision)
-                        : cache_.try_get(*source.layout);
-    if (!request->plan) request->layout = *source.layout;
+    request->program = cache_.try_get(*source.program, source.precision);
+    if (!request->program) request->target = *source.program;
   }
   request->trace.end(lookup_slot);
   {
@@ -189,27 +181,6 @@ void EvaluatorService::submit_async(EvalRequest request, CompletionFn done) {
   post_request(std::move(request), std::move(state));
 }
 
-std::future<ResultBatch> EvaluatorService::submit(
-    const sw::core::GateLayout& layout,
-    std::vector<std::uint8_t> packed_bits, std::size_t num_words) {
-  return submit(
-      EvalRequest::for_layout(layout, std::move(packed_bits), num_words));
-}
-
-void EvaluatorService::submit_async(const sw::core::GateLayout& layout,
-                                    std::vector<std::uint8_t> packed_bits,
-                                    std::size_t num_words, CompletionFn done) {
-  submit_async(
-      EvalRequest::for_layout(layout, std::move(packed_bits), num_words),
-      std::move(done));
-}
-
-std::future<ResultBatch> EvaluatorService::submit(
-    const sw::core::GateLayout& layout,
-    const std::vector<std::vector<sw::core::Bits>>& batch) {
-  return submit(EvalRequest::for_batch(layout, batch));
-}
-
 void EvaluatorService::process(Request* raw) {
   const std::unique_ptr<Request> request(raw);
   admission_.mark_dequeued();
@@ -219,72 +190,46 @@ void EvaluatorService::process(Request* raw) {
   std::exception_ptr error;
   try {
     if (options_.on_request_start) options_.on_request_start(request->id);
-    bool hit = true;
     out.request_id = request->id;
     out.num_words = request->num_words;
     out.num_channels = request->num_channels;
-    if (request->is_program) {
-      PlanCache::ProgramPtr program = request->program;
-      if (!program) {
-        const std::uint64_t build_start = sw::obs::now_ns();
-        PlanCache::ProgramLookup lookup =
-            request->precision
-                ? cache_.get_or_build_program(request->program_spec,
-                                              *request->precision)
-                : cache_.get_or_build_program(request->program_spec);
-        program = std::move(lookup.program);
-        hit = lookup.hit;
-        if (!hit) {
-          request->trace.add(sw::obs::Phase::kPlanBuild, build_start,
-                             sw::obs::now_ns());
-        }
+    PlanCache::ProgramPtr program = request->program;
+    out.cache_hit = program != nullptr;
+    if (!program) {
+      const std::uint64_t build_start = sw::obs::now_ns();
+      PlanCache::Lookup lookup = std::visit(
+          [&](const auto& target) {
+            return cache_.get_or_build(target, request->precision);
+          },
+          request->target);
+      program = std::move(lookup.program);
+      out.cache_hit = lookup.hit;
+      if (!lookup.hit) {
+        request->trace.add(sw::obs::Phase::kPlanBuild, build_start,
+                           sw::obs::now_ns());
       }
-      out.cache_hit = hit;
-      out.num_stages = program->num_stages();
-      out.depth = program->depth();
-      const std::size_t kernel_slot =
-          request->trace.begin(sw::obs::Phase::kKernel);
-      sw::wavesim::StageTimings timings(program->num_stages());
-      out.bits = program->program().evaluate_bits(request->num_words,
-                                                  request->bits, &timings);
-      request->trace.end(kernel_slot);
-      kernel_exec_hist_.record(span_seconds(request->trace, kernel_slot));
-      // Synthesize per-stage child spans laid out sequentially inside the
-      // kernel span. Stage times are accumulated across blocks (and pool
-      // threads), so these are proportional shares, not wall intervals —
-      // which is exactly the "where did the kernel time go" readout.
-      if (kernel_slot != sw::obs::TraceContext::kNoSlot) {
-        std::uint64_t cursor = request->trace.span(kernel_slot).start_ns;
-        for (std::size_t s = 0; s < timings.ns.size(); ++s) {
-          const std::uint64_t d =
-              timings.ns[s].load(std::memory_order_relaxed);
-          request->trace.add(sw::obs::Phase::kStage, cursor, cursor + d,
-                             static_cast<std::uint32_t>(s));
-          cursor += d;
-        }
+    }
+    out.num_stages = program->num_stages();
+    out.depth = program->depth();
+    const std::size_t kernel_slot =
+        request->trace.begin(sw::obs::Phase::kKernel);
+    sw::wavesim::StageTimings timings(program->num_stages());
+    out.bits =
+        program->evaluate_bits(request->num_words, request->bits, &timings);
+    request->trace.end(kernel_slot);
+    kernel_exec_hist_.record(span_seconds(request->trace, kernel_slot));
+    // Synthesize per-stage child spans laid out sequentially inside the
+    // kernel span. Stage times are accumulated across blocks (and pool
+    // threads), so these are proportional shares, not wall intervals —
+    // which is exactly the "where did the kernel time go" readout.
+    if (kernel_slot != sw::obs::TraceContext::kNoSlot) {
+      std::uint64_t cursor = request->trace.span(kernel_slot).start_ns;
+      for (std::size_t s = 0; s < timings.ns.size(); ++s) {
+        const std::uint64_t d = timings.ns[s].load(std::memory_order_relaxed);
+        request->trace.add(sw::obs::Phase::kStage, cursor, cursor + d,
+                           static_cast<std::uint32_t>(s));
+        cursor += d;
       }
-    } else {
-      PlanCache::PlanPtr plan = request->plan;
-      if (!plan) {
-        const std::uint64_t build_start = sw::obs::now_ns();
-        PlanCache::Lookup lookup =
-            request->precision
-                ? cache_.get_or_build(request->layout, *request->precision)
-                : cache_.get_or_build(request->layout);
-        plan = std::move(lookup.plan);
-        hit = lookup.hit;
-        if (!hit) {
-          request->trace.add(sw::obs::Phase::kPlanBuild, build_start,
-                             sw::obs::now_ns());
-        }
-      }
-      out.cache_hit = hit;
-      const std::size_t kernel_slot =
-          request->trace.begin(sw::obs::Phase::kKernel);
-      out.bits =
-          plan->evaluator().evaluate_bits(request->num_words, request->bits);
-      request->trace.end(kernel_slot);
-      kernel_exec_hist_.record(span_seconds(request->trace, kernel_slot));
     }
   } catch (...) {
     error = std::current_exception();

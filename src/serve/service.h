@@ -4,15 +4,17 @@
 // One EvaluatorService owns the WaveEngine, a designer, a plan cache and a
 // worker pool, and accepts interleaved packed-word batches against
 // *arbitrary* targets — single gate layouts or multi-stage ProgramSpecs —
-// through one request type (serve::EvalRequest): submit() is asynchronous
-// (returns a std::future), admission control bounds the request queue and
-// the words in flight (shed or block, caller-visible), and per-target
-// artefacts (BatchEvaluator plans, fused EvalPrograms) are cached in one
-// LRU keyed by the canonical target hash — so the steady-state cost of a
-// repeated target is just the packed-bit evaluation, not plan or program
-// reconstruction. The submit fast path resolves a cached entry without
-// copying the target; a miss hands the spec to a worker, where
-// construction is serialised per key behind the cache entry.
+// through one request type (serve::EvalRequest) and one submit pair:
+// submit() is asynchronous (returns a std::future), submit_async() calls
+// back. Admission control bounds the request queue and the words in flight
+// (shed or block, caller-visible). Every target becomes one cached
+// wavesim::EvalProgram — a gate is its one-stage case — in one LRU keyed by
+// the canonical target hash, and every request runs the same evaluation
+// path: the steady-state cost of a repeated target is just the packed-bit
+// evaluation, not plan or program reconstruction. The submit fast path
+// resolves a cached entry without copying the target; a miss hands a copy
+// of the target to a worker, where construction is serialised per key
+// behind the cache entry.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gate.h"
 #include "core/gate_design.h"
 #include "dispersion/model.h"
 #include "obs/histogram.h"
@@ -42,9 +43,10 @@ struct ServiceOptions {
   /// std::thread::hardware_concurrency(). At least one dedicated worker is
   /// always spawned so submission stays asynchronous on one-core hosts.
   std::size_t num_threads = 0;
-  /// Plan-cache capacity in distinct layouts; 0 = unbounded.
+  /// Plan-cache capacity in distinct (target, precision) entries;
+  /// 0 = unbounded.
   std::size_t plan_cache_capacity = 32;
-  /// Options for the cached BatchEvaluators. The default single inline
+  /// Options for the cached EvalPrograms. The default single inline
   /// thread makes each evaluation run entirely on the service worker that
   /// picked the request up (parallelism comes from concurrent requests);
   /// raise it only for few-but-huge-batch workloads.
@@ -77,11 +79,12 @@ struct ResultBatch {
   std::uint64_t request_id = 0;
   std::size_t num_words = 0;
   std::size_t num_channels = 0;
-  bool cache_hit = false;  ///< plan came from the cache (no build this call)
-  /// Evaluation stages behind these bits: 1 for a single-gate layout,
-  /// the cascade length for a program (whose bits are the LAST stage's).
+  bool cache_hit = false;  ///< program came from the cache (no build)
+  /// Evaluation stages behind these bits, from the evaluated program: 1 for
+  /// a single-gate layout, the cascade length for a ProgramSpec (whose bits
+  /// are the LAST stage's).
   std::size_t num_stages = 1;
-  /// Longest stage-to-stage path of the evaluated target (1 for a gate):
+  /// Longest stage-to-stage path of the evaluated program (1 for a gate):
   /// the physical cascade latency in stages.
   std::size_t depth = 1;
   /// The request's phase spans (admission, plan lookup/build, queue,
@@ -139,13 +142,13 @@ class EvaluatorService {
   using CompletionFn =
       std::function<void(ResultBatch&& result, std::exception_ptr error)>;
 
-  /// The service designs nothing itself: callers bring layouts (e.g. from
-  /// InlineGateDesigner against the same model). `model` must outlive the
-  /// service; `alpha` is the Gilbert damping for the owned WaveEngine.
-  /// Resolves (and logs to stderr, once per process) the evaluation kernel
-  /// and precision requests will run on, so an invalid SW_EVAL_KERNEL or
-  /// SW_EVAL_PRECISION override fails here rather than inside the first
-  /// request.
+  /// Layout targets arrive designed (e.g. by InlineGateDesigner against the
+  /// same model); ProgramSpec stages are designed by designer(). `model`
+  /// must outlive the service; `alpha` is the Gilbert damping for the owned
+  /// WaveEngine. Resolves (and logs to stderr, once per process) the
+  /// evaluation kernel and precision requests will run on, so an invalid
+  /// SW_EVAL_KERNEL or SW_EVAL_PRECISION override fails here rather than
+  /// inside the first request.
   EvaluatorService(const sw::disp::DispersionModel& model, double alpha,
                    ServiceOptions options = {});
 
@@ -171,24 +174,6 @@ class EvaluatorService {
   /// delivered by invoking `done` on the worker thread. Exceptions thrown
   /// by `done` itself are swallowed (the request has already settled).
   void submit_async(EvalRequest request, CompletionFn done);
-
-  /// \deprecated Shim over submit(EvalRequest::for_layout(...)).
-  [[deprecated("build an EvalRequest with EvalRequest::for_layout")]]
-  std::future<ResultBatch> submit(const sw::core::GateLayout& layout,
-                                  std::vector<std::uint8_t> packed_bits,
-                                  std::size_t num_words);
-
-  /// \deprecated Shim over submit(EvalRequest::for_batch(...)).
-  [[deprecated("build an EvalRequest with EvalRequest::for_batch")]]
-  std::future<ResultBatch> submit(
-      const sw::core::GateLayout& layout,
-      const std::vector<std::vector<sw::core::Bits>>& batch);
-
-  /// \deprecated Shim over submit_async(EvalRequest::for_layout(...), done).
-  [[deprecated("build an EvalRequest with EvalRequest::for_layout")]]
-  void submit_async(const sw::core::GateLayout& layout,
-                    std::vector<std::uint8_t> packed_bits,
-                    std::size_t num_words, CompletionFn done);
 
   ServiceStats stats() const;
   const sw::wavesim::WaveEngine& engine() const { return engine_; }

@@ -1,8 +1,6 @@
 #include "wavesim/batch_evaluator.h"
 
-#include <algorithm>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "core/detector.h"
@@ -10,14 +8,6 @@
 #include "util/error.h"
 
 namespace sw::wavesim {
-
-std::size_t clamp_batch_threads(std::size_t num_threads,
-                                std::size_t num_words) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  return std::min(num_threads, std::max<std::size_t>(1, num_words));
-}
 
 BatchEvaluator::BatchEvaluator(const sw::core::DataParallelGate& gate,
                                BatchOptions options)
@@ -143,21 +133,10 @@ std::vector<std::uint8_t> BatchEvaluator::evaluate_bits(
   SW_REQUIRE(bits.size() == num_words * stride,
              "packed bit matrix must be num_words x slot_count");
 
-  // Three-way dispatch on the plan's per-detector margin verdicts: every
-  // detector proved -> the pure f32 entry; a genuine mix -> the block-f32
-  // entry (f32 run + f64 rescue lanes); none proved (or f64 requested) ->
-  // the double entry. All three decode bit-identically by construction.
-  const bool f32 = plan_->has_f32();
-  const bool block = plan_->is_block();
   std::vector<std::uint8_t> out(num_words * channels);
   pool_.parallel_for(num_words, [&](std::size_t begin, std::size_t end) {
-    if (f32) {
-      kernel.eval_bits_f32(*plan_, bits.data(), begin, end, out.data());
-    } else if (block) {
-      kernel.eval_bits_mixed(*plan_, bits.data(), begin, end, out.data());
-    } else {
-      kernel.eval_bits(*plan_, bits.data(), begin, end, out.data());
-    }
+    kernels::eval_plan_bits(kernel, *plan_, bits.data(), begin, end,
+                            out.data());
   });
   return out;
 }

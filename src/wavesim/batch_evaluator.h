@@ -40,12 +40,6 @@
 
 namespace sw::wavesim {
 
-/// Worker count for a one-shot evaluation of `num_words` words: resolves 0
-/// to hardware concurrency, then clamps so a small batch does not pay the
-/// spawn/join cost of workers that would never receive a chunk.
-std::size_t clamp_batch_threads(std::size_t num_threads,
-                                std::size_t num_words);
-
 struct BatchOptions {
   /// Worker count; 0 selects std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
@@ -65,16 +59,14 @@ class BatchEvaluator {
   /// construction, never in the per-word hot loop, so the evaluate* methods
   /// of a constructed evaluator are safe to call concurrently. Construction
   /// is thread-safe too: the engine's memoisation cache is mutex-guarded,
-  /// so several threads may build evaluators (or call the gates' one-shot
-  /// evaluate_batch hooks) against one shared WaveEngine.
+  /// so several threads may build evaluators against one shared WaveEngine.
   explicit BatchEvaluator(const sw::core::DataParallelGate& gate,
                           BatchOptions options = {});
 
-  /// Adopts an already-built plan instead of rebuilding it — the serve
-  /// layer's route: PlanCache constructs the plan once per (layout,
-  /// precision) and every evaluator (and request) for that layout shares
-  /// it. The plan must have been built from this gate's layout with
-  /// options.freq_tol and options.precision.
+  /// Adopts an already-built plan instead of rebuilding it, so several
+  /// evaluators over one layout can share it. The plan must have been
+  /// built from this gate's layout with options.freq_tol and
+  /// options.precision.
   BatchEvaluator(const sw::core::DataParallelGate& gate,
                  std::shared_ptr<const EvalPlan> plan,
                  BatchOptions options = {});

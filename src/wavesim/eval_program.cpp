@@ -79,6 +79,20 @@ void transpose_bytes(const std::uint8_t* src, std::size_t src_stride,
   scalar(rows8, rows, 0, cols);
 }
 
+/// The one-stage program of a single gate: slot j reads primary column j.
+ProgramSpec identity_program(const sw::core::GateSpec& gate) {
+  ProgramSpec program;
+  program.num_primary_inputs = gate.num_inputs;
+  StageSpec stage{gate, {}};
+  const std::size_t slots = gate.num_inputs * gate.frequencies.size();
+  for (std::size_t j = 0; j < slots; ++j) {
+    stage.sources.push_back({SlotSource::Kind::kPrimary, 0,
+                             static_cast<std::uint32_t>(j), false});
+  }
+  program.stages.push_back(std::move(stage));
+  return program;
+}
+
 }  // namespace
 
 /// One pool chunk's block buffers, carved from a single uninitialised
@@ -153,12 +167,15 @@ void ProgramSpec::validate() const {
   }
 }
 
+EvalStage::EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
+                     double freq_tol, Precision precision)
+    : gate_(std::move(layout), engine), plan_(gate_, freq_tol, precision) {}
+
 EvalStage::EvalStage(const sw::core::GateSpec& spec,
                      const sw::core::InlineGateDesigner& designer,
                      const WaveEngine& engine, double freq_tol,
                      Precision precision)
-    : gate_(designer.design(spec), engine),
-      plan_(gate_, freq_tol, precision) {}
+    : EvalStage(designer.design(spec), engine, freq_tol, precision) {}
 
 EvalProgram::EvalProgram(ProgramSpec spec,
                          const sw::core::InlineGateDesigner& designer,
@@ -188,7 +205,18 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
     max_slots_ = std::max(max_slots_, stages_.back()->plan().slot_count());
   }
   depth_ = spec_.depth();
+  identity_ = spec_ == identity_program(spec_.stages.front().gate);
 }
+
+EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
+                         BatchOptions options)
+    : EvalProgram(
+          identity_program(layout.spec),
+          [&](const sw::core::GateSpec&, Precision precision) {
+            return std::make_shared<const EvalStage>(
+                std::move(layout), engine, options.freq_tol, precision);
+          },
+          options) {}
 
 std::string EvalProgram::precision_label() const {
   std::string first = stages_.front()->plan().precision_label();
@@ -261,16 +289,9 @@ void EvalProgram::eval_range(const kernels::Kernel& kernel,
     }
     transpose_bytes(scratch.columns, block, slots, block, scratch.slots,
                     slots);
-    // Decode through the stage plan's own precision verdicts — the same
-    // three-way dispatch as BatchEvaluator::evaluate_bits, per stage.
+    // Decode through the stage plan's own precision verdicts.
     std::uint8_t* out = scratch.stage_out + s * block * n;
-    if (plan.has_f32()) {
-      kernel.eval_bits_f32(plan, scratch.slots, 0, block, out);
-    } else if (plan.is_block()) {
-      kernel.eval_bits_mixed(plan, scratch.slots, 0, block, out);
-    } else {
-      kernel.eval_bits(plan, scratch.slots, 0, block, out);
-    }
+    kernels::eval_plan_bits(kernel, plan, scratch.slots, 0, block, out);
     if (s + 1 < stages_.size()) {
       transpose_bytes(out, n, block, n, scratch.stage_cols + s * n * block,
                       block);
@@ -302,6 +323,21 @@ std::vector<std::uint8_t> EvalProgram::evaluate_impl(
 
   const std::size_t out_cols = all_stages ? num_stages * n : n;
   std::vector<std::uint8_t> result(num_words * out_cols);
+  if (identity_) {
+    // The caller's rows are the kernel's input: each pool chunk decodes in
+    // place, with no transposes and no scratch.
+    const EvalPlan& plan = stages_.front()->plan();
+    pool_.parallel_for(num_words, [&](std::size_t begin, std::size_t end) {
+      const std::uint64_t start = timings ? stage_clock_ns() : 0;
+      kernels::eval_plan_bits(kernel, plan, bits.data(), begin, end,
+                              result.data());
+      if (timings) {
+        timings->ns[0].fetch_add(stage_clock_ns() - start,
+                                 std::memory_order_relaxed);
+      }
+    });
+    return result;
+  }
   pool_.parallel_for(num_words, [&](std::size_t chunk_begin,
                                     std::size_t chunk_end) {
     BlockScratch scratch(std::min(kBlockWords, chunk_end - chunk_begin),

@@ -20,17 +20,26 @@
 // across programs. An EvalStage is immutable, so sharing it is free.
 //
 // Each stage dispatches through the same kernel ladder as a single plan
-// (scalar/AVX2/AVX-512; eval_bits / eval_bits_f32 / eval_bits_mixed per
-// the stage plan's margin verdicts), so per-stage precision and block-f32
-// are honoured and every stage's decode is lane-for-lane bit-exact with
-// evaluating that stage's gate alone — which makes the whole program
-// bit-exact with the per-stage physics path by induction.
+// (scalar/AVX2/AVX-512, kernels::eval_plan_bits choosing eval_bits /
+// eval_bits_f32 / eval_bits_mixed per the stage plan's margin verdicts),
+// so per-stage precision and block-f32 are honoured and every stage's
+// decode is lane-for-lane bit-exact with evaluating that stage's gate
+// alone — which makes the whole program bit-exact with the per-stage
+// physics path by induction.
+//
+// A single gate is the one-stage case: EvalProgram(GateLayout, ...) wraps
+// the layout as given in one stage whose slot j reads primary column j.
+// Any program that is one stage with such identity sources is recognised
+// at construction and evaluated without the gather: each pool chunk hands
+// the caller's rows straight to the kernel, exactly like
+// BatchEvaluator::evaluate_bits, so this is the one artefact the serving
+// layer caches for every target.
 //
 // The ProgramSpec half of this header is the *portable* description —
 // per-stage GateSpecs plus the interconnect, no designed geometry — which
 // is what the wire format ships (serve/wire.h, v3 frames) and the plan
 // cache hashes; an EvalProgram is built from it locally against a
-// designer and engine, exactly like layouts.
+// designer and engine.
 #pragma once
 
 #include <atomic>
@@ -128,9 +137,12 @@ struct StageTimings {
 /// program) with an equal (GateSpec, resolved precision) can use one.
 class EvalStage {
  public:
-  /// Designs `spec` with `designer` and builds its plan on `engine` at
-  /// `precision` (already resolved; the plan's margin analysis decides
-  /// f32 / block-f32 / f64). Throws whatever the design or plan throws.
+  /// Builds the plan of a finished `layout` on `engine` at `precision`
+  /// (already resolved; the plan's margin analysis decides f32 / block-f32
+  /// / f64). Throws whatever the layout validation or plan throws.
+  EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
+            double freq_tol, Precision precision);
+  /// Designs `spec` with `designer`, then builds as above.
   EvalStage(const sw::core::GateSpec& spec,
             const sw::core::InlineGateDesigner& designer,
             const WaveEngine& engine, double freq_tol, Precision precision);
@@ -165,6 +177,13 @@ class EvalProgram {
   EvalProgram(ProgramSpec spec, const StageResolver& resolve,
               BatchOptions options = {});
 
+  /// A single gate as a one-stage program: the stage is `layout` as given
+  /// (not re-designed) and its sources are the identity, slot j reading
+  /// primary column j, so evaluate_bits takes the same row-major matrix as
+  /// BatchEvaluator::evaluate_bits over that layout.
+  EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
+              BatchOptions options = {});
+
   const ProgramSpec& spec() const { return spec_; }
   std::size_t num_stages() const { return stages_.size(); }
   std::size_t num_channels() const { return spec_.num_channels(); }
@@ -188,7 +207,8 @@ class EvalProgram {
   /// num_primary_slots() primary matrix (see ProgramSpec); returns the
   /// row-major num_words x num_channels() decoded bits of the LAST stage.
   /// Bit-exact with evaluating each stage's gate separately and re-packing
-  /// by hand, for every kernel and per-stage precision.
+  /// by hand, for every kernel and per-stage precision. A one-stage
+  /// identity program decodes `bits` in place (no gather, no scratch).
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits) const;
   std::vector<std::uint8_t> evaluate_bits(
@@ -235,6 +255,9 @@ class EvalProgram {
   std::vector<std::shared_ptr<const EvalStage>> stages_;
   std::size_t depth_ = 0;
   std::size_t max_slots_ = 0;
+  /// One stage whose slot j reads primary column j unnegated: the primary
+  /// matrix already is the kernel's input, so evaluation skips the gather.
+  bool identity_ = false;
   mutable sw::util::ThreadPool pool_;
 };
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/error.h"
+#include "wavesim/eval_plan.h"
 #include "wavesim/kernels/kernel.h"
 
 namespace sw::wavesim {
@@ -120,6 +121,18 @@ const Kernel& active_kernel() {
     return *best;
   }();
   return chosen;
+}
+
+void eval_plan_bits(const Kernel& kernel, const EvalPlan& plan,
+                    const std::uint8_t* bits, std::size_t begin,
+                    std::size_t end, std::uint8_t* out) {
+  if (plan.has_f32()) {
+    kernel.eval_bits_f32(plan, bits, begin, end, out);
+  } else if (plan.is_block()) {
+    kernel.eval_bits_mixed(plan, bits, begin, end, out);
+  } else {
+    kernel.eval_bits(plan, bits, begin, end, out);
+  }
 }
 
 }  // namespace kernels

@@ -151,6 +151,16 @@ const Kernel& kernel_from_env(std::string_view value);
 /// the first successful call.
 const Kernel& active_kernel();
 
+/// Decodes words [begin, end) under Kernel::eval_bits' contract through the
+/// entry the plan's per-detector margin verdicts select: every detector
+/// proved -> eval_bits_f32; a genuine mix -> eval_bits_mixed (f32 run + f64
+/// rescue lanes); none proved (or f64 requested) -> eval_bits. All three
+/// decode bit-identically by construction. Every packed-bit caller
+/// (BatchEvaluator, EvalProgram) dispatches through here.
+void eval_plan_bits(const Kernel& kernel, const EvalPlan& plan,
+                    const std::uint8_t* bits, std::size_t begin,
+                    std::size_t end, std::uint8_t* out);
+
 }  // namespace kernels
 
 /// Name of the kernel evaluate_bits dispatches to ("scalar" | "avx2" |

@@ -143,68 +143,15 @@ TEST(BatchEvaluator, ThreadCountDoesNotChangeResults) {
   }
 }
 
-// The one-shot gate hooks are deprecated in favour of holding a
-// BatchEvaluator (or submitting serve::EvalRequests), but the shims must
-// stay bit-exact until removal — these three tests are that contract.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(BatchEvaluator, GateHookMatchesScalar) {
-  const GateFixture fix;
-  const auto gate = fix.majority_gate(3, 4);
-  const auto batch = random_batch(32, 4, 3, /*seed=*/11);
-  const auto got = gate.evaluate_batch(batch);
-  ASSERT_EQ(got.size(), batch.size());
-  for (std::size_t w = 0; w < batch.size(); ++w) {
-    expect_identical(got[w], gate.evaluate(batch[w]));
-  }
-}
-
-TEST(BatchEvaluator, UniformGateHookMatchesScalar) {
-  const GateFixture fix;
-  const auto gate = fix.majority_gate(3, 2);
-  const auto patterns = all_patterns(3);
-  const auto got = gate.evaluate_batch_uniform(patterns);
-  ASSERT_EQ(got.size(), patterns.size());
-  for (std::size_t w = 0; w < patterns.size(); ++w) {
-    expect_identical(got[w], gate.evaluate_uniform(patterns[w]));
-  }
-}
-
-TEST(BatchEvaluator, ParallelLogicGateBatchMatchesScalar) {
-  const GateFixture fix;
-  for (const auto op : {BooleanOp::kAnd, BooleanOp::kNor, BooleanOp::kNot}) {
-    const ParallelLogicGate gate(op, channel_frequencies(4), fix.designer,
-                                 fix.engine);
-    std::mt19937 rng(13);
-    std::bernoulli_distribution coin(0.5);
-    std::vector<Bits> a_words(40), b_words(40);
-    for (std::size_t w = 0; w < a_words.size(); ++w) {
-      a_words[w].resize(4);
-      b_words[w].resize(4);
-      for (std::size_t ch = 0; ch < 4; ++ch) {
-        a_words[w][ch] = coin(rng) ? 1 : 0;
-        b_words[w][ch] = coin(rng) ? 1 : 0;
-      }
-    }
-    const auto got = gate.evaluate_batch(a_words, b_words);
-    ASSERT_EQ(got.size(), a_words.size());
-    for (std::size_t w = 0; w < a_words.size(); ++w) {
-      EXPECT_EQ(got[w], gate.evaluate(a_words[w], b_words[w]))
-          << "op " << boolean_op_name(op) << " word " << w;
-    }
-  }
-}
-
-#pragma GCC diagnostic pop
-
-TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
-  const GateFixture fix;
-  const ParallelLogicGate gate(BooleanOp::kNand, channel_frequencies(4),
-                               fix.designer, fix.engine);
-  std::mt19937 rng(29);
+// Batched derived-gate evaluation: pack operands once per batch, evaluate
+// on a long-lived plan, and match the per-word scalar path bit for bit.
+void expect_pack_batch_matches_scalar(const GateFixture& fix, BooleanOp op,
+                                      unsigned seed, std::size_t words) {
+  const ParallelLogicGate gate(op, channel_frequencies(4), fix.designer,
+                               fix.engine);
+  std::mt19937 rng(seed);
   std::bernoulli_distribution coin(0.5);
-  std::vector<Bits> a_words(48), b_words(48);
+  std::vector<Bits> a_words(words), b_words(words);
   for (std::size_t w = 0; w < a_words.size(); ++w) {
     a_words[w].resize(4);
     b_words[w].resize(4);
@@ -213,8 +160,6 @@ TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
       b_words[w][ch] = coin(rng) ? 1 : 0;
     }
   }
-  // The replacement idiom for the deprecated evaluate_batch: pack once per
-  // batch, evaluate on a long-lived plan.
   const BatchEvaluator evaluator(gate.gate(), {.num_threads = 1});
   const auto packed = gate.pack_batch(a_words, b_words);
   const auto decoded = evaluator.evaluate_bits(a_words.size(), packed);
@@ -222,9 +167,23 @@ TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
   for (std::size_t w = 0; w < a_words.size(); ++w) {
     const auto want = gate.evaluate(a_words[w], b_words[w]);
     for (std::size_t ch = 0; ch < n; ++ch) {
-      ASSERT_EQ(decoded[w * n + ch], want[ch]) << "word " << w;
+      ASSERT_EQ(decoded[w * n + ch], want[ch])
+          << "op " << boolean_op_name(op) << " word " << w;
     }
   }
+}
+
+TEST(BatchEvaluator, ParallelLogicGateBatchMatchesScalar) {
+  const GateFixture fix;
+  for (const auto op : {BooleanOp::kAnd, BooleanOp::kNor, BooleanOp::kNot}) {
+    expect_pack_batch_matches_scalar(fix, op, /*seed=*/13, /*words=*/40);
+  }
+}
+
+TEST(BatchEvaluator, PackBatchFeedsAHeldEvaluatorBitExactly) {
+  const GateFixture fix;
+  expect_pack_batch_matches_scalar(fix, BooleanOp::kNand, /*seed=*/29,
+                                   /*words=*/48);
 }
 
 TEST(BatchEvaluator, GenericAccessorMatchesVectorPath) {
@@ -335,38 +294,6 @@ TEST(BatchEvaluator, RejectsMalformedWords) {
 
   const std::vector<Bits> bad_pattern{Bits{1, 0}};
   EXPECT_THROW(evaluator.evaluate_uniform(bad_pattern), sw::util::Error);
-}
-
-// --------------------------------------------------------------------------
-// clamp_batch_threads edge cases: the one-shot hooks rely on it never
-// requesting more workers than words (or zero workers).
-
-TEST(ClampBatchThreads, ZeroWordsStillYieldsOneWorker) {
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(4, 0), 1u);
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(0, 0), 1u);
-}
-
-TEST(ClampBatchThreads, SingleWordRunsSingleThreaded) {
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(8, 1), 1u);
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(0, 1), 1u);
-}
-
-TEST(ClampBatchThreads, FewerWordsThanThreadsClampsToWords) {
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(8, 3), 3u);
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(8, 7), 7u);
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(8, 8), 8u);
-}
-
-TEST(ClampBatchThreads, ManyWordsKeepRequestedThreads) {
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(1, 1000), 1u);
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(6, 1000), 6u);
-}
-
-TEST(ClampBatchThreads, ZeroThreadsResolvesToHardwareConcurrency) {
-  const auto hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  EXPECT_EQ(sw::wavesim::clamp_batch_threads(0, 1000000), hw);
-  EXPECT_GE(sw::wavesim::clamp_batch_threads(0, 2), 1u);
 }
 
 // --------------------------------------------------------------------------

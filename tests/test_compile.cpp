@@ -4,7 +4,8 @@
 // to an EvalProgram must be bit-exact against both the Boolean reference and
 // the per-stage physics path (MajorityCascade) on every channel. The
 // program's gather is pinned on every slot source kind, non-canonical input
-// bytes and partial blocks.
+// bytes and partial blocks, and so is the one-stage identity path a single
+// gate takes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "util/error.h"
 #include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_program.h"
+#include "wavesim/kernels/kernel.h"
 #include "wavesim/wave_engine.h"
 
 namespace {
@@ -419,6 +421,39 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
                                    {.num_threads = 1});
   const EvalProgram pooled_program(spec, fix.designer, fix.engine,
                                    {.num_threads = 3});
+
+  // The one-stage paths over the same primary columns: a single MAJ gate
+  // whose slot j reads primary column j, as a hand-built ProgramSpec and as
+  // an EvalProgram over the designed layout, plus layout requests through
+  // a service of their own. All run the identity path and must match the
+  // gate's scalar-kernel BatchEvaluator on the canonical matrix.
+  const sw::core::GateLayout layout = fix.designer.design(fix.base_spec(n));
+  ASSERT_EQ(layout.spec.num_inputs * n, cols);
+  ProgramSpec identity;
+  identity.num_primary_inputs = layout.spec.num_inputs;
+  identity.stages.push_back({layout.spec, {}});
+  for (std::uint32_t j = 0; j < cols; ++j) {
+    identity.stages[0].sources.push_back(
+        {sw::wavesim::SlotSource::Kind::kPrimary, 0, j, false});
+  }
+  const EvalProgram identity_inline(identity, fix.designer, fix.engine,
+                                    {.num_threads = 1});
+  const EvalProgram identity_pooled(identity, fix.designer, fix.engine,
+                                    {.num_threads = 3});
+  const EvalProgram layout_inline(layout, fix.engine, {.num_threads = 1});
+  const EvalProgram layout_pooled(layout, fix.engine, {.num_threads = 3});
+  // One stage that is not the identity (a pinned constant, a negated
+  // column): it must still gather.
+  ProgramSpec first_stage = spec;
+  first_stage.stages.resize(1);
+  const EvalProgram first_inline(first_stage, fix.designer, fix.engine,
+                                 {.num_threads = 1});
+  const EvalProgram first_pooled(first_stage, fix.designer, fix.engine,
+                                 {.num_threads = 3});
+  const sw::core::DataParallelGate gate(layout, fix.engine);
+  const sw::wavesim::BatchEvaluator gate_reference(gate, {.num_threads = 1});
+  sw::serve::EvaluatorService layout_service(fix.model,
+                                             fix.wg.material.alpha);
   std::mt19937 rng(97);
   for (const std::size_t words : {1u, 8u, 1023u, 1025u, 2049u}) {
     std::vector<std::uint8_t> canonical(words * cols);
@@ -431,10 +466,13 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
     }
     const auto reference = per_stage_reference(fix, spec, words, canonical);
     std::vector<std::uint8_t> last(words * n);
+    std::vector<std::uint8_t> first(words * n);
     for (std::size_t w = 0; w < words; ++w) {
       std::copy_n(reference.begin() +
                       static_cast<std::ptrdiff_t>((w * stages + stages - 1) * n),
                   n, last.begin() + static_cast<std::ptrdiff_t>(w * n));
+      std::copy_n(reference.begin() + static_cast<std::ptrdiff_t>(w * stages * n),
+                  n, first.begin() + static_cast<std::ptrdiff_t>(w * n));
     }
     for (const EvalProgram* program : {&inline_program, &pooled_program}) {
       EXPECT_EQ(program->evaluate_all_bits(words, raw), reference)
@@ -447,7 +485,34 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
         service.submit(sw::serve::EvalRequest::for_program(spec, raw, words))
             .get();
     EXPECT_EQ(served.bits, last) << words << " words";
+    for (const EvalProgram* program : {&first_inline, &first_pooled}) {
+      EXPECT_EQ(program->evaluate_bits(words, raw), first)
+          << words << " words";
+    }
+
+    const auto gate_bits = gate_reference.evaluate_bits(
+        words, canonical, sw::wavesim::kernels::scalar_kernel());
+    for (const EvalProgram* program : {&identity_inline, &identity_pooled,
+                                       &layout_inline, &layout_pooled}) {
+      EXPECT_EQ(program->evaluate_all_bits(words, raw), gate_bits)
+          << words << " words";
+      EXPECT_EQ(program->evaluate_bits(words, raw), gate_bits)
+          << words << " words";
+    }
+    const auto gate_served =
+        layout_service
+            .submit(sw::serve::EvalRequest::for_layout(layout, raw, words))
+            .get();
+    EXPECT_EQ(gate_served.bits, gate_bits) << words << " words";
+    EXPECT_EQ(gate_served.num_stages, 1u);
+    EXPECT_EQ(gate_served.depth, 1u);
   }
+  // A layout target is one program entry, but neither a ProgramSpec build
+  // nor a designed stage.
+  const auto cache = layout_service.stats().cache;
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.program_builds, 0u);
+  EXPECT_EQ(cache.stage_builds, 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -380,9 +380,15 @@ TEST(EvalPlan, PlanCacheServesTheSoAPlanItBuilt) {
   spec.frequencies = channel_frequencies(4);
   const auto layout = fix.designer.design(spec);
   const auto lookup = cache.get_or_build(layout);
-  ASSERT_NE(lookup.plan, nullptr);
-  // The evaluator shares the cached SoA plan — same object, no conversion.
-  EXPECT_EQ(&lookup.plan->evaluator().plan(), &lookup.plan->plan());
+  ASSERT_NE(lookup.program, nullptr);
+  ASSERT_EQ(lookup.program->num_stages(), 1u);
+  // A hit hands back the same program and its one stage's SoA plan — the
+  // same objects, no rebuild and no conversion.
+  const auto hit = cache.get_or_build(layout);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(hit.program, lookup.program);
+  EXPECT_EQ(&hit.program->stage_plan(0), &lookup.program->stage_plan(0));
+  EXPECT_EQ(cache.try_get(layout), lookup.program);
 }
 
 // ------------------------------------------------------------ equivalence --

@@ -105,8 +105,7 @@ TEST_P(ExhaustiveTruthTable, EveryOpMatchesReferenceOnAllWords) {
 
     if (n >= 8) {
       // 2^(2n) words: sweep through the batch path — pack_batch feeding a
-      // held BatchEvaluator, the replacement for the deprecated
-      // evaluate_batch hook.
+      // held BatchEvaluator.
       const sw::wavesim::BatchEvaluator evaluator(gate.gate());
       const auto decoded =
           evaluator.evaluate_bits(a_words.size(),

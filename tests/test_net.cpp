@@ -520,6 +520,79 @@ TEST(EvalServer, RejectsAlienGeometryWithTypedError) {
   EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
 }
 
+TEST(EvalServer, ServesMoreLayoutsThanItsLayoutCacheHolds) {
+  // The server keeps 32 designed v2 layouts. Forty distinct targets over
+  // one pipelined connection make it drop entries, so later frames for a
+  // dropped layout are designed and hash-checked again.
+  ServerFixture fx(loopback());
+  constexpr std::size_t kLayouts = 40;
+  constexpr std::size_t kWords = 24;
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  std::vector<GateLayout> layouts;
+  std::vector<std::vector<std::uint8_t>> matrices;
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (std::size_t k = 0; k < kLayouts; ++k) {
+    GateSpec spec = majority_spec(3, 2);
+    for (double& f : spec.frequencies) f += 1e8 * static_cast<double>(k);
+    layouts.push_back(fx.designer.design(spec));
+    const DataParallelGate gate(layouts.back(), engine);
+    const BatchEvaluator evaluator(gate, {.num_threads = 1});
+    matrices.push_back(random_matrix(kWords, evaluator.slot_count(),
+                                     static_cast<unsigned>(100 + k)));
+    expected.push_back(evaluator.evaluate_bits(kWords, matrices.back()));
+  }
+
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  // One burst of frames tagged by layout index; every reply is checked
+  // against that layout's BatchEvaluator bits.
+  const auto pipeline = [&](const std::vector<std::size_t>& indices) {
+    std::vector<std::uint8_t> burst;
+    for (const std::size_t k : indices) {
+      append_frame_message(
+          burst,
+          sw::serve::make_request_view(layouts[k].spec,
+                                       sw::serve::hash_layout(layouts[k]), 0,
+                                       kWords, matrices[k]),
+          k);
+    }
+    conn.send_all(burst, 5000ms);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      auto message = recv_message(conn, 60000ms);
+      ASSERT_TRUE(message.has_value());
+      ASSERT_EQ(message->kind, MessageKind::kFrame);
+      ASSERT_LT(message->tag, kLayouts);
+      const auto frame = sw::serve::decode_frame(message->payload);
+      EXPECT_EQ(frame.matrix, expected[message->tag])
+          << "layout " << message->tag;
+    }
+  };
+  std::vector<std::size_t> all(kLayouts);
+  for (std::size_t k = 0; k < kLayouts; ++k) all[k] = k;
+  pipeline(all);
+  // The first layout again, then every layout: at least eight of them
+  // were dropped from the server's layout cache by now.
+  pipeline({0});
+  pipeline(all);
+
+  // A tampered hash still fails the geometry check for a layout the cache
+  // dropped (and for one it holds).
+  auto request =
+      sw::serve::make_request_frame(layouts[0], 0, kWords, matrices[0]);
+  request.layout_hash ^= 0xdeadbeefull;
+  send_message(conn, make_frame_message(request), 2000ms);
+  try {
+    (void)recv_frame(conn, 10000ms);
+    FAIL() << "expected a typed error reply";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("hash mismatch"),
+              std::string::npos);
+  }
+  const auto counters = fx.server.counters();
+  EXPECT_EQ(counters.responses_sent, 2 * kLayouts + 1);
+  EXPECT_EQ(counters.errors_sent, 1u);
+}
+
 /// Synthesize `bits` (a 3-ary truth table) into a majority cascade and
 /// lower it onto an n-channel fabric.
 sw::wavesim::ProgramSpec synthesize_program(std::uint16_t bits,

@@ -395,18 +395,20 @@ TEST(PlanCachePrecision, KeysCarryThePrecisionBit) {
   EXPECT_FALSE(f64.hit);
   const auto f32 = cache.get_or_build(layout, Precision::kFloat32);
   EXPECT_FALSE(f32.hit) << "f32 lookup must not alias the f64 entry";
-  EXPECT_NE(f64.plan.get(), f32.plan.get());
+  EXPECT_NE(f64.program.get(), f32.program.get());
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(f64.plan->effective_precision(), Precision::kFloat64);
-  EXPECT_EQ(f32.plan->effective_precision(), Precision::kFloat32);
+  EXPECT_EQ(f64.program->stage_plan(0).effective_precision(),
+            Precision::kFloat64);
+  EXPECT_EQ(f32.program->stage_plan(0).effective_precision(),
+            Precision::kFloat32);
 
   // Repeat lookups hit their own precision's entry.
   EXPECT_TRUE(cache.get_or_build(layout, Precision::kFloat64).hit);
   EXPECT_TRUE(cache.get_or_build(layout, Precision::kFloat32).hit);
   EXPECT_EQ(cache.try_get(layout, Precision::kFloat32).get(),
-            f32.plan.get());
+            f32.program.get());
   EXPECT_EQ(cache.try_get(layout, Precision::kFloat64).get(),
-            f64.plan.get());
+            f64.program.get());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 2u);
@@ -423,9 +425,11 @@ TEST(PlanCachePrecision, FallbacksAreCountedPerBuild) {
 
   const auto wide = cache.get_or_build(fix.majority_layout(3, 2));
   const auto thin = cache.get_or_build(fix.thin_margin_layout());
-  EXPECT_EQ(wide.plan->effective_precision(), Precision::kFloat32);
-  EXPECT_EQ(thin.plan->effective_precision(), Precision::kFloat64);
-  EXPECT_FALSE(thin.plan->plan().f32_rejection().empty());
+  EXPECT_EQ(wide.program->stage_plan(0).effective_precision(),
+            Precision::kFloat32);
+  EXPECT_EQ(thin.program->stage_plan(0).effective_precision(),
+            Precision::kFloat64);
+  EXPECT_FALSE(thin.program->stage_plan(0).f32_rejection().empty());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.f32_plans, 1u);
@@ -445,12 +449,12 @@ TEST(PlanCachePrecision, BlockBuildsAndDetectorMixAreCounted) {
       fix.thin_channel(fix.majority_layout(3, 8), 2));
   const auto thin = cache.get_or_build(fix.thin_margin_layout());
 
-  EXPECT_TRUE(wide.plan->plan().has_f32());
-  ASSERT_TRUE(block.plan->plan().is_block());
-  EXPECT_EQ(block.plan->f32_detectors(), 7u);
-  EXPECT_EQ(block.plan->f64_rescue_detectors(), 1u);
-  EXPECT_EQ(block.plan->precision_label(), "block-f32(7/8)");
-  EXPECT_FALSE(thin.plan->plan().has_f32());
+  EXPECT_TRUE(wide.program->stage_plan(0).has_f32());
+  ASSERT_TRUE(block.program->stage_plan(0).is_block());
+  EXPECT_EQ(block.program->stage_plan(0).num_f32_detectors(), 7u);
+  EXPECT_EQ(block.program->stage_plan(0).num_f64_rescue_detectors(), 1u);
+  EXPECT_EQ(block.program->precision_label(), "block-f32(7/8)");
+  EXPECT_FALSE(thin.program->stage_plan(0).has_f32());
 
   const auto stats = cache.stats();
   // Each f32-requested build lands in exactly one of the three counters.

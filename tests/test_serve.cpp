@@ -174,13 +174,13 @@ TEST(PlanCache, CachedPlanEvaluatesLikeAFreshEvaluator) {
   const ServeFixture fix;
   PlanCache cache(fix.engine, 4);
   const auto layout = fix.majority_layout(3, 4);
-  const auto plan = cache.get_or_build(layout).plan;
-  ASSERT_NE(plan, nullptr);
+  const auto program = cache.get_or_build(layout).program;
+  ASSERT_NE(program, nullptr);
 
   const DataParallelGate gate(layout, fix.engine);
   const BatchEvaluator fresh(gate, {.num_threads = 1});
   const auto matrix = random_matrix(64, fresh.slot_count(), /*seed=*/5);
-  EXPECT_EQ(plan->evaluator().evaluate_bits(64, matrix),
+  EXPECT_EQ(program->evaluate_bits(64, matrix),
             fresh.evaluate_bits(64, matrix));
 }
 
@@ -190,12 +190,12 @@ TEST(PlanCache, ConcurrentLookupsBuildOnce) {
   const auto layout = fix.majority_layout(3, 4);
 
   constexpr std::size_t kThreads = 8;
-  std::vector<PlanCache::PlanPtr> got(kThreads);
+  std::vector<PlanCache::ProgramPtr> got(kThreads);
   {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        got[t] = cache.get_or_build(layout).plan;
+        got[t] = cache.get_or_build(layout).program;
       });
     }
     for (auto& th : threads) th.join();
@@ -888,22 +888,22 @@ TEST(PlanCache, ProgramEntriesShareTheLruWithStats) {
                   &fix.designer);
   const auto program = synthesize_program(0x1B, 3, 2);
 
-  EXPECT_EQ(cache.try_get_program(program), nullptr);  // cold: no entry
-  const auto first = cache.get_or_build_program(program);
+  EXPECT_EQ(cache.try_get(program), nullptr);  // cold: no entry
+  const auto first = cache.get_or_build(program);
   EXPECT_FALSE(first.hit);
   ASSERT_NE(first.program, nullptr);
   EXPECT_EQ(first.program->num_stages(), program.num_stages());
-  EXPECT_TRUE(cache.get_or_build_program(program).hit);
-  EXPECT_NE(cache.try_get_program(program), nullptr);
+  EXPECT_TRUE(cache.get_or_build(program).hit);
+  EXPECT_NE(cache.try_get(program), nullptr);
 
   // Layout entries share the LRU: two layout builds push the program out.
   (void)cache.get_or_build(fix.majority_layout(3, 2));
   (void)cache.get_or_build(fix.majority_layout(3, 3));
-  EXPECT_EQ(cache.try_get_program(program), nullptr);
+  EXPECT_EQ(cache.try_get(program), nullptr);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);  // program + two layouts
-  EXPECT_EQ(stats.hits, 2u);    // get_or_build_program hit + try_get
+  EXPECT_EQ(stats.hits, 2u);    // program get_or_build hit + try_get
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.program_builds, 1u);
   EXPECT_EQ(stats.program_stages, first.program->num_stages());
@@ -914,8 +914,8 @@ TEST(PlanCache, ProgramLookupWithoutDesignerThrows) {
   const ServeFixture fix;
   PlanCache cache(fix.engine, 4);  // no designer: layouts only
   const auto program = synthesize_program(0xE8, 3, 2);
-  EXPECT_THROW((void)cache.try_get_program(program), sw::util::Error);
-  EXPECT_THROW((void)cache.get_or_build_program(program), sw::util::Error);
+  EXPECT_THROW((void)cache.try_get(program), sw::util::Error);
+  EXPECT_THROW((void)cache.get_or_build(program), sw::util::Error);
   // Layout lookups stay unaffected.
   EXPECT_FALSE(cache.get_or_build(fix.majority_layout(3, 2)).hit);
 }
@@ -970,32 +970,32 @@ TEST(PlanCache, ProgramsShareStagesPerGateSpecAndPrecision) {
   const auto b = maj_and_inverted_maj(1, 4);
   ASSERT_NE(a, b);
   const auto f64 = sw::wavesim::Precision::kFloat64;
-  const auto pa = cache.get_or_build_program(a, f64).program;
-  const auto pb = cache.get_or_build_program(b, f64).program;
+  const auto pa = cache.get_or_build(a, f64).program;
+  const auto pb = cache.get_or_build(b, f64).program;
   auto stats = cache.stats();
   EXPECT_EQ(stats.program_builds, 2u);
   EXPECT_EQ(stats.program_stages, 4u);
   EXPECT_EQ(stats.stage_builds, 2u);  // MAJ and inverted MAJ, once each
   // Program a runs MAJ then inverted MAJ, b the reverse: the same artefacts.
-  EXPECT_EQ(&pa->program().stage_plan(0), &pb->program().stage_plan(1));
-  EXPECT_EQ(&pa->program().stage_plan(1), &pb->program().stage_plan(0));
+  EXPECT_EQ(&pa->stage_plan(0), &pb->stage_plan(1));
+  EXPECT_EQ(&pa->stage_plan(1), &pb->stage_plan(0));
 
   const std::size_t words = 64;
   const auto matrix = random_matrix(words, a.primary_slot_count(), 71);
-  EXPECT_EQ(pa->program().evaluate_bits(words, matrix),
+  EXPECT_EQ(pa->evaluate_bits(words, matrix),
             standalone_bits(fix, a, matrix, words, f64));
-  EXPECT_EQ(pb->program().evaluate_bits(words, matrix),
+  EXPECT_EQ(pb->evaluate_bits(words, matrix),
             standalone_bits(fix, b, matrix, words, f64));
 
   // f32 and f64 stages never share: an f32 entry builds its own pair.
   const auto f32 = sw::wavesim::Precision::kFloat32;
-  const auto pa32 = cache.get_or_build_program(a, f32).program;
+  const auto pa32 = cache.get_or_build(a, f32).program;
   stats = cache.stats();
   EXPECT_EQ(stats.stage_builds, 4u);
-  EXPECT_NE(&pa32->program().stage_plan(0), &pa->program().stage_plan(0));
-  EXPECT_EQ(pa32->program().evaluate_bits(words, matrix),
+  EXPECT_NE(&pa32->stage_plan(0), &pa->stage_plan(0));
+  EXPECT_EQ(pa32->evaluate_bits(words, matrix),
             standalone_bits(fix, a, matrix, words, f32));
-  (void)cache.get_or_build_program(b, f32);
+  (void)cache.get_or_build(b, f32);
   EXPECT_EQ(cache.stats().stage_builds, 4u);
 }
 
@@ -1006,21 +1006,20 @@ TEST(PlanCache, SharedStagesLiveOnlyAsLongAsTheirPrograms) {
   const auto a = maj_and_inverted_maj(0, 2);
   const auto layout = fix.majority_layout(3, 2);
 
-  auto held = cache.get_or_build_program(a).program;
+  auto held = cache.get_or_build(a).program;
   EXPECT_EQ(cache.stats().stage_builds, 2u);
   // Evicted but still in flight: a rebuild shares the held stages.
   (void)cache.get_or_build(layout);
-  auto rebuilt = cache.get_or_build_program(a);
+  auto rebuilt = cache.get_or_build(a);
   EXPECT_FALSE(rebuilt.hit);
   EXPECT_EQ(cache.stats().stage_builds, 2u);
-  EXPECT_EQ(&rebuilt.program->program().stage_plan(0),
-            &held->program().stage_plan(0));
+  EXPECT_EQ(&rebuilt.program->stage_plan(0), &held->stage_plan(0));
 
   // Evicted and released everywhere: the table does not keep the stages.
   held.reset();
   rebuilt.program.reset();
   (void)cache.get_or_build(layout);
-  EXPECT_FALSE(cache.get_or_build_program(a).hit);
+  EXPECT_FALSE(cache.get_or_build(a).hit);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.stage_builds, 4u);
   EXPECT_EQ(stats.program_builds, 3u);
@@ -1051,18 +1050,18 @@ TEST(PlanCache, FailedStageDesignLeavesNoEntryAndRetries) {
   const auto a = maj_and_inverted_maj(0, 2);
 
   model.fail = true;
-  EXPECT_THROW((void)cache.get_or_build_program(a), sw::util::Error);
+  EXPECT_THROW((void)cache.get_or_build(a), sw::util::Error);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().stage_builds, 0u);
 
   // A poisoned stage entry would rethrow here; the retry builds instead.
   model.fail = false;
-  const auto built = cache.get_or_build_program(a);
+  const auto built = cache.get_or_build(a);
   EXPECT_FALSE(built.hit);
   EXPECT_EQ(cache.stats().stage_builds, 2u);
   const std::size_t words = 32;
   const auto matrix = random_matrix(words, a.primary_slot_count(), 73);
-  EXPECT_EQ(built.program->program().evaluate_bits(words, matrix),
+  EXPECT_EQ(built.program->evaluate_bits(words, matrix),
             standalone_bits(fix, a, matrix, words));
 }
 
@@ -1091,8 +1090,8 @@ TEST(PlanCache, ConcurrentOverlappingProgramBuildsAreBitIdentical) {
       while (!go.load()) std::this_thread::yield();
       for (std::size_t r = 0; r < kRounds; ++r) {
         const std::size_t i = (t + r) % programs.size();
-        const auto built = cache.get_or_build_program(programs[i]).program;
-        if (built->program().evaluate_bits(words, matrix) != expected[i]) {
+        const auto built = cache.get_or_build(programs[i]).program;
+        if (built->evaluate_bits(words, matrix) != expected[i]) {
           ++mismatches;
         }
       }
