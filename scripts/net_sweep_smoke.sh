@@ -7,7 +7,9 @@
 # Leg 1 — healthy: 1 coordinator + 2 workers split the sweep; the
 # coordinator binary itself asserts bit-for-bit equality against its
 # in-process sweep and the Boolean AND reference, then shuts the workers
-# down (both must exit 0).
+# down (both must exit 0). Both workers must have retired at least one
+# shard: the coordinator's start barrier sets a first shard aside for each
+# connected worker, so a coordinator thread that wakes late still gets one.
 #
 # Leg 2 — straggler + observability: 2 fresh workers, one SIGSTOPped
 # before the sweep starts. Its shards sit in flight until the straggler
@@ -68,11 +70,17 @@ W1=$!
 "$WORKER" --transport=tcp --listen "tcp:127.0.0.1:$P2" --max-seconds 300 &
 W2=$!
 PIDS+=("$W1" "$W2")
-"$COORD" --transport=tcp \
-  --workers "tcp:127.0.0.1:$P1,tcp:127.0.0.1:$P2" --shutdown-workers
+OUT=$("$COORD" --transport=tcp \
+  --workers "tcp:127.0.0.1:$P1,tcp:127.0.0.1:$P2" --shutdown-workers)
+echo "$OUT"
+grep -q "PASS" <<<"$OUT"
+[[ $(grep -cE '^  worker [0-9]+ \(.*\): [1-9][0-9]* shard' <<<"$OUT") -eq 2 ]] || {
+  echo "healthy leg: a worker retired no shard" >&2
+  exit 1
+}
 wait "$W1"
 wait "$W2"
-echo "leg 1 OK: both workers exited cleanly after shutdown"
+echo "leg 1 OK: both workers retired shards and exited cleanly after shutdown"
 
 echo "=== leg 2: straggler (one worker SIGSTOPped) + observability ==="
 "$WORKER" --transport=tcp --listen "tcp:127.0.0.1:$P3" --max-seconds 300 &

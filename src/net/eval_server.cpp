@@ -13,7 +13,9 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,11 +92,12 @@ class ReadBuffer {
 
 }  // namespace
 
-/// One evaluated request on its way back to the event thread. Carries the
+/// One evaluated request's reply, from a pool worker through the
+/// completion queue or straight from an inline evaluation. Carries the
 /// response metadata (not the request frame) so the reply can be encoded
 /// straight from the service's result bits without ever re-touching the
 /// request.
-struct Completion {
+struct EvalServer::Completion {
   std::uint64_t conn_id = 0;
   std::uint64_t tag = 0;
   std::uint64_t layout_hash = 0;
@@ -156,10 +159,17 @@ struct EvalServer::Conn {
   std::size_t rpos = 0;
   std::vector<std::uint8_t> wbuf;  ///< unflushed output; [wpos, end) live
   std::size_t wpos = 0;
-  std::size_t inflight = 0;  ///< submitted to the service, not yet replied
+  std::size_t inflight = 0;  ///< submitted to the pool, not yet replied
+  /// Frames evaluated inline during event-loop turn `inline_turn`.
+  std::size_t inline_evals = 0;
+  std::uint64_t inline_turn = 0;
   std::uint32_t armed_events = 0;  ///< epoll mask currently registered
   bool admitted = false;  ///< counted against max_connections
   bool paused = false;    ///< reads stopped by back-pressure
+  /// The per-turn inline bound stopped this connection with complete
+  /// frames still buffered: it is queued to resume next turn, and reads
+  /// wait until the buffered frames are served.
+  bool backlog = false;
   /// No further socket reads; settle in-flight work, flush, then close.
   /// Buffered complete frames are still served (a pipelining client may
   /// half-close after its last request) unless discard_input is also set.
@@ -245,19 +255,24 @@ EvalServer::~EvalServer() {
 
 void EvalServer::event_loop() {
   std::vector<epoll_event> events(64);
+  std::vector<std::uint64_t> resume;
   const int tick_ms = static_cast<int>(options_.poll_tick.count());
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stop_) break;
     }
+    // A backlogged connection has complete frames waiting: poll, don't
+    // sleep, so it resumes this turn without new socket data.
     const int n =
-        ::epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()), tick_ms);
+        ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                     backlog_.empty() ? tick_ms : 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll itself failed; serving cannot continue
     }
+    ++turn_;
+    resume.swap(backlog_);  // last turn's; this turn's go to backlog_
     for (int i = 0; i < n; ++i) {
       const std::uint64_t slot = events[i].data.u64;
       if (slot == kListenerSlot) {
@@ -289,7 +304,34 @@ void EvalServer::event_loop() {
         close_conn(slot);
       }
     }
+    // Backlogged connections go after this turn's socket events, so a
+    // connection with new data is served before one that already had its
+    // share of inline evaluations.
+    for (const std::uint64_t id : resume) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      Conn& conn = *it->second;
+      conn.backlog = false;
+      try {
+        process_buffered(conn);
+        finish_read_turn(conn);
+      } catch (const std::exception&) {
+        close_conn(id);
+      }
+    }
+    resume.clear();
     drain_completions();
+    if (last_inline_turn_ == turn_) {
+      // Inline work keeps this thread runnable from one turn to the next,
+      // so it never offers the scheduler a reschedule point of its own. A
+      // client that a reply woke onto this CPU (a wake-up favours the
+      // waker's CPU) then stayed here for whole gate_small_tcp runs on a
+      // 4-vCPU VM, the two threads sharing one vCPU at ~60% of the words/s
+      // of runs where they did not. With a yield after each such turn
+      // those runs separate within seconds; with nothing else runnable
+      // here it returns at once.
+      std::this_thread::yield();
+    }
     const auto now = std::chrono::steady_clock::now();
     if (now - last_reap_ >= options_.poll_tick) {
       last_reap_ = now;
@@ -372,7 +414,7 @@ void EvalServer::handle_accept() {
 void EvalServer::handle_readable(Conn& conn) {
   std::uint64_t read_total = 0;
   for (;;) {
-    if (conn.paused || conn.draining || conn.peer_eof) break;
+    if (conn.paused || conn.backlog || conn.draining || conn.peer_eof) break;
     if (conn.rbuf.size() - conn.rpos >= kMaxBufferedRead) break;
     const std::ptrdiff_t n = conn.conn.recv_some(conn.rbuf.spare(kReadChunk));
     if (n < 0) break;  // drained
@@ -391,10 +433,20 @@ void EvalServer::handle_readable(Conn& conn) {
     counters_.bytes_read += read_total;
   }
   process_buffered(conn);
+  finish_read_turn(conn);
+}
+
+void EvalServer::finish_read_turn(Conn& conn) {
   if (conn.peer_eof) {
     // Half-close: no more requests will arrive, but complete frames
     // already buffered are still served before the connection closes.
     conn.draining = true;
+  }
+  if (conn.pending_write() > 0) {
+    // One send for every reply this turn produced (inline replies, error
+    // replies); closes a settled connection and re-arms epoll.
+    handle_writable(conn);
+    return;
   }
   if (conn.settled()) {
     close_conn(conn.id);
@@ -404,6 +456,10 @@ void EvalServer::handle_readable(Conn& conn) {
 }
 
 void EvalServer::process_buffered(Conn& conn) {
+  if (conn.inline_turn != turn_) {
+    conn.inline_turn = turn_;
+    conn.inline_evals = 0;
+  }
   for (;;) {
     if (conn.discard_input) break;
     if (conn.inflight >= options_.max_inflight_per_connection ||
@@ -420,6 +476,16 @@ void EvalServer::process_buffered(Conn& conn) {
     const MessageHeader header = parse_message_header(
         {conn.rbuf.data() + conn.rpos, kMessageHeaderSize});
     if (avail < kMessageHeaderSize + header.payload_size) break;
+    if (conn.inline_evals >= options_.max_inflight_per_connection) {
+      // Fairness: this connection had its turn's share of inline
+      // evaluations (each holds the event thread); the rest of its
+      // buffered frames wait one turn behind every other connection.
+      if (!conn.backlog) {
+        conn.backlog = true;
+        backlog_.push_back(conn.id);
+      }
+      break;
+    }
     const std::span<const std::uint8_t> payload{
         conn.rbuf.data() + conn.rpos + kMessageHeaderSize,
         static_cast<std::size_t>(header.payload_size)};
@@ -498,7 +564,9 @@ void EvalServer::handle_message(Conn& conn, const MessageHeader& header,
 
 void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
                               std::span<const std::uint8_t> payload) {
-  bool submitted = false;
+  // Filled by the completion callback when the service evaluates the
+  // request on this thread, before submit_async returns.
+  std::optional<Completion> inline_reply;
   try {
     sw::obs::TraceContext trace;
     trace.track = conn.id;
@@ -539,7 +607,8 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     eval_request.defer_trace_record = true;
     service_->submit_async(
         std::move(eval_request),
-        [queue = completions_, meta = std::move(meta)](
+        [queue = completions_, meta = std::move(meta),
+         inline_sink = &inline_reply, submitter = std::this_thread::get_id()](
             sw::serve::ResultBatch&& result, std::exception_ptr error) mutable {
           if (error) {
             meta.failed = true;
@@ -557,10 +626,22 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
             meta.bits = std::move(result.bits);
           }
           meta.trace = std::move(result.trace);
-          queue->push(std::move(meta));
+          if (std::this_thread::get_id() == submitter) {
+            // Evaluated inline on the event thread, still inside
+            // handle_frame: the sink is live and the reply is appended
+            // this turn. A pool worker never touches the sink.
+            *inline_sink = std::move(meta);
+          } else {
+            queue->push(std::move(meta));
+          }
         });
-    submitted = true;
-    ++conn.inflight;
+    if (inline_reply) {
+      ++conn.inline_evals;
+      last_inline_turn_ = turn_;
+      append_completion(conn, *inline_reply);
+    } else {
+      ++conn.inflight;
+    }
   } catch (const sw::serve::OverloadError& e) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -582,7 +663,6 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     // Before submit: the client sent something malformed (bad frame, wrong
     // shape, alien geometry). After submit is unreachable here — those
     // failures arrive through the completion callback.
-    (void)submitted;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.errors_sent;
@@ -595,6 +675,37 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
 void EvalServer::append_reply(Conn& conn, const Message& message) {
   append_message(conn.wbuf, message);
   conn.last_progress = std::chrono::steady_clock::now();
+}
+
+void EvalServer::append_completion(Conn& conn, Completion& c) {
+  if (c.failed) {
+    append_reply(conn, make_error_message(c.error_code, c.error_text, c.tag));
+    service_->trace_recorder().record(c.trace);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.errors_sent;
+    if (c.error_code == ErrorCode::kOverload) ++counters_.overloads;
+    return;
+  }
+  const std::size_t encode_slot = c.trace.begin(sw::obs::Phase::kWireEncode);
+  sw::serve::SweepFrameView view;
+  view.kind = sw::serve::FrameKind::kResponse;
+  view.layout_hash = c.layout_hash;
+  view.word_offset = c.word_offset;
+  view.num_words = c.num_words;
+  view.num_cols = c.num_channels;
+  view.matrix = c.bits;
+  append_frame_message(conn.wbuf, view, c.tag);
+  c.trace.end(encode_slot);
+  conn.last_progress = std::chrono::steady_clock::now();
+  // The write-queue span stays open until the reply's last byte has left
+  // for the socket (flush_mark); handle_writable closes it and records the
+  // finished trace.
+  Conn::PendingTrace& pending = conn.pending_traces.emplace_back();
+  pending.flush_mark = conn.total_flushed + conn.pending_write();
+  pending.slot = c.trace.begin(sw::obs::Phase::kWriteQueue);
+  pending.trace = std::move(c.trace);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++counters_.responses_sent;
 }
 
 void EvalServer::drain_completions() {
@@ -612,37 +723,7 @@ void EvalServer::drain_completions() {
       continue;
     }
     Conn& conn = *it->second;
-    if (c.failed) {
-      append_reply(conn,
-                   make_error_message(c.error_code, c.error_text, c.tag));
-      service_->trace_recorder().record(c.trace);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.errors_sent;
-      if (c.error_code == ErrorCode::kOverload) ++counters_.overloads;
-    } else {
-      const std::size_t encode_slot =
-          c.trace.begin(sw::obs::Phase::kWireEncode);
-      sw::serve::SweepFrameView view;
-      view.kind = sw::serve::FrameKind::kResponse;
-      view.layout_hash = c.layout_hash;
-      view.word_offset = c.word_offset;
-      view.num_words = c.num_words;
-      view.num_cols = c.num_channels;
-      view.matrix = c.bits;
-      append_frame_message(conn.wbuf, view, c.tag);
-      c.trace.end(encode_slot);
-      conn.last_progress = std::chrono::steady_clock::now();
-      // The write-queue span stays open until the reply's last byte has
-      // left for the socket (flush_mark); handle_writable closes it and
-      // records the finished trace.
-      Conn::PendingTrace pending;
-      pending.flush_mark = conn.total_flushed + conn.pending_write();
-      pending.slot = c.trace.begin(sw::obs::Phase::kWriteQueue);
-      pending.trace = std::move(c.trace);
-      conn.pending_traces.push_back(std::move(pending));
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.responses_sent;
-    }
+    append_completion(conn, c);
     --conn.inflight;
   }
   // Flush and, where back-pressure has lifted, resume reading. Done once
@@ -714,7 +795,9 @@ void EvalServer::handle_writable(Conn& conn) {
 
 void EvalServer::update_epoll(Conn& conn) {
   std::uint32_t want = 0;
-  if (!conn.paused && !conn.draining && !conn.peer_eof) want |= EPOLLIN;
+  if (!conn.paused && !conn.backlog && !conn.draining && !conn.peer_eof) {
+    want |= EPOLLIN;
+  }
   if (conn.pending_write() > 0) want |= EPOLLOUT;
   if (want == conn.armed_events) return;
   epoll_event ev{};

@@ -9,11 +9,25 @@
 //    per-connection buffers that are reused across requests (no per-frame
 //    allocation in steady state).
 //  - Requests are *pipelined*: a client may send any number of tagged
-//    frames without waiting; evaluations run concurrently on the service
-//    pool via submit_async and each reply carries its request's tag, so
-//    completions are written in whatever order the evaluations finish.
+//    frames without waiting, and each reply carries its request's tag, so
+//    replies are written in whatever order the evaluations finish.
+//  - Where a frame is evaluated is the service's call (submit_async). A
+//    frame whose program is already cached and whose kernel work is small
+//    (EvaluatorService::kMaxInlineWork) runs to completion on the event
+//    thread: decode, lookup, kernel and encode in one turn, with no queue
+//    and no completion hop. Its reply is sent, together with every other
+//    reply of the connection's read turn, in one send when the turn ends.
+//    Cold targets and large batches run concurrently on the service pool;
+//    their replies come back through a completion queue and an eventfd.
+//  - Fairness: an inline evaluation holds the event thread, so each
+//    connection gets at most max_inflight_per_connection of them per
+//    event-loop turn. A connection with complete frames still buffered
+//    resumes next turn, after the connections with new socket data,
+//    without waiting for more data of its own. A turn that evaluated
+//    inline ends with a yield of the CPU, so a client thread that a
+//    reply woke onto the event thread's CPU does not stay there.
 //  - Back-pressure, not shedding: when a connection reaches
-//    max_inflight_per_connection submitted-but-unanswered frames (or its
+//    max_inflight_per_connection pooled-but-unanswered frames (or its
 //    outgoing buffer backs up past max_pending_write_bytes), the server
 //    simply stops *reading* that connection until it drains — TCP flow
 //    control pushes back to the client, and no admitted frame is ever
@@ -46,6 +60,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "core/gate_design.h"
 #include "net/metrics.h"
@@ -67,10 +82,12 @@ struct EvalServerOptions {
   /// Connections beyond this are answered with a kOverload error and
   /// closed instead of admitted.
   std::size_t max_connections = 64;
-  /// Pipelining cap: submitted-but-unanswered frames per connection before
-  /// the server pauses reading it. Keep max_connections x this within the
-  /// service's admission queue budget so admission never blocks the event
-  /// thread.
+  /// Pipelining cap: frames per connection on the service pool,
+  /// submitted but unanswered, before the server pauses reading it. Keep
+  /// max_connections x this within the service's admission queue budget so
+  /// admission never blocks the event thread. Also the per-turn fairness
+  /// bound: at most this many of a connection's frames are evaluated
+  /// inline on the event thread per event-loop turn.
   std::size_t max_inflight_per_connection = 16;
   /// Outgoing-buffer cap per connection before reads are paused (a client
   /// that sends but never reads otherwise grows the reply buffer without
@@ -98,7 +115,8 @@ class EvalServer {
  public:
   /// Maps a wire GateSpec to the layout the service evaluates; usually
   /// InlineGateDesigner::design against the same dispersion model the
-  /// service was built on. Called from the event thread.
+  /// service was built on. Called from the event thread, which is also
+  /// the thread that evaluates inline frames.
   using Designer =
       std::function<sw::core::GateLayout(const sw::core::GateSpec&)>;
 
@@ -146,20 +164,29 @@ class EvalServer {
 
  private:
   struct Conn;
+  struct Completion;
   struct CompletionQueue;
 
   void event_loop();
   void heartbeat_loop();
   void handle_accept();
   void handle_readable(Conn& conn);
+  /// End of a connection's read turn: flush what the turn appended in one
+  /// send, close it once settled, else re-arm epoll.
+  void finish_read_turn(Conn& conn);
   void handle_writable(Conn& conn);
   void drain_completions();
+  /// Serve complete buffered frames until back-pressure, a partial frame
+  /// or the per-turn inline bound (which queues the connection on
+  /// backlog_).
   void process_buffered(Conn& conn);
   void handle_message(Conn& conn, const MessageHeader& header,
                       std::span<const std::uint8_t> payload);
   void handle_frame(Conn& conn, std::uint64_t tag,
                     std::span<const std::uint8_t> payload);
   void append_reply(Conn& conn, const Message& message);
+  /// Append an evaluated request's reply (its frame, or its error).
+  void append_completion(Conn& conn, Completion& completion);
   void update_epoll(Conn& conn);
   void close_conn(std::uint64_t conn_id);
   void reap_stalled();
@@ -178,6 +205,12 @@ class EvalServer {
   std::uint64_t next_conn_id_ = 1;
   /// Owned by the event thread exclusively; no lock.
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  /// Event-loop turns so far; a connection's inline bound is per turn.
+  std::uint64_t turn_ = 0;
+  /// The last turn that evaluated a frame inline (0: none yet).
+  std::uint64_t last_inline_turn_ = 0;
+  /// Connections to resume next turn (Conn::backlog). Event thread only.
+  std::vector<std::uint64_t> backlog_;
   std::chrono::steady_clock::time_point last_reap_;
 
   mutable std::mutex mutex_;

@@ -40,6 +40,9 @@ struct SweepState {
   std::vector<bool> alive;   ///< worker still participating
   std::size_t live_workers = 0;
   std::size_t ready_workers = 0;  ///< connected or dead (start barrier)
+  bool released = false;          ///< the start barrier has opened
+  /// Per worker: the first shard set aside for it when the barrier opened.
+  std::vector<std::optional<std::size_t>> reserved;
   std::vector<std::size_t> completed;  ///< shards retired per worker
   std::size_t resharded = 0;
   std::size_t duplicate_results = 0;
@@ -106,9 +109,23 @@ std::optional<std::size_t> take_pending_locked(SweepState& state,
   return std::nullopt;
 }
 
+/// Under the lock, as the start barrier opens: set one pending shard aside
+/// for every connected worker. The thread that opens the barrier goes on
+/// to fill its window at once; one that wakes late still finds its first
+/// shard waiting, so every worker gets one before any window takes a
+/// second.
+void release_barrier_locked(SweepState& state, Clock::time_point now) {
+  state.released = true;
+  for (std::size_t w = 0; w < state.alive.size(); ++w) {
+    if (state.alive[w]) state.reserved[w] = take_pending_locked(state, now, {});
+  }
+  state.cv.notify_all();
+}
+
 /// Block until a shard is available for idle worker `w` (its window is
-/// empty): pending, or an overdue in-flight shard this worker may
-/// duplicate; nullopt once the sweep is complete or aborted.
+/// empty): its reserved first shard, a pending one, or an overdue
+/// in-flight shard this worker may duplicate; nullopt once the sweep is
+/// complete or aborted.
 std::optional<std::size_t> acquire_shard(SweepState& state, std::size_t w,
                                          const SweepOptions& options) {
   std::unique_lock<std::mutex> lock(state.mutex);
@@ -123,12 +140,21 @@ std::optional<std::size_t> acquire_shard(SweepState& state, std::size_t w,
       state.abort_locked("sweep wall deadline exceeded");
       continue;
     }
-    if (options.wait_for_all_workers &&
-        state.ready_workers < state.idle.size()) {
-      // Fleet-assembly barrier: no shard moves until every worker has
-      // connected or failed to, so distribution never races start-up.
-      state.cv.wait_for(lock, options.poll_tick);
-      continue;
+    if (options.wait_for_all_workers && !state.released) {
+      if (state.ready_workers < state.idle.size()) {
+        // Fleet-assembly barrier: no shard moves until every worker has
+        // connected or failed to, so distribution never races start-up.
+        state.cv.wait_for(lock, options.poll_tick);
+        continue;
+      }
+      release_barrier_locked(state, now);
+    }
+    if (const auto first = std::exchange(state.reserved[w], std::nullopt);
+        first && state.shards[*first].state != ShardState::kDone) {
+      // A straggler copy may already have retired it if this thread woke
+      // later than the deadline.
+      state.idle[w] = false;
+      return first;
     }
     if (const auto pending = take_pending_locked(state, now, {})) {
       state.idle[w] = false;
@@ -197,6 +223,13 @@ void mark_dead(SweepState& state, std::size_t w, const std::string& why) {
   state.alive[w] = false;
   state.idle[w] = false;
   --state.live_workers;
+  // A first shard the barrier set aside for this worker was never sent:
+  // hand it back, or it would sit in flight until the straggler deadline.
+  if (const auto first = std::exchange(state.reserved[w], std::nullopt);
+      first && state.shards[*first].state == ShardState::kInflight) {
+    state.shards[*first].state = ShardState::kPending;
+    --state.shards[*first].assignments;
+  }
   if (state.live_workers == 0 &&
       state.done_count < state.shards.size()) {
     state.abort_locked("all sweep workers failed; last failure: " + why);
@@ -543,6 +576,7 @@ std::vector<std::uint8_t> SweepCoordinator::run(
   }
   state.idle.assign(workers_.size(), false);
   state.alive.assign(workers_.size(), true);
+  state.reserved.assign(workers_.size(), std::nullopt);
   state.completed.assign(workers_.size(), 0);
   state.live_workers = workers_.size();
   state.wall_deadline = Clock::now() + options_.max_wall;

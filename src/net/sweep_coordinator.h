@@ -79,10 +79,13 @@ struct SweepOptions {
   /// sweep (the example workers exit on it).
   bool shutdown_workers = false;
   /// Hold shard distribution until every worker has either connected or
-  /// been declared dead (bounded by connect_timeout per worker). Without
-  /// the barrier a fast first worker can drain a small sweep before the
-  /// others finish connecting, which makes load distribution — and any
-  /// test asserting on it — a race against thread start-up.
+  /// been declared dead (bounded by connect_timeout per worker); as the
+  /// barrier opens, one shard is set aside for each connected worker, so
+  /// every worker gets a first shard before any window takes a second.
+  /// Without the barrier a fast first worker can drain a small sweep
+  /// before the others finish connecting (or their threads wake), which
+  /// makes load distribution — and any test asserting on it — a race
+  /// against thread start-up.
   bool wait_for_all_workers = true;
   /// When set, every shard assignment records a trace (id = shard index,
   /// track = worker index) with assign/send/wait/retire spans, and each

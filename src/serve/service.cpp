@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -39,6 +40,19 @@ void log_kernel_once(sw::wavesim::Precision precision) {
   std::fprintf(stderr, "[sw::serve] evaluation kernel: %.*s, precision: %.*s\n",
                static_cast<int>(name.size()), name.data(),
                static_cast<int>(prec.size()), prec.data());
+}
+
+/// Whether `num_words` words of `program` are at most kMaxInlineWork
+/// contribution-words: the phasor contributions each word costs, summed
+/// over the program's stages (one for a gate), times the words.
+bool small_enough_to_inline(const sw::wavesim::EvalProgram& program,
+                            std::size_t num_words) {
+  std::size_t per_word = 0;
+  for (std::size_t s = 0; s < program.num_stages(); ++s) {
+    per_word += program.stage_plan(s).num_contributions();
+  }
+  return num_words <=
+         EvaluatorService::kMaxInlineWork / std::max<std::size_t>(per_word, 1);
 }
 
 }  // namespace
@@ -95,7 +109,8 @@ EvaluatorService::~EvaluatorService() {
 }
 
 void EvaluatorService::post_request(EvalRequest&& source,
-                                    std::unique_ptr<Request> request) {
+                                    std::unique_ptr<Request> request,
+                                    bool may_run_inline) {
   SW_REQUIRE((source.layout != nullptr) != (source.program != nullptr),
              "EvalRequest must bind exactly one of layout or program");
   std::size_t slots = 0;
@@ -153,6 +168,11 @@ void EvaluatorService::post_request(EvalRequest&& source,
   }
   request->trace.id = request->id;
   request->queue_slot = request->trace.begin(sw::obs::Phase::kQueue);
+  if (may_run_inline && request->program &&
+      small_enough_to_inline(*request->program, num_words)) {
+    process(request.release());  // its queue span closes at ~0
+    return;
+  }
   // Hand the queue a raw pointer: the two-word closure stays within
   // std::function's small-buffer optimisation (no allocation per post),
   // and process() reclaims ownership immediately.
@@ -170,7 +190,9 @@ void EvaluatorService::post_request(EvalRequest&& source,
 std::future<ResultBatch> EvaluatorService::submit(EvalRequest request) {
   auto state = std::make_unique<Request>();
   auto future = state->promise.get_future();
-  post_request(std::move(request), std::move(state));
+  // Never inline: callers pipeline futures and rely on the pool's
+  // parallelism.
+  post_request(std::move(request), std::move(state), /*may_run_inline=*/false);
   return future;
 }
 
@@ -178,7 +200,7 @@ void EvaluatorService::submit_async(EvalRequest request, CompletionFn done) {
   SW_REQUIRE(done != nullptr, "submit_async requires a completion callback");
   auto state = std::make_unique<Request>();
   state->done = std::move(done);
-  post_request(std::move(request), std::move(state));
+  post_request(std::move(request), std::move(state), /*may_run_inline=*/true);
 }
 
 void EvaluatorService::process(Request* raw) {

@@ -15,6 +15,14 @@
 // resolves a cached entry without copying the target; a miss hands a copy
 // of the target to a worker, where construction is serialised per key
 // behind the cache entry.
+//
+// submit_async runs a request on the calling thread instead of the pool
+// when its program is already cached and its kernel work is at most
+// kMaxInlineWork: a small warm request then costs about its kernel, with
+// no queue hop, no worker handoff and no cross-thread completion. Cold
+// targets and large batches, and everything submit() takes, go to the
+// pool. Either way a request passes the same admission, accounting,
+// hooks and trace.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +55,23 @@ struct ServiceOptions {
   /// 0 = unbounded.
   std::size_t plan_cache_capacity = 32;
   /// Options for the cached EvalPrograms. The default single inline
-  /// thread makes each evaluation run entirely on the service worker that
-  /// picked the request up (parallelism comes from concurrent requests);
-  /// raise it only for few-but-huge-batch workloads.
+  /// thread makes each evaluation run entirely on the thread that
+  /// evaluates the request: the service worker that picked it up, or the
+  /// submit_async caller for a request run inline (parallelism comes from
+  /// concurrent requests); raise it only for few-but-huge-batch workloads.
   sw::wavesim::BatchOptions evaluator_options{.num_threads = 1};
   AdmissionOptions admission;
-  /// Observability hook: called on the worker thread right after a request
-  /// leaves the queue, before its evaluation starts. Useful for metrics
-  /// and tracing; tests use it to hold workers in place deterministically.
+  /// Observability hook: called right after a request leaves the queue,
+  /// before its evaluation starts, on the thread that evaluates it — a
+  /// service worker, or the submitter for a request submit_async runs
+  /// inline. Useful for metrics and tracing; tests use it to hold
+  /// evaluations in place deterministically.
   std::function<void(std::uint64_t request_id)> on_request_start;
-  /// Completion hook: called on the worker thread once a request has fully
-  /// settled (accounting released, success or failure alike), with its
-  /// submit-to-completion latency. The same latency feeds the built-in
-  /// percentile reservoir whether or not a hook is installed.
+  /// Completion hook: called on the thread that evaluated the request (as
+  /// for on_request_start) once it has fully settled (accounting
+  /// released, success or failure alike), with its submit-to-completion
+  /// latency. The same latency feeds the built-in percentile reservoir
+  /// whether or not a hook is installed.
   std::function<void(std::uint64_t request_id, double latency_seconds)>
       on_request_finish;
   /// Window of recent request latencies backing ServiceStats::latency
@@ -135,12 +147,29 @@ struct ServiceStats {
 class EvaluatorService {
  public:
   /// Completion callback of submit_async: exactly one of result/error is
-  /// meaningful — `error` is null on success. Runs on the worker thread
-  /// that evaluated the request, after the request has fully settled
-  /// (accounting released, stats updated), so the callback may safely
-  /// re-submit or inspect stats().
+  /// meaningful — `error` is null on success. Runs on the thread that
+  /// evaluated the request (a worker, or the submitter when it ran
+  /// inline), after the request has fully settled (accounting released,
+  /// stats updated), so the callback may safely re-submit or inspect
+  /// stats().
   using CompletionFn =
       std::function<void(ResultBatch&& result, std::exception_ptr error)>;
+
+  /// Largest kernel work submit_async runs on the calling thread, in
+  /// contribution-words: num_words x the program's phasor contributions
+  /// per word (EvalPlan::num_contributions(), summed over its stages).
+  /// An inline kernel runs on the submitter, which in EvalServer is the
+  /// event thread, the serial stage. So the bound is set against that
+  /// thread's CPU: the pool hop an inline request skips (queue post and
+  /// wake, completion drain) cost it ~5-7 us per request on a 4-vCPU
+  /// AVX-512 VM, and at ~0.5 ns per contribution-word the kernel costs as
+  /// much at ~10-14k. This bound, a ~4 us kernel, stays below that. The
+  /// benchmark covers only the two ends: a 24-word request on an
+  /// 8-channel 3..7-input gate (576..1344) runs inline, and a 4096-word
+  /// shard on the 3-input one (98,304) stays pooled. In between, only
+  /// one-off runs with larger requests checked it: inline gave 1.4x the
+  /// pooled words/s at 4.6k..10.8k, and about the same at 9.2k..21.5k.
+  static constexpr std::size_t kMaxInlineWork = 8192;
 
   /// Layout targets arrive designed (e.g. by InlineGateDesigner against the
   /// same model); ProgramSpec stages are designed by designer(). `model`
@@ -171,8 +200,14 @@ class EvaluatorService {
   /// Callback-style submit for event-driven callers (the epoll serving
   /// core) that must not park a thread in future.get(): same admission,
   /// plan-cache and accounting path as submit(), but completion is
-  /// delivered by invoking `done` on the worker thread. Exceptions thrown
-  /// by `done` itself are swallowed (the request has already settled).
+  /// delivered by invoking `done`. A request whose program is already
+  /// cached and whose kernel work is at most kMaxInlineWork is evaluated
+  /// on the calling thread, and `done` runs there before submit_async
+  /// returns; any other request goes to the pool and `done` runs on the
+  /// worker that evaluated it. Admission failures (OverloadError, a shape
+  /// error) still throw to the caller, and `done` is then never called.
+  /// Exceptions thrown by `done` itself are swallowed (the request has
+  /// already settled).
   void submit_async(EvalRequest request, CompletionFn done);
 
   ServiceStats stats() const;
@@ -191,7 +226,11 @@ class EvaluatorService {
 
  private:
   struct Request;
-  void post_request(EvalRequest&& source, std::unique_ptr<Request> request);
+  /// Admit and look up `request`, then evaluate it: on this thread when
+  /// `may_run_inline` and its program is cached and small, else on the
+  /// pool.
+  void post_request(EvalRequest&& source, std::unique_ptr<Request> request,
+                    bool may_run_inline);
   void process(Request* request);  // takes ownership
 
   ServiceOptions options_;

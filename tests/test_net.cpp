@@ -1,15 +1,17 @@
 // Networked-serving tests: endpoint parsing, socket round trips and
 // timeout behaviour over TCP and unix-domain transports, the message
 // envelope, EvalServer end-to-end against the in-process evaluator
-// (including pipelined tagged out-of-order completion, frames trickled a
-// few bytes per read or straddling the read chunk and buffer compaction,
-// kShed mapping to a typed error frame on a surviving connection,
-// connection-cap refusal with a live accept loop, metrics scraping and
-// layout-hash rejection), the worker registry (advert codec, TTL
-// upsert/expiry, tag echo), and the SweepCoordinator's distributed
-// exhaustive sweep with its two-shard window per connection, registry
-// discovery, straggler re-sharding, shed-shard re-queueing, bit-exact
-// duplicate deduplication and divergent-duplicate abort.
+// (including pipelined tagged out-of-order completion, warm small frames
+// evaluated inline on the event thread under a per-turn fairness bound,
+// frames trickled a few bytes per read or straddling the read chunk and
+// buffer compaction, kShed mapping to a typed error frame on a surviving
+// connection, connection-cap refusal with a live accept loop, metrics
+// scraping and layout-hash rejection), the worker registry (advert codec,
+// TTL upsert/expiry, tag echo), and the SweepCoordinator's distributed
+// exhaustive sweep with its two-shard window per connection, a first
+// shard for every worker, registry discovery, straggler re-sharding,
+// shed-shard re-queueing, bit-exact duplicate deduplication and
+// divergent-duplicate abort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,6 +124,14 @@ struct ServerFixture {
 };
 
 Endpoint loopback() { return Endpoint::parse("tcp:127.0.0.1:0"); }
+
+/// Send one tagged request frame, encoded straight from `view`.
+void send_frame(Connection& conn, const sw::serve::SweepFrameView& view,
+                std::uint64_t tag) {
+  std::vector<std::uint8_t> bytes;
+  append_frame_message(bytes, view, tag);
+  conn.send_all(bytes, 2000ms);
+}
 
 // ------------------------------------------------------------- endpoints --
 
@@ -288,7 +298,12 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   auto metrics = recv_message(conn, 5000ms);
   ASSERT_TRUE(metrics.has_value());
   const std::string text = decode_text_message(*metrics);
+  // Rounds 2 and 3 find the program cached and run inline on the event
+  // thread; the service and transport metrics count them all the same.
   EXPECT_NE(text.find("sw_serve_requests_completed 3"), std::string::npos)
+      << text;
+  EXPECT_EQ(metric_value(text, "sw_net_responses_sent"), 3.0) << text;
+  EXPECT_EQ(metric_value(text, "sw_serve_request_latency_seconds_count"), 3.0)
       << text;
   EXPECT_NE(text.find("sw_serve_latency_p99_seconds"), std::string::npos);
   EXPECT_NE(text.find("sw_serve_plan_cache_hits 2"), std::string::npos);
@@ -684,6 +699,47 @@ TEST(EvalServer, ServesCompiledProgramsBitExact) {
           << "w=" << w << " ch=" << ch;
     }
   }
+
+  // Warm now: a pipelined burst of tagged program frames runs inline on
+  // the event thread. The same matrix again must give the same bytes, and
+  // fresh matrices the compiled function's table.
+  constexpr std::uint64_t kBurst = 4;
+  std::vector<std::vector<std::uint8_t>> matrices{matrix};
+  for (std::uint64_t tag = 1; tag < kBurst; ++tag) {
+    matrices.push_back(
+        random_matrix(words, cols, static_cast<unsigned>(71 + tag)));
+  }
+  std::vector<std::uint8_t> burst;
+  const std::uint64_t hash = sw::serve::hash_program(program);
+  for (std::uint64_t tag = 0; tag < kBurst; ++tag) {
+    append_frame_message(
+        burst,
+        sw::serve::make_program_request_view(program, hash, 0, words,
+                                             matrices[tag]),
+        tag);
+  }
+  conn.send_all(burst, 5000ms);
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    const auto message = recv_message(conn, 10000ms);
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->kind, MessageKind::kFrame);
+    ASSERT_LT(message->tag, kBurst);
+    const auto frame = sw::serve::decode_frame(message->payload);
+    const auto& m = matrices[message->tag];
+    if (message->tag == 0) {
+      EXPECT_EQ(frame.matrix, response->matrix);
+    }
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t ch = 0; ch < n; ++ch) {
+        std::size_t a = 0;
+        for (std::size_t i = 0; i < 3; ++i) {
+          a |= static_cast<std::size_t>(m[w * cols + ch * 3 + i] != 0) << i;
+        }
+        EXPECT_EQ(frame.matrix[w * n + ch], table.value(a) ? 1 : 0)
+            << "tag=" << message->tag << " w=" << w << " ch=" << ch;
+      }
+    }
+  }
 }
 
 TEST(EvalServer, PinnedWorkerRejectsProgramFramesWithTypedError) {
@@ -740,7 +796,8 @@ TEST(EvalServer, PipelinedTaggedRequestsCompleteOutOfOrder) {
   // One connection, six tagged shard requests sent back-to-back in a
   // single write, replies matched by tag: the event core must answer all
   // of them without a request/response lockstep, in whatever order the
-  // evaluations finish.
+  // evaluations finish. The burst goes twice: the first finds the plan
+  // cold (pool), the second warm and small (inline on the event thread).
   ServerFixture fx(loopback());
   const GateSpec spec = majority_spec(3, 2);
   const GateLayout layout = fx.designer.design(spec);
@@ -765,35 +822,279 @@ TEST(EvalServer, PipelinedTaggedRequestsCompleteOutOfOrder) {
             tag * kShardWords * kSlots, kShardWords * kSlots));
     append_frame_message(burst, view, tag);
   }
-  conn.send_all(burst, 5000ms);
-
-  std::vector<bool> seen(kDepth, false);
-  for (std::size_t i = 0; i < kDepth; ++i) {
-    auto message = recv_message(conn, 60000ms);
-    ASSERT_TRUE(message.has_value());
-    ASSERT_EQ(message->kind, MessageKind::kFrame);
-    const std::uint64_t tag = message->tag;
-    ASSERT_LT(tag, kDepth);
-    EXPECT_FALSE(seen[tag]) << "tag " << tag << " answered twice";
-    seen[tag] = true;
-    const auto frame = sw::serve::decode_frame(message->payload);
-    EXPECT_EQ(frame.kind, sw::serve::FrameKind::kResponse);
-    EXPECT_EQ(frame.word_offset, tag * kShardWords);
-    EXPECT_EQ(frame.num_words, kShardWords);
-    const std::vector<std::uint8_t> slice(
-        expected.begin() + static_cast<std::ptrdiff_t>(
-                               tag * kShardWords * channels),
-        expected.begin() + static_cast<std::ptrdiff_t>(
-                               (tag + 1) * kShardWords * channels));
-    EXPECT_EQ(frame.matrix, slice) << "wrong bits for tag " << tag;
-  }
-  for (std::size_t tag = 0; tag < kDepth; ++tag) {
-    EXPECT_TRUE(seen[tag]) << "tag " << tag << " never answered";
+  for (int round = 0; round < 2; ++round) {
+    conn.send_all(burst, 5000ms);
+    std::vector<bool> seen(kDepth, false);
+    for (std::size_t i = 0; i < kDepth; ++i) {
+      auto message = recv_message(conn, 60000ms);
+      ASSERT_TRUE(message.has_value());
+      ASSERT_EQ(message->kind, MessageKind::kFrame);
+      const std::uint64_t tag = message->tag;
+      ASSERT_LT(tag, kDepth);
+      EXPECT_FALSE(seen[tag]) << "tag " << tag << " answered twice";
+      seen[tag] = true;
+      const auto frame = sw::serve::decode_frame(message->payload);
+      EXPECT_EQ(frame.kind, sw::serve::FrameKind::kResponse);
+      EXPECT_EQ(frame.word_offset, tag * kShardWords);
+      EXPECT_EQ(frame.num_words, kShardWords);
+      const std::vector<std::uint8_t> slice(
+          expected.begin() + static_cast<std::ptrdiff_t>(
+                                 tag * kShardWords * channels),
+          expected.begin() + static_cast<std::ptrdiff_t>(
+                                 (tag + 1) * kShardWords * channels));
+      EXPECT_EQ(frame.matrix, slice)
+          << "wrong bits for tag " << tag << " in round " << round;
+    }
+    for (std::size_t tag = 0; tag < kDepth; ++tag) {
+      EXPECT_TRUE(seen[tag]) << "tag " << tag << " never answered";
+    }
   }
   const auto counters = fx.server.counters();
-  EXPECT_EQ(counters.frames_received, kDepth);
-  EXPECT_EQ(counters.responses_sent, kDepth);
+  EXPECT_EQ(counters.frames_received, 2 * kDepth);
+  EXPECT_EQ(counters.responses_sent, 2 * kDepth);
   EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
+  // The Designer runs on the event thread (a v2 layout miss), so the
+  // thread it last ran on names the event thread. A warm small frame is
+  // evaluated there; a cold frame (the plan is built first) and a warm
+  // frame whose kernel work passes kMaxInlineWork go to a service worker.
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model(wg);
+  const InlineGateDesigner designer(model);
+  std::mutex mutex;
+  std::thread::id event_thread;
+  std::vector<std::thread::id> evaluated_on;  // per request, in start order
+  sw::serve::ServiceOptions options;
+  options.on_request_start = [&](std::uint64_t) {
+    std::lock_guard<std::mutex> lock(mutex);
+    evaluated_on.push_back(std::this_thread::get_id());
+  };
+  sw::serve::EvaluatorService service(model, wg.material.alpha, options);
+  EvalServer server(
+      service,
+      [&](const GateSpec& spec) {
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          event_thread = std::this_thread::get_id();
+        }
+        return designer.design(spec);
+      },
+      loopback());
+
+  const GateLayout layout = designer.design(majority_spec(3, 4));
+  const WaveEngine engine(model, wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  // One 4-channel 3-input word costs 12 contributions.
+  constexpr std::size_t kSmall = 24;
+  constexpr std::size_t kLarge = 4096;
+  ASSERT_LE(kSmall * 12, sw::serve::EvaluatorService::kMaxInlineWork);
+  ASSERT_GT(kLarge * 12, sw::serve::EvaluatorService::kMaxInlineWork);
+
+  auto conn = Connection::connect(server.local_endpoint(), 2000ms);
+  std::uint64_t tag = 0;
+  for (const std::size_t words : {kSmall, kSmall, kLarge, kSmall}) {
+    const auto matrix = random_matrix(words, 12, static_cast<unsigned>(++tag));
+    send_frame(conn,
+               sw::serve::make_request_view(
+                   layout.spec, sw::serve::hash_layout(layout), 0, words,
+                   matrix),
+               tag);
+    const auto reply = recv_message(conn, 60000ms);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->kind, MessageKind::kFrame);
+    EXPECT_EQ(reply->tag, tag);
+    EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix,
+              evaluator.evaluate_bits(words, matrix))
+        << "request " << tag;
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(evaluated_on.size(), 4u);
+  EXPECT_NE(evaluated_on[0], event_thread) << "cold: built on the pool";
+  EXPECT_EQ(evaluated_on[1], event_thread) << "warm and small: inline";
+  EXPECT_NE(evaluated_on[2], event_thread) << "warm but large: pooled";
+  EXPECT_EQ(evaluated_on[3], event_thread) << "warm and small: inline";
+}
+
+TEST(EvalServer, ShedsAWarmSmallFrameWithATaggedOverloadReply) {
+  // A frame that would run inline still passes admission first: with a
+  // large request holding the words budget on the (single) worker, a warm
+  // small frame is shed with a kOverload reply carrying its tag, and the
+  // connection keeps serving once the budget frees.
+  constexpr std::size_t kSmall = 24;
+  constexpr std::size_t kLarge = 4096;  // 2-channel 3-input: pooled
+  std::atomic<const sw::serve::EvaluatorService*> service{nullptr};
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  std::atomic<bool> large_started{false};
+  sw::serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.admission.policy = sw::serve::OverloadPolicy::kShed;
+  options.admission.max_inflight_words = 64;
+  options.on_request_start = [&](std::uint64_t) {
+    if (service.load()->stats().inflight_words < kLarge) return;
+    large_started.store(true);
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait_for(lock, 60s, [&] { return gate_open; });
+  };
+  ServerFixture fx(loopback(), std::move(options));
+  service.store(&fx.service);
+  const GateLayout layout = fx.designer.design(majority_spec(3, 2));
+  const std::uint64_t hash = sw::serve::hash_layout(layout);
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto small = random_matrix(kSmall, 6, 51);
+  const auto large = random_matrix(kLarge, 6, 53);
+  const auto send = [&](Connection& conn, std::uint64_t tag,
+                        std::size_t words,
+                        const std::vector<std::uint8_t>& matrix) {
+    send_frame(conn,
+               sw::serve::make_request_view(layout.spec, hash, 0, words, matrix),
+               tag);
+  };
+  const auto expect_frame = [&](Connection& conn, std::uint64_t tag,
+                                std::size_t words,
+                                const std::vector<std::uint8_t>& matrix) {
+    const auto reply = recv_message(conn, 60000ms);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->kind, MessageKind::kFrame);
+    EXPECT_EQ(reply->tag, tag);
+    EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix,
+              evaluator.evaluate_bits(words, matrix));
+  };
+
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  send(conn, 1, kSmall, small);  // warms the plan
+  expect_frame(conn, 1, kSmall, small);
+  send(conn, 2, kLarge, large);  // admitted alone, then held on the worker
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  while (!large_started.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(large_started.load());
+
+  send(conn, 3, kSmall, small);
+  const auto shed = recv_message(conn, 60000ms);
+  ASSERT_TRUE(shed.has_value());
+  ASSERT_EQ(shed->kind, MessageKind::kError);
+  EXPECT_EQ(shed->tag, 3u);
+  EXPECT_EQ(decode_error_message(*shed).code, ErrorCode::kOverload);
+
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  expect_frame(conn, 2, kLarge, large);
+  send(conn, 4, kSmall, small);  // same connection, budget free: inline
+  expect_frame(conn, 4, kSmall, small);
+  EXPECT_EQ(fx.server.counters().overloads, 1u);
+  EXPECT_EQ(fx.service.stats().shed, 1u);
+}
+
+TEST(EvalServer, InlineEvaluationsYieldToOtherConnectionsEachTurn) {
+  // Every inline evaluation holds the event thread. Connection A
+  // pipelines a burst of warm small frames in one write; B sends one
+  // frame while A's first evaluation is held. A gets at most
+  // max_inflight_per_connection inline evaluations per turn, so B's frame
+  // must start within two turns' worth — not after A's whole burst. A and
+  // B send different word counts, which the hook reads off the service's
+  // in-flight words.
+  constexpr std::size_t kBound = 4;
+  constexpr std::size_t kBurst = 32;
+  constexpr std::size_t kWordsA = 24;
+  constexpr std::size_t kWordsB = 40;
+  std::atomic<const sw::serve::EvaluatorService*> service{nullptr};
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool armed = false;
+  bool b_sent = false;
+  std::vector<std::size_t> order;  // in-flight words at each start, armed
+  sw::serve::ServiceOptions options;
+  options.on_request_start = [&](std::uint64_t) {
+    const std::size_t words = service.load()->stats().inflight_words;
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!armed) return;
+    order.push_back(words);
+    if (order.size() == 1) cv.wait_for(lock, 60s, [&] { return b_sent; });
+  };
+  EvalServerOptions server_options;
+  server_options.max_inflight_per_connection = kBound;
+  ServerFixture fx(loopback(), std::move(options), server_options);
+  service.store(&fx.service);
+  const GateLayout layout = fx.designer.design(majority_spec(3, 2));
+  const std::uint64_t hash = sw::serve::hash_layout(layout);
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto matrix_a = random_matrix(kWordsA, 6, 61);
+  const auto matrix_b = random_matrix(kWordsB, 6, 63);
+  const auto expected_a = evaluator.evaluate_bits(kWordsA, matrix_a);
+  const auto expected_b = evaluator.evaluate_bits(kWordsB, matrix_b);
+  const auto frame = [&](std::size_t words,
+                         const std::vector<std::uint8_t>& matrix) {
+    return sw::serve::make_request_view(layout.spec, hash, 0, words, matrix);
+  };
+
+  // Warm the plan (and both connections) before arming the hook.
+  auto conn_a = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  auto conn_b = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  for (Connection* conn : {&conn_a, &conn_b}) {
+    send_frame(*conn, frame(kWordsA, matrix_a), 0);
+    ASSERT_TRUE(recv_message(*conn, 60000ms).has_value());
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    armed = true;
+  }
+  std::vector<std::uint8_t> burst;
+  for (std::size_t tag = 1; tag <= kBurst; ++tag) {
+    append_frame_message(burst, frame(kWordsA, matrix_a), tag);
+  }
+  conn_a.send_all(burst, 5000ms);
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!order.empty()) break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "A's burst never started";
+    std::this_thread::sleep_for(1ms);
+  }
+  send_frame(conn_b, frame(kWordsB, matrix_b), 100);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    b_sent = true;
+  }
+  cv.notify_all();
+
+  const auto reply_b = recv_message(conn_b, 60000ms);
+  ASSERT_TRUE(reply_b.has_value());
+  ASSERT_EQ(reply_b->kind, MessageKind::kFrame);
+  EXPECT_EQ(reply_b->tag, 100u);
+  EXPECT_EQ(sw::serve::decode_frame(reply_b->payload).matrix, expected_b);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto reply = recv_message(conn_a, 60000ms);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->kind, MessageKind::kFrame);
+    EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix, expected_a);
+  }
+
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(order.size(), kBurst + 1);
+  const auto b_at = std::find(order.begin(), order.end(), kWordsB);
+  ASSERT_NE(b_at, order.end());
+  EXPECT_LE(static_cast<std::size_t>(b_at - order.begin()) + 1, 2 * kBound)
+      << "B's frame waited behind A's burst";
+  EXPECT_EQ(std::count(order.begin(), order.end(), kWordsA),
+            static_cast<std::ptrdiff_t>(kBurst));
+  // Yielding is not back-pressure.
+  EXPECT_EQ(fx.server.counters().backpressure_pauses, 0u);
 }
 
 TEST(EvalServer, ServesTrickledAndChunkStraddlingFrames) {
@@ -1203,7 +1504,11 @@ class FaultyWorker {
   }
 
   ~FaultyWorker() {
-    listener_.close();
+    // Closing the listener wakes a serve() still waiting in accept(). Once
+    // accept() has returned, serve() never touches the listener again and
+    // ends on the coordinator's EOF, so it is joined first: closing under
+    // it would race accept()'s read of the descriptor.
+    if (!accept_returned_.load()) listener_.close();
     if (thread_.joinable()) thread_.join();
   }
 
@@ -1218,6 +1523,7 @@ class FaultyWorker {
  private:
   void serve() {
     auto conn = listener_.accept(30000ms);
+    accept_returned_.store(true);
     if (!conn) return;
     try {
       // A conforming protocol-v2 peer: requests are answered in arrival
@@ -1252,6 +1558,7 @@ class FaultyWorker {
   Mode mode_;
   std::chrono::milliseconds delay_;
   std::atomic<bool> got_request_{false};
+  std::atomic<bool> accept_returned_{false};
   Listener listener_;
   WaveEngine engine_;
   DataParallelGate gate_;
@@ -1461,6 +1768,61 @@ TEST(SweepCoordinator, CompletesWithAWorkerThatNeverAnswers) {
       << "the live worker should have retired every shard";
 }
 
+TEST(SweepCoordinator, StalledWorkerGetsAShardInEverySweep) {
+  // No gated_on hook: nothing holds the live worker back. The sweep is two
+  // small shards, one window's worth, so the coordinator thread that opens
+  // the start barrier (the last to connect, usually the last listed) could
+  // claim both before the other thread wakes. The barrier therefore sets a
+  // first shard aside for every connected worker: in every sweep, with the
+  // stalled worker listed first or second, it must be sent a shard, and
+  // that shard re-sharded to the live worker.
+  constexpr std::size_t kWords = 32;
+  constexpr std::size_t kShardWords = 16;
+  const GateSpec spec = majority_spec(3, SmallSweep::kChannels);
+  ServerFixture live(loopback());
+  const GateLayout layout = live.designer.design(spec);
+  const auto matrix = random_matrix(kWords, SmallSweep::kSlots, 41);
+  const WaveEngine engine(live.model, live.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto expected = evaluator.evaluate_bits(kWords, matrix);
+
+  constexpr int kSweeps = 20;
+  for (int sweep = 0; sweep < kSweeps; ++sweep) {
+    // A stalled worker serves one connection, so each sweep gets its own.
+    FaultyWorker stalled(FaultyWorker::Mode::kStalled, 0ms, layout,
+                         live.model, live.wg.material.alpha);
+    sw::obs::TraceRecorder recorder(64);
+    SweepOptions options;
+    options.shard_words = kShardWords;
+    // Long enough that a coordinator thread woken late by a loaded host
+    // still sends its reserved shard before the live worker may copy it.
+    options.straggler_deadline = 100ms;
+    options.poll_tick = 5ms;
+    options.recorder = &recorder;
+    const std::size_t stalled_index = sweep % 2;
+    std::vector<Endpoint> workers{live.server.local_endpoint()};
+    workers.insert(workers.begin() + static_cast<std::ptrdiff_t>(stalled_index),
+                   stalled.endpoint());
+    SweepCoordinator coordinator(workers, options);
+    SweepReport report;
+    const auto merged = coordinator.run(layout, matrix, kWords, &report);
+
+    EXPECT_EQ(merged, expected) << "sweep " << sweep;
+    const auto traces = recorder.snapshot();
+    EXPECT_TRUE(std::any_of(traces.begin(), traces.end(),
+                            [&](const sw::obs::TraceContext& t) {
+                              return t.track == stalled_index &&
+                                     t.phase_ns(
+                                         sw::obs::Phase::kShardSend) > 0;
+                            }))
+        << "sweep " << sweep << ": the stalled worker was sent no shard";
+    EXPECT_GE(report.resharded, 1u) << "sweep " << sweep;
+    EXPECT_EQ(report.shards_per_worker[1 - stalled_index], report.shards)
+        << "sweep " << sweep;
+  }
+}
+
 TEST(SweepCoordinator, DivergentDuplicateAborts) {
   const GateSpec spec = majority_spec(3, SmallSweep::kChannels);
   std::atomic<const FaultyWorker*> faulty{nullptr};
@@ -1570,6 +1932,51 @@ TEST(SweepCoordinator, AbortsWhenEveryWorkerIsUnreachable) {
     EXPECT_NE(std::string(e.what()).find("all sweep workers failed"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(SweepCoordinator, UnreachableWorkerLeavesNoShardInFlight) {
+  // A worker whose connect fails counts toward the start barrier a moment
+  // before it is marked dead, so the live worker's thread may open the
+  // barrier in between and set a first shard aside for it. That shard
+  // must return to the pending pool rather than wait out the straggler
+  // deadline: with one live worker no sweep may re-shard.
+  constexpr std::size_t kWords = 64;
+  const GateSpec spec = majority_spec(3, SmallSweep::kChannels);
+  ServerFixture live(loopback());
+  const GateLayout layout = live.designer.design(spec);
+  const auto matrix = random_matrix(kWords, SmallSweep::kSlots, 43);
+  const WaveEngine engine(live.model, live.wg.material.alpha);
+  const DataParallelGate gate(layout, engine);
+  const BatchEvaluator evaluator(gate);
+  const auto expected = evaluator.evaluate_bits(kWords, matrix);
+
+  std::uint16_t dead_port;
+  {
+    Listener listener(loopback());
+    dead_port = listener.local_endpoint().port;
+  }
+  const Endpoint unreachable =
+      Endpoint::parse("tcp:127.0.0.1:" + std::to_string(dead_port));
+  constexpr int kSweeps = 20;
+  for (int sweep = 0; sweep < kSweeps; ++sweep) {
+    SweepOptions options;
+    options.shard_words = 16;
+    options.connect_timeout = 0ms;  // fail on the first refusal, no retry
+    options.poll_tick = 1ms;
+    const std::size_t dead_index = sweep % 2;
+    std::vector<Endpoint> workers{live.server.local_endpoint()};
+    workers.insert(workers.begin() + static_cast<std::ptrdiff_t>(dead_index),
+                   unreachable);
+    SweepCoordinator coordinator(workers, options);
+    SweepReport report;
+    const auto merged = coordinator.run(layout, matrix, kWords, &report);
+
+    EXPECT_EQ(merged, expected) << "sweep " << sweep;
+    EXPECT_EQ(report.dead_workers, 1u) << "sweep " << sweep;
+    EXPECT_EQ(report.resharded, 0u) << "sweep " << sweep;
+    EXPECT_EQ(report.shards_per_worker[1 - dead_index], report.shards)
+        << "sweep " << sweep;
   }
 }
 
