@@ -180,6 +180,35 @@ std::vector<std::uint8_t> run_aos_reference(
   return out;
 }
 
+/// The column kernel's own rate on a packed sweep, without the row edges:
+/// the rows become bit-sliced columns once, outside the timing, and only
+/// Kernel::eval_bits is timed. Printed under each row-API line with the
+/// kernel's input plus output bytes per word, (slots + channels) / 8, so
+/// the split between edge and kernel stays visible. The floors below stay
+/// on the row API.
+void print_column_kernel(const wavesim::kernels::Kernel& kernel,
+                         const wavesim::EvalPlan& plan,
+                         const std::vector<std::uint8_t>& packed,
+                         std::size_t num_words) {
+  const std::size_t slots = plan.slot_count();
+  const std::size_t stride = wavesim::kernels::column_words(num_words);
+  std::vector<std::uint64_t> columns((slots + plan.num_channels()) * stride);
+  kernel.to_columns(packed.data(), slots, num_words, slots, columns.data(),
+                    stride);
+  std::vector<const std::uint64_t*> inputs(slots);
+  for (std::size_t j = 0; j < slots; ++j) {
+    inputs[j] = columns.data() + j * stride;
+  }
+  std::uint64_t* outputs = columns.data() + slots * stride;
+  const double seconds = bench::best_of_three_seconds([&] {
+    kernel.eval_bits(plan, inputs.data(), num_words, outputs, stride);
+  });
+  std::printf("  column kernel only : %8.2f ms  (%10.0f words/s, %.0f bytes "
+              "per word in + out)\n",
+              seconds * 1e3, static_cast<double>(num_words) / seconds,
+              static_cast<double>(slots + plan.num_channels()) / 8.0);
+}
+
 void run_kernel_experiment(bench::BenchJson& json) {
   const auto& s = setup();
   // Single inline thread: kernel-vs-kernel, no pool fan-out in the ratio.
@@ -241,6 +270,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
               aos_s * 1e3, words / aos_s);
   std::printf("scalar SoA kernel    : %8.1f ms  (%10.0f words/s, %.2fx)\n",
               scalar_s * 1e3, words / scalar_s, aos_s / scalar_s);
+  print_column_kernel(scalar, plan, packed, num_words);
   json.add("exhaustive_2^16_sweep", "aos_reference", "f64", words / aos_s);
   json.add("exhaustive_2^16_sweep", "scalar", "f64", words / scalar_s);
   // The portable acceptance bar: the scalar-kernel fallback must not be
@@ -270,6 +300,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
   std::printf("scalar SoA f32       : %8.1f ms  (%10.0f words/s, %.2fx)\n",
               f32_scalar_s * 1e3, words / f32_scalar_s,
               aos_s / f32_scalar_s);
+  print_column_kernel(scalar, evaluator_f32.plan(), packed, num_words);
   json.add("exhaustive_2^16_sweep", "scalar", "f32", words / f32_scalar_s);
 
   double f32_avx2_s = 0.0;  // the avx512 section compares against this
@@ -281,6 +312,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
                "AVX2 kernel diverged from the scalar kernel decode");
     std::printf("AVX2 SoA kernel      : %8.1f ms  (%10.0f words/s, %.2fx)\n",
                 simd_s * 1e3, words / simd_s, aos_s / simd_s);
+    print_column_kernel(*avx2, plan, packed, num_words);
     json.add("exhaustive_2^16_sweep", "avx2", "f64", words / simd_s);
     // Raised floor, applied only where the host verifiably runs AVX2: the
     // SIMD kernel at >= 2x the PR 2 AoS words/s (the acceptance bar).
@@ -299,6 +331,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
                 "%.2fx over f64 AVX2)\n",
                 f32_simd_s * 1e3, words / f32_simd_s, aos_s / f32_simd_s,
                 simd_s / f32_simd_s);
+    print_column_kernel(*avx2, evaluator_f32.plan(), packed, num_words);
     json.add("exhaustive_2^16_sweep", "avx2", "f32", words / f32_simd_s);
     SW_REQUIRE(simd_s / f32_simd_s >= 1.5,
                "f32 AVX2 kernel below 1.5x the f64 AVX2 kernel");
@@ -317,6 +350,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
                "AVX-512 kernel diverged from the scalar kernel decode");
     std::printf("AVX-512 SoA kernel   : %8.1f ms  (%10.0f words/s, %.2fx)\n",
                 simd512_s * 1e3, words / simd512_s, aos_s / simd512_s);
+    print_column_kernel(*avx512, plan, packed, num_words);
     json.add("exhaustive_2^16_sweep", "avx512", "f64", words / simd512_s);
     SW_REQUIRE(aos_s / simd512_s >= 2.0,
                "AVX-512 kernel below 2x the AoS baseline on an AVX-512 host");
@@ -335,6 +369,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
       std::printf(", %.2fx over f32 AVX2", f32_avx2_s / f32_simd512_s);
     }
     std::printf(")\n");
+    print_column_kernel(*avx512, evaluator_f32.plan(), packed, num_words);
     json.add("exhaustive_2^16_sweep", "avx512", "f32", words / f32_simd512_s);
     // The acceptance bar of the AVX-512 PR: the 16-wide f32 kernel at
     // >= 1.5x the AVX2 f32 words/s on the same sweep. Both sides are timed

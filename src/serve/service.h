@@ -162,10 +162,12 @@ class EvaluatorService {
   /// event thread, the serial stage. So the bound is set against that
   /// thread's CPU: the pool hop an inline request skips (queue post and
   /// wake, completion drain) cost it ~5-7 us per request on a 4-vCPU
-  /// AVX-512 VM, and at ~0.5 ns per contribution-word the kernel costs as
-  /// much at ~10-14k. This bound, a ~4 us kernel, stays below that. The
-  /// benchmark covers only the two ends: a 24-word request on an
-  /// 8-channel 3..7-input gate (576..1344) runs inline, and a 4096-word
+  /// AVX-512 VM. The column kernels cost ~0.17 ns per contribution-word
+  /// there (AVX-512, f64, 341 words of the 3-input gate, edges included),
+  /// so this bound is a ~1.4 us kernel and the hop would only match the
+  /// kernel at ~30-40k; the bound stays until a mid-size workload can
+  /// retune it. The benchmark covers only the two ends: a 24-word request
+  /// on an 8-channel 3..7-input gate (576..1344) runs inline, and a 4096-word
   /// shard on the 3-input one (98,304) stays pooled. In between, only
   /// one-off runs with larger requests checked it: inline gave 1.4x the
   /// pooled words/s at 4.6k..10.8k, and about the same at 9.2k..21.5k.

@@ -15,17 +15,26 @@
 // and every kernel preserves the scalar per-detector accumulation order
 // word by word.
 //
+// The kernels decode bit-sliced columns (kernels/kernel.h), and
+// evaluate_bits keeps its row-major byte API by converting at the edge:
+// block by block (1024 words), the kernel's to_columns turns the caller's
+// rows into one column per slot, eval_bits writes one column per channel,
+// and to_rows writes those back as the caller's result rows. Pool chunks
+// split at whole 64-word column u64s. EvalProgram uses the same edge
+// converter and kernel entry, only at the ends of its cascade.
+//
 // Precision: BatchOptions::precision (default kAuto -> SW_EVAL_PRECISION /
 // f64) asks for the single-precision plan variant on the packed
 // evaluate_bits path — twice the words per register — which the plan
 // grants *per detector* after its build-time margin analysis proves no
-// decode can flip (see EvalPlan): all proved runs the pure f32 kernel
-// entry, a mix runs the block-f32 entry (f32 for the proved run, f64
-// rescue lanes for the rest), none proved transparently runs the double
-// arrays and effective_precision() says so. The ChannelResult paths always
-// accumulate in double: phase/amplitude/margin are analog readouts.
+// decode can flip (see EvalPlan): the proved detectors accumulate in f32,
+// the rest in f64, within the kernel's one eval_bits; with none proved the
+// plan is the double plan and effective_precision() says so. The
+// ChannelResult paths always accumulate in double: phase/amplitude/margin
+// are analog readouts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -136,5 +145,37 @@ class BatchEvaluator {
   std::shared_ptr<const EvalPlan> plan_;
   mutable sw::util::ThreadPool pool_;
 };
+
+namespace detail {
+
+/// The block loop of BatchEvaluator::evaluate_bits and EvalProgram: splits
+/// words [0, num_words) across `pool` at whole 64-word column u64s, so no
+/// two threads write one u64. Each chunk gets one zeroed table of
+/// `num_columns` columns of `stride` u64s (at most
+/// kernels::kBlockColumnWords, column k at columns + k * stride) and room
+/// for `num_inputs` slot pointers, both reused by each of its blocks, and
+/// block(begin, end, columns, stride, inputs) runs once per block of at
+/// most stride * 64 words.
+template <typename Block>
+void for_each_block(sw::util::ThreadPool& pool, std::size_t num_words,
+                    std::size_t num_columns, std::size_t num_inputs,
+                    const Block& block) {
+  pool.parallel_for(
+      kernels::column_words(num_words),
+      [&](std::size_t first_group, std::size_t last_group) {
+        const std::size_t stride =
+            std::min(kernels::kBlockColumnWords, last_group - first_group);
+        std::vector<std::uint64_t> columns(num_columns * stride);
+        std::vector<const std::uint64_t*> inputs(num_inputs);
+        const std::size_t end = std::min(last_group * 64, num_words);
+        for (std::size_t begin = first_group * 64; begin < end;
+             begin += stride * 64) {
+          block(begin, std::min(begin + stride * 64, end), columns.data(),
+                stride, inputs.data());
+        }
+      });
+}
+
+}  // namespace detail
 
 }  // namespace sw::wavesim

@@ -31,8 +31,8 @@
 //   * a mix -> a *block-f32* plan: detectors are partitioned at build time
 //     into two contiguous runs — the proved detectors first (served by f32
 //     accumulation over the float mirrors), the rejected ones after (served
-//     by f64 "rescue lanes" over the double arrays) — so the kernels' mixed
-//     entry point runs two branch-free loops instead of a per-detector
+//     by f64 "rescue lanes" over the double arrays) — so the kernels'
+//     eval_bits runs two branch-free loops instead of a per-detector
 //     precision branch. detector_results() maps each plan-order detector
 //     back to its original layout position for the ChannelResult paths.
 //
@@ -130,8 +130,8 @@ class EvalPlan {
   Precision effective_precision() const {
     return has_f32() ? Precision::kFloat32 : Precision::kFloat64;
   }
-  /// True iff every detector passed the margin proof (pure f32 plan; the
-  /// kernels' eval_bits_f32 entry is legal on the whole plan).
+  /// True iff every detector passed the margin proof (pure f32 plan: the
+  /// kernels' eval_bits accumulates every detector in f32).
   bool has_f32() const {
     return requested_ == Precision::kFloat32 &&
            num_f32_detectors_ == num_detectors();
@@ -144,8 +144,8 @@ class EvalPlan {
   /// plan-order indices [num_f32_detectors(), num_detectors()). 0 when f32
   /// was never requested (nothing was rescued).
   std::size_t num_f64_rescue_detectors() const { return num_rescue_; }
-  /// A genuine mix: some detectors f32, some rescued. Selects the kernels'
-  /// eval_bits_mixed entry point.
+  /// A genuine mix: some detectors f32, some rescued; the kernels'
+  /// eval_bits runs both.
   bool is_block() const { return num_f32_detectors_ > 0 && num_rescue_ > 0; }
 
   /// Human-readable precision mix: "f64", "f32", or "block-f32(7/8)" —

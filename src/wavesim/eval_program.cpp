@@ -1,9 +1,7 @@
 #include "wavesim/eval_program.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -13,70 +11,11 @@ namespace sw::wavesim {
 
 namespace {
 
-/// Words per fused sub-block: sized so one block's slot matrix plus every
-/// stage's output bits stay within L2 while still amortising the per-stage
-/// kernel call over enough words for the SIMD lanes to matter.
-constexpr std::size_t kBlockWords = 1024;
-
 std::uint64_t stage_clock_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// dst[c * dst_stride + r] = src[r * src_stride + c] for r < rows,
-/// c < cols. Whole 8x8 byte tiles move as eight u64 rows transposed in
-/// registers (three rounds of masked swaps: 4x4, 2x2, then 1x1 blocks), so
-/// a tile costs eight loads and eight stores instead of 64 byte moves.
-void transpose_bytes(const std::uint8_t* src, std::size_t src_stride,
-                     std::size_t rows, std::size_t cols, std::uint8_t* dst,
-                     std::size_t dst_stride) {
-  const auto scalar = [&](std::size_t r0, std::size_t r1, std::size_t c0,
-                          std::size_t c1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        dst[c * dst_stride + r] = src[r * src_stride + c];
-      }
-    }
-  };
-  // The register rounds assume byte k of a row sits in bits 8k..8k+7.
-  if constexpr (std::endian::native != std::endian::little) {
-    scalar(0, rows, 0, cols);
-    return;
-  }
-  const std::size_t rows8 = rows & ~std::size_t{7};
-  const std::size_t cols8 = cols & ~std::size_t{7};
-  for (std::size_t r0 = 0; r0 < rows8; r0 += 8) {
-    for (std::size_t c0 = 0; c0 < cols8; c0 += 8) {
-      std::uint64_t x[8];
-      for (std::size_t i = 0; i < 8; ++i) {
-        std::memcpy(&x[i], src + (r0 + i) * src_stride + c0, 8);
-      }
-      for (std::size_t i = 0; i < 4; ++i) {
-        const std::uint64_t t = ((x[i] >> 32) ^ x[i + 4]) & 0xFFFFFFFFull;
-        x[i] ^= t << 32;
-        x[i + 4] ^= t;
-      }
-      for (const std::size_t i : {0, 1, 4, 5}) {
-        const std::uint64_t t =
-            ((x[i] >> 16) ^ x[i + 2]) & 0x0000FFFF0000FFFFull;
-        x[i] ^= t << 16;
-        x[i + 2] ^= t;
-      }
-      for (const std::size_t i : {0, 2, 4, 6}) {
-        const std::uint64_t t =
-            ((x[i] >> 8) ^ x[i + 1]) & 0x00FF00FF00FF00FFull;
-        x[i] ^= t << 8;
-        x[i + 1] ^= t;
-      }
-      for (std::size_t i = 0; i < 8; ++i) {
-        std::memcpy(dst + (c0 + i) * dst_stride + r0, &x[i], 8);
-      }
-    }
-  }
-  scalar(0, rows8, cols8, cols);
-  scalar(rows8, rows, 0, cols);
 }
 
 /// The one-stage program of a single gate: slot j reads primary column j.
@@ -94,28 +33,6 @@ ProgramSpec identity_program(const sw::core::GateSpec& gate) {
 }
 
 }  // namespace
-
-/// One pool chunk's block buffers, carved from a single uninitialised
-/// allocation: every byte is written before it is read.
-struct EvalProgram::BlockScratch {
-  BlockScratch(std::size_t block_words, std::size_t max_slots,
-               std::size_t primary_slots, std::size_t stage_outputs)
-      : storage(std::make_unique_for_overwrite<std::uint8_t[]>(
-            block_words *
-            (2 * max_slots + primary_slots + 2 * stage_outputs))),
-        slots(storage.get()),
-        columns(slots + block_words * max_slots),
-        primary(columns + block_words * max_slots),
-        stage_out(primary + block_words * primary_slots),
-        stage_cols(stage_out + block_words * stage_outputs) {}
-
-  std::unique_ptr<std::uint8_t[]> storage;
-  std::uint8_t* slots;       ///< words x stage slots: the kernel's input
-  std::uint8_t* columns;     ///< stage slots x words: the same, slot-major
-  std::uint8_t* primary;     ///< primary slots x words: the block's input
-  std::uint8_t* stage_out;   ///< per stage, words x channels (kernel output)
-  std::uint8_t* stage_cols;  ///< per stage, channels x words
-};
 
 std::size_t ProgramSpec::depth() const {
   std::vector<std::size_t> d(stages.size(), 0);
@@ -205,7 +122,39 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
     max_slots_ = std::max(max_slots_, stages_.back()->plan().slot_count());
   }
   depth_ = spec_.depth();
-  identity_ = spec_ == identity_program(spec_.stages.front().gate);
+
+  // The block's column table and where each stage slot reads in it.
+  const std::size_t n = num_channels();
+  const std::size_t prim = num_primary_slots();
+  const std::size_t zeros = prim + stages_.size() * n;
+  const std::size_t ones = zeros + 1;
+  std::size_t copies = 0;
+  for (const StageSpec& stage : spec_.stages) {
+    slot_begin_.push_back(slot_columns_.size());
+    negation_begin_.push_back(negations_.size());
+    std::size_t stage_copies = 0;
+    for (const SlotSource& src : stage.sources) {
+      const bool one = src.kind == SlotSource::Kind::kOne;
+      std::size_t column;
+      if (one || src.kind == SlotSource::Kind::kZero) {
+        // A pinned transducer: negating it pins the other phase.
+        column = one != src.negated ? ones : zeros;
+      } else {
+        column = src.kind == SlotSource::Kind::kPrimary
+                     ? src.index
+                     : prim + src.stage * n + src.index;
+        if (src.negated) {
+          negations_.emplace_back(ones + 1 + stage_copies, column);
+          column = ones + 1 + stage_copies++;
+        }
+      }
+      slot_columns_.push_back(column);
+    }
+    copies = std::max(copies, stage_copies);
+  }
+  slot_begin_.push_back(slot_columns_.size());
+  negation_begin_.push_back(negations_.size());
+  num_columns_ = ones + 1 + copies;
 }
 
 EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
@@ -237,64 +186,46 @@ std::string EvalProgram::precision_label() const {
   return label;
 }
 
-void EvalProgram::eval_range(const kernels::Kernel& kernel,
-                             std::span<const std::uint8_t> bits,
-                             std::size_t begin, std::size_t end,
-                             BlockScratch& scratch,
+void EvalProgram::eval_block(const kernels::Kernel& kernel,
+                             const std::uint8_t* bits, std::size_t begin,
+                             std::size_t end, std::uint64_t* columns,
+                             std::size_t stride, const std::uint64_t** inputs,
+                             std::uint8_t* out, std::size_t out_cols,
+                             std::size_t first_out,
                              StageTimings* timings) const {
-  const std::size_t block = end - begin;
+  const std::size_t words = end - begin;
   const std::size_t n = num_channels();
   const std::size_t prim = num_primary_slots();
-  // The gather works slot-major: with the block's primary matrix and every
-  // stage's outputs transposed to one contiguous column per slot or
-  // channel, each input slot's word loop is a plain fill or an XORed copy.
-  // The primary transpose is charged to stage 0.
+  const auto column = [&](std::size_t k) { return columns + k * stride; };
+  // The zero column stays as the scratch was allocated; the ones column
+  // follows it.
+  std::fill_n(column(prim + stages_.size() * n + 1), stride,
+              ~std::uint64_t{0});
+  // The primary rows become columns once per block, charged to stage 0.
   std::uint64_t stage_start = timings ? stage_clock_ns() : 0;
-  transpose_bytes(bits.data() + begin * prim, prim, block, prim,
-                  scratch.primary, block);
+  kernel.to_columns(bits + begin * prim, prim, words, prim, columns, stride);
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const EvalPlan& plan = stages_[s]->plan();
-    const auto& sources = spec_.stages[s].sources;
-    const std::size_t slots = plan.slot_count();
-    // Gather: re-encode this stage's drive bits from constants, primary
-    // columns and earlier stages' decoded verdicts, one slot at a time —
-    // the source kind is decided once per slot, not per word. A negated
-    // source is one XOR — the physical drive-phase flip costs nothing here
-    // either.
-    for (std::size_t j = 0; j < slots; ++j) {
-      const SlotSource& src = sources[j];
-      const auto flip = static_cast<std::uint8_t>(src.negated ? 1 : 0);
-      std::uint8_t* col = scratch.columns + j * block;
-      switch (src.kind) {
-        case SlotSource::Kind::kZero:
-        case SlotSource::Kind::kOne:
-          std::memset(col, (src.kind == SlotSource::Kind::kOne ? 1 : 0) ^ flip,
-                      block);
-          break;
-        case SlotSource::Kind::kPrimary: {
-          const std::uint8_t* in = scratch.primary + src.index * block;
-          for (std::size_t w = 0; w < block; ++w) {
-            col[w] = static_cast<std::uint8_t>(
-                static_cast<std::uint8_t>(in[w] != 0) ^ flip);
-          }
-          break;
-        }
-        case SlotSource::Kind::kStage: {
-          const std::uint8_t* in =
-              scratch.stage_cols + (src.stage * n + src.index) * block;
-          for (std::size_t w = 0; w < block; ++w) col[w] = in[w] ^ flip;
-          break;
-        }
+    // A negated source is read through its complemented copy: one XOR per
+    // 64 words, the drive-phase flip.
+    for (std::size_t k = negation_begin_[s]; k < negation_begin_[s + 1]; ++k) {
+      const std::uint64_t* src = column(negations_[k].second);
+      std::uint64_t* copy = column(negations_[k].first);
+      for (std::size_t g = 0; g < kernels::column_words(words); ++g) {
+        copy[g] = ~src[g];
       }
     }
-    transpose_bytes(scratch.columns, block, slots, block, scratch.slots,
-                    slots);
-    // Decode through the stage plan's own precision verdicts.
-    std::uint8_t* out = scratch.stage_out + s * block * n;
-    kernels::eval_plan_bits(kernel, plan, scratch.slots, 0, block, out);
-    if (s + 1 < stages_.size()) {
-      transpose_bytes(out, n, block, n, scratch.stage_cols + s * n * block,
-                      block);
+    for (std::size_t j = slot_begin_[s]; j < slot_begin_[s + 1]; ++j) {
+      inputs[j - slot_begin_[s]] = column(slot_columns_[j]);
+    }
+    kernel.eval_bits(stages_[s]->plan(), inputs, words, column(prim + s * n),
+                     stride);
+    if (s + 1 == stages_.size()) {
+      // Only the output stages go back to rows, charged to the last stage.
+      for (std::size_t t = first_out; t < stages_.size(); ++t) {
+        kernel.to_rows(column(prim + t * n), stride, words, n,
+                       out + begin * out_cols + (t - first_out) * n,
+                       out_cols);
+      }
     }
     if (timings) {
       const std::uint64_t now = stage_clock_ns();
@@ -321,47 +252,16 @@ std::vector<std::uint8_t> EvalProgram::evaluate_impl(
   SW_REQUIRE(num_words <= kMax / (num_stages * n),
              "num_words x stage output count overflows size_t");
 
-  const std::size_t out_cols = all_stages ? num_stages * n : n;
+  const std::size_t first_out = all_stages ? 0 : num_stages - 1;
+  const std::size_t out_cols = (num_stages - first_out) * n;
   std::vector<std::uint8_t> result(num_words * out_cols);
-  if (identity_) {
-    // The caller's rows are the kernel's input: each pool chunk decodes in
-    // place, with no transposes and no scratch.
-    const EvalPlan& plan = stages_.front()->plan();
-    pool_.parallel_for(num_words, [&](std::size_t begin, std::size_t end) {
-      const std::uint64_t start = timings ? stage_clock_ns() : 0;
-      kernels::eval_plan_bits(kernel, plan, bits.data(), begin, end,
-                              result.data());
-      if (timings) {
-        timings->ns[0].fetch_add(stage_clock_ns() - start,
-                                 std::memory_order_relaxed);
-      }
-    });
-    return result;
-  }
-  pool_.parallel_for(num_words, [&](std::size_t chunk_begin,
-                                    std::size_t chunk_end) {
-    BlockScratch scratch(std::min(kBlockWords, chunk_end - chunk_begin),
-                         max_slots_, prim, num_stages * n);
-    for (std::size_t begin = chunk_begin; begin < chunk_end;
-         begin += kBlockWords) {
-      const std::size_t end = std::min(begin + kBlockWords, chunk_end);
-      const std::size_t block = end - begin;
-      eval_range(kernel, bits, begin, end, scratch, timings);
-      if (all_stages) {
-        for (std::size_t w = 0; w < block; ++w) {
-          std::uint8_t* dst = result.data() + (begin + w) * out_cols;
-          for (std::size_t s = 0; s < num_stages; ++s) {
-            std::memcpy(dst + s * n, scratch.stage_out + s * block * n + w * n,
-                        n);
-          }
-        }
-      } else {
-        std::memcpy(result.data() + begin * n,
-                    scratch.stage_out + (num_stages - 1) * block * n,
-                    block * n);
-      }
-    }
-  });
+  detail::for_each_block(
+      pool_, num_words, num_columns_, max_slots_,
+      [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
+          std::size_t stride, const std::uint64_t** inputs) {
+        eval_block(kernel, bits.data(), begin, end, columns, stride, inputs,
+                   result.data(), out_cols, first_out, timings);
+      });
   return result;
 }
 

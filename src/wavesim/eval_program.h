@@ -7,11 +7,18 @@
 // transducers between stages flipping drive phases for free complements
 // and pinning constants. EvalProgram is the frozen multi-stage artefact:
 // one shared EvalStage (designed gate + EvalPlan) per distinct stage
-// GateSpec plus an interconnect map (SlotSource per input slot), evaluated
-// block-wise so a word batch runs end to end through every stage inside
-// one pass — decoded verdict bits re-encoded as the next stage's inputs in
-// scratch buffers that stay cache-hot, no per-stage replan, no per-stage
-// round trip, no intermediate matrices of batch size.
+// GateSpec plus an interconnect map (SlotSource per input slot).
+//
+// Evaluation is a column cascade, block by block (kernels/kernel.h has the
+// column layout). The block's primary rows become bit-sliced columns once;
+// then each stage's kernel reads one column per slot and writes one column
+// per channel, and only the last stage's columns go back to rows. Slot j of
+// a stage is a column pointer, fixed at construction: a primary column, an
+// earlier stage's channel column, or a constant column of zeros or ones. A
+// negated source reads a column complemented once per block (one XOR per
+// 64 words) before the stage runs. So a stage costs its kernel and nothing
+// else: no byte gathers, no transposes between stages, and every block's
+// columns stay in reused scratch.
 //
 // Lowering emits few distinct stage GateSpecs (a compiled cascade is MAJ
 // and inverted-MAJ gates on one fabric), so stages are resolved once per
@@ -19,21 +26,16 @@
 // and — through a StageResolver such as serve::PlanCache's stage table —
 // across programs. An EvalStage is immutable, so sharing it is free.
 //
-// Each stage dispatches through the same kernel ladder as a single plan
-// (scalar/AVX2/AVX-512, kernels::eval_plan_bits choosing eval_bits /
-// eval_bits_f32 / eval_bits_mixed per the stage plan's margin verdicts),
-// so per-stage precision and block-f32 are honoured and every stage's
-// decode is lane-for-lane bit-exact with evaluating that stage's gate
-// alone — which makes the whole program bit-exact with the per-stage
-// physics path by induction.
+// Each stage runs the kernel's one eval_bits over its own plan, so
+// per-stage precision and block-f32 are honoured and every stage's decode
+// is lane-for-lane bit-exact with evaluating that stage's gate alone —
+// which makes the whole program bit-exact with the per-stage physics path
+// by induction.
 //
 // A single gate is the one-stage case: EvalProgram(GateLayout, ...) wraps
-// the layout as given in one stage whose slot j reads primary column j.
-// Any program that is one stage with such identity sources is recognised
-// at construction and evaluated without the gather: each pool chunk hands
-// the caller's rows straight to the kernel, exactly like
-// BatchEvaluator::evaluate_bits, so this is the one artefact the serving
-// layer caches for every target.
+// the layout as given in one stage whose slot j reads primary column j. It
+// runs the same column path as any other program, so this is the one
+// artefact the serving layer caches for every target.
 //
 // The ProgramSpec half of this header is the *portable* description —
 // per-stage GateSpecs plus the interconnect, no designed geometry — which
@@ -48,6 +50,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gate.h"
@@ -122,10 +125,11 @@ struct ProgramSpec {
 };
 
 /// Per-stage accumulated evaluation time, filled by evaluate_bits when the
-/// caller passes a collector: ns[s] gains every block's gather+kernel time
-/// for stage s. Accumulators are atomic because the word loop may fan out
-/// across the program's pool threads; the numbers are therefore summed CPU
-/// time per stage, not wall intervals.
+/// caller passes a collector: ns[s] gains every block's kernel time for
+/// stage s, stage 0 also the rows-to-columns edge and the last stage the
+/// columns-to-rows edge. Accumulators are atomic because the word loop may
+/// fan out across the program's pool threads; the numbers are therefore
+/// summed CPU time per stage, not wall intervals.
 struct StageTimings {
   explicit StageTimings(std::size_t num_stages) : ns(num_stages) {}
   std::vector<std::atomic<std::uint64_t>> ns;
@@ -207,8 +211,7 @@ class EvalProgram {
   /// num_primary_slots() primary matrix (see ProgramSpec); returns the
   /// row-major num_words x num_channels() decoded bits of the LAST stage.
   /// Bit-exact with evaluating each stage's gate separately and re-packing
-  /// by hand, for every kernel and per-stage precision. A one-stage
-  /// identity program decodes `bits` in place (no gather, no scratch).
+  /// by hand, for every kernel and per-stage precision.
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits) const;
   std::vector<std::uint8_t> evaluate_bits(
@@ -234,15 +237,16 @@ class EvalProgram {
       const kernels::Kernel& kernel) const;
 
  private:
-  struct BlockScratch;
-
-  /// Run words [begin, end) through every stage; scratch.stage_out
-  /// receives stage s's outputs at [s * (end - begin) * num_channels(),
-  /// ...) in block-local row-major order.
-  void eval_range(const kernels::Kernel& kernel,
-                  std::span<const std::uint8_t> bits, std::size_t begin,
-                  std::size_t end, BlockScratch& scratch,
-                  StageTimings* timings) const;
+  /// Evaluates words [begin, end), at most one block, through every stage
+  /// and writes the rows of stages [first_out, num_stages()) to `out`
+  /// (num_words x out_cols, stage first_out's channels first). `columns`
+  /// is the block's column table (column k at columns + k * stride);
+  /// `inputs` receives each stage's slot pointers in turn.
+  void eval_block(const kernels::Kernel& kernel, const std::uint8_t* bits,
+                  std::size_t begin, std::size_t end, std::uint64_t* columns,
+                  std::size_t stride, const std::uint64_t** inputs,
+                  std::uint8_t* out, std::size_t out_cols,
+                  std::size_t first_out, StageTimings* timings) const;
 
   std::vector<std::uint8_t> evaluate_impl(std::size_t num_words,
                                           std::span<const std::uint8_t> bits,
@@ -255,9 +259,17 @@ class EvalProgram {
   std::vector<std::shared_ptr<const EvalStage>> stages_;
   std::size_t depth_ = 0;
   std::size_t max_slots_ = 0;
-  /// One stage whose slot j reads primary column j unnegated: the primary
-  /// matrix already is the kernel's input, so evaluation skips the gather.
-  bool identity_ = false;
+  /// A block's column table: primary columns, then each stage's channel
+  /// columns, then a zero and a ones column, then the complemented copies
+  /// negated sources read.
+  std::size_t num_columns_ = 0;
+  /// Column read by slot j of stage s: slot_columns_[slot_begin_[s] + j].
+  std::vector<std::size_t> slot_columns_;
+  std::vector<std::size_t> slot_begin_;
+  /// (complemented copy, source) column pairs stage s fills before it
+  /// runs: negations_[negation_begin_[s] .. negation_begin_[s + 1]).
+  std::vector<std::pair<std::size_t, std::size_t>> negations_;
+  std::vector<std::size_t> negation_begin_;
   mutable sw::util::ThreadPool pool_;
 };
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/error.h"
-#include "wavesim/eval_plan.h"
 #include "wavesim/kernels/kernel.h"
 
 namespace sw::wavesim {
@@ -29,17 +28,23 @@ const Kernel* avx2_kernel() {
 
 const Kernel* avx512_kernel() {
   // AVX512F covers the compute (masked blends, wide adds, mask compares);
-  // BW is checked for the byte-granularity mask transposes (shared contract
-  // with the AVX-512 wire codec), VL for the xmm-width masked ops in the
-  // mixed kernel's decode transpose. Every BW part ships VL (the one VL-less
-  // AVX-512 line, Knights Landing, lacked BW too), so the triple gate does
-  // not narrow real hardware coverage.
+  // BW is checked for the edge converter's byte-granularity test-masks,
+  // masked loads and adds (shared contract with the AVX-512 wire codec),
+  // VL because the TU is compiled with it and may encode narrower vectors
+  // in EVEX. Every BW part ships VL (the one VL-less AVX-512 line, Knights
+  // Landing, lacked BW too), so the triple gate does not narrow real
+  // hardware coverage. VBMI and GFNI pick the kernel table whose edge
+  // converter uses them; without them the AVX-512 kernel converts through
+  // the AVX2 converter.
 #if defined(__x86_64__) || defined(__i386__)
-  static const Kernel* kernel = (__builtin_cpu_supports("avx512f") &&
-                                 __builtin_cpu_supports("avx512bw") &&
-                                 __builtin_cpu_supports("avx512vl"))
-                                    ? detail::avx512_kernel_candidate()
-                                    : nullptr;
+  static const Kernel* kernel =
+      (__builtin_cpu_supports("avx512f") &&
+       __builtin_cpu_supports("avx512bw") &&
+       __builtin_cpu_supports("avx512vl"))
+          ? detail::avx512_kernel_candidate(
+                __builtin_cpu_supports("avx512vbmi") &&
+                __builtin_cpu_supports("gfni"))
+          : nullptr;
   return kernel;
 #else
   return nullptr;
@@ -121,18 +126,6 @@ const Kernel& active_kernel() {
     return *best;
   }();
   return chosen;
-}
-
-void eval_plan_bits(const Kernel& kernel, const EvalPlan& plan,
-                    const std::uint8_t* bits, std::size_t begin,
-                    std::size_t end, std::uint8_t* out) {
-  if (plan.has_f32()) {
-    kernel.eval_bits_f32(plan, bits, begin, end, out);
-  } else if (plan.is_block()) {
-    kernel.eval_bits_mixed(plan, bits, begin, end, out);
-  } else {
-    kernel.eval_bits(plan, bits, begin, end, out);
-  }
 }
 
 }  // namespace kernels

@@ -1,20 +1,24 @@
 // Runtime-dispatched evaluation kernels over SoA EvalPlans.
 //
-// A kernel decodes a contiguous range of packed input words against a
-// frozen EvalPlan. Four entry points per kernel:
+// The packed-bit path works on bit-sliced columns. Word w's bit for slot s
+// is bit w % 64 of u64 w / 64 of slot s's column (bit w % 8 of byte w / 8
+// on a little-endian host), and a column is zero-padded to whole u64s. A
+// stage reads one column per input slot and writes one column per output
+// channel, so the next stage of a cascade reads those columns as they are.
+// Four entry points per kernel:
 //
-//   * eval_bits — the packed fast path: for each word and detector it
-//     accumulates the bit-selected phasor real parts in double and
-//     thresholds (the decide_phase decision with reference 0 is exactly
-//     Re < 0).
-//   * eval_bits_f32 — the same decode over the plan's float arrays, legal
-//     only on a plan whose build-time margin analysis accepted every
-//     detector (plan.has_f32()); decodes are bit-identical to eval_bits on
-//     every such plan by construction of the fallback.
-//   * eval_bits_mixed — the block-f32 path: f32 accumulation for the
-//     plan's proved detector run [0, plan.num_f32_detectors()), f64 rescue
-//     lanes for the rest. Two branch-free sub-passes, no per-detector
-//     precision branch; legal whenever plan.num_f32_detectors() > 0.
+//   * eval_bits — the one packed decode. Detectors [0,
+//     plan.num_f32_detectors()) accumulate their bit-selected phasor real
+//     parts in f32 over the plan's float mirrors, the rest in f64 (on a
+//     plan without proved detectors that is all of them), each in plan
+//     order, and decode Re < 0 (the decide_phase decision with reference
+//     0). Vector kernels evaluate whole vector groups: a last partial group
+//     runs on the column padding, whose verdict bits the row edge drops.
+//     There is no scalar tail.
+//   * to_columns / to_rows — the edge converter between the row-major byte
+//     matrices of the public APIs (one byte per bit, nonzero = 1) and
+//     columns, in both directions. BatchEvaluator and EvalProgram convert
+//     per block through the same two entries.
 //   * eval_channels — the full ChannelResult path (evaluate /
 //     evaluate_with): accumulates the complex phasor in double and decodes
 //     phase/amplitude/margin via decide_phase, writing rows of
@@ -55,28 +59,39 @@ class EvalPlan;
 
 namespace kernels {
 
+/// u64s per column that hold `num_words` words (whole u64s, zero-padded).
+constexpr std::size_t column_words(std::size_t num_words) {
+  return (num_words + 63) / 64;
+}
+
+/// Column u64s per block (1024 words) that BatchEvaluator and EvalProgram
+/// convert and evaluate at a time: a block's columns stay in L1/L2 while a
+/// kernel call still covers enough words for the SIMD lanes to matter.
+constexpr std::size_t kBlockColumnWords = 16;
+
 struct Kernel {
   const char* name;
-  /// Decode words [begin, end): reads rows [begin, end) of the row-major
-  /// num_words x plan.slot_count() packed bit matrix `bits` and writes rows
-  /// [begin, end) of the num_words x plan.num_channels() decoded-bit matrix
-  /// `out`. Both pointers address the full matrices (row 0), not the range.
-  void (*eval_bits)(const EvalPlan& plan, const std::uint8_t* bits,
-                    std::size_t begin, std::size_t end, std::uint8_t* out);
-  /// Same contract over the plan's f32 arrays. Callers must check
-  /// plan.has_f32() first; the kernels assume the arrays exist.
-  void (*eval_bits_f32)(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end, std::uint8_t* out);
-  /// Same contract on a block-f32 plan: detectors [0,
-  /// plan.num_f32_detectors()) accumulate in f32 over the plan's float
-  /// mirrors, the remaining rescue detectors in f64 over the double
-  /// arrays. Callers must check plan.num_f32_detectors() > 0 first (the
-  /// float mirrors must exist); on a fully-proved plan this decodes
-  /// exactly like eval_bits_f32, on a fully-rejected plan exactly like
-  /// eval_bits.
-  void (*eval_bits_mixed)(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out);
+  /// Decodes words [0, num_words): slot j of the plan reads the column
+  /// `slots[j]`, and detector d writes its verdicts to the column at
+  /// `out + plan.detector_channels()[d] * out_stride`. Every column holds
+  /// at least column_words(num_words) u64s. Verdict bits past num_words
+  /// are unspecified: the last group may run on padding lanes, and the
+  /// bytes past that group are left as they were.
+  void (*eval_bits)(const EvalPlan& plan, const std::uint64_t* const* slots,
+                    std::size_t num_words, std::uint64_t* out,
+                    std::size_t out_stride);
+  /// Rows to columns: reads bytes [0, width) of rows [0, num_words) of
+  /// `rows` (row w at rows + w * row_stride, nonzero = 1) and writes
+  /// column_words(num_words) u64s of column c at cols + c * col_stride,
+  /// with every bit past num_words zero.
+  void (*to_columns)(const std::uint8_t* rows, std::size_t row_stride,
+                     std::size_t num_words, std::size_t width,
+                     std::uint64_t* cols, std::size_t col_stride);
+  /// Columns to rows, the inverse: writes bytes [0, width) of rows [0,
+  /// num_words) as 0/1 from columns [0, width). Nothing else is written.
+  void (*to_rows)(const std::uint64_t* cols, std::size_t col_stride,
+                  std::size_t num_words, std::size_t width,
+                  std::uint8_t* rows, std::size_t row_stride);
   /// Full ChannelResult decode of words [begin, end): writes rows
   /// [begin, end) of the row-major num_words x plan.num_detectors() result
   /// matrix `out`, element plan.detector_results()[d] of a row carrying
@@ -99,7 +114,9 @@ const Kernel& scalar_kernel();
 const Kernel* avx2_kernel();
 
 /// AVX-512 kernel, or nullptr when the build lacks AVX-512 codegen or the
-/// CPU lacks the instructions (requires AVX512F + AVX512BW).
+/// CPU lacks the instructions (requires AVX512F + AVX512BW + AVX512VL). Its
+/// edge converter needs VBMI and GFNI as well; without them it is the AVX2
+/// one.
 const Kernel* avx512_kernel();
 
 namespace detail {
@@ -113,25 +130,16 @@ const Kernel* avx2_kernel_candidate();
 
 /// The AVX-512 kernel as compiled (nullptr when the build has no AVX-512
 /// codegen), same contract as avx2_kernel_candidate(): no CPU check, a
-/// bare constant return from the -mavx512f/-mavx512bw TU. Only
-/// avx512_kernel() may call this.
-const Kernel* avx512_kernel_candidate();
+/// bare constant return from the -mavx512f/-mavx512bw TU. `vbmi_gfni`
+/// picks the table whose converters use VBMI and GFNI; false gives the
+/// AVX2 converters. Only avx512_kernel() may call this (and tests, with
+/// false, once avx512_kernel() is non-null).
+const Kernel* avx512_kernel_candidate(bool vbmi_gfni);
 
-/// Scalar reference loops restricted to the plan-order detector range
-/// [d_begin, d_end) — the building blocks of every eval_bits_mixed and of
-/// the vector kernels' odd-word tails (which must finish a sub-pass
-/// without re-decoding the other run's detectors). Same word-range
-/// contract as Kernel::eval_bits; eval_bits_f32_scalar_range reads the
-/// plan's float mirrors, so d_end must not exceed
-/// plan.num_f32_detectors() unless plan.has_f32().
-void eval_bits_scalar_range(const EvalPlan& plan, const std::uint8_t* bits,
-                            std::size_t begin, std::size_t end,
-                            std::uint8_t* out, std::size_t d_begin,
-                            std::size_t d_end);
-void eval_bits_f32_scalar_range(const EvalPlan& plan,
-                                const std::uint8_t* bits, std::size_t begin,
-                                std::size_t end, std::uint8_t* out,
-                                std::size_t d_begin, std::size_t d_end);
+/// Transposes the 8x8 byte matrix in x: afterwards byte k of x[i] is the
+/// old byte i of x[k]. The portable converter's core, which the vector
+/// converters share.
+void transpose_8x8_bytes(std::uint64_t x[8]);
 }  // namespace detail
 
 /// Kernel by name (any dispatch-table entry: "scalar" | "avx2" |
@@ -150,16 +158,6 @@ const Kernel& kernel_from_env(std::string_view value);
 /// available dispatch-table entry, avx512 > avx2 > scalar. Cached after
 /// the first successful call.
 const Kernel& active_kernel();
-
-/// Decodes words [begin, end) under Kernel::eval_bits' contract through the
-/// entry the plan's per-detector margin verdicts select: every detector
-/// proved -> eval_bits_f32; a genuine mix -> eval_bits_mixed (f32 run + f64
-/// rescue lanes); none proved (or f64 requested) -> eval_bits. All three
-/// decode bit-identically by construction. Every packed-bit caller
-/// (BatchEvaluator, EvalProgram) dispatches through here.
-void eval_plan_bits(const Kernel& kernel, const EvalPlan& plan,
-                    const std::uint8_t* bits, std::size_t begin,
-                    std::size_t end, std::uint8_t* out);
 
 }  // namespace kernels
 

@@ -7,20 +7,23 @@
 // in the same sequence as the scalar kernel would for word l — so every
 // lane's sum is bitwise identical to the scalar sum and no word can decode
 // differently, not even one sitting within an ulp of the threshold. The
-// per-group cost beyond the adds is one mask transpose of the group's
-// input slots and a blend per contribution. The same argument covers every
-// entry point: eval_bits (4 x f64), eval_bits_f32 (8 x f32 — twice the
-// words per register and half the constant traffic, which is the whole
-// point of the f32 plan), eval_bits_mixed (one fused pass running the f32
-// detectors at 8 x f32 and the rescue detectors at 4 x f64 over the same
-// lane masks) and eval_channels (4 x f64
-// complex accumulation, then the scalar decide_phase per lane so
+// argument covers both runs of eval_bits — f32 at 8 words per __m256 (twice
+// the words per register and half the constant traffic, which is the whole
+// point of the f32 plan) and f64 at 4 words per __m256d — and eval_channels
+// (4 x f64 complex accumulation, then the scalar decide_phase per lane so
 // phase/amplitude/margin match the gate path bitwise).
 //
-// The bit passes take a detector range so the block-f32 path can run the
-// f32 pass over the proved run and the f64 pass over the rescue run
-// without a per-detector precision branch; their odd-word tails fall to
-// the scalar range helpers, which decode the same sub-range only.
+// A slot's lane masks come straight from its column: one byte covers 8
+// words, and a variable left shift of the broadcast byte moves bit l into
+// the sign bit of lane l, which is all vblendvps/vblendvpd read. An f64
+// group takes the byte's two nibbles as two __m256d. The verdicts' movemask
+// is the channel column's byte.
+//
+// The edge converter packs 8 words x 32 columns at a time: per word a byte
+// compare adds the word's bit into one byte per column, and an unpack
+// network transposes the 8 bytes of each column into its u64. Going back,
+// an 8-column matrix of 8-byte rows spreads each column byte across 8 rows
+// with variable shifts; other shapes use the portable converter.
 //
 // This translation unit is compiled with -mavx2 (CMake adds the flag only
 // for this file when the compiler supports it and the target is x86); every
@@ -34,270 +37,234 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <complex>
+#include <cstring>
 
 #include "core/detector.h"
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "util/aligned.h"
 #include "wavesim/eval_plan.h"
+#include "wavesim/kernels/column_step.h"
 
 namespace sw::wavesim::kernels {
 
 namespace {
 
-/// Lane-mask scratch for the current word group: one vector register's
+/// Lane-mask scratch for eval_channels' word group: one vector register's
 /// worth of per-slot select masks, stored as raw bytes (vector<__m256d>
 /// trips -Wignored-attributes). Small strides (every gate in the paper:
 /// 8 channels x 3 inputs = 24) use the stack so the serving hot path does
 /// not pay an aligned heap round-trip per call.
 constexpr std::size_t kStackSlots = 64;
 
-void eval_bits_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out, std::size_t d_begin,
-                          std::size_t d_end) {
+void eval_bits_avx2(const EvalPlan& plan, const std::uint64_t* const* slots,
+                    std::size_t num_words, std::uint64_t* out,
+                    std::size_t out_stride) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0();
-  const auto re1 = plan.re1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t channels = plan.num_channels();
+  const auto slot_of = plan.slots();
+  const std::size_t kf = plan.num_f32_detectors();
 
-  // Lane masks, one __m256d (four doubles) per input slot: lane l of mask
-  // s has its sign bit set iff word l's bit at slot s is 1 (vblendvpd
-  // selects on the sign bit alone). Transposed once per group, reused by
-  // every detector range.
-  alignas(32) double stack_masks[kStackSlots * 4];
-  sw::util::AlignedVector<double, 32> heap_masks;
-  double* masks_data = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride * 4);
-    masks_data = heap_masks.data();
+  // Each step's accumulators are independent registers, so one
+  // contribution's column load and broadcast constants serve all of them.
+  // A last step past num_words runs on padding lanes. Lane l of register b
+  // reads bit 8b + l of the f32 step's u32 (bit 4b + l of the f64 step's
+  // u16), shifted into the sign bit that vblendvps/vblendvpd select on.
+  const __m256i lanes32 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lanes64 = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256i f32_shifts[4];
+  __m256i f64_shifts[4];
+  for (int b = 0; b < 4; ++b) {
+    f32_shifts[b] = _mm256_sub_epi32(_mm256_set1_epi32(31 - 8 * b), lanes32);
+    f64_shifts[b] = _mm256_sub_epi64(_mm256_set1_epi64x(63 - 4 * b), lanes64);
   }
-
-  std::size_t w = begin;
-  for (; w + 4 <= end; w += 4) {
-    const std::uint8_t* w0 = bits + (w + 0) * stride;
-    const std::uint8_t* w1 = bits + (w + 1) * stride;
-    const std::uint8_t* w2 = bits + (w + 2) * stride;
-    const std::uint8_t* w3 = bits + (w + 3) * stride;
-    const auto sign_bit = [](std::uint8_t b) {
-      // b != 0, not bit 0: the scalar kernel treats any nonzero byte as a
-      // set bit, and the kernels must agree on every input. Unsigned
-      // shift, then modular conversion (C++20), for the 0x8000.. pattern.
-      return static_cast<long long>(static_cast<std::uint64_t>(b != 0) << 63);
-    };
-    for (std::size_t s = 0; s < stride; ++s) {
-      _mm256_store_pd(
-          masks_data + 4 * s,
-          _mm256_castsi256_pd(_mm256_setr_epi64x(sign_bit(w0[s]),
-                                                 sign_bit(w1[s]),
-                                                 sign_bit(w2[s]),
-                                                 sign_bit(w3[s]))));
-    }
-
-    std::uint8_t* r0 = out + (w + 0) * channels;
-    std::uint8_t* r1 = out + (w + 1) * channels;
-    std::uint8_t* r2 = out + (w + 2) * channels;
-    std::uint8_t* r3 = out + (w + 3) * channels;
-    for (std::size_t d = d_begin; d < d_end; ++d) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256d zero = _mm256_broadcast_sd(&re0[i]);
-        const __m256d one = _mm256_broadcast_sd(&re1[i]);
-        const __m256d mask = _mm256_load_pd(masks_data + 4 * slots[i]);
-        acc = _mm256_add_pd(acc, _mm256_blendv_pd(zero, one, mask));
-      }
-      // An ordered < 0.0 compare, not the raw sign bit: a -0.0 sum must
-      // decode as 0 exactly like the scalar kernel's `acc < 0.0`.
-      const int neg = _mm256_movemask_pd(
-          _mm256_cmp_pd(acc, _mm256_setzero_pd(), _CMP_LT_OQ));
-      const std::size_t c = det_channel[d];
-      r0[c] = static_cast<std::uint8_t>(neg & 1);
-      r1[c] = static_cast<std::uint8_t>((neg >> 1) & 1);
-      r2[c] = static_cast<std::uint8_t>((neg >> 2) & 1);
-      r3[c] = static_cast<std::uint8_t>((neg >> 3) & 1);
-    }
-  }
-  // Remainder tail (< 4 words): the scalar reference, which is what the
-  // vector lanes reproduce anyway.
-  if (w < end) {
-    detail::eval_bits_scalar_range(plan, bits, w, end, out, d_begin, d_end);
-  }
-}
-
-void eval_bits_f32_avx2_range(const EvalPlan& plan, const std::uint8_t* bits,
-                              std::size_t begin, std::size_t end,
-                              std::uint8_t* out, std::size_t d_begin,
-                              std::size_t d_end) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0_f32();
-  const auto re1 = plan.re1_f32();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t channels = plan.num_channels();
-
-  // Eight 32-bit lanes per mask: lane l's sign bit set iff word l's bit at
-  // that slot is 1 (vblendvps, like vblendvpd, keys on the sign bit).
-  alignas(32) float stack_masks[kStackSlots * 8];
-  sw::util::AlignedVector<float, 32> heap_masks;
-  float* masks_data = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride * 8);
-    masks_data = heap_masks.data();
-  }
-
-  const std::uint8_t* words[8];
-  std::uint8_t* rows[8];
-  std::size_t w = begin;
-  for (; w + 8 <= end; w += 8) {
-    for (std::size_t l = 0; l < 8; ++l) {
-      words[l] = bits + (w + l) * stride;
-      rows[l] = out + (w + l) * channels;
-    }
-    const auto sign_bit = [](std::uint8_t b) {
-      return static_cast<int>(static_cast<std::uint32_t>(b != 0) << 31);
-    };
-    for (std::size_t s = 0; s < stride; ++s) {
-      _mm256_store_ps(
-          masks_data + 8 * s,
-          _mm256_castsi256_ps(_mm256_setr_epi32(
-              sign_bit(words[0][s]), sign_bit(words[1][s]),
-              sign_bit(words[2][s]), sign_bit(words[3][s]),
-              sign_bit(words[4][s]), sign_bit(words[5][s]),
-              sign_bit(words[6][s]), sign_bit(words[7][s]))));
-    }
-
-    for (std::size_t d = d_begin; d < d_end; ++d) {
-      __m256 acc = _mm256_setzero_ps();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256 zero = _mm256_broadcast_ss(&re0[i]);
-        const __m256 one = _mm256_broadcast_ss(&re1[i]);
-        const __m256 mask = _mm256_load_ps(masks_data + 8 * slots[i]);
-        acc = _mm256_add_ps(acc, _mm256_blendv_ps(zero, one, mask));
-      }
-      const int neg = _mm256_movemask_ps(
-          _mm256_cmp_ps(acc, _mm256_setzero_ps(), _CMP_LT_OQ));
-      const std::size_t c = det_channel[d];
-      for (std::size_t l = 0; l < 8; ++l) {
-        rows[l][c] = static_cast<std::uint8_t>((neg >> l) & 1);
-      }
-    }
-  }
-  // Remainder tail (< 8 words): the f32 scalar reference — identical float
-  // accumulation order, so the tail cannot decode differently.
-  if (w < end) {
-    detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, d_begin,
-                                       d_end);
-  }
-}
-
-void eval_bits_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                    std::size_t begin, std::size_t end, std::uint8_t* out) {
-  eval_bits_avx2_range(plan, bits, begin, end, out, 0, plan.num_detectors());
-}
-
-void eval_bits_f32_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end,
-                        std::uint8_t* out) {
-  eval_bits_f32_avx2_range(plan, bits, begin, end, out, 0,
-                           plan.num_detectors());
-}
-
-void eval_bits_mixed_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          std::uint8_t* out) {
-  // Fused single pass per 8-word group: the f32-width lane masks are built
-  // once and serve BOTH precision runs. The f32 run consumes them whole;
-  // the f64 rescue run sign-extends each 4-lane half to doubles on the fly
-  // (vpmovsxdq keeps the sign bit, which is all vblendvpd reads). Composing
-  // the two range kernels instead would re-read the packed words and
-  // transpose masks once per precision — with few rescue detectors that
-  // second stride-proportional pass costs more than the f32 run saves.
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
+  // An ordered < 0.0 compare, not the raw sign bit: a -0.0 sum must decode
+  // as 0 exactly like the scalar kernel's `acc < 0.0`.
   const auto re0f = plan.re0_f32();
   const auto re1f = plan.re1_f32();
-  const auto re0 = plan.re0();
-  const auto re1 = plan.re1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t channels = plan.num_channels();
-  const std::size_t kf = plan.num_f32_detectors();
-  const std::size_t nd = plan.num_detectors();
-
-  alignas(32) float stack_masks[kStackSlots * 8];
-  sw::util::AlignedVector<float, 32> heap_masks;
-  float* masks_data = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride * 8);
-    masks_data = heap_masks.data();
-  }
-
-  const std::uint8_t* words[8];
-  std::uint8_t* rows[8];
-  std::size_t w = begin;
-  for (; w + 8 <= end; w += 8) {
-    for (std::size_t l = 0; l < 8; ++l) {
-      words[l] = bits + (w + l) * stride;
-      rows[l] = out + (w + l) * channels;
-    }
-    const auto sign_bit = [](std::uint8_t b) {
-      return static_cast<int>(static_cast<std::uint32_t>(b != 0) << 31);
-    };
-    for (std::size_t s = 0; s < stride; ++s) {
-      _mm256_store_ps(
-          masks_data + 8 * s,
-          _mm256_castsi256_ps(_mm256_setr_epi32(
-              sign_bit(words[0][s]), sign_bit(words[1][s]),
-              sign_bit(words[2][s]), sign_bit(words[3][s]),
-              sign_bit(words[4][s]), sign_bit(words[5][s]),
-              sign_bit(words[6][s]), sign_bit(words[7][s]))));
-    }
-
-    for (std::size_t d = 0; d < kf; ++d) {
-      __m256 acc = _mm256_setzero_ps();
+  for (std::size_t d = 0; d < kf; ++d) {
+    std::uint64_t* column = out + det_channel[d] * out_stride;
+    for (std::size_t t = 0; t * 32 < num_words; ++t) {
+      __m256 acc[4];
+      for (__m256& a : acc) a = _mm256_setzero_ps();
       for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+        const __m256i masks = _mm256_set1_epi32(static_cast<int>(
+            detail::load_step<std::uint32_t>(slots[slot_of[i]], t)));
         const __m256 zero = _mm256_broadcast_ss(&re0f[i]);
         const __m256 one = _mm256_broadcast_ss(&re1f[i]);
-        const __m256 mask = _mm256_load_ps(masks_data + 8 * slots[i]);
-        acc = _mm256_add_ps(acc, _mm256_blendv_ps(zero, one, mask));
-      }
-      const int neg = _mm256_movemask_ps(
-          _mm256_cmp_ps(acc, _mm256_setzero_ps(), _CMP_LT_OQ));
-      const std::size_t c = det_channel[d];
-      for (std::size_t l = 0; l < 8; ++l) {
-        rows[l][c] = static_cast<std::uint8_t>((neg >> l) & 1);
-      }
-    }
-
-    for (std::size_t d = kf; d < nd; ++d) {
-      const std::size_t c = det_channel[d];
-      for (std::size_t half = 0; half < 2; ++half) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-          const __m256d zero = _mm256_broadcast_sd(&re0[i]);
-          const __m256d one = _mm256_broadcast_sd(&re1[i]);
-          const __m128i half_mask = _mm_load_si128(reinterpret_cast<
-              const __m128i*>(masks_data + 8 * slots[i] + 4 * half));
-          const __m256d mask =
-              _mm256_castsi256_pd(_mm256_cvtepi32_epi64(half_mask));
-          acc = _mm256_add_pd(acc, _mm256_blendv_pd(zero, one, mask));
-        }
-        const int neg = _mm256_movemask_pd(
-            _mm256_cmp_pd(acc, _mm256_setzero_pd(), _CMP_LT_OQ));
-        for (std::size_t l = 0; l < 4; ++l) {
-          rows[4 * half + l][c] = static_cast<std::uint8_t>((neg >> l) & 1);
+        for (std::size_t b = 0; b < 4; ++b) {
+          acc[b] = _mm256_add_ps(
+              acc[b],
+              _mm256_blendv_ps(zero, one,
+                               _mm256_castsi256_ps(
+                                   _mm256_sllv_epi32(masks, f32_shifts[b]))));
         }
       }
+      std::uint32_t verdicts = 0;
+      for (std::size_t b = 0; b < 4; ++b) {
+        verdicts |= static_cast<std::uint32_t>(_mm256_movemask_ps(
+                        _mm256_cmp_ps(acc[b], _mm256_setzero_ps(),
+                                      _CMP_LT_OQ)))
+                    << (8 * b);
+      }
+      detail::store_step(column, t, verdicts);
     }
   }
-  if (w < end) {
-    detail::eval_bits_f32_scalar_range(plan, bits, w, end, out, 0, kf);
-    detail::eval_bits_scalar_range(plan, bits, w, end, out, kf, nd);
+
+  const auto re0 = plan.re0();
+  const auto re1 = plan.re1();
+  for (std::size_t d = kf; d < plan.num_detectors(); ++d) {
+    std::uint64_t* column = out + det_channel[d] * out_stride;
+    for (std::size_t t = 0; t * 16 < num_words; ++t) {
+      __m256d acc[4];
+      for (__m256d& a : acc) a = _mm256_setzero_pd();
+      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+        const __m256i masks = _mm256_set1_epi64x(
+            detail::load_step<std::uint16_t>(slots[slot_of[i]], t));
+        const __m256d zero = _mm256_broadcast_sd(&re0[i]);
+        const __m256d one = _mm256_broadcast_sd(&re1[i]);
+        for (std::size_t b = 0; b < 4; ++b) {
+          acc[b] = _mm256_add_pd(
+              acc[b],
+              _mm256_blendv_pd(zero, one,
+                               _mm256_castsi256_pd(
+                                   _mm256_sllv_epi64(masks, f64_shifts[b]))));
+        }
+      }
+      std::uint16_t verdicts = 0;
+      for (std::size_t b = 0; b < 4; ++b) {
+        verdicts |= static_cast<std::uint16_t>(
+            _mm256_movemask_pd(
+                _mm256_cmp_pd(acc[b], _mm256_setzero_pd(), _CMP_LT_OQ))
+            << (4 * b));
+      }
+      detail::store_step(column, t, verdicts);
+    }
+  }
+}
+
+/// Gathers byte c of a[0..7] into one u64 per c and stores it at
+/// column[c * stride] for c < n (n <= 32): byte c of a[k] holds column c's
+/// words 8k .. 8k + 7, so the u64 is the column's 64 words. Three unpack
+/// rounds leave column 16L + 2i + e in u64 lane 2L + e of the i-th result,
+/// which is stored from the register (a store and reload through memory
+/// would stall on store forwarding).
+void store_columns(const __m256i a[8], std::size_t n, std::uint64_t* column,
+                   std::size_t stride) {
+  __m256i p[8];
+  __m256i q[8];
+  for (std::size_t k = 0; k < 4; ++k) {
+    p[2 * k] = _mm256_unpacklo_epi8(a[2 * k], a[2 * k + 1]);
+    p[2 * k + 1] = _mm256_unpackhi_epi8(a[2 * k], a[2 * k + 1]);
+  }
+  for (std::size_t h = 0; h < 8; h += 4) {
+    for (std::size_t m = 0; m < 2; ++m) {
+      q[h + 2 * m] = _mm256_unpacklo_epi16(p[h + m], p[h + m + 2]);
+      q[h + 2 * m + 1] = _mm256_unpackhi_epi16(p[h + m], p[h + m + 2]);
+    }
+  }
+  const auto store = [&](std::size_t c, __m128i pair) {
+    if (c < n) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(column + c * stride), pair);
+    }
+    if (c + 1 < n) {
+      _mm_storeh_pd(reinterpret_cast<double*>(column + (c + 1) * stride),
+                    _mm_castsi128_pd(pair));
+    }
+  };
+  for (std::size_t i = 0; i < 8; ++i) {
+    const __m256i r =
+        i % 2 == 0 ? _mm256_unpacklo_epi32(q[i / 2], q[i / 2 + 4])
+                   : _mm256_unpackhi_epi32(q[i / 2], q[i / 2 + 4]);
+    store(2 * i, _mm256_castsi256_si128(r));
+    store(16 + 2 * i, _mm256_extracti128_si256(r, 1));
+  }
+}
+
+void to_columns_avx2(const std::uint8_t* rows, std::size_t row_stride,
+                     std::size_t num_words, std::size_t width,
+                     std::uint64_t* cols, std::size_t col_stride) {
+  if (num_words == 0) return;
+  // A 32-byte load may not run past the matrix: a row chunk that would is
+  // copied to `spill` first. Bounds are tested on offsets, so no pointer is
+  // formed past the matrix.
+  const std::size_t readable = (num_words - 1) * row_stride + width;
+  alignas(32) std::uint8_t spill[32] = {};
+  for (std::size_t g = 0; g * 64 < num_words; ++g) {
+    const std::size_t words = std::min<std::size_t>(64, num_words - g * 64);
+    const std::size_t group = g * 64 * row_stride;
+    for (std::size_t c0 = 0; c0 < width; c0 += 32) {
+      const std::size_t n = std::min<std::size_t>(32, width - c0);
+      // Byte c of a[k] collects column c0 + c of words 8k .. 8k + 7: word
+      // 8k + r sets bit r where its byte is nonzero.
+      const auto add_word = [&](__m256i acc, const std::uint8_t* src, int r) {
+        const __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+        return _mm256_or_si256(
+            acc, _mm256_andnot_si256(
+                     _mm256_cmpeq_epi8(v, _mm256_setzero_si256()),
+                     _mm256_set1_epi8(static_cast<char>(1u << r))));
+      };
+      __m256i a[8];
+      for (std::size_t k = 0; k < 8; ++k) {
+        a[k] = _mm256_setzero_si256();
+        const std::size_t first = group + 8 * k * row_stride + c0;
+        if (8 * k + 8 <= words && first + 7 * row_stride + 32 <= readable) {
+#pragma GCC unroll 8
+          for (int r = 0; r < 8; ++r) {
+            a[k] = add_word(a[k], rows + first + r * row_stride, r);
+          }
+        } else {
+          for (std::size_t w = 8 * k; w < words; ++w) {
+            const std::size_t at = group + w * row_stride + c0;
+            const std::uint8_t* src = rows + at;
+            if (readable - at < 32) {
+              std::memcpy(spill, src, n);
+              src = spill;
+            }
+            a[k] = add_word(a[k], src, static_cast<int>(w - 8 * k));
+          }
+        }
+      }
+      store_columns(a, n, cols + c0 * col_stride + g, col_stride);
+    }
+  }
+}
+
+void to_rows_avx2(const std::uint64_t* cols, std::size_t col_stride,
+                  std::size_t num_words, std::size_t width, std::uint8_t* rows,
+                  std::size_t row_stride) {
+  if (width != 8 || row_stride != 8) {
+    scalar_kernel().to_rows(cols, col_stride, num_words, width, rows,
+                            row_stride);
+    return;
+  }
+  // Rows of exactly 8 columns: after the byte transpose byte c of x[k]
+  // holds column c of words 8k .. 8k + 7, so shifting x[k] right by r in
+  // lane r and keeping each byte's low bit is 4 rows per register.
+  const __m256i lo_shifts = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i hi_shifts = _mm256_setr_epi64x(4, 5, 6, 7);
+  const __m256i low_bits = _mm256_set1_epi8(1);
+  for (std::size_t g = 0; g * 64 < num_words; ++g) {
+    const std::size_t words = std::min<std::size_t>(64, num_words - g * 64);
+    std::uint64_t x[8];
+    for (std::size_t c = 0; c < 8; ++c) x[c] = cols[c * col_stride + g];
+    detail::transpose_8x8_bytes(x);
+    for (std::size_t k = 0; 8 * k < words; ++k) {
+      const __m256i v = _mm256_set1_epi64x(static_cast<long long>(x[k]));
+      const __m256i lo =
+          _mm256_and_si256(_mm256_srlv_epi64(v, lo_shifts), low_bits);
+      const __m256i hi =
+          _mm256_and_si256(_mm256_srlv_epi64(v, hi_shifts), low_bits);
+      auto* dst = reinterpret_cast<long long*>(rows + (g * 64 + 8 * k) * 8);
+      const auto valid =
+          _mm256_set1_epi64x(static_cast<long long>(words - 8 * k));
+      _mm256_maskstore_epi64(dst, _mm256_cmpgt_epi64(valid, lo_shifts), lo);
+      _mm256_maskstore_epi64(dst + 4, _mm256_cmpgt_epi64(valid, hi_shifts),
+                             hi);
+    }
   }
 }
 
@@ -386,8 +353,8 @@ const Kernel* detail::avx2_kernel_candidate() {
   // is compiled with -mavx2, so any non-trivial code in it could be
   // VEX-encoded and fault on a pre-AVX2 host. The runtime support check
   // lives in dispatch.cpp (a portable TU); this is a bare constant return.
-  static constexpr Kernel kernel{"avx2", &eval_bits_avx2, &eval_bits_f32_avx2,
-                                 &eval_bits_mixed_avx2, &eval_channels_avx2};
+  static constexpr Kernel kernel{"avx2", &eval_bits_avx2, &to_columns_avx2,
+                                 &to_rows_avx2, &eval_channels_avx2};
   return &kernel;
 }
 

@@ -3,15 +3,18 @@
 // n <= 3, sampled plus structured specials for n = 4), and lowering a chain
 // to an EvalProgram must be bit-exact against both the Boolean reference and
 // the per-stage physics path (MajorityCascade) on every channel. The
-// program's gather is pinned on every slot source kind, non-canonical input
-// bytes and partial blocks, and so is the one-stage identity path a single
-// gate takes.
+// program's column cascade is pinned on every slot source kind,
+// non-canonical input bytes and partial blocks, and so is the one-stage
+// program a single gate becomes; seeded random tables run the whole trip on
+// every kernel and precision (ProgramDifferential).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "compile/lower.h"
@@ -337,8 +340,8 @@ TEST(ProgramPhysics, FullAdderEightChannelFullSweep) {
 }
 
 // --------------------------------------------------------------------------
-// The gather: every slot source kind, non-canonical input bytes, partial
-// blocks
+// The column cascade: every slot source kind, non-canonical input bytes,
+// partial blocks
 
 /// A cascade exercising every slot source: constants (one of them a
 /// negated kOne), plain and negated primary columns, plain and negated
@@ -425,7 +428,7 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
   // The one-stage paths over the same primary columns: a single MAJ gate
   // whose slot j reads primary column j, as a hand-built ProgramSpec and as
   // an EvalProgram over the designed layout, plus layout requests through
-  // a service of their own. All run the identity path and must match the
+  // a service of their own. All are one-stage programs and must match the
   // gate's scalar-kernel BatchEvaluator on the canonical matrix.
   const sw::core::GateLayout layout = fix.designer.design(fix.base_spec(n));
   ASSERT_EQ(layout.spec.num_inputs * n, cols);
@@ -442,8 +445,8 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
                                     {.num_threads = 3});
   const EvalProgram layout_inline(layout, fix.engine, {.num_threads = 1});
   const EvalProgram layout_pooled(layout, fix.engine, {.num_threads = 3});
-  // One stage that is not the identity (a pinned constant, a negated
-  // column): it must still gather.
+  // One stage whose sources are not the identity (a pinned constant, a
+  // negated column): it reads a constant column and a complemented copy.
   ProgramSpec first_stage = spec;
   first_stage.stages.resize(1);
   const EvalProgram first_inline(first_stage, fix.designer, fix.engine,
@@ -513,6 +516,221 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.program_builds, 0u);
   EXPECT_EQ(cache.stage_builds, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Differential: seeded random 2-, 3- and 4-input tables through synthesis,
+// lowering and EvalProgram, on every kernel and both requested precisions,
+// against the table and against each stage's gate evaluated alone.
+
+/// Stage artefacts shared by every program of a differential run, one per
+/// (GateSpec, precision), so hundreds of programs design only a handful of
+/// gates.
+struct StageCache {
+  const CompileFixture& fix;
+  std::vector<std::pair<std::pair<GateSpec, sw::wavesim::Precision>,
+                        std::shared_ptr<const sw::wavesim::EvalStage>>>
+      stages;
+
+  std::shared_ptr<const sw::wavesim::EvalStage> get(
+      const GateSpec& gate, sw::wavesim::Precision precision) {
+    for (const auto& [key, stage] : stages) {
+      if (key.first == gate && key.second == precision) return stage;
+    }
+    stages.push_back(
+        {{gate, precision},
+         std::make_shared<const sw::wavesim::EvalStage>(
+             gate, fix.designer, fix.engine, sw::wavesim::kDefaultFreqTol,
+             precision)});
+    return stages.back().second;
+  }
+};
+
+struct DifferentialCase {
+  TruthTable table;
+  ProgramSpec spec;
+};
+
+/// 240 seeded tables, 80 each of 2, 3 and 4 inputs, lowered onto `n`
+/// channels.
+std::vector<DifferentialCase> differential_cases(const CompileFixture& fix,
+                                                 std::size_t n) {
+  Synthesizer synth;
+  std::mt19937 rng(2109);
+  std::vector<DifferentialCase> cases;
+  for (std::size_t arity = 2; arity <= 4; ++arity) {
+    for (std::size_t i = 0; i < 80; ++i) {
+      const auto bits = static_cast<std::uint16_t>(
+          rng() & ((std::uint32_t{1} << (std::size_t{1} << arity)) - 1));
+      const TruthTable table(arity, bits);
+      cases.push_back({table, sw::compile::lower_to_program(
+                                  synth.compile(table), fix.base_spec(n))});
+    }
+  }
+  return cases;
+}
+
+/// Word w, channel ch applies assignment (w + 3 ch) mod 2^arity, so every
+/// channel sees every assignment and no two neighbouring channels agree.
+std::vector<std::uint8_t> differential_inputs(std::size_t arity,
+                                              std::size_t n,
+                                              std::size_t words) {
+  std::vector<std::uint8_t> primary(words * n * arity);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t ch = 0; ch < n; ++ch) {
+      const std::size_t a = (w + 3 * ch) % (std::size_t{1} << arity);
+      for (std::size_t i = 0; i < arity; ++i) {
+        primary[(w * n + ch) * arity + i] =
+            static_cast<std::uint8_t>((a >> i) & 1);
+      }
+    }
+  }
+  return primary;
+}
+
+/// Each stage's gate alone, on its inputs repacked by hand from the
+/// primary rows and the earlier stages' outputs: the per-stage physics
+/// path, in the evaluate_all_bits layout.
+std::vector<std::uint8_t> stage_by_stage(
+    StageCache& cache, const ProgramSpec& spec,
+    sw::wavesim::Precision precision, std::size_t words,
+    const std::vector<std::uint8_t>& primary) {
+  using sw::wavesim::SlotSource;
+  const std::size_t n = spec.num_channels();
+  const std::size_t cols = spec.primary_slot_count();
+  const std::size_t width = spec.num_stages() * n;
+  std::vector<std::uint8_t> all(words * width);
+  for (std::size_t s = 0; s < spec.num_stages(); ++s) {
+    const auto stage = cache.get(spec.stages[s].gate, precision);
+    const sw::wavesim::BatchEvaluator evaluator(
+        stage->gate(),
+        std::shared_ptr<const sw::wavesim::EvalPlan>(stage, &stage->plan()),
+        {.num_threads = 1, .precision = precision});
+    const auto& sources = spec.stages[s].sources;
+    std::vector<std::uint8_t> packed(words * sources.size());
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t j = 0; j < sources.size(); ++j) {
+        const SlotSource& src = sources[j];
+        bool v = src.kind == SlotSource::Kind::kOne;
+        if (src.kind == SlotSource::Kind::kPrimary) {
+          v = primary[w * cols + src.index] != 0;
+        } else if (src.kind == SlotSource::Kind::kStage) {
+          v = all[w * width + src.stage * n + src.index] != 0;
+        }
+        packed[w * sources.size() + j] =
+            static_cast<std::uint8_t>(v != src.negated);
+      }
+    }
+    const auto out = evaluator.evaluate_bits(
+        words, packed, sw::wavesim::kernels::scalar_kernel());
+    for (std::size_t w = 0; w < words; ++w) {
+      std::copy_n(out.begin() + static_cast<std::ptrdiff_t>(w * n), n,
+                  all.begin() + static_cast<std::ptrdiff_t>(w * width + s * n));
+    }
+  }
+  return all;
+}
+
+std::vector<const sw::wavesim::kernels::Kernel*> available_kernels() {
+  std::vector<const sw::wavesim::kernels::Kernel*> kernels{
+      &sw::wavesim::kernels::scalar_kernel()};
+  if (const auto* k = sw::wavesim::kernels::avx2_kernel()) kernels.push_back(k);
+  if (const auto* k = sw::wavesim::kernels::avx512_kernel()) {
+    kernels.push_back(k);
+  }
+  return kernels;
+}
+
+constexpr sw::wavesim::Precision kBothPrecisions[] = {
+    sw::wavesim::Precision::kFloat64, sw::wavesim::Precision::kFloat32};
+
+TEST(ProgramDifferential, RandomTablesCoverNegatedAndConstantSources) {
+  // The sample must exercise the interconnect the cascade resolves into
+  // column pointers: negated primary and stage sources (complemented
+  // copies) and pinned constants, negated or not.
+  const CompileFixture fix;
+  std::size_t negated = 0;
+  std::size_t constants = 0;
+  std::size_t stage_sources = 0;
+  for (const auto& c : differential_cases(fix, 1)) {
+    for (const auto& stage : c.spec.stages) {
+      for (const auto& src : stage.sources) {
+        using Kind = sw::wavesim::SlotSource::Kind;
+        negated += src.negated && (src.kind == Kind::kPrimary ||
+                                   src.kind == Kind::kStage);
+        constants += src.kind == Kind::kZero || src.kind == Kind::kOne;
+        stage_sources += src.kind == Kind::kStage;
+      }
+    }
+  }
+  EXPECT_GT(negated, 0u);
+  EXPECT_GT(constants, 0u);
+  EXPECT_GT(stage_sources, 0u);
+}
+
+TEST(ProgramDifferential, LastStageDecodesTheTableOnEveryKernel) {
+  const CompileFixture fix;
+  const std::size_t n = 8;
+  const std::size_t words = 67;  // a partial second column u64
+  StageCache cache{fix, {}};
+  const auto kernels = available_kernels();
+  for (const auto& c : differential_cases(fix, n)) {
+    const std::size_t arity = c.table.num_inputs();
+    const auto primary = differential_inputs(arity, n, words);
+    for (const auto precision : kBothPrecisions) {
+      const EvalProgram program(
+          c.spec,
+          [&](const GateSpec& gate, sw::wavesim::Precision p) {
+            return cache.get(gate, p);
+          },
+          {.num_threads = 1, .precision = precision});
+      for (const auto* k : kernels) {
+        const auto out = program.evaluate_bits(words, primary, *k);
+        ASSERT_EQ(out.size(), words * n);
+        for (std::size_t w = 0; w < words; ++w) {
+          for (std::size_t ch = 0; ch < n; ++ch) {
+            const std::size_t a = (w + 3 * ch) % (std::size_t{1} << arity);
+            ASSERT_EQ(out[w * n + ch], c.table.value(a) ? 1 : 0)
+                << "table " << c.table.bits() << "/" << arity << " kernel "
+                << k->name << " " << program.precision_label() << " w=" << w
+                << " ch=" << ch;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ProgramDifferential, EveryStageMatchesItsGateAlone) {
+  // evaluate_all_bits against the per-stage physics path, inline and on a
+  // pool whose chunks end inside the batch (1000 words over 3 threads).
+  const CompileFixture fix;
+  const std::size_t n = 4;
+  StageCache cache{fix, {}};
+  const auto kernels = available_kernels();
+  for (const auto& c : differential_cases(fix, n)) {
+    for (const std::size_t words : {67ul, 1000ul}) {
+      const auto primary =
+          differential_inputs(c.table.num_inputs(), n, words);
+      for (const auto precision : kBothPrecisions) {
+        const auto want = stage_by_stage(cache, c.spec, precision, words,
+                                         primary);
+        const EvalProgram program(
+            c.spec,
+            [&](const GateSpec& gate, sw::wavesim::Precision p) {
+              return cache.get(gate, p);
+            },
+            {.num_threads = words > 64 * 3 ? 3u : 1u,
+             .precision = precision});
+        for (const auto* k : kernels) {
+          ASSERT_EQ(program.evaluate_all_bits(words, primary, *k), want)
+              << "table " << c.table.bits() << "/" << c.table.num_inputs()
+              << " kernel " << k->name << " " << program.precision_label()
+              << " " << words << " words";
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

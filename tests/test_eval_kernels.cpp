@@ -3,12 +3,13 @@
 // is bit-exact equivalence — every kernel must decode exactly like the
 // scalar gate path (DataParallelGate::evaluate) on every BooleanOp,
 // including the full 2^16 operand sweep at n = 8 and word counts that
-// exercise each kernel's word grouping (4/8 doubles, 8/16 floats) and
-// scalar remainder tail.
+// exercise each kernel's word grouping (4/8 doubles, 8/16 floats), its
+// padded last group and the 64-word column boundaries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <random>
 #include <string>
 #include <vector>
@@ -117,6 +118,71 @@ PackedSweep exhaustive_sweep(const ParallelLogicGate& logic, std::size_t n) {
 constexpr BooleanOp kAllOps[] = {BooleanOp::kAnd,    BooleanOp::kOr,
                                  BooleanOp::kNand,   BooleanOp::kNor,
                                  BooleanOp::kBuffer, BooleanOp::kNot};
+
+/// Every kernel this build and host run, the scalar reference first. On a
+/// host with VBMI and GFNI that includes the AVX-512 table of hosts without
+/// them, whose converters are the AVX2 ones.
+std::vector<const Kernel*> available_kernels() {
+  std::vector<const Kernel*> kernels{&scalar_kernel()};
+  if (const Kernel* avx2 = avx2_kernel()) kernels.push_back(avx2);
+  if (const Kernel* avx512 = avx512_kernel()) {
+    kernels.push_back(avx512);
+    const Kernel* without_vbmi =
+        sw::wavesim::kernels::detail::avx512_kernel_candidate(false);
+    if (without_vbmi != avx512) kernels.push_back(without_vbmi);
+  }
+  return kernels;
+}
+
+/// Word counts at the column edges: around the vector groups (4/8/16
+/// words), the kernels' 32-word steps and the 64-word column u64s, plus a
+/// batch of several 1024-word blocks with a 1-word tail.
+constexpr std::size_t kEdgeWordCounts[] = {1,  3,  7,   8,   9,   15,
+                                           16, 17, 31,  32,  33,  63,
+                                           64, 65, 127, 128, 129, 4097};
+
+/// Layouts of 12 slots (not a multiple of 8), 24 (the paper's gate) and 72
+/// (more than 64, so more than one pack chunk per row): (inputs, channels).
+constexpr std::pair<std::size_t, std::size_t> kEdgeLayouts[] = {
+    {3, 4}, {3, 8}, {9, 8}};
+
+/// The decoded bits of the scalar kernel's ChannelResult loop, which reads
+/// the rows directly and shares no code with the column path: the
+/// reference every kernel's evaluate_bits must equal.
+std::vector<std::uint8_t> row_reference(const EvalPlan& plan,
+                                        std::size_t words,
+                                        const std::vector<std::uint8_t>& rows) {
+  const std::size_t detectors = plan.num_detectors();
+  std::vector<ChannelResult> results(words * detectors);
+  scalar_kernel().eval_channels(plan, rows.data(), 0, words, results.data());
+  std::vector<std::uint8_t> bits(words * plan.num_channels());
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t d = 0; d < detectors; ++d) {
+      const ChannelResult& r = results[w * detectors + d];
+      bits[w * plan.num_channels() + r.channel] = r.logic;
+    }
+  }
+  return bits;
+}
+
+/// Checks every available kernel's evaluate_bits against the row reference
+/// on random rows of `max_byte`-bounded bytes (1: canonical 0/1 bits; 255:
+/// any nonzero byte is a set bit) at every edge word count.
+void expect_kernels_match_rows(const BatchEvaluator& evaluator,
+                               unsigned max_byte, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<unsigned> byte(0, max_byte);
+  for (const std::size_t words : kEdgeWordCounts) {
+    std::vector<std::uint8_t> packed(words * evaluator.slot_count());
+    for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
+    const auto want = row_reference(evaluator.plan(), words, packed);
+    for (const Kernel* k : available_kernels()) {
+      EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
+          << evaluator.slot_count() << " slots, " << words << " words, "
+          << evaluator.plan().precision_label() << ", kernel " << k->name;
+    }
+  }
+}
 
 // --------------------------------------------------------------- dispatch --
 
@@ -478,35 +544,21 @@ TEST(KernelEquivalence, Float32DecodesBitIdenticalOnEveryOp) {
 }
 
 TEST(KernelEquivalence, Float32OddWordCountsExerciseTheWideTails) {
-  // The f32 AVX2 kernel groups EIGHT words per register and the AVX-512
-  // one SIXTEEN; word counts below, at and just past both group sizes
-  // exercise each kernel's f32 scalar tail (15/17 straddle the 16-wide
-  // group, 65 leaves a 1-word tail after four full 16-wide groups).
-  std::vector<const Kernel*> simd;
-  if (const Kernel* avx2 = avx2_kernel()) simd.push_back(avx2);
-  if (const Kernel* avx512 = avx512_kernel()) simd.push_back(avx512);
-  if (simd.empty()) {
-    GTEST_SKIP() << "no SIMD kernel available on this build/host";
-  }
+  // The f32 run groups EIGHT words per register on AVX2 and SIXTEEN on
+  // AVX-512, and a last partial group runs on the column padding: every
+  // edge word count on every layout must still decode like the rows do.
+  // test_precision's block-f32 test runs the same word counts through a
+  // plan with both runs.
   const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 4);
-  const BatchEvaluator evaluator(
-      gate, {.num_threads = 1, .precision = sw::wavesim::Precision::kFloat32});
-  ASSERT_EQ(evaluator.effective_precision(),
-            sw::wavesim::Precision::kFloat32);
-  const std::size_t stride = evaluator.slot_count();
-
-  std::mt19937 rng(53);
-  std::uniform_int_distribution<int> byte(0, 255);  // non-canonical too
-  for (const std::size_t words : {1ul, 3ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul,
-                                  31ul, 33ul, 65ul}) {
-    std::vector<std::uint8_t> packed(words * stride);
-    for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
-    const auto want = evaluator.evaluate_bits(words, packed, scalar_kernel());
-    for (const Kernel* k : simd) {
-      EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
-          << words << " words, kernel " << k->name;
-    }
+  for (const auto& [m, n] : kEdgeLayouts) {
+    const auto gate = fix.majority_gate(m, n);
+    const BatchEvaluator evaluator(
+        gate,
+        {.num_threads = 1, .precision = sw::wavesim::Precision::kFloat32});
+    ASSERT_EQ(evaluator.effective_precision(),
+              sw::wavesim::Precision::kFloat32)
+        << m << "x" << n << ": " << evaluator.plan().f32_rejection();
+    expect_kernels_match_rows(evaluator, 1, static_cast<unsigned>(53 + m + n));
   }
 }
 
@@ -522,77 +574,58 @@ TEST(KernelEquivalence, ActiveKernelMatchesScalarKernel) {
 }
 
 TEST(KernelEquivalence, OddWordCountsExerciseTheVectorTail) {
-  std::vector<const Kernel*> simd;
-  if (const Kernel* avx2 = avx2_kernel()) simd.push_back(avx2);
-  if (const Kernel* avx512 = avx512_kernel()) simd.push_back(avx512);
-  if (simd.empty()) {
-    GTEST_SKIP() << "no SIMD kernel available on this build/host";
-  }
+  // The f64 run groups 4 (AVX2) or 8 (AVX-512) words per register inside
+  // 16- or 32-word steps, and the converters work in 64-word column u64s;
+  // a partial group runs on the padding, whose bits the row edge drops.
   const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 4);
-  const BatchEvaluator evaluator(gate, {.num_threads = 1});
-  const std::size_t stride = evaluator.slot_count();
-
-  std::mt19937 rng(31);
-  std::bernoulli_distribution coin(0.5);
-  // 1..3 words never enter AVX2's 4-word loop and 1..7 never enter
-  // AVX-512's 8-word loop; 5/7/9 leave AVX2 tails, 9 leaves an AVX-512
-  // 1-word tail; 31/33 leave tails after several full groups of either
-  // width.
-  for (const std::size_t words : {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 9ul,
-                                  31ul, 32ul, 33ul}) {
-    std::vector<std::uint8_t> packed(words * stride);
-    for (auto& b : packed) b = coin(rng) ? 1 : 0;
-    const auto want = evaluator.evaluate_bits(words, packed, scalar_kernel());
-    for (const Kernel* k : simd) {
-      EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
-          << words << " words, kernel " << k->name;
-    }
+  for (const auto& [m, n] : kEdgeLayouts) {
+    const auto gate = fix.majority_gate(m, n);
+    const BatchEvaluator evaluator(
+        gate,
+        {.num_threads = 1, .precision = sw::wavesim::Precision::kFloat64});
+    expect_kernels_match_rows(evaluator, 1, static_cast<unsigned>(31 + m + n));
   }
 }
 
 TEST(KernelEquivalence, NonCanonicalBytesDecodeIdentically) {
   // evaluate_bits documents a bit per byte but never validates the values;
-  // the scalar kernel treats any nonzero byte as a set bit, and the SIMD
-  // mask builds must agree (a lane mask keyed on bit 0 alone would
-  // silently decode 2, 4, 0x80... as zeros).
-  std::vector<const Kernel*> simd;
-  if (const Kernel* avx2 = avx2_kernel()) simd.push_back(avx2);
-  if (const Kernel* avx512 = avx512_kernel()) simd.push_back(avx512);
-  if (simd.empty()) {
-    GTEST_SKIP() << "no SIMD kernel available on this build/host";
-  }
+  // the scalar reference treats any nonzero byte as a set bit, and every
+  // converter must agree (a pack keyed on bit 0 alone would silently
+  // decode 2, 4, 0x80... as zeros), in both precisions.
   const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 4);
-  const BatchEvaluator evaluator(gate, {.num_threads = 1});
-  const std::size_t words = 64;
-  std::mt19937 rng(41);
-  std::uniform_int_distribution<int> byte(0, 255);
-  std::vector<std::uint8_t> packed(words * evaluator.slot_count());
-  for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
-  const auto want = evaluator.evaluate_bits(words, packed, scalar_kernel());
-  for (const Kernel* k : simd) {
-    EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
-        << "kernel " << k->name;
+  for (const auto precision :
+       {sw::wavesim::Precision::kFloat64, sw::wavesim::Precision::kFloat32}) {
+    for (const auto& [m, n] : kEdgeLayouts) {
+      const auto gate = fix.majority_gate(m, n);
+      const BatchEvaluator evaluator(
+          gate, {.num_threads = 1, .precision = precision});
+      expect_kernels_match_rows(evaluator, 255,
+                                static_cast<unsigned>(41 + m + n));
+    }
   }
 }
 
 TEST(KernelEquivalence, ThreadedChunkingDoesNotChangeDecodes) {
-  // Thread-pool chunk boundaries shift where the AVX2 4-word groups fall;
-  // decodes are per-word and must not move.
+  // Pool chunks split at whole 64-word column u64s. These word and thread
+  // counts would put a word-split chunk boundary inside a u64 (203 / 3 =
+  // 67.7, 1000 / 7 = 142.9, ...); decodes are per word and must not move.
   const KernelFixture fix;
   const auto gate = fix.majority_gate(3, 4);
-  const std::size_t words = 203;  // prime-ish: uneven chunks + vector tails
   std::mt19937 rng(37);
   std::bernoulli_distribution coin(0.5);
   const BatchEvaluator single(gate, {.num_threads = 1});
-  std::vector<std::uint8_t> packed(words * single.slot_count());
-  for (auto& b : packed) b = coin(rng) ? 1 : 0;
-  const auto want = single.evaluate_bits(words, packed);
-  for (const std::size_t threads : {2ul, 3ul, 5ul}) {
-    const BatchEvaluator pooled(gate, {.num_threads = threads});
-    EXPECT_EQ(pooled.evaluate_bits(words, packed), want)
-        << threads << " threads";
+  for (const std::size_t words : {203ul, 1000ul, 4097ul}) {
+    std::vector<std::uint8_t> packed(words * single.slot_count());
+    for (auto& b : packed) b = coin(rng) ? 1 : 0;
+    for (const Kernel* k : available_kernels()) {
+      const auto want = single.evaluate_bits(words, packed, *k);
+      for (const std::size_t threads : {2ul, 3ul, 5ul, 7ul}) {
+        const BatchEvaluator pooled(gate, {.num_threads = threads});
+        EXPECT_EQ(pooled.evaluate_bits(words, packed, *k), want)
+            << words << " words, " << threads << " threads, kernel "
+            << k->name;
+      }
+    }
   }
 }
 

@@ -317,22 +317,26 @@ TEST(BlockPrecision, BlockDecodesBitIdenticalToDoubleOnEveryOp) {
 }
 
 TEST(BlockPrecision, MixedKernelOddWordCountsExerciseTheTails) {
-  // The mixed entry point splits each word group into an f32 sub-pass and
-  // an f64 rescue sub-pass with DIFFERENT group widths (8/16 floats vs
-  // 4/8 doubles per register), so odd word counts leave different tails in
-  // each sub-pass. Every SIMD kernel must agree with scalar on all of them.
+  // eval_bits runs the f32 detectors and the f64 rescue detectors with
+  // DIFFERENT group widths (8/16 floats vs 4/8 doubles per register), so a
+  // word count leaves different padding in each run. Word counts around
+  // those groups, the 32-word steps and the 64-word column u64s must decode
+  // on every kernel exactly like the all-f64 plan.
   const PrecisionFixture fix;
   const GateLayout layout = fix.thin_channel(fix.majority_layout(3, 8), 5);
   const DataParallelGate gate(layout, fix.engine);
   const BatchEvaluator evaluator(
       gate, {.num_threads = 1, .precision = Precision::kFloat32});
+  const BatchEvaluator f64(
+      gate, {.num_threads = 1, .precision = Precision::kFloat64});
   ASSERT_TRUE(evaluator.plan().is_block());
   const auto kernels = all_kernels();
   const std::size_t stride = evaluator.slot_count();
   for (const std::size_t words :
-       {1ul, 3ul, 5ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 33ul, 65ul}) {
+       {1ul, 3ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 31ul, 32ul, 33ul, 63ul,
+        64ul, 65ul, 127ul, 128ul, 129ul, 4097ul}) {
     const auto packed = random_matrix(words, stride, /*seed=*/71 + words);
-    const auto want = evaluator.evaluate_bits(
+    const auto want = f64.evaluate_bits(
         words, packed, sw::wavesim::kernels::scalar_kernel());
     for (const Kernel* k : kernels) {
       EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
