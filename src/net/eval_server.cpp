@@ -94,8 +94,8 @@ class ReadBuffer {
 
 /// One evaluated request's reply, from a pool worker through the
 /// completion queue or straight from an inline evaluation. Carries the
-/// response metadata (not the request frame) so the reply can be encoded
-/// straight from the service's result bits without ever re-touching the
+/// response metadata (not the request frame) so the reply can be packed
+/// straight from the service's result columns without ever re-touching the
 /// request.
 struct EvalServer::Completion {
   std::uint64_t conn_id = 0;
@@ -104,7 +104,8 @@ struct EvalServer::Completion {
   std::uint64_t word_offset = 0;
   std::uint64_t num_words = 0;
   std::uint64_t num_channels = 0;
-  std::vector<std::uint8_t> bits;  ///< result matrix (empty on error)
+  /// The result's channel columns (empty on error).
+  std::vector<std::uint64_t> columns;
   /// The request's settled spans (wire decode + service phases); the event
   /// thread appends wire-encode / write-queue spans before recording it.
   sw::obs::TraceContext trace;
@@ -571,18 +572,20 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     sw::obs::TraceContext trace;
     trace.track = conn.id;
     const std::size_t decode_slot = trace.begin(sw::obs::Phase::kWireDecode);
-    sw::serve::SweepFrame request =
-        sw::serve::decode_frame(payload, options_.max_wire_version);
+    const sw::serve::PackedFrame request =
+        sw::serve::validate_frame(payload, options_.max_wire_version);
     SW_REQUIRE(request.kind == sw::serve::FrameKind::kRequest,
                "server expects request frames");
-    const std::size_t num_words = static_cast<std::size_t>(request.num_words);
-    Completion meta;
-    meta.conn_id = conn.id;
-    meta.tag = tag;
-    meta.layout_hash = request.layout_hash;
-    meta.word_offset = request.word_offset;
-    meta.num_words = request.num_words;
-    sw::serve::EvalRequest eval_request;
+    // The frame's shape against its target, before any design work or
+    // column sizing.
+    const std::uint64_t slots =
+        request.program ? request.program->primary_slot_count()
+                        : request.spec->num_inputs *
+                              request.spec->frequencies.size();
+    SW_REQUIRE(request.num_cols == slots,
+               "request frame has " + std::to_string(request.num_cols) +
+                   " columns, its target reads " + std::to_string(slots) +
+                   " input slots");
     if (request.program) {
       // v3: prove both ends mean the same program before evaluating, the
       // same contract layout_for enforces for geometry. The service's plan
@@ -592,14 +595,24 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
                      request.layout_hash,
                  "program hash mismatch: decoded program differs from the "
                  "client's");
-      eval_request = sw::serve::EvalRequest::for_program(
-          *request.program, std::move(request.matrix), num_words);
-    } else {
-      // Borrows the cached layout: submit_async copies what it keeps.
-      eval_request = sw::serve::EvalRequest::for_layout(
-          layout_for(request), std::move(request.matrix), num_words);
     }
+    Completion meta;
+    meta.conn_id = conn.id;
+    meta.tag = tag;
+    meta.layout_hash = request.layout_hash;
+    meta.word_offset = request.word_offset;
+    meta.num_words = request.num_words;
+    sw::serve::EvalRequest eval_request;
+    eval_request.num_words = static_cast<std::size_t>(request.num_words);
+    eval_request.columns = sw::serve::unpack_columns(request);
     trace.end(decode_slot);
+    if (request.program) {
+      eval_request.program = &*request.program;
+    } else {
+      // Borrows the cached layout: submit_async copies what it keeps. A
+      // cold spec is designed here, in its own span.
+      eval_request.layout = &layout_for(request, trace);
+    }
     eval_request.trace = std::move(trace);
     // The service's settle is not the request's end here — the reply still
     // has to be encoded and flushed — so recording is deferred to this
@@ -623,7 +636,7 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
             }
           } else {
             meta.num_channels = result.num_channels;
-            meta.bits = std::move(result.bits);
+            meta.columns = std::move(result.columns);
           }
           meta.trace = std::move(result.trace);
           if (std::this_thread::get_id() == submitter) {
@@ -693,7 +706,7 @@ void EvalServer::append_completion(Conn& conn, Completion& c) {
   view.word_offset = c.word_offset;
   view.num_words = c.num_words;
   view.num_cols = c.num_channels;
-  view.matrix = c.bits;
+  view.columns = c.columns;
   append_frame_message(conn.wbuf, view, c.tag);
   c.trace.end(encode_slot);
   conn.last_progress = std::chrono::steady_clock::now();
@@ -840,12 +853,14 @@ void EvalServer::reap_stalled() {
 }
 
 const sw::core::GateLayout& EvalServer::layout_for(
-    const sw::serve::SweepFrame& request) {
+    const sw::serve::PackedFrame& request, sw::obs::TraceContext& trace) {
   auto it = layouts_.find(request.layout_hash);
   if (it != layouts_.end() && it->second.spec == *request.spec) {
     return it->second;
   }
+  const std::size_t design_slot = trace.begin(sw::obs::Phase::kDesign);
   sw::core::GateLayout layout = designer_(*request.spec);
+  trace.end(design_slot);
   const std::uint64_t local_hash = sw::serve::hash_layout(layout);
   SW_REQUIRE(local_hash == request.layout_hash,
              "layout hash mismatch: server geometry differs from the "

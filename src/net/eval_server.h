@@ -11,6 +11,12 @@
 //  - Requests are *pipelined*: a client may send any number of tagged
 //    frames without waiting, and each reply carries its request's tag, so
 //    replies are written in whatever order the evaluations finish.
+//  - A request frame decodes straight to the kernels' bit-sliced columns
+//    (serve::validate_frame + unpack_columns) after its column count is
+//    checked against its target, before any design work; the service
+//    evaluates columns, and the reply is packed straight from the result
+//    columns. No byte matrix exists on the serving path. A v2 spec the
+//    server has not designed yet is designed here, in its own trace span.
 //  - Where a frame is evaluated is the service's call (submit_async). A
 //    frame whose program is already cached and whose kernel work is small
 //    (EvaluatorService::kMaxInlineWork) runs to completion on the event
@@ -38,8 +44,9 @@
 //    document (service stats, latency percentiles + histograms, transport
 //    counters); kTraceRequest with the service's trace ring as Chrome
 //    trace-event JSON (obs::trace_json) — each served request carries
-//    wire-decode, admission, plan, kernel, wire-encode and write-queue
-//    spans, recorded once its reply reaches the socket.
+//    wire-decode, (cold v2 only) design, admission, plan, kernel,
+//    wire-encode and write-queue spans, recorded once its reply reaches
+//    the socket.
 //  - With `registry` set, a heartbeat thread periodically registers a
 //    WorkerAdvert (endpoint, kernel, precision, measured words/s) with a
 //    RegistryServer so coordinators can discover this worker instead of
@@ -191,9 +198,11 @@ class EvalServer {
   void close_conn(std::uint64_t conn_id);
   void reap_stalled();
   /// The designed layout of a v2 frame: from layouts_ when the cached
-  /// entry's spec matches, else designed and hash-checked against the
-  /// frame. The reference stays valid until the next layout_for call.
-  const sw::core::GateLayout& layout_for(const sw::serve::SweepFrame& request);
+  /// entry's spec matches, else designed (a kDesign span on `trace`) and
+  /// hash-checked against the frame. The reference stays valid until the
+  /// next layout_for call.
+  const sw::core::GateLayout& layout_for(const sw::serve::PackedFrame& request,
+                                         sw::obs::TraceContext& trace);
 
   sw::serve::EvaluatorService* service_;
   Designer designer_;

@@ -237,10 +237,12 @@ void mark_dead(SweepState& state, std::size_t w, const std::string& why) {
   state.cv.notify_all();
 }
 
-/// Validate and retire one response; a divergent duplicate or a response
+/// Validate and retire one response whose payload `matrix` holds as the
+/// num_words x num_cols byte matrix; a divergent duplicate or a response
 /// that does not match its shard aborts the sweep.
 void complete_shard(SweepState& state, std::size_t w, std::size_t index,
-                    const sw::serve::SweepFrame& response,
+                    const sw::serve::PackedFrame& response,
+                    std::span<const std::uint8_t> matrix,
                     std::uint64_t expected_hash) {
   std::lock_guard<std::mutex> lock(state.mutex);
   Shard& shard = state.shards[index];
@@ -259,7 +261,7 @@ void complete_shard(SweepState& state, std::size_t w, std::size_t index,
   if (shard.state == ShardState::kDone) {
     // A re-sharded shard answered twice; both workers must agree on every
     // bit or the sweep result would depend on message timing.
-    if (std::memcmp(dst, response.matrix.data(), bytes) != 0) {
+    if (std::memcmp(dst, matrix.data(), bytes) != 0) {
       state.abort_locked(
           "duplicate shard results diverge bit-for-bit (offset " +
           std::to_string(shard.offset) + ")");
@@ -268,7 +270,7 @@ void complete_shard(SweepState& state, std::size_t w, std::size_t index,
     ++state.duplicate_results;
     return;
   }
-  std::memcpy(dst, response.matrix.data(), bytes);
+  std::memcpy(dst, matrix.data(), bytes);
   shard.state = ShardState::kDone;
   ++state.done_count;
   ++state.completed[w];
@@ -318,6 +320,8 @@ class WorkerLink {
   /// Reused across shards: steady-state encoding allocates nothing once
   /// the buffer has grown to one shard's frame size.
   std::vector<std::uint8_t> request_bytes_;
+  /// A reply's payload as its byte matrix, reused the same way.
+  std::vector<std::uint8_t> reply_matrix_;
   std::vector<InFlight> window_;
   /// Starts at 1: a peer that answers with tag 0 names no shard.
   std::uint64_t next_tag_ = 1;
@@ -483,13 +487,19 @@ void WorkerLink::receive_reply() {
     return;
   }
   SW_REQUIRE(reply->kind == MessageKind::kFrame, "expected a frame message");
-  const sw::serve::SweepFrame frame = sw::serve::decode_frame(reply->payload);
+  const sw::serve::PackedFrame frame =
+      sw::serve::validate_frame(reply->payload);
+  // Validation bounds the matrix by the frame's own bytes.
+  reply_matrix_.resize(
+      static_cast<std::size_t>(frame.num_words * frame.num_cols));
+  sw::serve::unpack_matrix(frame, reply_matrix_);
   InFlight& shard = *it;
   shard.trace.end(shard.wait_slot);
   shard.wait_slot = sw::obs::TraceContext::kNoSlot;
   const std::size_t retire_slot =
       shard.trace.begin(sw::obs::Phase::kShardRetire);
-  complete_shard(state_, w_, shard.index, frame, ctx_.expected_hash);
+  complete_shard(state_, w_, shard.index, frame, reply_matrix_,
+                 ctx_.expected_hash);
   shard.trace.end(retire_slot);
   record(shard);
   window_.erase(it);

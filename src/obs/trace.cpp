@@ -12,9 +12,9 @@ namespace sw::obs {
 namespace {
 
 constexpr std::string_view kPhaseNames[kNumPhases] = {
-    "admission",    "plan_lookup", "queue",       "plan_build", "kernel",
-    "stage",        "wire_decode", "wire_encode", "write_queue",
-    "shard_assign", "shard_send",  "shard_wait",  "shard_retire", "reshard",
+    "admission",    "plan_lookup", "queue",      "plan_build",   "kernel",
+    "stage",        "wire_decode", "design",     "wire_encode",  "write_queue",
+    "shard_assign", "shard_send",  "shard_wait", "shard_retire", "reshard",
 };
 
 }  // namespace

@@ -35,6 +35,7 @@ enum class Phase : std::uint8_t {
   kStage,          ///< one program stage's share of the kernel pass (arg = stage)
   // Transport phases.
   kWireDecode,     ///< parsing + decoding the request's wire frame
+  kDesign,         ///< designing a wire spec's layout the server had not cached
   kWireEncode,     ///< encoding the response frame into the write buffer
   kWriteQueue,     ///< response sitting in the socket write queue
   // Sweep-coordinator shard phases (arg = worker index).

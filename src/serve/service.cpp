@@ -68,7 +68,8 @@ struct EvaluatorService::Request {
   /// cache with the copied target (and builds the entry on a cold miss).
   PlanCache::ProgramPtr program;
   std::variant<sw::core::GateLayout, sw::wavesim::ProgramSpec> target;
-  std::vector<std::uint8_t> bits;
+  /// The input slot columns (EvalRequest::columns).
+  std::vector<std::uint64_t> columns;
   /// Phase spans, seeded by the transport (wire decode) and grown here.
   sw::obs::TraceContext trace;
   bool defer_trace = false;
@@ -127,19 +128,18 @@ void EvaluatorService::post_request(EvalRequest&& source,
   }
   const std::size_t num_words = source.num_words;
   SW_REQUIRE(slots > 0, "request target has no input slots");
-  // Mirror evaluate_bits' overflow guard up front: a wrapping product must
-  // fail synchronously here, before admission charges a near-SIZE_MAX word
-  // count that would shed or block every other submitter until a worker
-  // rejects the request.
-  SW_REQUIRE(num_words <= std::numeric_limits<std::size_t>::max() / slots,
-             "num_words x slot_count overflows size_t");
-  SW_REQUIRE(source.packed_bits.size() == num_words * slots,
-             "packed bit matrix must be num_words x slot_count");
+  // The shape fails synchronously here, before admission charges the word
+  // count. column_words without the wrap of num_words + 63, so a
+  // near-SIZE_MAX count cannot pass as a small one.
+  const std::size_t col_words = num_words / 64 + (num_words % 64 != 0);
+  SW_REQUIRE(col_words <= std::numeric_limits<std::size_t>::max() / slots &&
+                 source.columns.size() == slots * col_words,
+             "request columns must be slot_count x column_words(num_words)");
 
   request->num_words = num_words;
   request->submitted_at = std::chrono::steady_clock::now();
   request->precision = source.precision;
-  request->bits = std::move(source.packed_bits);
+  request->columns = std::move(source.columns);
   request->trace = std::move(source.trace);
   request->defer_trace = source.defer_trace_record;
 
@@ -236,8 +236,19 @@ void EvaluatorService::process(Request* raw) {
     const std::size_t kernel_slot =
         request->trace.begin(sw::obs::Phase::kKernel);
     sw::wavesim::StageTimings timings(program->num_stages());
-    out.bits =
-        program->evaluate_bits(request->num_words, request->bits, &timings);
+    const sw::wavesim::kernels::Kernel& kernel =
+        sw::wavesim::kernels::active_kernel();
+    out.columns = program->evaluate_columns(
+        request->num_words, request->columns, kernel, &timings);
+    if (!request->done) {
+      // submit()'s edge: the caller gets rows.
+      out.bits.resize(out.num_words * out.num_channels);
+      kernel.to_rows(out.columns.data(),
+                     sw::wavesim::kernels::column_words(out.num_words),
+                     out.num_words, out.num_channels, out.bits.data(),
+                     out.num_channels);
+      out.columns = {};
+    }
     request->trace.end(kernel_slot);
     kernel_exec_hist_.record(span_seconds(request->trace, kernel_slot));
     // Synthesize per-stage child spans laid out sequentially inside the

@@ -1,6 +1,14 @@
 // Long-lived evaluator service: the traffic-serving front end over the
 // batch-evaluation subsystem.
 //
+// The service holds one representation of a batch: bit-sliced columns. A
+// request's input is its primary slot columns and its result the last
+// stage's channel columns, evaluated by EvalProgram::evaluate_columns.
+// Rows exist only at the in-process edges (EvalRequest::for_layout /
+// for_program convert a caller's rows once; submit() returns rows in
+// ResultBatch::bits), while submit_async hands back the columns, which the
+// wire server packs straight into its reply.
+//
 // One EvaluatorService owns the WaveEngine, a designer, a plan cache and a
 // worker pool, and accepts interleaved packed-word batches against
 // *arbitrary* targets — single gate layouts or multi-stage ProgramSpecs —
@@ -85,8 +93,9 @@ struct ServiceOptions {
   double slow_request_threshold_s = 0.0;
 };
 
-/// Decoded output of one request: row-major num_words x num_channels logic
-/// bits (the evaluate_bits matrix), plus serving metadata.
+/// Decoded output of one request, plus serving metadata. The bits are the
+/// last stage's channel columns from submit_async, and the row-major
+/// num_words x num_channels matrix (the evaluate_bits shape) from submit().
 struct ResultBatch {
   std::uint64_t request_id = 0;
   std::size_t num_words = 0;
@@ -103,7 +112,13 @@ struct ResultBatch {
   /// kernel, per-stage), settled. Already recorded into the service's
   /// TraceRecorder unless the request set defer_trace_record.
   sw::obs::TraceContext trace;
+  /// submit(): row-major num_words x num_channels bits (0/1). Empty from
+  /// submit_async.
   std::vector<std::uint8_t> bits;
+  /// submit_async: num_channels columns of kernels::column_words(num_words)
+  /// u64s, channel ch's at ch * column_words(num_words), zero past
+  /// num_words. Empty from submit().
+  std::vector<std::uint64_t> columns;
 
   std::uint8_t bit(std::size_t word, std::size_t channel) const {
     return bits[word * num_channels + channel];
@@ -192,9 +207,10 @@ class EvaluatorService {
   EvaluatorService& operator=(const EvaluatorService&) = delete;
 
   /// Submit one EvalRequest (layout- or program-bound, see eval_request.h).
-  /// Returns a future carrying the decoded bits — for a program, the LAST
-  /// stage's — with stage-count/depth metadata; evaluation errors surface
-  /// through the future. Throws OverloadError (kShed) or blocks (kBlock)
+  /// Returns a future carrying the decoded bits as rows (ResultBatch::bits)
+  /// — for a program, the LAST stage's — with stage-count/depth metadata;
+  /// evaluation errors surface through the future. Throws OverloadError
+  /// (kShed) or blocks (kBlock)
   /// per the admission policy, and throws sw::util::Error on a shape
   /// mismatch or a request binding neither (or both) targets.
   std::future<ResultBatch> submit(EvalRequest request);
@@ -202,12 +218,14 @@ class EvaluatorService {
   /// Callback-style submit for event-driven callers (the epoll serving
   /// core) that must not park a thread in future.get(): same admission,
   /// plan-cache and accounting path as submit(), but completion is
-  /// delivered by invoking `done`. A request whose program is already
-  /// cached and whose kernel work is at most kMaxInlineWork is evaluated
-  /// on the calling thread, and `done` runs there before submit_async
-  /// returns; any other request goes to the pool and `done` runs on the
-  /// worker that evaluated it. Admission failures (OverloadError, a shape
-  /// error) still throw to the caller, and `done` is then never called.
+  /// delivered by invoking `done`, with the result as channel columns
+  /// (ResultBatch::columns; no row conversion). A request whose program is
+  /// already cached and whose kernel work is at most kMaxInlineWork is
+  /// evaluated on the calling thread, and `done` runs there before
+  /// submit_async returns; any other request goes to the pool and `done`
+  /// runs on the worker that evaluated it. Admission failures
+  /// (OverloadError, a shape error) still throw to the caller, and `done`
+  /// is then never called.
   /// Exceptions thrown by `done` itself are swallowed (the request has
   /// already settled).
   void submit_async(EvalRequest request, CompletionFn done);

@@ -4,11 +4,13 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "serve/byteio.h"
 #include "serve/layout_hash.h"
 #include "serve/wire_simd.h"
 #include "util/error.h"
+#include "wavesim/kernels/kernel.h"
 
 namespace sw::serve {
 
@@ -224,30 +226,163 @@ void unpack_cells8(std::uint8_t packed, std::uint8_t* cells) {
   }
 }
 
-/// The SIMD bulk codec for the flat (num_cols % 8 == 0) path — AVX-512 (64
-/// cells/step) when the host and build have it, else AVX2 (32 cells/step),
-/// else nullptr; resolved once, mirroring the wavesim kernel dispatch. The
-/// caller reads codec->step for its bulk granularity.
-const detail::WireCodec* wire_simd() {
-#if defined(__x86_64__) || defined(__i386__)
-  static const detail::WireCodec* codec = [] {
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw")) {
-      if (const detail::WireCodec* c = detail::wire_codec_avx512_candidate()) {
-        return c;
-      }
+/// Flat pack/unpack of whole packed bytes with the u64 tricks above: the
+/// portable flavour, and the tail every SIMD flavour finishes with.
+void pack_portable(const std::uint8_t* cells, std::size_t packed_bytes,
+                   std::uint8_t* out) {
+  for (std::size_t b = 0; b < packed_bytes; ++b) {
+    out[b] = pack_cells8(cells + b * 8);
+  }
+}
+
+void unpack_portable(const std::uint8_t* packed, std::size_t packed_bytes,
+                     std::uint8_t* cells) {
+  for (std::size_t b = 0; b < packed_bytes; ++b) {
+    unpack_cells8(packed[b], cells + b * 8);
+  }
+}
+
+/// `codec`'s bulk steps, then the portable tail.
+void pack_flat(const detail::FlatCodec& codec, const std::uint8_t* cells,
+               std::size_t packed_bytes, std::uint8_t* out) {
+  const std::size_t bulk = packed_bytes & ~(codec.step - 1);
+  if (bulk > 0) codec.pack(cells, bulk, out);
+  pack_portable(cells + bulk * 8, packed_bytes - bulk, out + bulk);
+}
+
+void unpack_flat(const detail::FlatCodec& codec, const std::uint8_t* packed,
+                 std::size_t packed_bytes, std::uint8_t* cells) {
+  const std::size_t bulk = packed_bytes & ~(codec.step - 1);
+  if (bulk > 0) codec.unpack(packed, bulk, cells);
+  unpack_portable(packed + bulk, packed_bytes - bulk, cells + bulk * 8);
+}
+
+/// The block fallback's scratch: 64 words of up to 256 columns, or more
+/// words of fewer columns, stay in L1 between unpack and to_columns.
+constexpr std::size_t kBlockCells = 16 * 1024;
+constexpr std::size_t kBlockRowBytes = kBlockCells / 64 / 8;
+
+/// Calls chunk(b0, nb, w0, words) for each block of the fallback: row
+/// bytes [b0, b0 + nb) of rows [w0, w0 + words), where words is a multiple
+/// of 64 except in the last block and words * 8 * nb <= kBlockCells.
+template <typename Chunk>
+void for_each_cell_block(std::size_t num_words, std::size_t row_bytes,
+                         const Chunk& chunk) {
+  for (std::size_t b0 = 0; b0 < row_bytes; b0 += kBlockRowBytes) {
+    const std::size_t nb = std::min(kBlockRowBytes, row_bytes - b0);
+    const std::size_t block = kBlockCells / (8 * nb) / 64 * 64;
+    for (std::size_t w0 = 0; w0 < num_words; w0 += block) {
+      chunk(b0, nb, w0, std::min(block, num_words - w0));
     }
-    return __builtin_cpu_supports("avx2")
-               ? detail::wire_codec_avx2_candidate()
-               : static_cast<const detail::WireCodec*>(nullptr);
-  }();
-  return codec;
-#else
-  return nullptr;
-#endif
+  }
 }
 
 }  // namespace
+
+namespace detail {
+
+void block_to_columns(const WireCodec& codec, const std::uint8_t* packed,
+                      std::size_t num_words, std::size_t num_cols,
+                      std::uint64_t* cols, std::size_t col_stride) {
+  const std::size_t row_bytes = row_bytes_for(num_cols);
+  alignas(64) std::uint8_t cells[kBlockCells];
+  for_each_cell_block(num_words, row_bytes, [&](std::size_t b0,
+                                                std::size_t nb,
+                                                std::size_t w0,
+                                                std::size_t words) {
+    const std::uint8_t* rows = packed + w0 * row_bytes;
+    if (nb == row_bytes) {
+      unpack_flat(codec.flat, rows, words * row_bytes, cells);
+    } else {
+      for (std::size_t w = 0; w < words; ++w) {
+        unpack_flat(codec.flat, rows + w * row_bytes + b0, nb,
+                    cells + w * 8 * nb);
+      }
+    }
+    codec.kernel->to_columns(cells, 8 * nb, words,
+                             std::min(num_cols - 8 * b0, 8 * nb),
+                             cols + 8 * b0 * col_stride + w0 / 64, col_stride);
+  });
+}
+
+void block_to_packed(const WireCodec& codec, const std::uint64_t* cols,
+                     std::size_t col_stride, std::size_t num_words,
+                     std::size_t num_cols, std::uint8_t* packed) {
+  const std::size_t row_bytes = row_bytes_for(num_cols);
+  alignas(64) std::uint8_t cells[kBlockCells];
+  for_each_cell_block(num_words, row_bytes, [&](std::size_t b0,
+                                                std::size_t nb,
+                                                std::size_t w0,
+                                                std::size_t words) {
+    const std::size_t width = std::min(num_cols - 8 * b0, 8 * nb);
+    // to_rows writes only the columns it converts: the padding cells past
+    // num_cols must read zero.
+    if (width < 8 * nb) std::memset(cells, 0, words * 8 * nb);
+    codec.kernel->to_rows(cols + 8 * b0 * col_stride + w0 / 64, col_stride,
+                          words, width, cells, 8 * nb);
+    std::uint8_t* rows = packed + w0 * row_bytes;
+    if (nb == row_bytes) {
+      pack_flat(codec.flat, cells, words * row_bytes, rows);
+    } else {
+      for (std::size_t w = 0; w < words; ++w) {
+        pack_flat(codec.flat, cells + w * 8 * nb, nb,
+                  rows + w * row_bytes + b0);
+      }
+    }
+  });
+}
+
+const std::vector<WireCodec>& wire_codecs() {
+  static const std::vector<WireCodec> codecs = [] {
+    namespace kn = sw::wavesim::kernels;
+    std::vector<WireCodec> list{{"scalar",
+                                 {pack_portable, unpack_portable, 1},
+                                 block_to_columns,
+                                 block_to_packed,
+                                 &kn::scalar_kernel()}};
+#if defined(__x86_64__) || defined(__i386__)
+    const kn::Kernel* avx2 = kn::avx2_kernel();
+    if (__builtin_cpu_supports("avx2") && avx2 != nullptr) {
+      if (const FlatCodec* flat = wire_flat_avx2_candidate()) {
+        list.push_back(
+            {"avx2", *flat, block_to_columns, block_to_packed, avx2});
+      }
+    }
+    const kn::Kernel* avx512 = kn::avx512_kernel();
+    const FlatCodec* flat512 = wire_flat_avx512_candidate();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") && avx512 != nullptr &&
+        flat512 != nullptr) {
+      list.push_back({"avx512", *flat512, block_to_columns, block_to_packed,
+                      kn::detail::avx512_kernel_candidate(false)});
+      const TileTransposes* tiles = wire_tiles_vbmi_candidate();
+      if (__builtin_cpu_supports("avx512vbmi") &&
+          __builtin_cpu_supports("gfni") && tiles != nullptr) {
+        list.push_back({"avx512-vbmi", *flat512, tiles->to_columns,
+                        tiles->to_packed, avx512});
+      }
+    }
+#endif
+    return list;
+  }();
+  return codecs;
+}
+
+const WireCodec& wire_codec() {
+  static const WireCodec* const codec = [] {
+    // The best flavour on the active kernel's rung ("scalar" names the
+    // portable one), so a forced SW_EVAL_KERNEL forces the codec too.
+    const std::string_view rung = sw::wavesim::kernels::active_kernel().name;
+    const WireCodec* pick = &wire_codecs().front();
+    for (const WireCodec& c : wire_codecs()) {
+      if (std::string_view(c.name).substr(0, rung.size()) == rung) pick = &c;
+    }
+    return pick;
+  }();
+  return *codec;
+}
+
+}  // namespace detail
 
 SweepFrameView as_view(const SweepFrame& frame) {
   SweepFrameView view;
@@ -289,19 +424,6 @@ SweepFrameView make_program_request_view(
   view.num_words = num_words;
   view.num_cols = program.primary_slot_count();
   view.program = &program;
-  view.matrix = matrix;
-  return view;
-}
-
-SweepFrameView make_response_view(const SweepFrame& request,
-                                  std::uint64_t num_channels,
-                                  std::span<const std::uint8_t> matrix) {
-  SweepFrameView view;
-  view.kind = FrameKind::kResponse;
-  view.layout_hash = request.layout_hash;
-  view.word_offset = request.word_offset;
-  view.num_words = request.num_words;
-  view.num_cols = num_channels;
   view.matrix = matrix;
   return view;
 }
@@ -363,11 +485,24 @@ void encode_frame_into(const SweepFrameView& frame,
              "frames must not");
   SW_REQUIRE(frame.num_words <= kMaxWords && frame.num_cols <= kMaxCols,
              "frame dimensions out of range");
-  SW_REQUIRE(frame.matrix.size() == frame.num_words * frame.num_cols,
-             "matrix must be num_words x num_cols");
+  const std::size_t col_words = sw::wavesim::kernels::column_words(
+      static_cast<std::size_t>(frame.num_words));
+  const bool from_columns = !frame.columns.empty();
+  if (from_columns) {
+    SW_REQUIRE(frame.matrix.empty(),
+               "a frame view carries a matrix or columns, not both");
+    SW_REQUIRE(frame.columns.size() == frame.num_cols * col_words,
+               "columns must be num_cols x column_words(num_words)");
+  } else {
+    SW_REQUIRE(frame.matrix.size() == frame.num_words * frame.num_cols,
+               "matrix must be num_words x num_cols");
+  }
 
   const std::size_t base = out.size();
-  out.reserve(base + kHeaderSize + frame.matrix.size() / 8 + 256);
+  const std::size_t row_bytes = row_bytes_for(frame.num_cols);
+  const std::size_t payload_size =
+      static_cast<std::size_t>(frame.num_words) * row_bytes;
+  out.reserve(base + kHeaderSize + payload_size + 256);
   append_u32(out, kWireMagic);
   // A frame is v3 exactly when it carries a program: single-gate requests
   // and all responses keep encoding v2, so an upgraded peer stays
@@ -386,36 +521,30 @@ void encode_frame_into(const SweepFrameView& frame,
   if (frame.program) append_program(out, *frame.program);
   const std::size_t spec_size = out.size() - base - kHeaderSize;
 
-  // Bit-pack the matrix straight into the output buffer: one resize to the
-  // final length, rows written in place. No intermediate payload vector —
-  // on the serving path this encoder runs per shard and the extra
+  // Bit-pack the payload straight into the output buffer: one resize to
+  // the final length, rows written in place. No intermediate payload
+  // vector — on the serving path this encoder runs per shard and the extra
   // allocate+copy used to rival the packing itself.
-  const std::size_t row_bytes = row_bytes_for(frame.num_cols);
-  const std::size_t full_bytes = static_cast<std::size_t>(frame.num_cols / 8);
-  const std::size_t payload_size =
-      static_cast<std::size_t>(frame.num_words) * row_bytes;
   const std::size_t payload_at = out.size();
-  out.resize(payload_at + payload_size, 0);
-  if (frame.num_cols % 8 == 0) {
+  out.resize(payload_at + payload_size);
+  std::uint8_t* packed = out.data() + payload_at;
+  const detail::WireCodec& codec = detail::wire_codec();
+  if (from_columns) {
+    codec.to_packed(codec, frame.columns.data(), col_words,
+                    static_cast<std::size_t>(frame.num_words),
+                    static_cast<std::size_t>(frame.num_cols), packed);
+  } else if (frame.num_cols % 8 == 0) {
     // Byte-aligned rows tile the payload with no padding bits, so the
-    // whole matrix packs as one flat cell stream — the SIMD bulk path,
-    // with the u64 trick finishing the sub-group tail.
-    std::uint8_t* packed = out.data() + payload_at;
-    const detail::WireCodec* simd = wire_simd();
-    const std::size_t bulk = simd ? payload_size & ~(simd->step - 1) : 0;
-    if (bulk > 0) simd->pack(frame.matrix.data(), bulk, packed);
-    for (std::size_t b = bulk; b < payload_size; ++b) {
-      packed[b] = pack_cells8(frame.matrix.data() + b * 8);
-    }
+    // whole matrix packs as one flat cell stream.
+    pack_flat(codec.flat, frame.matrix.data(), payload_size, packed);
   } else {
+    const std::size_t full_bytes = static_cast<std::size_t>(frame.num_cols / 8);
     for (std::uint64_t w = 0; w < frame.num_words; ++w) {
       const std::uint8_t* cells =
           frame.matrix.data() + static_cast<std::size_t>(w * frame.num_cols);
-      std::uint8_t* row = out.data() + payload_at +
-                          static_cast<std::size_t>(w) * row_bytes;
-      for (std::size_t b = 0; b < full_bytes; ++b) {
-        row[b] = pack_cells8(cells + b * 8);
-      }
+      std::uint8_t* row = packed + static_cast<std::size_t>(w) * row_bytes;
+      pack_portable(cells, full_bytes, row);
+      row[full_bytes] = 0;
       for (std::uint64_t c = full_bytes * 8; c < frame.num_cols; ++c) {
         if (cells[c]) {
           row[full_bytes] |= static_cast<std::uint8_t>(1u << (c % 8));
@@ -440,8 +569,8 @@ std::vector<std::uint8_t> encode_frame(const SweepFrame& frame) {
   return out;
 }
 
-SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
-                        std::uint16_t max_version) {
+PackedFrame validate_frame(std::span<const std::uint8_t> bytes,
+                           std::uint16_t max_version) {
   SW_REQUIRE(bytes.size() >= kHeaderSize, "frame shorter than header");
   ByteReader r(bytes);
   SW_REQUIRE(r.u32() == kWireMagic, "bad frame magic");
@@ -458,7 +587,7 @@ SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
                  kind == static_cast<std::uint16_t>(FrameKind::kResponse),
              "unknown frame kind");
 
-  SweepFrame frame;
+  PackedFrame frame;
   frame.kind = static_cast<FrameKind>(kind);
   frame.layout_hash = r.u64();
   frame.word_offset = r.u64();
@@ -485,7 +614,7 @@ SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
   SW_REQUIRE(chunked_fnv1a64(body) == checksum,
              "frame checksum mismatch (corrupt body)");
   const auto spec_bytes = body.first(static_cast<std::size_t>(spec_size));
-  const auto payload = body.subspan(static_cast<std::size_t>(spec_size));
+  frame.payload = body.subspan(static_cast<std::size_t>(spec_size));
 
   if (frame.kind == FrameKind::kRequest) {
     SW_REQUIRE(spec_size > 0, "request frame missing its spec block");
@@ -499,38 +628,71 @@ SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
     SW_REQUIRE(spec_size == 0, "response frame must not carry a spec block");
   }
 
-  frame.matrix.assign(
-      static_cast<std::size_t>(frame.num_words * frame.num_cols), 0);
-  const std::size_t full_bytes = static_cast<std::size_t>(frame.num_cols / 8);
-  if (frame.num_cols % 8 == 0) {
-    // Flat SIMD bulk path (see encode_frame_into): byte-aligned rows have
-    // no padding bits, so the payload is one contiguous packed stream.
-    const std::size_t total = static_cast<std::size_t>(payload_size);
-    const detail::WireCodec* simd = wire_simd();
-    const std::size_t bulk = simd ? total & ~(simd->step - 1) : 0;
-    if (bulk > 0) simd->unpack(payload.data(), bulk, frame.matrix.data());
-    for (std::size_t b = bulk; b < total; ++b) {
-      unpack_cells8(payload[b], frame.matrix.data() + b * 8);
+  if (frame.num_cols % 8 != 0) {
+    // Canonical encoding keeps row padding zero; a set padding bit means
+    // the body was not produced by this encoder.
+    const std::uint8_t mask =
+        static_cast<std::uint8_t>(0xFFu << (frame.num_cols % 8));
+    std::uint8_t padding = 0;
+    for (std::size_t at = row_bytes - 1; at < frame.payload.size();
+         at += row_bytes) {
+      padding |= frame.payload[at];
     }
-    return frame;
+    SW_REQUIRE((padding & mask) == 0, "nonzero padding bits in payload row");
   }
+  return frame;
+}
+
+void unpack_matrix(const PackedFrame& frame, std::span<std::uint8_t> matrix) {
+  SW_REQUIRE(matrix.size() == frame.num_words * frame.num_cols,
+             "matrix must be num_words x num_cols");
+  const detail::WireCodec& codec = detail::wire_codec();
+  if (frame.num_cols % 8 == 0) {
+    // Byte-aligned rows have no padding bits, so the payload is one
+    // contiguous packed stream.
+    unpack_flat(codec.flat, frame.payload.data(), frame.payload.size(),
+                matrix.data());
+    return;
+  }
+  const std::size_t row_bytes = row_bytes_for(frame.num_cols);
+  const std::size_t full_bytes = static_cast<std::size_t>(frame.num_cols / 8);
   for (std::uint64_t w = 0; w < frame.num_words; ++w) {
-    const std::uint8_t* row = payload.data() + w * row_bytes;
+    const std::uint8_t* row = frame.payload.data() + w * row_bytes;
     std::uint8_t* cells =
-        frame.matrix.data() + static_cast<std::size_t>(w * frame.num_cols);
-    for (std::size_t b = 0; b < full_bytes; ++b) {
-      unpack_cells8(row[b], cells + b * 8);
-    }
+        matrix.data() + static_cast<std::size_t>(w * frame.num_cols);
+    unpack_portable(row, full_bytes, cells);
     for (std::uint64_t c = full_bytes * 8; c < frame.num_cols; ++c) {
       cells[c] = (row[c / 8] >> (c % 8)) & 1u;
     }
-    // Canonical encoding keeps row padding zero; a set padding bit means
-    // the body was not produced by this encoder.
-    const std::uint8_t last = row[row_bytes - 1];
-    const std::uint8_t mask =
-        static_cast<std::uint8_t>(0xFFu << (frame.num_cols % 8));
-    SW_REQUIRE((last & mask) == 0, "nonzero padding bits in payload row");
   }
+}
+
+std::vector<std::uint64_t> unpack_columns(const PackedFrame& frame) {
+  const std::size_t num_words = static_cast<std::size_t>(frame.num_words);
+  const std::size_t col_words = sw::wavesim::kernels::column_words(num_words);
+  std::vector<std::uint64_t> columns(
+      static_cast<std::size_t>(frame.num_cols) * col_words);
+  const detail::WireCodec& codec = detail::wire_codec();
+  codec.to_columns(codec, frame.payload.data(), num_words,
+                   static_cast<std::size_t>(frame.num_cols), columns.data(),
+                   col_words);
+  return columns;
+}
+
+SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
+                        std::uint16_t max_version) {
+  PackedFrame packed = validate_frame(bytes, max_version);
+  SweepFrame frame;
+  frame.kind = packed.kind;
+  frame.layout_hash = packed.layout_hash;
+  frame.word_offset = packed.word_offset;
+  frame.num_words = packed.num_words;
+  frame.num_cols = packed.num_cols;
+  frame.spec = std::move(packed.spec);
+  frame.program = std::move(packed.program);
+  frame.matrix.resize(
+      static_cast<std::size_t>(frame.num_words * frame.num_cols));
+  unpack_matrix(packed, frame.matrix);
   return frame;
 }
 

@@ -47,6 +47,18 @@
 // The payload is the matrix bit-packed row-major: each row is
 // ceil(num_cols / 8) bytes, bit i of byte b is column b * 8 + i, and the
 // padding bits of the last byte of each row must be zero.
+//
+// Decoding is split in two. validate_frame checks everything about a frame
+// (magic, version, kind, sizes, checksum, the spec or program block and
+// the row padding bits) and stops at the packed payload, which it only
+// borrows. Two unpackers then yield the payload in either in-memory shape:
+// unpack_matrix as the row-major byte matrix (one byte per bit, what
+// clients and decode_frame use), unpack_columns as the bit-sliced columns
+// the evaluation kernels read (kernels/kernel.h), straight from the packed
+// bits (serve/wire_simd.h has the codec flavours). EvalServer decodes every
+// request with validate_frame + unpack_columns and encodes its replies from
+// the result columns (SweepFrameView::columns), so no byte matrix exists on
+// the serving path; the wire bytes are the same either way.
 #pragma once
 
 #include <cstdint>
@@ -116,7 +128,27 @@ struct SweepFrameView {
   std::uint64_t num_cols = 0;
   const sw::core::GateSpec* spec = nullptr;  ///< v2 requests only
   const sw::wavesim::ProgramSpec* program = nullptr;  ///< v3 requests only
+  /// The payload as the num_words x num_cols byte matrix, or else:
   std::span<const std::uint8_t> matrix;
+  /// the payload as num_cols bit-sliced columns of
+  /// kernels::column_words(num_words) u64s each, column c at
+  /// c * column_words(num_words) (bits past num_words are not read). Set
+  /// at most one of the two; the wire bytes do not depend on which.
+  std::span<const std::uint64_t> columns;
+};
+
+/// A frame validate_frame accepted, its payload still bit-packed and
+/// borrowed from the validated bytes (which must outlive it).
+struct PackedFrame {
+  FrameKind kind = FrameKind::kRequest;
+  std::uint64_t layout_hash = 0;
+  std::uint64_t word_offset = 0;
+  std::uint64_t num_words = 0;
+  std::uint64_t num_cols = 0;
+  std::optional<sw::core::GateSpec> spec;          ///< v2 requests only
+  std::optional<sw::wavesim::ProgramSpec> program;  ///< v3 requests only
+  /// num_words rows of ceil(num_cols / 8) bytes, padding bits zero.
+  std::span<const std::uint8_t> payload;
 };
 
 /// Borrow an owned frame as a view (no copies).
@@ -140,12 +172,6 @@ SweepFrameView make_program_request_view(
     const sw::wavesim::ProgramSpec& program, std::uint64_t program_hash,
     std::uint64_t word_offset, std::uint64_t num_words,
     std::span<const std::uint8_t> matrix);
-
-/// Build the response view answering `request` with a borrowed output
-/// matrix (num_words x num_channels).
-SweepFrameView make_response_view(const SweepFrame& request,
-                                  std::uint64_t num_channels,
-                                  std::span<const std::uint8_t> matrix);
 
 /// Build a request frame for `num_words` rows of `matrix` starting at
 /// `word_offset` of the full sweep; derives num_cols, the spec and the
@@ -179,12 +205,28 @@ std::vector<std::uint8_t> encode_frame(const SweepFrame& frame);
 void encode_frame_into(const SweepFrameView& frame,
                        std::vector<std::uint8_t>& out);
 
-/// Parse a frame, validating magic, version, kind, sizes, checksum and
-/// payload padding; throws sw::util::Error on any violation (truncated
-/// buffer, trailing bytes, corrupt body, nonzero padding bits …). A frame
-/// whose version exceeds `max_version` throws UnsupportedVersionError
-/// instead, so a worker pinned at v2 (max_version = kWireVersion) answers
-/// program requests with a typed refusal rather than a corruption error.
+/// Validate a frame: magic, version, kind, sizes, checksum, the spec or
+/// program block and the payload's padding bits; throws sw::util::Error on
+/// any violation (truncated buffer, trailing bytes, corrupt body, nonzero
+/// padding bits …). A frame whose version exceeds `max_version` throws
+/// UnsupportedVersionError instead, so a worker pinned at v2 (max_version
+/// = kWireVersion) answers program requests with a typed refusal rather
+/// than a corruption error. Allocates only what the spec or program block
+/// decodes to, bounded by the block's own bytes.
+PackedFrame validate_frame(std::span<const std::uint8_t> bytes,
+                           std::uint16_t max_version = kWireVersionMax);
+
+/// The payload as the row-major byte matrix: writes the num_words x
+/// num_cols cells (0/1) to `matrix`, which must be exactly that size.
+void unpack_matrix(const PackedFrame& frame, std::span<std::uint8_t> matrix);
+
+/// The payload as bit-sliced columns: num_cols columns of
+/// kernels::column_words(num_words) u64s, column c at
+/// c * column_words(num_words), every bit past num_words zero. That is
+/// about the payload's size from 64 words up, and at most 64x it below.
+std::vector<std::uint64_t> unpack_columns(const PackedFrame& frame);
+
+/// validate_frame + unpack_matrix into an owned frame.
 SweepFrame decode_frame(std::span<const std::uint8_t> bytes,
                         std::uint16_t max_version = kWireVersionMax);
 

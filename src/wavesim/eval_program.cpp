@@ -154,7 +154,7 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
   }
   slot_begin_.push_back(slot_columns_.size());
   negation_begin_.push_back(negations_.size());
-  num_columns_ = ones + 1 + copies;
+  num_columns_ = ones + 1 + copies - prim;
 }
 
 EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
@@ -186,47 +186,40 @@ std::string EvalProgram::precision_label() const {
   return label;
 }
 
-void EvalProgram::eval_block(const kernels::Kernel& kernel,
-                             const std::uint8_t* bits, std::size_t begin,
-                             std::size_t end, std::uint64_t* columns,
+void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,
+                             const std::uint64_t* primary,
+                             std::size_t primary_stride, std::uint64_t* columns,
                              std::size_t stride, const std::uint64_t** inputs,
-                             std::uint8_t* out, std::size_t out_cols,
-                             std::size_t first_out,
+                             std::uint64_t* last, std::size_t last_stride,
                              StageTimings* timings) const {
-  const std::size_t words = end - begin;
   const std::size_t n = num_channels();
   const std::size_t prim = num_primary_slots();
-  const auto column = [&](std::size_t k) { return columns + k * stride; };
+  const std::size_t num_stages = stages_.size();
+  const auto table = [&](std::size_t t) { return columns + t * stride; };
+  const auto source = [&](std::size_t k) -> const std::uint64_t* {
+    return k < prim ? primary + k * primary_stride : table(k - prim);
+  };
   // The zero column stays as the scratch was allocated; the ones column
   // follows it.
-  std::fill_n(column(prim + stages_.size() * n + 1), stride,
-              ~std::uint64_t{0});
-  // The primary rows become columns once per block, charged to stage 0.
+  std::fill_n(table(num_stages * n + 1), stride, ~std::uint64_t{0});
   std::uint64_t stage_start = timings ? stage_clock_ns() : 0;
-  kernel.to_columns(bits + begin * prim, prim, words, prim, columns, stride);
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
+  for (std::size_t s = 0; s < num_stages; ++s) {
     // A negated source is read through its complemented copy: one XOR per
     // 64 words, the drive-phase flip.
     for (std::size_t k = negation_begin_[s]; k < negation_begin_[s + 1]; ++k) {
-      const std::uint64_t* src = column(negations_[k].second);
-      std::uint64_t* copy = column(negations_[k].first);
+      const std::uint64_t* src = source(negations_[k].second);
+      std::uint64_t* copy = table(negations_[k].first - prim);
       for (std::size_t g = 0; g < kernels::column_words(words); ++g) {
         copy[g] = ~src[g];
       }
     }
     for (std::size_t j = slot_begin_[s]; j < slot_begin_[s + 1]; ++j) {
-      inputs[j - slot_begin_[s]] = column(slot_columns_[j]);
+      inputs[j - slot_begin_[s]] = source(slot_columns_[j]);
     }
-    kernel.eval_bits(stages_[s]->plan(), inputs, words, column(prim + s * n),
-                     stride);
-    if (s + 1 == stages_.size()) {
-      // Only the output stages go back to rows, charged to the last stage.
-      for (std::size_t t = first_out; t < stages_.size(); ++t) {
-        kernel.to_rows(column(prim + t * n), stride, words, n,
-                       out + begin * out_cols + (t - first_out) * n,
-                       out_cols);
-      }
-    }
+    const bool is_last = s + 1 == num_stages;
+    kernel.eval_bits(stages_[s]->plan(), inputs, words,
+                     is_last ? last : table(s * n),
+                     is_last ? last_stride : stride);
     if (timings) {
       const std::uint64_t now = stage_clock_ns();
       timings->ns[s].fetch_add(now - stage_start, std::memory_order_relaxed);
@@ -235,12 +228,44 @@ void EvalProgram::eval_block(const kernels::Kernel& kernel,
   }
 }
 
-std::vector<std::uint8_t> EvalProgram::evaluate_impl(
-    std::size_t num_words, std::span<const std::uint8_t> bits,
-    const kernels::Kernel& kernel, bool all_stages,
-    StageTimings* timings) const {
+std::vector<std::uint64_t> EvalProgram::evaluate_columns(
+    std::size_t num_words, std::span<const std::uint64_t> primary,
+    const kernels::Kernel& kernel, StageTimings* timings) const {
   SW_REQUIRE(timings == nullptr || timings->ns.size() == stages_.size(),
              "stage timings must be sized num_stages");
+  const std::size_t prim = num_primary_slots();
+  const std::size_t n = num_channels();
+  // column_words without the wrap of num_words + 63.
+  const std::size_t col_words = num_words / 64 + (num_words % 64 != 0);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  SW_REQUIRE(col_words <= kMax / prim && primary.size() == prim * col_words,
+             "primary columns must be primary_slot_count x "
+             "column_words(num_words)");
+  SW_REQUIRE(col_words <= kMax / n,
+             "num_channels x column_words(num_words) overflows size_t");
+  std::vector<std::uint64_t> out(n * col_words);
+  detail::for_each_block(
+      pool_, num_words, num_columns_, max_slots_,
+      [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
+          std::size_t stride, const std::uint64_t** inputs) {
+        const std::size_t g = begin / 64;
+        eval_block(kernel, end - begin, primary.data() + g, col_words,
+                   columns, stride, inputs, out.data() + g, col_words,
+                   timings);
+      });
+  if (num_words % 64 != 0) {
+    // The last group's padding lanes may hold verdicts.
+    const std::uint64_t keep = (std::uint64_t{1} << (num_words % 64)) - 1;
+    for (std::size_t ch = 0; ch < n; ++ch) {
+      out[ch * col_words + col_words - 1] &= keep;
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> EvalProgram::evaluate_rows(
+    std::size_t num_words, std::span<const std::uint8_t> bits,
+    const kernels::Kernel& kernel, bool all_stages) const {
   const std::size_t prim = num_primary_slots();
   const std::size_t n = num_channels();
   const std::size_t num_stages = stages_.size();
@@ -255,45 +280,46 @@ std::vector<std::uint8_t> EvalProgram::evaluate_impl(
   const std::size_t first_out = all_stages ? 0 : num_stages - 1;
   const std::size_t out_cols = (num_stages - first_out) * n;
   std::vector<std::uint8_t> result(num_words * out_cols);
+  // The block's primary columns follow the scratch table.
   detail::for_each_block(
-      pool_, num_words, num_columns_, max_slots_,
+      pool_, num_words, num_columns_ + prim, max_slots_,
       [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
           std::size_t stride, const std::uint64_t** inputs) {
-        eval_block(kernel, bits.data(), begin, end, columns, stride, inputs,
-                   result.data(), out_cols, first_out, timings);
+        const std::size_t words = end - begin;
+        std::uint64_t* primary = columns + num_columns_ * stride;
+        kernel.to_columns(bits.data() + begin * prim, prim, words, prim,
+                          primary, stride);
+        eval_block(kernel, words, primary, stride, columns, stride, inputs,
+                   columns + (num_stages - 1) * n * stride, stride, nullptr);
+        for (std::size_t t = first_out; t < num_stages; ++t) {
+          kernel.to_rows(columns + t * n * stride, stride, words, n,
+                         result.data() + begin * out_cols + (t - first_out) * n,
+                         out_cols);
+        }
       });
   return result;
 }
 
 std::vector<std::uint8_t> EvalProgram::evaluate_bits(
     std::size_t num_words, std::span<const std::uint8_t> bits) const {
-  return evaluate_impl(num_words, bits, kernels::active_kernel(), false,
-                       nullptr);
+  return evaluate_rows(num_words, bits, kernels::active_kernel(), false);
 }
 
 std::vector<std::uint8_t> EvalProgram::evaluate_bits(
     std::size_t num_words, std::span<const std::uint8_t> bits,
     const kernels::Kernel& kernel) const {
-  return evaluate_impl(num_words, bits, kernel, false, nullptr);
-}
-
-std::vector<std::uint8_t> EvalProgram::evaluate_bits(
-    std::size_t num_words, std::span<const std::uint8_t> bits,
-    StageTimings* timings) const {
-  return evaluate_impl(num_words, bits, kernels::active_kernel(), false,
-                       timings);
+  return evaluate_rows(num_words, bits, kernel, false);
 }
 
 std::vector<std::uint8_t> EvalProgram::evaluate_all_bits(
     std::size_t num_words, std::span<const std::uint8_t> bits) const {
-  return evaluate_impl(num_words, bits, kernels::active_kernel(), true,
-                       nullptr);
+  return evaluate_rows(num_words, bits, kernels::active_kernel(), true);
 }
 
 std::vector<std::uint8_t> EvalProgram::evaluate_all_bits(
     std::size_t num_words, std::span<const std::uint8_t> bits,
     const kernels::Kernel& kernel) const {
-  return evaluate_impl(num_words, bits, kernel, true, nullptr);
+  return evaluate_rows(num_words, bits, kernel, true);
 }
 
 }  // namespace sw::wavesim

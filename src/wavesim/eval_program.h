@@ -10,15 +10,18 @@
 // GateSpec plus an interconnect map (SlotSource per input slot).
 //
 // Evaluation is a column cascade, block by block (kernels/kernel.h has the
-// column layout). The block's primary rows become bit-sliced columns once;
-// then each stage's kernel reads one column per slot and writes one column
-// per channel, and only the last stage's columns go back to rows. Slot j of
-// a stage is a column pointer, fixed at construction: a primary column, an
-// earlier stage's channel column, or a constant column of zeros or ones. A
-// negated source reads a column complemented once per block (one XOR per
-// 64 words) before the stage runs. So a stage costs its kernel and nothing
-// else: no byte gathers, no transposes between stages, and every block's
-// columns stay in reused scratch.
+// column layout). Each stage's kernel reads one column per slot and writes
+// one column per channel. Slot j of a stage is a column pointer, fixed at
+// construction: a primary column, an earlier stage's channel column, or a
+// constant column of zeros or ones. A negated source reads a column
+// complemented once per block (one XOR per 64 words) before the stage
+// runs. So a stage costs its kernel and nothing else: no byte gathers, no
+// transposes between stages, and every block's columns stay in reused
+// scratch. evaluate_columns is the cascade alone: it takes the primary
+// columns and returns the last stage's, which is what the serving layer
+// runs (the wire decodes straight to columns). The row APIs
+// (evaluate_bits, evaluate_all_bits) add the edges: a block's primary rows
+// become columns once, and only the output stages go back to rows.
 //
 // Lowering emits few distinct stage GateSpecs (a compiled cascade is MAJ
 // and inverted-MAJ gates on one fabric), so stages are resolved once per
@@ -124,12 +127,11 @@ struct ProgramSpec {
   friend bool operator==(const ProgramSpec&, const ProgramSpec&) = default;
 };
 
-/// Per-stage accumulated evaluation time, filled by evaluate_bits when the
-/// caller passes a collector: ns[s] gains every block's kernel time for
-/// stage s, stage 0 also the rows-to-columns edge and the last stage the
-/// columns-to-rows edge. Accumulators are atomic because the word loop may
-/// fan out across the program's pool threads; the numbers are therefore
-/// summed CPU time per stage, not wall intervals.
+/// Per-stage accumulated evaluation time, filled by evaluate_columns when
+/// the caller passes a collector: ns[s] gains every block's kernel time for
+/// stage s. Accumulators are atomic because the word loop may fan out
+/// across the program's pool threads; the numbers are therefore summed CPU
+/// time per stage, not wall intervals.
 struct StageTimings {
   explicit StageTimings(std::size_t num_stages) : ns(num_stages) {}
   std::vector<std::atomic<std::uint64_t>> ns;
@@ -218,14 +220,6 @@ class EvalProgram {
       std::size_t num_words, std::span<const std::uint8_t> bits,
       const kernels::Kernel& kernel) const;
 
-  /// evaluate_bits with per-stage time attribution: `timings` must be
-  /// sized num_stages() (or null for the plain path — identical cost).
-  /// One steady_clock read per stage per 1024-word block (plus one per
-  /// block), so the serving layer can always leave collection on.
-  std::vector<std::uint8_t> evaluate_bits(
-      std::size_t num_words, std::span<const std::uint8_t> bits,
-      StageTimings* timings) const;
-
   /// Same pass, keeping every stage's outputs: row-major num_words x
   /// (num_stages() * num_channels()), stage s's channel ch at column
   /// s * num_channels() + ch. The cascade-delegation and oracle-test
@@ -236,32 +230,48 @@ class EvalProgram {
       std::size_t num_words, std::span<const std::uint8_t> bits,
       const kernels::Kernel& kernel) const;
 
- private:
-  /// Evaluates words [begin, end), at most one block, through every stage
-  /// and writes the rows of stages [first_out, num_stages()) to `out`
-  /// (num_words x out_cols, stage first_out's channels first). `columns`
-  /// is the block's column table (column k at columns + k * stride);
-  /// `inputs` receives each stage's slot pointers in turn.
-  void eval_block(const kernels::Kernel& kernel, const std::uint8_t* bits,
-                  std::size_t begin, std::size_t end, std::uint64_t* columns,
-                  std::size_t stride, const std::uint64_t** inputs,
-                  std::uint8_t* out, std::size_t out_cols,
-                  std::size_t first_out, StageTimings* timings) const;
+  /// The column entry: `primary` holds num_primary_slots() bit-sliced
+  /// columns of kernels::column_words(num_words) u64s, column k at
+  /// k * column_words(num_words) (bits past num_words are ignored).
+  /// Returns the LAST stage's num_channels() columns in the same layout,
+  /// every bit past num_words zero. The same block loop as evaluate_bits
+  /// without its two edge conversions, and bit-exact with it. `timings`,
+  /// when set, must be sized num_stages(): one steady_clock read per stage
+  /// per 1024-word block (plus one per block), so the serving layer can
+  /// always leave collection on.
+  std::vector<std::uint64_t> evaluate_columns(
+      std::size_t num_words, std::span<const std::uint64_t> primary,
+      const kernels::Kernel& kernel, StageTimings* timings = nullptr) const;
 
-  std::vector<std::uint8_t> evaluate_impl(std::size_t num_words,
+ private:
+  /// Evaluates `words` words, at most one block, through every stage.
+  /// Primary column k is at primary + k * primary_stride; the last stage
+  /// writes its channel columns to `last` (channel ch at
+  /// last + ch * last_stride). `columns` is the block's scratch table of
+  /// the other columns (table column t at columns + t * stride, see
+  /// num_columns_); `inputs` receives each stage's slot pointers in turn.
+  void eval_block(const kernels::Kernel& kernel, std::size_t words,
+                  const std::uint64_t* primary, std::size_t primary_stride,
+                  std::uint64_t* columns, std::size_t stride,
+                  const std::uint64_t** inputs, std::uint64_t* last,
+                  std::size_t last_stride, StageTimings* timings) const;
+
+  /// The row APIs: the rows of stages [num_stages() - 1 or 0, num_stages()).
+  std::vector<std::uint8_t> evaluate_rows(std::size_t num_words,
                                           std::span<const std::uint8_t> bits,
                                           const kernels::Kernel& kernel,
-                                          bool all_stages,
-                                          StageTimings* timings) const;
+                                          bool all_stages) const;
 
   ProgramSpec spec_;
   /// Per stage; equal stage GateSpecs point at one artefact.
   std::vector<std::shared_ptr<const EvalStage>> stages_;
   std::size_t depth_ = 0;
   std::size_t max_slots_ = 0;
-  /// A block's column table: primary columns, then each stage's channel
-  /// columns, then a zero and a ones column, then the complemented copies
-  /// negated sources read.
+  /// A block's scratch table: each stage's channel columns, then a zero
+  /// and a ones column, then the complemented copies negated sources read.
+  /// Column indices below count the primary columns first, so index k <
+  /// num_primary_slots() is primary column k and any other index is table
+  /// column k - num_primary_slots().
   std::size_t num_columns_ = 0;
   /// Column read by slot j of stage s: slot_columns_[slot_begin_[s] + j].
   std::vector<std::size_t> slot_columns_;

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "column_model.h"
 #include "compile/lower.h"
 #include "compile/synth.h"
 #include "compile/truth_table.h"
@@ -684,9 +685,17 @@ TEST(ProgramDifferential, LastStageDecodesTheTableOnEveryKernel) {
             return cache.get(gate, p);
           },
           {.num_threads = 1, .precision = precision});
+      const auto primary_columns = sw::testing::columns_of(
+          primary, words, program.num_primary_slots());
       for (const auto* k : kernels) {
         const auto out = program.evaluate_bits(words, primary, *k);
         ASSERT_EQ(out.size(), words * n);
+        // The column entry the service runs decodes the same bits.
+        const auto columns =
+            program.evaluate_columns(words, primary_columns, *k);
+        ASSERT_EQ(columns, sw::testing::columns_of(out, words, n))
+            << "column entry, table " << c.table.bits() << "/" << arity
+            << " kernel " << k->name << " " << program.precision_label();
         for (std::size_t w = 0; w < words; ++w) {
           for (std::size_t ch = 0; ch < n; ++ch) {
             const std::size_t a = (w + 3 * ch) % (std::size_t{1} << arity);
@@ -722,11 +731,26 @@ TEST(ProgramDifferential, EveryStageMatchesItsGateAlone) {
             },
             {.num_threads = words > 64 * 3 ? 3u : 1u,
              .precision = precision});
+        // The last stage's columns, for the column entry.
+        std::vector<std::uint8_t> last(words * n);
+        for (std::size_t w = 0; w < words; ++w) {
+          std::copy_n(want.begin() + static_cast<std::ptrdiff_t>(
+                                         (w + 1) * c.spec.num_stages() * n - n),
+                      n, last.begin() + static_cast<std::ptrdiff_t>(w * n));
+        }
+        const auto last_columns = sw::testing::columns_of(last, words, n);
+        const auto primary_columns = sw::testing::columns_of(
+            primary, words, program.num_primary_slots());
         for (const auto* k : kernels) {
           ASSERT_EQ(program.evaluate_all_bits(words, primary, *k), want)
               << "table " << c.table.bits() << "/" << c.table.num_inputs()
               << " kernel " << k->name << " " << program.precision_label()
               << " " << words << " words";
+          ASSERT_EQ(program.evaluate_columns(words, primary_columns, *k),
+                    last_columns)
+              << "column entry, table " << c.table.bits() << "/"
+              << c.table.num_inputs() << " kernel " << k->name << " "
+              << program.precision_label() << " " << words << " words";
         }
       }
     }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "column_model.h"
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "core/gate_design.h"
@@ -24,6 +25,7 @@
 #include "util/error.h"
 #include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_plan.h"
+#include "wavesim/eval_program.h"
 #include "wavesim/kernels/kernel.h"
 #include "wavesim/wave_engine.h"
 
@@ -167,19 +169,35 @@ std::vector<std::uint8_t> row_reference(const EvalPlan& plan,
 
 /// Checks every available kernel's evaluate_bits against the row reference
 /// on random rows of `max_byte`-bounded bytes (1: canonical 0/1 bits; 255:
-/// any nonzero byte is a set bit) at every edge word count.
+/// any nonzero byte is a set bit) at every edge word count. The column
+/// entry the service runs (the same gate as a one-stage EvalProgram, on
+/// the rows' columns) must decode the same bits, with zero padding.
 void expect_kernels_match_rows(const BatchEvaluator& evaluator,
                                unsigned max_byte, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<unsigned> byte(0, max_byte);
+  const sw::wavesim::EvalProgram program(
+      evaluator.gate().layout(), evaluator.gate().engine(),
+      {.num_threads = 1,
+       .precision = evaluator.plan().requested_precision()});
+  const std::size_t n = evaluator.plan().num_channels();
   for (const std::size_t words : kEdgeWordCounts) {
     std::vector<std::uint8_t> packed(words * evaluator.slot_count());
     for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
     const auto want = row_reference(evaluator.plan(), words, packed);
+    const auto primary =
+        sw::testing::columns_of(packed, words, evaluator.slot_count());
     for (const Kernel* k : available_kernels()) {
       EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
           << evaluator.slot_count() << " slots, " << words << " words, "
           << evaluator.plan().precision_label() << ", kernel " << k->name;
+      const auto columns = program.evaluate_columns(words, primary, *k);
+      EXPECT_EQ(sw::testing::rows_of(columns, words, n), want)
+          << "column entry, " << evaluator.slot_count() << " slots, "
+          << words << " words, " << program.precision_label() << ", kernel "
+          << k->name;
+      EXPECT_EQ(sw::testing::columns_of(want, words, n), columns)
+          << "column padding, " << words << " words, kernel " << k->name;
     }
   }
 }

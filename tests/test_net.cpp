@@ -535,6 +535,148 @@ TEST(EvalServer, RejectsAlienGeometryWithTypedError) {
   EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
 }
 
+TEST(EvalServer, RefusesMisShapedFramesBeforeDesigning) {
+  // A frame whose column count is not its target's input slot count is
+  // refused before the server designs anything (a cold v2 design runs on
+  // the event thread) or sizes the frame's columns; the connection
+  // survives.
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model{wg};
+  const InlineGateDesigner designer{model};
+  sw::serve::EvaluatorService service(model, wg.material.alpha);
+  std::atomic<int> designs{0};
+  EvalServer server(
+      service,
+      [&](const GateSpec& spec) {
+        ++designs;
+        return designer.design(spec);
+      },
+      loopback());
+  const GateSpec spec = majority_spec(3, 4);  // 12 input slots
+  sw::wavesim::ProgramSpec program;
+  program.num_primary_inputs = 3;
+  program.stages.push_back({spec, {}});
+  for (std::uint32_t j = 0; j < 12; ++j) {
+    program.stages[0].sources.push_back(
+        {sw::wavesim::SlotSource::Kind::kPrimary, 0, j, false});
+  }
+  const std::size_t words = 64;
+
+  auto conn = Connection::connect(server.local_endpoint(), 2000ms);
+  for (const bool v3 : {false, true}) {
+    for (const std::size_t cols : {11ul, 13ul, 24ul}) {
+      sw::serve::SweepFrame frame;
+      frame.kind = sw::serve::FrameKind::kRequest;
+      frame.num_words = words;
+      frame.num_cols = cols;
+      if (v3) {
+        frame.program = program;
+        frame.layout_hash = sw::serve::hash_program(program);
+      } else {
+        frame.spec = spec;
+      }
+      frame.matrix = random_matrix(words, cols, 17);
+      send_message(conn, make_frame_message(frame), 2000ms);
+      try {
+        (void)recv_frame(conn, 10000ms);
+        FAIL() << "expected a typed error reply for " << cols << " columns";
+      } catch (const RemoteError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+        EXPECT_NE(std::string(e.what()).find("input slots"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(designs.load(), 0);
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  // A well-shaped frame on the same connection is designed and served.
+  const GateLayout layout = designer.design(spec);
+  send_message(conn,
+               make_frame_message(sw::serve::make_request_frame(
+                   layout, 0, words, random_matrix(words, 12, 18))),
+               2000ms);
+  EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
+  EXPECT_EQ(designs.load(), 1);
+}
+
+TEST(EvalServer, TracesAColdDesignApartFromTheWireDecode) {
+  // A cold v2 spec is designed on the event thread, after the frame is
+  // decoded: its trace carries a design span of its own, longer than the
+  // decode span, and the warm repeat carries none.
+  ServerFixture fx(loopback());
+  const GateLayout warm_up = fx.designer.design(majority_spec(2, 4));
+  const GateLayout layout = fx.designer.design(majority_spec(3, 4));
+  const std::size_t words = 64;
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  // Another spec first, so the cold request pays its design and no
+  // first-frame setup.
+  for (const GateLayout* l : {&warm_up, &layout, &layout}) {
+    const std::size_t slots = l->spec.num_inputs * l->spec.frequencies.size();
+    send_message(conn,
+                 make_frame_message(sw::serve::make_request_frame(
+                     *l, 0, words, random_matrix(words, slots, 23))),
+                 2000ms);
+    ASSERT_TRUE(recv_frame(conn, 10000ms).has_value());
+  }
+  // The server records a trace once its reply has left for the socket.
+  std::vector<sw::obs::TraceContext> traces;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while ((traces = fx.service.trace_recorder().snapshot()).size() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(traces.size(), 3u);
+  const auto span_ns = [](const sw::obs::TraceContext& t,
+                          sw::obs::Phase phase) -> std::int64_t {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t.span(i).phase == phase) {
+        return static_cast<std::int64_t>(t.span(i).end_ns - t.span(i).start_ns);
+      }
+    }
+    return -1;
+  };
+  // Most recent first: the warm repeat, then the cold request.
+  const std::int64_t design = span_ns(traces[1], sw::obs::Phase::kDesign);
+  const std::int64_t decode = span_ns(traces[1], sw::obs::Phase::kWireDecode);
+  ASSERT_GE(design, 0) << "the cold request carries no design span";
+  ASSERT_GE(decode, 0);
+  EXPECT_LT(decode, design);
+  EXPECT_EQ(span_ns(traces[0], sw::obs::Phase::kDesign), -1);
+  EXPECT_GE(span_ns(traces[0], sw::obs::Phase::kWireDecode), 0);
+}
+
+TEST(EvalServer, RepliesAreTheBytesOfTheMatrixEncoder) {
+  // Replies are packed straight from the result columns; their frames must
+  // be byte for byte what encode_frame makes of the result rows, for full
+  // and partial 64-word groups and a channel count with row padding.
+  ServerFixture fx(loopback());
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  std::uint64_t tag = 1;
+  for (const auto& [m, n] : {std::pair{3ul, 8ul}, std::pair{2ul, 5ul}}) {
+    const GateLayout layout = fx.designer.design(majority_spec(m, n));
+    const DataParallelGate gate(layout, engine);
+    const BatchEvaluator evaluator(gate);
+    for (const std::size_t words : {1ul, 64ul, 4097ul}) {
+      const auto matrix = random_matrix(words, m * n, 29);
+      const auto request =
+          sw::serve::make_request_frame(layout, 5 * words, words, matrix);
+      send_frame(conn, sw::serve::as_view(request), tag);
+      const auto reply = recv_message(conn, 10000ms);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->kind, MessageKind::kFrame);
+      EXPECT_EQ(reply->tag, tag);
+      EXPECT_EQ(reply->payload,
+                sw::serve::encode_frame(sw::serve::make_response_frame(
+                    request, n, evaluator.evaluate_bits(words, matrix))))
+          << m << " inputs x " << n << " channels, " << words << " words";
+      ++tag;
+    }
+  }
+}
+
 TEST(EvalServer, ServesMoreLayoutsThanItsLayoutCacheHolds) {
   // The server keeps 32 designed v2 layouts. Forty distinct targets over
   // one pipelined connection make it drop entries, so later frames for a

@@ -3,8 +3,11 @@
 // prefixes, flipped header fields — are rejected with the typed
 // sw::util::Error (or decode to *some* well-formed frame for the header
 // bytes the checksum deliberately does not cover) instead of crashing,
-// over-allocating or reading out of bounds. Every loop runs from a fixed
-// seed so CI failures reproduce locally.
+// over-allocating or reading out of bounds. Both payload decoders (the
+// byte matrix and the bit-sliced columns) are held to that, and every wire
+// codec flavour the host can run is checked against a bit-by-bit model of
+// the packed rows and the columns. Every loop runs from a fixed seed so CI
+// failures reproduce locally.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +20,10 @@
 #include "core/gate_design.h"
 #include "serve/layout_hash.h"
 #include "serve/wire.h"
+#include "serve/wire_simd.h"
 #include "util/error.h"
 #include "wavesim/eval_program.h"
+#include "wavesim/kernels/kernel.h"
 
 // Global operator new replaced by a counting version, so a test can bound
 // the largest single allocation a decode makes. Off unless a test arms it.
@@ -338,6 +343,239 @@ TEST(WireProperty, ShapeContractsAreEnforcedOnEncode) {
   frame.spec.reset();
   frame.kind = FrameKind::kRequest;  // requests must carry one
   EXPECT_THROW((void)encode_frame(frame), sw::util::Error);
+}
+
+// ------------------------------------------------------- codec flavours --
+
+using detail::WireCodec;
+using sw::wavesim::kernels::column_words;
+
+/// The payload's two in-memory shapes, built bit by bit from one random
+/// matrix: packed rows as the wire carries them, and columns as the
+/// kernels read them.
+struct PayloadModel {
+  std::size_t num_words = 0;
+  std::size_t num_cols = 0;
+  std::vector<std::uint8_t> matrix;
+  std::vector<std::uint8_t> packed;
+  std::vector<std::uint64_t> columns;
+
+  PayloadModel(std::size_t words, std::size_t cols, std::mt19937_64& rng)
+      : num_words(words), num_cols(cols), matrix(words * cols),
+        packed(words * ((cols + 7) / 8)),
+        columns(cols * column_words(words)) {
+    const std::size_t row_bytes = (cols + 7) / 8;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const bool bit = (rng() & 1) != 0;
+        matrix[w * cols + c] = bit ? 1 : 0;
+        if (!bit) continue;
+        packed[w * row_bytes + c / 8] |=
+            static_cast<std::uint8_t>(1u << (c % 8));
+        columns[c * column_words(words) + w / 64] |= std::uint64_t{1}
+                                                     << (w % 64);
+      }
+    }
+  }
+};
+
+/// Column counts 1-64 (every row width the tile transposes take), then
+/// wider rows that need the block fallback, one of them split across
+/// fallback chunks.
+std::vector<std::size_t> codec_column_counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 1; c <= 64; ++c) counts.push_back(c);
+  for (const std::size_t c : {65, 72, 100, 255, 300}) counts.push_back(c);
+  return counts;
+}
+
+/// Word counts around the 8-row tiles and 64-word groups, partial last
+/// groups included, and past one fallback block.
+constexpr std::size_t kCodecWordCounts[] = {0,  1,   7,   8,   63,  64,
+                                            65, 127, 130, 600, 1025};
+
+TEST(WireCodecEquivalence, ListsThePortableFlavourFirstAndPicksOneOfThem) {
+  const auto& codecs = detail::wire_codecs();
+  ASSERT_FALSE(codecs.empty());
+  EXPECT_STREQ(codecs.front().name, "scalar");
+  const WireCodec& pick = detail::wire_codec();
+  bool listed = false;
+  for (const WireCodec& c : codecs) listed = listed || &c == &pick;
+  EXPECT_TRUE(listed);
+  // The pick follows the evaluation kernel's rung.
+  const std::string rung = sw::wavesim::kernels::active_kernel().name;
+  EXPECT_EQ(std::string(pick.name).substr(0, rung.size()), rung);
+}
+
+TEST(WireCodecEquivalence, EveryFlavourTransposesBitExactly) {
+  std::mt19937_64 rng(190719);
+  for (const std::size_t cols : codec_column_counts()) {
+    for (const std::size_t words : kCodecWordCounts) {
+      const PayloadModel model(words, cols, rng);
+      const std::size_t stride = column_words(words);
+      for (const WireCodec& codec : detail::wire_codecs()) {
+        // Canaries around the output catch writes past either end.
+        constexpr std::uint64_t kCanary = 0xA5A5A5A5A5A5A5A5ull;
+        std::vector<std::uint64_t> got(model.columns.size() + 2, kCanary);
+        codec.to_columns(codec, model.packed.data(), words, cols,
+                         got.data() + 1, stride);
+        EXPECT_EQ(got.front(), kCanary);
+        EXPECT_EQ(got.back(), kCanary);
+        EXPECT_TRUE(std::equal(model.columns.begin(), model.columns.end(),
+                               got.begin() + 1))
+            << codec.name << ": rows to columns, " << cols << " columns, "
+            << words << " words";
+
+        // Bits past num_words are not read: set them all.
+        std::vector<std::uint64_t> dirty = model.columns;
+        if (words % 64 != 0) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            dirty[c * stride + stride - 1] |= ~std::uint64_t{0}
+                                              << (words % 64);
+          }
+        }
+        std::vector<std::uint8_t> packed(model.packed.size() + 2, 0x5A);
+        codec.to_packed(codec, dirty.data(), stride, words, cols,
+                        packed.data() + 1);
+        EXPECT_EQ(packed.front(), 0x5A);
+        EXPECT_EQ(packed.back(), 0x5A);
+        EXPECT_TRUE(std::equal(model.packed.begin(), model.packed.end(),
+                               packed.begin() + 1))
+            << codec.name << ": columns to rows, " << cols << " columns, "
+            << words << " words";
+      }
+    }
+  }
+}
+
+TEST(WireCodecEquivalence, EveryFlavourPacksAndUnpacksFlatStreams) {
+  std::mt19937_64 rng(4711);
+  const WireCodec& portable = detail::wire_codecs().front();
+  for (const std::size_t bytes : {8, 16, 64, 256, 1000, 4096}) {
+    std::vector<std::uint8_t> cells(bytes * 8);
+    // Nonzero cells of any value pack as 1.
+    for (auto& c : cells) {
+      c = (rng() & 3) == 0 ? 0 : static_cast<std::uint8_t>(rng());
+    }
+    std::vector<std::uint8_t> want(bytes);
+    const std::size_t bulk = bytes & ~(portable.flat.step - 1);
+    portable.flat.pack(cells.data(), bulk, want.data());
+    for (const WireCodec& codec : detail::wire_codecs()) {
+      const std::size_t n = bytes & ~(codec.flat.step - 1);
+      std::vector<std::uint8_t> packed(bytes);
+      codec.flat.pack(cells.data(), n, packed.data());
+      EXPECT_TRUE(std::equal(want.begin(), want.begin() + n, packed.begin()))
+          << codec.name;
+      std::vector<std::uint8_t> back(n * 8);
+      codec.flat.unpack(packed.data(), n, back.data());
+      for (std::size_t i = 0; i < n * 8; ++i) {
+        ASSERT_EQ(back[i], cells[i] != 0 ? 1 : 0)
+            << codec.name << " cell " << i;
+      }
+    }
+  }
+}
+
+TEST(WireCodecEquivalence, BothDecodersYieldTheSamePayload) {
+  std::mt19937_64 rng(881);
+  for (const std::size_t cols : {1, 5, 8, 24, 37, 64, 70}) {
+    for (const std::size_t words : {1, 64, 100, 4096}) {
+      const PayloadModel model(words, cols, rng);
+      SweepFrame frame;
+      frame.kind = FrameKind::kResponse;
+      frame.num_words = words;
+      frame.num_cols = cols;
+      frame.matrix = model.matrix;
+      const auto bytes = encode_frame(frame);
+      const PackedFrame packed = validate_frame(bytes);
+      EXPECT_EQ(unpack_columns(packed), model.columns)
+          << cols << " x " << words;
+      EXPECT_EQ(decode_frame(bytes).matrix, model.matrix);
+      // Encoding from the columns gives the same bytes.
+      SweepFrameView view = as_view(frame);
+      view.matrix = {};
+      view.columns = model.columns;
+      std::vector<std::uint8_t> again;
+      encode_frame_into(view, again);
+      EXPECT_EQ(again, bytes) << cols << " x " << words;
+    }
+  }
+}
+
+TEST(WireCodecEquivalence, SetPaddingBitsAreRejectedByBothDecoders) {
+  std::mt19937_64 rng(3);
+  for (const std::size_t cols : {1, 3, 9, 23, 61, 71}) {
+    for (const std::size_t words : {1, 2, 65}) {
+      const PayloadModel model(words, cols, rng);
+      SweepFrame frame;
+      frame.kind = FrameKind::kResponse;
+      frame.num_words = words;
+      frame.num_cols = cols;
+      frame.matrix = model.matrix;
+      const auto good = encode_frame(frame);
+      const std::size_t row_bytes = (cols + 7) / 8;
+      // The last row's highest padding bit, then the first row's lowest.
+      for (const std::size_t at : {good.size() - 1, 64 + row_bytes - 1}) {
+        const std::uint8_t bit =
+            at + 1 == good.size()
+                ? std::uint8_t{0x80}
+                : static_cast<std::uint8_t>(1u << (cols % 8));
+        auto bad = good;
+        bad[at] |= bit;
+        reseal(bad, false);
+        EXPECT_THROW((void)decode_frame(bad), sw::util::Error)
+            << cols << " x " << words;
+        EXPECT_THROW((void)unpack_columns(validate_frame(bad)), sw::util::Error)
+            << cols << " x " << words;
+      }
+    }
+  }
+}
+
+TEST(WireCodecEquivalence, HostileCountsAllocateNoMoreThanTheFrameCarries) {
+  // The hostile spec and program counts of the test above, through the
+  // column decoder: validation rejects them before any payload is sized.
+  GateSpec spec;
+  spec.num_inputs = 1;
+  spec.frequencies = {1e10};
+  SweepFrame v2;
+  v2.num_cols = 1;
+  v2.spec = spec;
+  sw::wavesim::ProgramSpec program;
+  program.num_primary_inputs = 1;
+  program.stages.push_back(
+      {spec, {{sw::wavesim::SlotSource::Kind::kPrimary, 0, 0, false}}});
+  SweepFrame v3;
+  v3.num_cols = 1;
+  v3.program = program;
+  const auto v2_bytes = encode_frame(v2);
+  const auto v3_bytes = encode_frame(v3);
+  struct Hostile {
+    bool program;
+    std::size_t at;
+    std::uint64_t count;
+  };
+  constexpr std::uint64_t kMillion = std::uint64_t{1} << 20;
+  const Hostile cases[] = {{false, 72, kMillion}, {false, 120, kMillion},
+                           {true, 74, 4096},      {true, 90, kMillion},
+                           {true, 138, kMillion}, {true, 146, kMillion}};
+  for (const Hostile& c : cases) {
+    auto bytes = c.program ? v3_bytes : v2_bytes;
+    stamp_u64(bytes, c.at, c.count);
+    reseal(bytes, c.program);
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    bool rejected = false;
+    try {
+      (void)unpack_columns(validate_frame(bytes));
+    } catch (const sw::util::Error&) {
+      rejected = true;
+    }
+    g_track_allocations = false;
+    EXPECT_TRUE(rejected) << "count at byte " << c.at;
+    EXPECT_LE(g_largest_allocation.load(), std::size_t{64} * 1024)
+        << "count at byte " << c.at << " drove a large allocation";
+  }
 }
 
 }  // namespace
