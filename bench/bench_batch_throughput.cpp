@@ -402,8 +402,7 @@ core::GateLayout thin_one_channel(const BenchSetup& s,
                                   std::size_t channel) {
   core::GateLayout layout = s.gate.layout();
   const core::DataParallelGate gate(layout, s.engine);
-  const wavesim::EvalPlan probe(gate, wavesim::kDefaultFreqTol,
-                                wavesim::Precision::kFloat64);
+  const wavesim::EvalPlan probe(gate, wavesim::Precision::kFloat64);
   const auto offsets = probe.detector_offsets();
   for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
     if (probe.detector_channels()[d] != channel) continue;

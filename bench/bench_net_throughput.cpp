@@ -277,11 +277,9 @@ void run_experiment(bench::BenchJson& json) {
   std::printf("unix-domain socket   : %8.1f ms  (%10.0f words/s, %.2fx "
               "in-process)\n\n",
               unix_s * 1e3, words / unix_s, inprocess_s / unix_s);
-  std::printf("service latency (recent window): p50 %.0f us, p95 %.0f us, "
-              "p99 %.0f us over %llu request(s)\n\n",
-              stats.latency.p50_s * 1e6, stats.latency.p95_s * 1e6,
-              stats.latency.p99_s * 1e6,
-              static_cast<unsigned long long>(stats.latency.count));
+  std::printf("service latency: mean %.0f us over %llu request(s)\n\n",
+              stats.request_latency.mean() * 1e6,
+              static_cast<unsigned long long>(stats.request_latency.count));
 
   json.add("inprocess_pipelined", stats.kernel, stats.precision,
            words / inprocess_s);

@@ -201,20 +201,12 @@ void run_experiment(bench::BenchJson& json) {
               static_cast<unsigned long long>(stats.cache.misses),
               static_cast<unsigned long long>(stats.cache.evictions),
               static_cast<unsigned long long>(stats.completed));
-  // Tail latency over the recent-request window (the metrics endpoint
-  // serves the same numbers as sw_serve_latency_p*_seconds).
-  const auto latest = svc.stats();
-  std::printf("latency: p50 %.0f us / p95 %.0f us / p99 %.0f us / "
-              "mean %.0f us / max %.0f us over the last <=1024 of %llu "
-              "request(s)\n",
-              latest.latency.p50_s * 1e6, latest.latency.p95_s * 1e6,
-              latest.latency.p99_s * 1e6, latest.latency.mean_s * 1e6,
-              latest.latency.max_s * 1e6,
-              static_cast<unsigned long long>(latest.latency.count));
   // Phase breakdown from the service's always-on histograms: where a
   // request's lifetime actually went, in the same shape the metrics
   // endpoint exposes — and folded into the bench artifact so the
-  // trajectory tracks phase drift, not just the end-to-end rate.
+  // trajectory tracks phase drift, not just the end-to-end rate. The
+  // request_latency row is the service's end-to-end latency.
+  const auto latest = svc.stats();
   const struct {
     const char* label;
     const sw::obs::HistogramSnapshot& h;
@@ -252,8 +244,7 @@ void run_experiment(bench::BenchJson& json) {
 core::GateLayout thin_one_channel(const BenchSetup& s, std::size_t channel) {
   core::GateLayout layout = s.layout;
   const core::DataParallelGate gate(layout, s.engine);
-  const wavesim::EvalPlan probe(gate, wavesim::kDefaultFreqTol,
-                                wavesim::Precision::kFloat64);
+  const wavesim::EvalPlan probe(gate, wavesim::Precision::kFloat64);
   const auto offsets = probe.detector_offsets();
   for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
     if (probe.detector_channels()[d] != channel) continue;

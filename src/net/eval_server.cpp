@@ -21,6 +21,7 @@
 
 #include "obs/trace.h"
 #include "serve/admission.h"
+#include "serve/byteio.h"
 #include "serve/layout_hash.h"
 #include "serve/wire.h"
 #include "wavesim/kernels/kernel.h"
@@ -60,7 +61,6 @@ class ReadBuffer {
  public:
   std::size_t size() const { return size_; }
   const std::uint8_t* data() const { return bytes_.get(); }
-  std::uint8_t operator[](std::size_t i) const { return bytes_[i]; }
 
   /// The next `n` bytes past the contents, for recv to fill. Grows like
   /// std::vector::resize (to at least twice the contents) when short, and
@@ -195,11 +195,8 @@ struct EvalServer::Conn {
   bool has_complete_message() const {
     const std::size_t avail = rbuf.size() - rpos;
     if (discard_input || avail < kMessageHeaderSize) return false;
-    std::uint64_t payload_size = 0;
-    for (int i = 0; i < 8; ++i) {
-      payload_size |= static_cast<std::uint64_t>(rbuf[rpos + 16 + i])
-                      << (8 * i);
-    }
+    const std::uint64_t payload_size =
+        sw::serve::detail::load_u64(rbuf.data() + rpos + 16);
     return avail >= kMessageHeaderSize + payload_size;
   }
   /// A draining connection with nothing left to do may close.
@@ -476,6 +473,19 @@ void EvalServer::process_buffered(Conn& conn) {
     if (avail < kMessageHeaderSize) break;
     const MessageHeader header = parse_message_header(
         {conn.rbuf.data() + conn.rpos, kMessageHeaderSize});
+    if (header.payload_size > kMaxBufferedRead - kMessageHeaderSize) {
+      // Reads stop at kMaxBufferedRead, so this message could never
+      // complete: refuse it now instead of polling a full buffer until
+      // the stall reaper drops the connection.
+      refuse_and_drain(conn, header.tag,
+                       "message payload of " +
+                           std::to_string(header.payload_size) +
+                           " bytes exceeds this server's limit of " +
+                           std::to_string(kMaxBufferedRead -
+                                          kMessageHeaderSize) +
+                           " bytes");
+      break;
+    }
     if (avail < kMessageHeaderSize + header.payload_size) break;
     if (conn.inline_evals >= options_.max_inflight_per_connection) {
       // Fairness: this connection had its turn's share of inline
@@ -546,21 +556,23 @@ void EvalServer::handle_message(Conn& conn, const MessageHeader& header,
       handle_frame(conn, header.tag, payload);
       return;
     }
-    default: {
+    default:
       // A client has no business sending error/metrics-response/registry
-      // kinds; answer once, then drop the connection.
-      append_reply(conn, make_error_message(ErrorCode::kBadRequest,
-                                            "unexpected message kind",
-                                            header.tag));
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++counters_.errors_sent;
-      }
-      conn.draining = true;
-      conn.discard_input = true;
+      // kinds.
+      refuse_and_drain(conn, header.tag, "unexpected message kind");
       return;
-    }
   }
+}
+
+void EvalServer::refuse_and_drain(Conn& conn, std::uint64_t tag,
+                                  const std::string& text) {
+  append_reply(conn, make_error_message(ErrorCode::kBadRequest, text, tag));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counters_.errors_sent;
+  }
+  conn.draining = true;
+  conn.discard_input = true;
 }
 
 void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,

@@ -41,7 +41,7 @@
 //    rejection is answered with a kOverload error message carrying the
 //    request's tag, never by dropping the connection.
 //  - kMetricsRequest messages are answered with the plain-text metrics
-//    document (service stats, latency percentiles + histograms, transport
+//    document (service stats, request-phase histograms, transport
 //    counters); kTraceRequest with the service's trace ring as Chrome
 //    trace-event JSON (obs::trace_json) — each served request carries
 //    wire-decode, (cold v2 only) design, admission, plan, kernel,
@@ -191,6 +191,11 @@ class EvalServer {
                       std::span<const std::uint8_t> payload);
   void handle_frame(Conn& conn, std::uint64_t tag,
                     std::span<const std::uint8_t> payload);
+  /// Answer a message the server will not serve with a tagged kBadRequest
+  /// carrying `text`, then read no more and drop buffered input: the
+  /// connection closes once the reply is flushed.
+  void refuse_and_drain(Conn& conn, std::uint64_t tag,
+                        const std::string& text);
   void append_reply(Conn& conn, const Message& message);
   /// Append an evaluated request's reply (its frame, or its error).
   void append_completion(Conn& conn, Completion& completion);

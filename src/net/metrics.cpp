@@ -32,12 +32,6 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   line_u64(out, "sw_serve_requests_blocked", stats.blocked);
   line_u64(out, "sw_serve_queued_requests", stats.queued_requests);
   line_u64(out, "sw_serve_inflight_words", stats.inflight_words);
-  line_u64(out, "sw_serve_latency_count", stats.latency.count);
-  line_f64(out, "sw_serve_latency_p50_seconds", stats.latency.p50_s);
-  line_f64(out, "sw_serve_latency_p95_seconds", stats.latency.p95_s);
-  line_f64(out, "sw_serve_latency_p99_seconds", stats.latency.p99_s);
-  line_f64(out, "sw_serve_latency_mean_seconds", stats.latency.mean_s);
-  line_f64(out, "sw_serve_latency_max_seconds", stats.latency.max_s);
   line_u64(out, "sw_serve_plan_cache_hits", stats.cache.hits);
   line_u64(out, "sw_serve_plan_cache_misses", stats.cache.misses);
   line_u64(out, "sw_serve_plan_cache_evictions", stats.cache.evictions);
@@ -57,8 +51,8 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
            mix_total > 0.0
                ? static_cast<double>(stats.cache.f32_detectors) / mix_total
                : 0.0);
-  // The phase histograms: full distributions a scraper can rate() and
-  // aggregate, next to the windowed percentiles above.
+  // The phase histograms: full distributions a scraper can rate(),
+  // aggregate and read percentiles from.
   sw::obs::append_histogram(out, "sw_serve_request_latency_seconds",
                             stats.request_latency);
   sw::obs::append_histogram(out, "sw_serve_admission_wait_seconds",
@@ -68,10 +62,8 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   sw::obs::append_histogram(out, "sw_serve_kernel_exec_seconds",
                             stats.kernel_exec);
   sw::obs::append_histogram(out, "sw_serve_batch_words", stats.batch_words);
-  // Identity flags carry their value in a label, Prometheus-style, so the
-  // set of metric names stays fixed across hosts and configurations.
-  out += "sw_serve_kernel{name=\"" + stats.kernel + "\"} 1\n";
-  out += "sw_serve_precision{name=\"" + stats.precision + "\"} 1\n";
+  // The one identity series carries its values in labels, Prometheus-style,
+  // so the set of metric names stays fixed across hosts and configurations.
   out += "sw_serve_kernel_info{kernel=\"" + stats.kernel + "\",precision=\"" +
          stats.precision + "\"} 1\n";
   return out;

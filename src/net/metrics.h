@@ -1,11 +1,14 @@
 // Plain-text metrics rendering for the networked serving subsystem.
 //
 // The metrics endpoint answers a kMetricsRequest message with one text
-// document in the Prometheus exposition style — `name value` lines, flags
-// as `name{name="…"} 1` — because that is what every scraper and human
-// `nc`-debugging a stalled worker already reads. Rendering is split from
-// the server so the serving benches and tests can format a ServiceStats
-// snapshot without standing up a socket.
+// document in the Prometheus exposition style — `name value` lines,
+// histograms as `_bucket`/`_sum`/`_count` families, identity as one
+// labelled `…_info{…} 1` series — because that is what every scraper and
+// human `nc`-debugging a stalled worker already reads. Each quantity has
+// one series: request latency is the request_latency histogram only, and
+// the kernel and precision are labels of sw_serve_kernel_info only.
+// Rendering is split from the server so the serving benches and tests can
+// format a ServiceStats snapshot without standing up a socket.
 #pragma once
 
 #include <string>
@@ -47,10 +50,10 @@ struct RegistryCounters {
   double oldest_advert_age_s = 0.0;
 };
 
-/// Render the service section: request/latency/plan-cache gauges, the
+/// Render the service section: request and plan-cache gauges, the
 /// request-phase histograms (`sw_serve_*_seconds` / `sw_serve_batch_words`
-/// in Prometheus `_bucket`/`_sum`/`_count` form) plus the kernel and
-/// precision flags.
+/// in Prometheus `_bucket`/`_sum`/`_count` form) and the
+/// `sw_serve_kernel_info{kernel,precision}` identity series.
 std::string render_service_metrics(const sw::serve::ServiceStats& stats);
 
 /// Render the transport section (sw_net_* lines).

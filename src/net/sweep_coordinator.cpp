@@ -140,7 +140,7 @@ std::optional<std::size_t> acquire_shard(SweepState& state, std::size_t w,
       state.abort_locked("sweep wall deadline exceeded");
       continue;
     }
-    if (options.wait_for_all_workers && !state.released) {
+    if (!state.released) {
       if (state.ready_workers < state.idle.size()) {
         // Fleet-assembly barrier: no shard moves until every worker has
         // connected or failed to, so distribution never races start-up.

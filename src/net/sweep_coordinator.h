@@ -19,6 +19,14 @@
 // not an option: deeper windows mostly queue shards at the server (four
 // gave 1.2x the words/s of two at 1.5x the median shard latency).
 //
+// No shard moves until every worker has connected or been declared dead
+// (each bounded by `connect_timeout`). As that start barrier opens, one
+// shard is set aside for each connected worker, so every worker gets a
+// first shard before any window takes a second. Without the barrier a
+// fast first worker could drain a small sweep before the others finish
+// connecting, which would make load distribution a race against thread
+// start-up.
+//
 // Completion is tracked per shard, not per worker:
 //
 //   * a shard is only retired when its response frame arrives and
@@ -78,15 +86,6 @@ struct SweepOptions {
   /// Send a kShutdown message to each live worker after a successful
   /// sweep (the example workers exit on it).
   bool shutdown_workers = false;
-  /// Hold shard distribution until every worker has either connected or
-  /// been declared dead (bounded by connect_timeout per worker); as the
-  /// barrier opens, one shard is set aside for each connected worker, so
-  /// every worker gets a first shard before any window takes a second.
-  /// Without the barrier a fast first worker can drain a small sweep
-  /// before the others finish connecting (or their threads wake), which
-  /// makes load distribution — and any test asserting on it — a race
-  /// against thread start-up.
-  bool wait_for_all_workers = true;
   /// When set, every shard assignment records a trace (id = shard index,
   /// track = worker index) with assign/send/wait/retire spans, and each
   /// straggler duplication records a zero-length "reshard" event — so a

@@ -47,7 +47,10 @@ void Histogram::record(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  // Release, paired with snapshot()'s acquire: a reader that sees this
+  // record counted also sees what the recorder did before it (the service
+  // hands out a request's id before recording its latency).
+  count_.fetch_add(1, std::memory_order_release);
   double expected = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(expected, expected + value,
                                      std::memory_order_relaxed)) {
@@ -62,7 +65,7 @@ HistogramSnapshot Histogram::snapshot() const {
     out.counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   out.sum = sum_.load(std::memory_order_relaxed);
-  out.count = count_.load(std::memory_order_relaxed);
+  out.count = count_.load(std::memory_order_acquire);
   return out;
 }
 

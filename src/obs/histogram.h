@@ -1,15 +1,16 @@
 // Log-bucketed histograms for the observability subsystem.
 //
-// A serving system needs distributions, not just point percentiles: the
-// latency reservoir answers "what is p99 right now", but only a histogram
+// A serving system needs distributions, not just point values: a histogram
 // answers "how many requests landed between 100µs and 1ms since start" —
-// the shape a Prometheus scraper can rate(), aggregate across hosts, and
-// alert on. obs::Histogram keeps a fixed ladder of log-spaced bucket
-// bounds chosen at construction and counts records with one relaxed
-// atomic increment per observation — no locks, no allocation, safe to hit
+// the shape a Prometheus scraper can rate(), aggregate across hosts, alert
+// on and read percentiles from. obs::Histogram keeps a fixed ladder of
+// log-spaced bucket bounds chosen at construction and counts records with
+// atomic increments per observation — no locks, no allocation, safe to hit
 // from every worker thread on the request hot path. Snapshots copy the
 // counters; rendering emits the Prometheus exposition triple
-// (`_bucket{le="…"}` cumulative counts, `_sum`, `_count`).
+// (`_bucket{le="…"}` cumulative counts, `_sum`, `_count`). The count is
+// exact under concurrent records, so a histogram can also be the one
+// counter of what it measures (the service's completed requests).
 #pragma once
 
 #include <atomic>
@@ -55,8 +56,9 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   /// One relaxed atomic increment (bucket found by branch-free-ish binary
-  /// search over ~25 bounds) plus sum/count updates. Negative values clamp
-  /// into the first bucket.
+  /// search over ~25 bounds) plus sum/count updates; the count increment
+  /// is a release that snapshot() acquires. Negative values clamp into the
+  /// first bucket.
   void record(double value);
 
   HistogramSnapshot snapshot() const;

@@ -30,25 +30,11 @@ void append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t chunked_fnv1a64(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = kFnvOffsetBasis;
   std::size_t i = 0;
   for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
-    }
-    h ^= v;
+    h ^= detail::load_u64(bytes.data() + i);
     h *= kFnvPrime;
   }
   std::uint64_t tail = 0;

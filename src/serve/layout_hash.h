@@ -23,22 +23,15 @@ struct ProgramSpec;
 
 namespace sw::serve {
 
-/// FNV-1a 64-bit parameters (public so the wire format can reuse the same
-/// primitive for payload checksums).
+/// FNV-1a 64-bit parameters.
 inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Byte-wise FNV-1a 64 over `bytes`, starting from `seed` (chain calls to
-/// hash a logical concatenation without materialising it). Used for wire
-/// checksums, where IO dominates anyway.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t seed = kFnvOffsetBasis);
-
 /// FNV-1a 64 folded over little-endian u64 chunks (zero-padded tail, total
-/// length mixed in last) — one multiply per 8 bytes instead of per byte,
-/// for the per-request layout-hash fast path. Deterministic across runs
-/// and processes like the byte-wise variant, but a distinct function: the
-/// two never produce comparable values.
+/// length mixed in last) — one multiply per 8 bytes instead of per byte.
+/// Used for layout and program hashes, wire frame checksums and the
+/// message-envelope checksum. Deterministic across runs, processes and
+/// host byte orders.
 std::uint64_t chunked_fnv1a64(std::span<const std::uint8_t> bytes);
 
 /// Canonical byte serialisation of a layout: format tag, then every field

@@ -307,7 +307,7 @@ PlanCache::StagePtr PlanCache::resolve_stage(
   if (pending.valid()) return pending.get();
   try {
     auto stage = std::make_shared<const sw::wavesim::EvalStage>(
-        spec, *designer_, *engine_, evaluator_options_.freq_tol, precision);
+        spec, *designer_, *engine_, precision);
     {
       // The entry cannot have moved or gone: the table is node-based and
       // nothing erases an entry whose build is in flight but its builder.

@@ -96,10 +96,8 @@ EvaluatorService::EvaluatorService(const sw::disp::DispersionModel& model,
       cache_(engine_, options_.plan_cache_capacity,
              options_.evaluator_options, &designer_),
       admission_(options_.admission),
-      latency_(options_.latency_window),
       trace_recorder_(options_.trace_capacity),
       pool_(options_.num_threads, /*always_spawn=*/true) {
-  trace_recorder_.set_slow_threshold(options_.slow_request_threshold_s);
   log_kernel_once(options_.evaluator_options.precision);
 }
 
@@ -161,11 +159,7 @@ void EvaluatorService::post_request(EvalRequest&& source,
     if (!request->program) request->target = *source.program;
   }
   request->trace.end(lookup_slot);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    request->id = next_id_++;
-    ++submitted_;
-  }
+  request->id = next_id_.fetch_add(1);
   request->trace.id = request->id;
   request->queue_slot = request->trace.begin(sw::obs::Phase::kQueue);
   if (may_run_inline && request->program &&
@@ -270,22 +264,14 @@ void EvaluatorService::process(Request* raw) {
   // Settle the accounting before the promise: a caller returning from
   // future.get() observes stats that already include this request.
   admission_.release(request->num_words);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++completed_;
-  }
   // Latency covers submit to settle — queue wait included, because that is
   // what a caller waiting on the future experiences — and is recorded for
-  // failures too (an erroring request still occupied the service).
-  const double latency_s =
+  // failures too (an erroring request still occupied the service). This
+  // record is also what counts the request as completed.
+  request_latency_hist_.record(
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     request->submitted_at)
-          .count();
-  latency_.record(latency_s);
-  request_latency_hist_.record(latency_s);
-  if (options_.on_request_finish) {
-    options_.on_request_finish(request->id, latency_s);
-  }
+          .count());
   // The trace settles with the request: recorded here for direct callers,
   // handed back through ResultBatch for transports that append their own
   // wire/write spans first (defer_trace_record).
@@ -308,11 +294,12 @@ void EvaluatorService::process(Request* raw) {
 
 ServiceStats EvaluatorService::stats() const {
   ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-  }
+  // Completed before submitted: a request takes its id before it records
+  // its latency, so this snapshot never reads more completed than
+  // submitted.
+  s.request_latency = request_latency_hist_.snapshot();
+  s.completed = s.request_latency.count;
+  s.submitted = next_id_.load() - 1;
   s.shed = admission_.shed_total();
   s.blocked = admission_.blocked_total();
   s.queued_requests = admission_.queued();
@@ -320,9 +307,7 @@ ServiceStats EvaluatorService::stats() const {
   s.kernel = std::string(sw::wavesim::active_kernel_name());
   s.precision = std::string(
       sw::wavesim::precision_name(options_.evaluator_options.precision));
-  s.latency = latency_.summary();
   s.cache = cache_.stats();
-  s.request_latency = request_latency_hist_.snapshot();
   s.admission_wait = admission_wait_hist_.snapshot();
   s.queue_wait = queue_wait_hist_.snapshot();
   s.kernel_exec = kernel_exec_hist_.snapshot();

@@ -31,13 +31,18 @@
 // targets and large batches, and everything submit() takes, go to the
 // pool. Either way a request passes the same admission, accounting,
 // hooks and trace.
+//
+// Each quantity the service reports has one source: a settled request's
+// submit-to-settle latency is recorded once, into the request_latency
+// histogram, whose count is the completed count; the submitted count is
+// the last request id handed out.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,7 +52,6 @@
 #include "obs/trace.h"
 #include "serve/admission.h"
 #include "serve/eval_request.h"
-#include "serve/latency.h"
 #include "serve/plan_cache.h"
 #include "util/thread_pool.h"
 #include "wavesim/wave_engine.h"
@@ -75,22 +79,10 @@ struct ServiceOptions {
   /// inline. Useful for metrics and tracing; tests use it to hold
   /// evaluations in place deterministically.
   std::function<void(std::uint64_t request_id)> on_request_start;
-  /// Completion hook: called on the thread that evaluated the request (as
-  /// for on_request_start) once it has fully settled (accounting
-  /// released, success or failure alike), with its submit-to-completion
-  /// latency. The same latency feeds the built-in percentile reservoir
-  /// whether or not a hook is installed.
-  std::function<void(std::uint64_t request_id, double latency_seconds)>
-      on_request_finish;
-  /// Window of recent request latencies backing ServiceStats::latency
-  /// (p50/p95/p99 over the most recent `latency_window` requests).
-  std::size_t latency_window = 1024;
   /// Settled traces kept in the service's TraceRecorder ring (what the
-  /// trace endpoint answers with).
+  /// trace endpoint answers with). The ring's slow-request log is set on
+  /// trace_recorder().
   std::size_t trace_capacity = 256;
-  /// Any settled request whose trace spans cover at least this many
-  /// seconds logs a per-phase breakdown to stderr; <= 0 disables.
-  double slow_request_threshold_s = 0.0;
 };
 
 /// Decoded output of one request, plus serving metadata. The bits are the
@@ -126,8 +118,11 @@ struct ResultBatch {
 };
 
 struct ServiceStats {
-  std::uint64_t submitted = 0;  ///< requests admitted and enqueued
-  std::uint64_t completed = 0;  ///< requests finished (including failures)
+  /// Requests admitted: the last request id handed out (ids are dense
+  /// from 1).
+  std::uint64_t submitted = 0;
+  /// Requests settled, failures included: request_latency.count.
+  std::uint64_t completed = 0;
   std::uint64_t shed = 0;       ///< submissions rejected with OverloadError
   std::uint64_t blocked = 0;    ///< submissions that had to wait (kBlock)
   std::size_t queued_requests = 0;  ///< admitted, not yet picked up
@@ -144,14 +139,12 @@ struct ServiceStats {
   /// precision == "f32" with f64_rescue_detectors > 0 reads "asked for
   /// f32, some detectors were rescued to f64 lanes".
   std::string precision;
-  /// Submit-to-completion latency percentiles over the recent-request
-  /// window (ServiceOptions::latency_window); the metrics endpoint and the
-  /// serving benches read these.
-  LatencySummary latency;
   PlanCacheStats cache;
   /// Since-start distributions (log-bucketed, Prometheus-renderable):
   /// submit-to-settle latency, admission wait, queue wait, kernel
   /// execution — all seconds — plus the admitted batch sizes in words.
+  /// request_latency is the service's one latency store: every settled
+  /// request, failures included, records into it once.
   sw::obs::HistogramSnapshot request_latency;
   sw::obs::HistogramSnapshot admission_wait;
   sw::obs::HistogramSnapshot queue_wait;
@@ -258,7 +251,6 @@ class EvaluatorService {
   sw::core::InlineGateDesigner designer_;
   PlanCache cache_;
   AdmissionController admission_;
-  LatencyReservoir latency_;
   sw::obs::TraceRecorder trace_recorder_;
   sw::obs::Histogram request_latency_hist_ = sw::obs::Histogram::for_seconds();
   sw::obs::Histogram admission_wait_hist_ = sw::obs::Histogram::for_seconds();
@@ -266,10 +258,9 @@ class EvaluatorService {
   sw::obs::Histogram kernel_exec_hist_ = sw::obs::Histogram::for_seconds();
   sw::obs::Histogram batch_words_hist_ = sw::obs::Histogram::for_words();
 
-  mutable std::mutex stats_mutex_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
+  /// The id the next admitted request gets; next_id_ - 1 requests have
+  /// been admitted.
+  std::atomic<std::uint64_t> next_id_{1};
 
   // Declared last: its destructor runs first and drains the queued
   // requests while every member they touch is still alive.

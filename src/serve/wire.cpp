@@ -187,26 +187,12 @@ std::size_t row_bytes_for(std::uint64_t num_cols) {
 constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
 constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
 
-std::uint64_t load_cells8(const std::uint8_t* cells) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::uint64_t x;
-    std::memcpy(&x, cells, 8);
-    return x;
-  } else {
-    std::uint64_t x = 0;
-    for (int b = 0; b < 8; ++b) {
-      x |= static_cast<std::uint64_t>(cells[b]) << (8 * b);
-    }
-    return x;
-  }
-}
-
 /// Pack 8 cells (one byte each, nonzero = 1, matching the v1 semantics)
 /// into one payload byte: normalise each byte to 0/1 with a carry-free
 /// "byte != 0" test, then gather the low bits with a multiply whose
 /// partial products all land on distinct bits.
 std::uint8_t pack_cells8(const std::uint8_t* cells) {
-  const std::uint64_t x = load_cells8(cells);
+  const std::uint64_t x = detail::load_u64(cells);
   const std::uint64_t nonzero = (((x & kLow7) + kLow7) | x) >> 7 & kLowBits;
   return static_cast<std::uint8_t>((nonzero * 0x0102040810204080ull) >> 56);
 }

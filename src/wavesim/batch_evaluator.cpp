@@ -12,18 +12,15 @@ namespace sw::wavesim {
 
 BatchEvaluator::BatchEvaluator(const sw::core::DataParallelGate& gate,
                                BatchOptions options)
-    : BatchEvaluator(gate,
-                     std::make_shared<const EvalPlan>(gate, options.freq_tol,
-                                                      options.precision),
-                     options) {}
+    : BatchEvaluator(
+          gate, std::make_shared<const EvalPlan>(gate, options.precision),
+          options) {}
 
 BatchEvaluator::BatchEvaluator(const sw::core::DataParallelGate& gate,
                                std::shared_ptr<const EvalPlan> plan,
                                BatchOptions options)
     : gate_(&gate), plan_(std::move(plan)), pool_(options.num_threads) {
   SW_REQUIRE(plan_ != nullptr, "shared evaluation plan must not be null");
-  SW_REQUIRE(plan_->freq_tol() == options.freq_tol,
-             "shared plan was built with a different freq_tol");
   SW_REQUIRE(plan_->requested_precision() ==
                  resolve_precision(options.precision),
              "shared plan was built with a different precision");

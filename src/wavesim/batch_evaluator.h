@@ -11,9 +11,10 @@
 // in a runtime-dispatched kernel (kernels/kernel.h — scalar reference,
 // AVX2 or AVX-512, SW_EVAL_KERNEL overrides), and the word batch fans
 // across a ThreadPool. Decoded results are bit-for-bit identical to the
-// scalar path: the plan's constants are produced by the same arithmetic,
-// and every kernel preserves the scalar per-detector accumulation order
-// word by word.
+// scalar path: the plan's constants are produced by the same arithmetic
+// from the same sources (both match frequencies within kDefaultFreqTol,
+// which is not configurable), and every kernel preserves the scalar
+// per-detector accumulation order word by word.
 //
 // The kernels decode bit-sliced columns (kernels/kernel.h), and
 // evaluate_bits keeps its row-major byte API by converting at the edge:
@@ -52,9 +53,6 @@ namespace sw::wavesim {
 struct BatchOptions {
   /// Worker count; 0 selects std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
-  /// Relative frequency tolerance for source/detector matching; defaults
-  /// to the scalar path's tolerance, which bit-exact equivalence requires.
-  double freq_tol = kDefaultFreqTol;
   /// Requested evaluation precision for the packed evaluate_bits path.
   /// kAuto defers to SW_EVAL_PRECISION (default f64); kFloat32 is granted
   /// per layout by the plan's margin analysis, else falls back to f64.
@@ -74,8 +72,7 @@ class BatchEvaluator {
 
   /// Adopts an already-built plan instead of rebuilding it, so several
   /// evaluators over one layout can share it. The plan must have been
-  /// built from this gate's layout with options.freq_tol and
-  /// options.precision.
+  /// built from this gate's layout with options.precision.
   BatchEvaluator(const sw::core::DataParallelGate& gate,
                  std::shared_ptr<const EvalPlan> plan,
                  BatchOptions options = {});

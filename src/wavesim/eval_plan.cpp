@@ -30,9 +30,9 @@ constexpr double kMarginSafetyFactor = 8.0;
 
 }  // namespace
 
-EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate, double freq_tol,
+EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate,
                    Precision precision)
-    : freq_tol_(freq_tol), requested_(resolve_precision(precision)) {
+    : requested_(resolve_precision(precision)) {
   const auto& layout = gate.layout();
   const auto& engine = gate.engine();
   const auto& freqs = layout.spec.frequencies;
@@ -53,17 +53,17 @@ EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate, double freq_tol,
     // invisible, but the match check below also keeps the plan compact).
     for (const auto& s : layout.sources) {
       const double sf = freqs[s.channel];
-      if (std::abs(sf - f) > freq_tol * f) continue;
+      if (std::abs(sf - f) > kDefaultFreqTol * f) continue;
       WaveSource src;
       src.x = s.x;
       src.frequency = sf;
       src.amplitude = s.amplitude;
       src.phase = sw::core::kPhaseZero;
       const std::complex<double> zero =
-          engine.steady_phasor({&src, 1}, det.x, f, freq_tol);
+          engine.steady_phasor({&src, 1}, det.x, f);
       src.phase = sw::core::kPhaseOne;
       const std::complex<double> one =
-          engine.steady_phasor({&src, 1}, det.x, f, freq_tol);
+          engine.steady_phasor({&src, 1}, det.x, f);
       re0_.push_back(zero.real());
       im0_.push_back(zero.imag());
       re1_.push_back(one.real());

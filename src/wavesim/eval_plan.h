@@ -63,17 +63,15 @@ class EvalPlan {
   /// Builds the plan from the gate's layout via its engine (one
   /// steady-phasor solve per (detector, source, launch-phase) triple — the
   /// expensive per-layout cost the serve-layer cache amortises). Neither
-  /// the gate nor the engine needs to outlive the plan. `freq_tol` is the
-  /// relative source/detector frequency matching tolerance and must equal
-  /// the scalar path's for bit-exact equivalence. `precision` is the
-  /// *requested* precision (kAuto defers to SW_EVAL_PRECISION / f64); the
-  /// per-detector margin analysis decides what is actually served — see
+  /// the gate nor the engine needs to outlive the plan. Sources match
+  /// detectors within kDefaultFreqTol, the scalar path's one tolerance,
+  /// which bit-exact equivalence requires. `precision` is the *requested*
+  /// precision (kAuto defers to SW_EVAL_PRECISION / f64); the per-detector
+  /// margin analysis decides what is actually served — see
   /// num_f32_detectors() / effective_precision().
   explicit EvalPlan(const sw::core::DataParallelGate& gate,
-                    double freq_tol = kDefaultFreqTol,
                     Precision precision = Precision::kAuto);
 
-  double freq_tol() const { return freq_tol_; }
   std::size_t num_channels() const { return num_channels_; }
   std::size_t num_inputs() const { return num_inputs_; }
   /// Input slots per word: num_channels() * num_inputs(); the bit of input
@@ -182,7 +180,6 @@ class EvalPlan {
   void build_f32();
   void partition_detectors(const std::vector<char>& accepted);
 
-  double freq_tol_ = kDefaultFreqTol;
   Precision requested_ = Precision::kFloat64;
   std::size_t num_channels_ = 0;
   std::size_t num_inputs_ = 0;

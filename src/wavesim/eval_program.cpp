@@ -85,14 +85,13 @@ void ProgramSpec::validate() const {
 }
 
 EvalStage::EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
-                     double freq_tol, Precision precision)
-    : gate_(std::move(layout), engine), plan_(gate_, freq_tol, precision) {}
+                     Precision precision)
+    : gate_(std::move(layout), engine), plan_(gate_, precision) {}
 
 EvalStage::EvalStage(const sw::core::GateSpec& spec,
                      const sw::core::InlineGateDesigner& designer,
-                     const WaveEngine& engine, double freq_tol,
-                     Precision precision)
-    : EvalStage(designer.design(spec), engine, freq_tol, precision) {}
+                     const WaveEngine& engine, Precision precision)
+    : EvalStage(designer.design(spec), engine, precision) {}
 
 EvalProgram::EvalProgram(ProgramSpec spec,
                          const sw::core::InlineGateDesigner& designer,
@@ -100,8 +99,8 @@ EvalProgram::EvalProgram(ProgramSpec spec,
     : EvalProgram(
           std::move(spec),
           [&](const sw::core::GateSpec& gate, Precision precision) {
-            return std::make_shared<const EvalStage>(
-                gate, designer, engine, options.freq_tol, precision);
+            return std::make_shared<const EvalStage>(gate, designer, engine,
+                                                     precision);
           },
           options) {}
 
@@ -162,8 +161,8 @@ EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
     : EvalProgram(
           identity_program(layout.spec),
           [&](const sw::core::GateSpec&, Precision precision) {
-            return std::make_shared<const EvalStage>(
-                std::move(layout), engine, options.freq_tol, precision);
+            return std::make_shared<const EvalStage>(std::move(layout),
+                                                     engine, precision);
           },
           options) {}
 

@@ -147,11 +147,11 @@ class EvalStage {
   /// (already resolved; the plan's margin analysis decides f32 / block-f32
   /// / f64). Throws whatever the layout validation or plan throws.
   EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
-            double freq_tol, Precision precision);
+            Precision precision);
   /// Designs `spec` with `designer`, then builds as above.
   EvalStage(const sw::core::GateSpec& spec,
             const sw::core::InlineGateDesigner& designer,
-            const WaveEngine& engine, double freq_tol, Precision precision);
+            const WaveEngine& engine, Precision precision);
 
   const sw::core::DataParallelGate& gate() const { return gate_; }
   const EvalPlan& plan() const { return plan_; }

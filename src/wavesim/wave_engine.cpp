@@ -33,11 +33,10 @@ WaveEngine::Cached WaveEngine::lookup(double f) const {
 double WaveEngine::decay_length(double f) const { return lookup(f).decay; }
 
 std::complex<double> WaveEngine::steady_phasor(
-    std::span<const WaveSource> sources, double x, double f,
-    double freq_tol) const {
+    std::span<const WaveSource> sources, double x, double f) const {
   std::complex<double> acc{0.0, 0.0};
   for (const auto& s : sources) {
-    if (std::abs(s.frequency - f) > freq_tol * f) continue;
+    if (std::abs(s.frequency - f) > kDefaultFreqTol * f) continue;
     const Cached& c = lookup(s.frequency);
     const double d = std::abs(x - s.x);
     const double a = s.amplitude * std::exp(-d / c.decay);

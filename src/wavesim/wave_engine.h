@@ -19,9 +19,9 @@
 
 namespace sw::wavesim {
 
-/// Default relative tolerance for deciding that a source and a detection
-/// frequency are the same species. Shared by the scalar steady_phasor path
-/// and BatchEvaluator so their source selection can never diverge.
+/// Relative tolerance for deciding that a source and a detection frequency
+/// are the same species. The one tolerance of the scalar steady_phasor path
+/// and of EvalPlan, so their source selection can never diverge.
 inline constexpr double kDefaultFreqTol = 1e-6;
 
 /// One wave source on the guide.
@@ -43,11 +43,10 @@ class WaveEngine {
   double decay_length(double f) const;
 
   /// Steady-state complex amplitude at position x of the frequency-f
-  /// component produced by `sources` (only sources within `freq_tol`
+  /// component produced by `sources` (only sources within kDefaultFreqTol
   /// relative frequency contribute — different species do not interact).
   std::complex<double> steady_phasor(std::span<const WaveSource> sources,
-                                     double x, double f,
-                                     double freq_tol = kDefaultFreqTol) const;
+                                     double x, double f) const;
 
   /// Time-domain signal at (x, t): superposition of all sources, each gated
   /// by its group arrival time and smoothly ramped over one period.

@@ -541,8 +541,7 @@ struct StageCache {
     stages.push_back(
         {{gate, precision},
          std::make_shared<const sw::wavesim::EvalStage>(
-             gate, fix.designer, fix.engine, sw::wavesim::kDefaultFreqTol,
-             precision)});
+             gate, fix.designer, fix.engine, precision)});
     return stages.back().second;
   }
 };

@@ -392,8 +392,6 @@ TEST(EvalPlan, SharedPlanMustMatchTheGate) {
   auto plan3 = std::make_shared<const EvalPlan>(gate3);
   EXPECT_THROW(BatchEvaluator(gate5, plan3, {}), sw::util::Error);
   EXPECT_THROW(BatchEvaluator(gate3, nullptr, {}), sw::util::Error);
-  EXPECT_THROW(BatchEvaluator(gate3, plan3, {.freq_tol = 1e-3}),
-               sw::util::Error);
   // A matching share works and evaluates identically to a rebuilt plan.
   const BatchEvaluator shared(gate3, plan3, {});
   EXPECT_EQ(&shared.plan(), plan3.get());
@@ -414,16 +412,14 @@ TEST(EvalPlan, Float32ArraysAndMarginMetadata) {
   const KernelFixture fix;
   const auto gate = fix.majority_gate(3, 8);
 
-  const EvalPlan f64(gate, sw::wavesim::kDefaultFreqTol,
-                     sw::wavesim::Precision::kFloat64);
+  const EvalPlan f64(gate, sw::wavesim::Precision::kFloat64);
   EXPECT_EQ(f64.requested_precision(), sw::wavesim::Precision::kFloat64);
   EXPECT_EQ(f64.effective_precision(), sw::wavesim::Precision::kFloat64);
   EXPECT_FALSE(f64.has_f32());
   EXPECT_TRUE(f64.re0_f32().empty());
   EXPECT_TRUE(f64.f32_rejection().empty());  // nothing was rejected
 
-  const EvalPlan f32(gate, sw::wavesim::kDefaultFreqTol,
-                     sw::wavesim::Precision::kFloat32);
+  const EvalPlan f32(gate, sw::wavesim::Precision::kFloat32);
   ASSERT_TRUE(f32.has_f32()) << f32.f32_rejection();
   EXPECT_EQ(f32.effective_precision(), sw::wavesim::Precision::kFloat32);
   ASSERT_EQ(f32.re0_f32().size(), f32.num_contributions());
@@ -444,7 +440,7 @@ TEST(EvalPlan, SharedPlanPrecisionMustMatchTheOptions) {
   const KernelFixture fix;
   const auto gate = fix.majority_gate(3, 4);
   auto f32 = std::make_shared<const EvalPlan>(
-      gate, sw::wavesim::kDefaultFreqTol, sw::wavesim::Precision::kFloat32);
+      gate, sw::wavesim::Precision::kFloat32);
   // A plan built at one precision cannot back an evaluator asked for the
   // other: silently serving it would misreport effective_precision().
   EXPECT_THROW(

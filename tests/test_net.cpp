@@ -5,13 +5,14 @@
 // evaluated inline on the event thread under a per-turn fairness bound,
 // frames trickled a few bytes per read or straddling the read chunk and
 // buffer compaction, kShed mapping to a typed error frame on a surviving
-// connection, connection-cap refusal with a live accept loop, metrics
-// scraping and layout-hash rejection), the worker registry (advert codec,
-// TTL upsert/expiry, tag echo), and the SweepCoordinator's distributed
-// exhaustive sweep with its two-shard window per connection, a first
-// shard for every worker, registry discovery, straggler re-sharding,
-// shed-shard re-queueing, bit-exact duplicate deduplication and
-// divergent-duplicate abort.
+// connection, connection-cap refusal with a live accept loop, a message
+// too large to buffer refused from its header, metrics scraping with one
+// series per quantity, and layout-hash rejection), the worker registry
+// (advert codec, TTL upsert/expiry, tag echo), and the SweepCoordinator's
+// distributed exhaustive sweep with its two-shard window per connection,
+// a first shard for every worker, registry discovery, straggler
+// re-sharding, shed-shard re-queueing, bit-exact duplicate deduplication
+// and divergent-duplicate abort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,9 @@
 #include <cstdlib>
 #include <mutex>
 #include <random>
+#include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,7 +308,8 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_EQ(metric_value(text, "sw_net_responses_sent"), 3.0) << text;
   EXPECT_EQ(metric_value(text, "sw_serve_request_latency_seconds_count"), 3.0)
       << text;
-  EXPECT_NE(text.find("sw_serve_latency_p99_seconds"), std::string::npos);
+  // Latency is exported once, as the histogram: no windowed lines.
+  EXPECT_EQ(text.find("sw_serve_latency_"), std::string::npos) << text;
   EXPECT_NE(text.find("sw_serve_plan_cache_hits 2"), std::string::npos);
   EXPECT_NE(text.find("sw_net_frames_received 3"), std::string::npos);
   EXPECT_NE(text.find("sw_net_connections_accepted 1"), std::string::npos);
@@ -314,11 +318,24 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   // the ratio and block-plan lines carry what the service's own stats say
   // (rendered as render_service_metrics does), whatever precision the
   // process resolved.
-  EXPECT_NE(
-      text.find("sw_serve_kernel_info{kernel=\"" +
-                std::string(sw::wavesim::active_kernel_name()) + "\""),
-      std::string::npos)
+  const std::string kernel_label =
+      "\"" + std::string(sw::wavesim::active_kernel_name()) + "\"";
+  EXPECT_NE(text.find("sw_serve_kernel_info{kernel=" + kernel_label),
+            std::string::npos)
       << text;
+  // One series per quantity: no sample line (name plus labels) repeats,
+  // and the kernel info series is the only one naming the kernel.
+  std::set<std::string> series;
+  std::size_t kernel_series = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(series.insert(line.substr(0, line.rfind(' '))).second)
+        << "repeated series: " << line;
+    if (line.find(kernel_label) != std::string::npos) ++kernel_series;
+  }
+  EXPECT_EQ(kernel_series, 1u) << text;
+  EXPECT_EQ(text.find("sw_serve_kernel{"), std::string::npos) << text;
+  EXPECT_EQ(text.find("sw_serve_precision{"), std::string::npos) << text;
   const sw::serve::ServiceStats stats = fx.service.stats();
   const double mix_total =
       static_cast<double>(stats.cache.f32_detectors) +
@@ -379,10 +396,9 @@ TEST(EvalServer, MetricsHistogramsAndByteCountersScrapeMonotonically) {
             1.0);
   EXPECT_EQ(metric_value(first, "sw_serve_batch_words_sum"),
             static_cast<double>(words));
-  // The windowed summary gained mean and max next to the percentiles.
-  EXPECT_GE(metric_value(first, "sw_serve_latency_mean_seconds"), 0.0);
-  EXPECT_GE(metric_value(first, "sw_serve_latency_max_seconds"),
-            metric_value(first, "sw_serve_latency_mean_seconds"));
+  // The histogram is the only latency export: no windowed mean or max.
+  EXPECT_EQ(metric_value(first, "sw_serve_latency_mean_seconds"), -1.0);
+  EXPECT_EQ(metric_value(first, "sw_serve_latency_max_seconds"), -1.0);
   const double rx1 = metric_value(first, "sw_net_rx_bytes_total");
   const double tx1 = metric_value(first, "sw_net_tx_bytes_total");
   EXPECT_GT(rx1, 0.0) << first;
@@ -1319,6 +1335,50 @@ TEST(EvalServer, ServesTrickledAndChunkStraddlingFrames) {
   EXPECT_EQ(counters.frames_received, 6u);
   EXPECT_EQ(counters.responses_sent, 6u);
   EXPECT_EQ(counters.errors_sent, 0u);
+}
+
+TEST(EvalServer, RefusesAMessageLargerThanItsReadBufferAtOnce) {
+  // The server buffers at most 4 MiB of unparsed input, so a message
+  // declaring a 5 MiB payload can never complete. Its header alone must
+  // get a tagged kBadRequest naming the bound, long before the stall
+  // reaper's frame_timeout, while other connections are served.
+  EvalServerOptions server_options;
+  server_options.frame_timeout = 30s;
+  ServerFixture fx(loopback(), {}, server_options);
+  const GateLayout layout = fx.designer.design(majority_spec(3, 2));
+  const auto matrix = random_matrix(4, 6, 31);
+  const auto request = sw::serve::make_request_frame(layout, 0, 4, matrix);
+  auto other = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  send_message(other, make_frame_message(request), 2000ms);
+  ASSERT_TRUE(recv_frame(other, 60000ms).has_value());
+
+  Message oversized;
+  oversized.kind = MessageKind::kFrame;
+  oversized.tag = 77;
+  auto header = encode_message(oversized);
+  ASSERT_EQ(header.size(), kMessageHeaderSize);
+  const std::uint64_t declared = 5u << 20;
+  for (int i = 0; i < 8; ++i) {
+    header[16 + i] = static_cast<std::uint8_t>(declared >> (8 * i));
+  }
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  const auto sent = std::chrono::steady_clock::now();
+  conn.send_all(header, 2000ms);
+  send_message(other, make_frame_message(request), 2000ms);
+
+  const auto reply = recv_message(conn, 1000ms);
+  EXPECT_LT(std::chrono::steady_clock::now() - sent, 1s);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->kind, MessageKind::kError);
+  EXPECT_EQ(reply->tag, 77u);
+  const ErrorInfo info = decode_error_message(*reply);
+  EXPECT_EQ(info.code, ErrorCode::kBadRequest);
+  EXPECT_NE(info.text.find(std::to_string((4u << 20) - kMessageHeaderSize)),
+            std::string::npos)
+      << info.text;
+  EXPECT_TRUE(recv_frame(other, 60000ms).has_value());
+  EXPECT_FALSE(recv_message(conn, 5000ms).has_value())
+      << "the refused connection should close after the error reply";
 }
 
 TEST(EvalServer, RefusesConnectionsPastCapButKeepsAccepting) {

@@ -1,15 +1,16 @@
 // Observability subsystem tests: histogram bucket edges, the golden
 // Prometheus exposition text, cumulative monotonicity, the standard
-// ladders, fixed-slot trace contexts (span accounting, truncation), the
-// bounded trace ring, and the Chrome trace-event JSON export — parsed
-// back by a minimal JSON parser so a malformed document fails here, not
-// in Perfetto.
+// ladders, exact counts under concurrent records, fixed-slot trace
+// contexts (span accounting, truncation), the bounded trace ring, and the
+// Chrome trace-event JSON export — parsed back by a minimal JSON parser
+// so a malformed document fails here, not in Perfetto.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -93,6 +94,28 @@ TEST(ObsHistogram, StandardLaddersCoverServingRanges) {
   EXPECT_THROW(Histogram(0.0, 2.0, 4), sw::util::Error);
   EXPECT_THROW(Histogram(1.0, 1.0, 4), sw::util::Error);
   EXPECT_THROW(Histogram(1.0, 2.0, 0), sw::util::Error);
+}
+
+TEST(ObsHistogram, ConcurrentRecordsCountExactly) {
+  // The service's completed count is its latency histogram's count, so
+  // concurrent records from every worker must each count exactly once.
+  Histogram h = Histogram::for_seconds();
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 100'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h] {
+      for (int i = 0; i < kRecords; ++i) h.record(1.0);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const HistogramSnapshot s = h.snapshot();
+  constexpr std::uint64_t kTotal = std::uint64_t{kThreads} * kRecords;
+  EXPECT_EQ(s.count, kTotal);
+  EXPECT_EQ(s.sum, static_cast<double>(kTotal));  // exact: integers < 2^53
+  std::uint64_t buckets = 0;
+  for (const std::uint64_t c : s.counts) buckets += c;
+  EXPECT_EQ(buckets, s.count);
 }
 
 TEST(ObsTrace, SpansAccumulateByPhaseAndTruncatePastCapacity) {

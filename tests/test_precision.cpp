@@ -75,8 +75,7 @@ struct PrecisionFixture {
   /// while every other channel keeps its paper margin.
   GateLayout thin_channel(GateLayout layout, std::size_t channel) const {
     const DataParallelGate gate(layout, engine);
-    const EvalPlan probe(gate, sw::wavesim::kDefaultFreqTol,
-                         Precision::kFloat64);
+    const EvalPlan probe(gate, Precision::kFloat64);
     const auto offsets = probe.detector_offsets();
     for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
       if (probe.detector_channels()[d] != channel) continue;
@@ -123,8 +122,7 @@ TEST(MarginFallback, ThinMarginLayoutFallsBackToDouble) {
   const GateLayout thin = fix.thin_margin_layout();
   const DataParallelGate gate(thin, fix.engine);
 
-  const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol,
-                      Precision::kFloat32);
+  const EvalPlan plan(gate, Precision::kFloat32);
   EXPECT_EQ(plan.requested_precision(), Precision::kFloat32);
   EXPECT_EQ(plan.effective_precision(), Precision::kFloat64);
   EXPECT_FALSE(plan.has_f32());
@@ -165,8 +163,7 @@ TEST(MarginFallback, FallbackEvaluatorDecodesLikeTheDoublePath) {
 TEST(MarginFallback, WideMarginLayoutKeepsFloat32) {
   const PrecisionFixture fix;
   const DataParallelGate gate(fix.majority_layout(3, 2), fix.engine);
-  const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol,
-                      Precision::kFloat32);
+  const EvalPlan plan(gate, Precision::kFloat32);
   EXPECT_TRUE(plan.has_f32()) << plan.f32_rejection();
   EXPECT_EQ(plan.effective_precision(), Precision::kFloat32);
 }
@@ -226,8 +223,7 @@ TEST(BlockPrecision, OneThinDetectorYieldsBlockPlan) {
   // than abandon single precision wholesale.
   const GateLayout layout = fix.thin_channel(fix.majority_layout(3, 8), 3);
   const DataParallelGate gate(layout, fix.engine);
-  const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol,
-                      Precision::kFloat32);
+  const EvalPlan plan(gate, Precision::kFloat32);
   const std::size_t nd = plan.num_detectors();
   ASSERT_EQ(nd, 8u);
 
@@ -355,8 +351,7 @@ TEST(BlockPrecision, AllDetectorsRejectedDegeneratesToTheDoublePlan) {
     layout = fix.thin_channel(std::move(layout), ch);
   }
   const DataParallelGate gate(layout, fix.engine);
-  const EvalPlan plan(gate, sw::wavesim::kDefaultFreqTol,
-                      Precision::kFloat32);
+  const EvalPlan plan(gate, Precision::kFloat32);
   EXPECT_FALSE(plan.is_block());
   EXPECT_FALSE(plan.has_f32());
   EXPECT_EQ(plan.num_f32_detectors(), 0u);

@@ -4,14 +4,18 @@
 // precision, no longer than some program holds it, failed designs leave no
 // entry, concurrent builders agree), wire-format round trips with hostile
 // input rejection, admission-control shed-vs-block semantics, and the
-// EvaluatorService end-to-end against the scalar gate path.
+// EvaluatorService end-to-end against the scalar gate path, with its
+// request counts and latency histogram agreeing on every submit path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <future>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <span>
@@ -657,97 +661,121 @@ TEST(EvaluatorService, BlocksWhenSaturatedAndResumes) {
   EXPECT_EQ(svc.stats().shed, 0u);
 }
 
-TEST(LatencyReservoir, NearestRankPercentiles) {
-  sw::serve::LatencyReservoir reservoir(256);
-  for (int i = 1; i <= 100; ++i) {
-    reservoir.record(static_cast<double>(i));
-  }
-  const auto summary = reservoir.summary();
-  EXPECT_EQ(summary.count, 100u);
-  EXPECT_DOUBLE_EQ(summary.p50_s, 50.0);
-  EXPECT_DOUBLE_EQ(summary.p95_s, 95.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 99.0);
-}
-
-TEST(LatencyReservoir, WindowTracksRecentRequestsOnly) {
-  sw::serve::LatencyReservoir reservoir(10);
-  for (int i = 1; i <= 1000; ++i) {
-    reservoir.record(static_cast<double>(i));
-  }
-  const auto summary = reservoir.summary();
-  EXPECT_EQ(summary.count, 1000u);
-  // Only 991..1000 remain in the window.
-  EXPECT_DOUBLE_EQ(summary.p50_s, 995.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 1000.0);
-}
-
-TEST(LatencyReservoir, EmptySummaryIsZero) {
-  const auto summary = sw::serve::LatencyReservoir(8).summary();
-  EXPECT_EQ(summary.count, 0u);
-  EXPECT_DOUBLE_EQ(summary.p50_s, 0.0);
-  EXPECT_DOUBLE_EQ(summary.p99_s, 0.0);
-}
-
-TEST(LatencyReservoir, NearestRankBoundaries) {
-  // n = 1: every percentile is the single sample (rank ceil(q) == 1).
-  {
-    sw::serve::LatencyReservoir reservoir(8);
-    reservoir.record(7.0);
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 7.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 7.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 7.0);
-  }
-  // n = 2: p50 must be the *lower* sample — ceil(0.5 * 2) is exactly 1,
-  // the boundary a pseudo-ceil (q * n + eps) overshoots to rank 2.
-  {
-    sw::serve::LatencyReservoir reservoir(8);
-    reservoir.record(2.0);
-    reservoir.record(1.0);
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 1.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 2.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 2.0);
-  }
-  // n = 100 recorded in descending order: q * n integral for all three
-  // quantiles (ranks 50 / 95 / 99 exactly), and the result must not
-  // depend on insertion order.
-  {
-    sw::serve::LatencyReservoir reservoir(256);
-    for (int i = 100; i >= 1; --i) reservoir.record(static_cast<double>(i));
-    const auto summary = reservoir.summary();
-    EXPECT_DOUBLE_EQ(summary.p50_s, 50.0);
-    EXPECT_DOUBLE_EQ(summary.p95_s, 95.0);
-    EXPECT_DOUBLE_EQ(summary.p99_s, 99.0);
-  }
-}
-
 TEST(EvaluatorService, TracksLatencyPercentilesAndCompletionHook) {
+  // The request_latency histogram is the service's one latency store:
+  // every settled request records into it once, before its completion
+  // callback runs, and its buckets give the percentiles.
   const ServeFixture fix;
   const auto layout = fix.majority_layout(3, 2);
   const auto matrix = random_matrix(4, 6, /*seed=*/31);
-
-  std::mutex seen_mutex;
-  std::vector<std::uint64_t> finished_ids;
-  double last_latency = -1.0;
-  ServiceOptions options;
-  options.on_request_finish = [&](std::uint64_t id, double latency_s) {
-    std::lock_guard<std::mutex> lock(seen_mutex);
-    finished_ids.push_back(id);
-    last_latency = latency_s;
-  };
-  EvaluatorService svc(fix.model, fix.wg.material.alpha, options);
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
   for (int i = 0; i < 5; ++i) {
     (void)svc.submit(EvalRequest::for_layout(layout, matrix, 4)).get();
   }
+  std::uint64_t counted_at_callback = 0;
+  svc.submit_async(EvalRequest::for_layout(layout, matrix, 4),
+                   [&](ResultBatch&&, std::exception_ptr error) {
+                     EXPECT_EQ(error, nullptr);
+                     counted_at_callback = svc.stats().request_latency.count;
+                   });
+  // Warm and small, so it ran inline: the callback has already returned.
+  EXPECT_EQ(counted_at_callback, 6u);
+
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.latency.count, 5u);
-  EXPECT_GT(stats.latency.p50_s, 0.0);
-  EXPECT_LE(stats.latency.p50_s, stats.latency.p95_s);
-  EXPECT_LE(stats.latency.p95_s, stats.latency.p99_s);
-  std::lock_guard<std::mutex> lock(seen_mutex);
-  EXPECT_EQ(finished_ids.size(), 5u);
-  EXPECT_GE(last_latency, 0.0);
+  const sw::obs::HistogramSnapshot& latency = stats.request_latency;
+  EXPECT_EQ(latency.count, 6u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_GT(latency.sum, 0.0);
+  // Upper bound of the bucket holding the nearest-rank q quantile.
+  const auto quantile_bound = [&](double q) {
+    const auto rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(latency.count)));
+    std::size_t i = 0;
+    while (latency.cumulative(i) < rank) ++i;
+    return i < latency.bounds.size()
+               ? latency.bounds[i]
+               : std::numeric_limits<double>::infinity();
+  };
+  EXPECT_GT(quantile_bound(0.50), 0.0);
+  EXPECT_LE(quantile_bound(0.50), quantile_bound(0.99));
+  // With six samples p99 is the largest, so its bucket bounds the mean.
+  EXPECT_LE(latency.mean(), quantile_bound(0.99));
+}
+
+TEST(EvaluatorService, CountsEachAdmittedRequestOnceOnEveryPath) {
+  // submitted (the id counter), completed and the latency histogram's
+  // count must agree whichever submit call admitted a request and
+  // wherever it ran: inline on the submitting thread or on the pool.
+  const ServeFixture fix;
+  const auto layout = fix.majority_layout(3, 2);
+  const auto small = random_matrix(4, 6, /*seed=*/51);
+  // 4096 words of this gate are past kMaxInlineWork: always pooled.
+  constexpr std::size_t kLargeWords = 4096;
+  const auto large = random_matrix(kLargeWords, 6, /*seed=*/52);
+  ServiceOptions options;
+  options.num_threads = 2;
+  EvaluatorService svc(fix.model, fix.wg.material.alpha, options);
+  // Cache the program, so the small submit_async requests run inline.
+  const std::uint64_t warm_id =
+      svc.submit(EvalRequest::for_layout(layout, small, 4)).get().request_id;
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 24;
+  std::mutex ids_mutex;
+  std::vector<std::uint64_t> ids{warm_id};
+  std::atomic<int> inline_runs{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      if (t == 0) {
+        // A shape error throws before admission: no id, no count.
+        EXPECT_THROW((void)svc.submit(EvalRequest::for_layout(
+                         layout, std::vector<std::uint8_t>(5), 1)),
+                     sw::util::Error);
+      }
+      const std::thread::id self = std::this_thread::get_id();
+      std::vector<std::future<ResultBatch>> sync;
+      std::vector<std::future<std::uint64_t>> async;
+      for (int i = 0; i < kPerThread; ++i) {
+        const bool is_large = i % 2 == 1;
+        auto request =
+            is_large ? EvalRequest::for_layout(layout, large, kLargeWords)
+                     : EvalRequest::for_layout(layout, small, 4);
+        if (i % 4 < 2) {
+          sync.push_back(svc.submit(std::move(request)));
+          continue;
+        }
+        auto done = std::make_shared<std::promise<std::uint64_t>>();
+        async.push_back(done->get_future());
+        svc.submit_async(std::move(request),
+                         [&, self, done](ResultBatch&& result,
+                                         std::exception_ptr error) {
+                           EXPECT_EQ(error, nullptr);
+                           if (std::this_thread::get_id() == self) {
+                             ++inline_runs;
+                           }
+                           done->set_value(result.request_id);
+                         });
+      }
+      std::vector<std::uint64_t> mine;
+      for (auto& f : sync) mine.push_back(f.get().request_id);
+      for (auto& f : async) mine.push_back(f.get());
+      std::lock_guard<std::mutex> lock(ids_mutex);
+      ids.insert(ids.end(), mine.begin(), mine.end());
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const std::uint64_t admitted = 1 + kThreads * kPerThread;
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.submitted, admitted);
+  EXPECT_EQ(stats.completed, admitted);
+  EXPECT_EQ(stats.request_latency.count, admitted);
+  // Every small submit_async ran inline, every large one on the pool.
+  EXPECT_EQ(inline_runs.load(), kThreads * kPerThread / 4);
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), admitted);
+  for (std::uint64_t i = 0; i < admitted; ++i) EXPECT_EQ(ids[i], i + 1);
 }
 
 TEST(EvaluatorService, DestructorDrainsPendingRequests) {
