@@ -12,12 +12,16 @@
 // It prints both throughputs and the speedup (the PR's acceptance bar is
 // >= 4x on a multi-core host; the precompute alone clears that bar even on
 // one core), cross-checks that both paths decode identically, and registers
-// Google Benchmark timings for regression tracking.
+// Google Benchmark timings for regression tracking. Its last section times
+// the table decode every served request runs (Kernel::eval_tables) against
+// the phasor eval_bits, per rung, at m = 3, 5, 7 and 9 inputs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <complex>
 #include <cstdio>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -475,6 +479,88 @@ void run_mixed_experiment(bench::BenchJson& json) {
   }
 }
 
+// ------------------------------------------------------------------------
+// Tables: the decode EvalProgram, so every served request, runs on a
+// tabulated plan. Per rung and gate width, the column kernel's eval_tables
+// next to its phasor eval_bits (f64 plan) on the same 2^16 words' columns,
+// with the decodes checked equal: m = 3 is the bench gate above, m = 5, 7
+// and 9 are 8-channel majority gates. No floor here: the three f32 floors
+// above keep timing the phasor path through BatchEvaluator.
+
+/// Best-of-three seconds per call of `fn`, each timing repeating it until at
+/// least 10 ms pass, so a microsecond-scale kernel call is timed over many.
+template <typename Fn>
+double seconds_per_call(const Fn& fn) {
+  using clock = std::chrono::steady_clock;
+  std::size_t reps = 1;
+  for (;;) {
+    const auto t0 = clock::now();
+    for (std::size_t r = 0; r < reps; ++r) fn();
+    if (std::chrono::duration<double>(clock::now() - t0).count() >= 0.01) {
+      break;
+    }
+    reps *= 2;
+  }
+  return bench::best_of_three_seconds([&] {
+           for (std::size_t r = 0; r < reps; ++r) fn();
+         }) /
+         static_cast<double>(reps);
+}
+
+void run_table_experiment(bench::BenchJson& json) {
+  const auto& s = setup();
+  constexpr std::size_t kWords = std::size_t{1} << 16;
+  const std::size_t stride = wavesim::kernels::column_words(kWords);
+  std::vector<const wavesim::kernels::Kernel*> rungs{
+      &wavesim::kernels::scalar_kernel()};
+  if (const auto* avx2 = wavesim::kernels::avx2_kernel()) rungs.push_back(avx2);
+  if (const auto* avx512 = wavesim::kernels::avx512_kernel()) {
+    rungs.push_back(avx512);
+  }
+  std::printf("tables vs phasor eval_bits (f64), column kernel only, %zu "
+              "words of 8 channels (single thread):\n",
+              kWords);
+  std::mt19937_64 rng(2026);
+  for (const std::size_t m : {3, 5, 7, 9}) {
+    core::GateSpec spec;
+    spec.num_inputs = m;
+    spec.frequencies = bench::paper_frequencies();
+    const core::DataParallelGate majority(s.designer.design(spec), s.engine);
+    const core::DataParallelGate& gate = m == 3 ? s.gate.gate() : majority;
+    const wavesim::EvalPlan plan(gate, wavesim::Precision::kFloat64);
+    SW_REQUIRE(plan.tabulated(), "bench gate unexpectedly not tabulated");
+    const std::size_t slots = plan.slot_count();
+    std::vector<std::uint64_t> columns(slots * stride);
+    for (auto& c : columns) c = rng();
+    std::vector<const std::uint64_t*> inputs(slots);
+    for (std::size_t j = 0; j < slots; ++j) {
+      inputs[j] = columns.data() + j * stride;
+    }
+    std::vector<std::uint64_t> phasor(kChannels * stride);
+    std::vector<std::uint64_t> tables(kChannels * stride);
+    const std::string name = "column_kernel_m" + std::to_string(m) + "_2^16";
+    for (const auto* kernel : rungs) {
+      const double bits_s = seconds_per_call([&] {
+        kernel->eval_bits(plan, inputs.data(), kWords, phasor.data(), stride);
+      });
+      const double tables_s = seconds_per_call([&] {
+        kernel->eval_tables(plan, inputs.data(), kWords, tables.data(),
+                            stride);
+      });
+      SW_REQUIRE(tables == phasor,
+                 "eval_tables diverged from the phasor eval_bits decode");
+      std::printf("  m = %zu, %-7s: tables %7.3f ns/word (%3zu muxes), "
+                  "eval_bits f64 %7.3f ns/word, %6.1fx\n",
+                  m, kernel->name, tables_s * 1e9 / kWords,
+                  plan.num_table_muxes(), bits_s * 1e9 / kWords,
+                  bits_s / tables_s);
+      json.add(name, kernel->name, "table", kWords / tables_s);
+      json.add(name, kernel->name, "f64", kWords / bits_s);
+    }
+  }
+  std::printf("\n");
+}
+
 void BM_ScalarTruthTableSweep(benchmark::State& state) {
   const auto& s = setup();
   for (auto _ : state) {
@@ -521,6 +607,7 @@ int main(int argc, char** argv) {
   run_experiment(json);
   run_kernel_experiment(json);
   run_mixed_experiment(json);
+  run_table_experiment(json);
   json.write("bench_batch_throughput");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -6,6 +6,9 @@ uploads one artifact per matrix leg. Downloading those artifacts yields a
 directory per leg, each holding the same three file names — this script
 merges any number of them into a single markdown table so a perf trajectory
 across legs (and across downloaded runs) is one page instead of N job logs.
+Rows timed both as the table decode (precision "table") and as the phasor
+f64 decode, bench_batch_throughput's tables lines, also get a table of
+their own in ns per word with the speedup.
 
 Usage:
     scripts/bench_summary.py [path ...]
@@ -47,7 +50,7 @@ def find_bench_files(paths):
             if real in seen:
                 continue
             seen.add(real)
-            leg = os.path.relpath(os.path.dirname(c)) or "."
+            leg = os.path.relpath(os.path.dirname(c) or ".")
             yield leg, c
 
 
@@ -105,6 +108,38 @@ def fmt_mean_us(seconds):
     return f"{seconds * 1e6:.1f}us"
 
 
+def table_decode_rows(rows):
+    """bench_batch_throughput's tables lines: for each (leg, experiment,
+    kernel) timed both ways, eval_tables ("table") next to the phasor
+    eval_bits ("f64") in ns per word, and the phasor-over-table ratio."""
+    rates = {}
+    for r in rows:
+        if r["precision"] in ("table", "f64"):
+            key = (r["bench"], r["name"], r["kernel"], r["leg"])
+            rates.setdefault(key, {})[r["precision"]] = r["words_per_s"]
+    out = []
+    for (bench, name, kernel, leg), rate in sorted(rates.items()):
+        if "table" not in rate or "f64" not in rate:
+            continue
+        if rate["table"] <= 0.0 or rate["f64"] <= 0.0:
+            continue
+        out.append([bench, name, kernel, f"{1e9 / rate['table']:.3f}",
+                    f"{1e9 / rate['f64']:.3f}",
+                    f"{rate['table'] / rate['f64']:.1f}x", leg])
+    return out
+
+
+def print_table(header, table):
+    widths = [max(len(h), *(len(row[i]) for row in table))
+              for i, h in enumerate(header)]
+    def line(cells):
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+    print(line(header))
+    print("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    for row in table:
+        print(line(row))
+
+
 def main(argv):
     rows = []
     phase_rows = []
@@ -128,14 +163,14 @@ def main(argv):
          fmt_rate(r["words_per_s"]), fmt_mix(r), r["leg"]]
         for r in rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in table))
-              for i, h in enumerate(header)]
-    def line(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    print(line(header))
-    print("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in table:
-        print(line(row))
+    print_table(header, table)
+
+    decode = table_decode_rows(rows)
+    if decode:
+        print()
+        print("table decode vs phasor eval_bits (column kernel, ns/word):")
+        print_table(["bench", "experiment", "kernel", "tables", "eval_bits f64",
+                     "speedup", "leg"], decode)
 
     if phase_rows:
         # The per-phase sections benches emit (bench_common.h add_phase):
@@ -148,17 +183,9 @@ def main(argv):
              str(r["count"]), r["leg"]]
             for r in phase_rows
         ]
-        pwidths = [max(len(h), *(len(row[i]) for row in ptable))
-                   for i, h in enumerate(pheader)]
-        def pline(cells):
-            return "| " + " | ".join(
-                c.ljust(w) for c, w in zip(cells, pwidths)) + " |"
         print()
         print("phase breakdown:")
-        print(pline(pheader))
-        print("|" + "|".join("-" * (w + 2) for w in pwidths) + "|")
-        for row in ptable:
-            print(pline(row))
+        print_table(pheader, ptable)
 
     legs = sorted({(r["leg"], r["host_kernel"]) for r in rows})
     print()

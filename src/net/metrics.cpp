@@ -43,6 +43,12 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
            stats.cache.f32_detectors);
   line_u64(out, "sw_serve_plan_cache_f64_rescue_detectors",
            stats.cache.f64_rescue_detectors);
+  // Which decode the built detectors got: a nonzero phasor count names a
+  // layout too wide to tabulate.
+  line_u64(out, "sw_serve_plan_cache_detectors{decode=\"table\"}",
+           stats.cache.table_detectors);
+  line_u64(out, "sw_serve_plan_cache_detectors{decode=\"phasor\"}",
+           stats.cache.phasor_detectors);
   // Detector-granularity f32 share across every f32-requested build: 1.0
   // means every detector runs f32, 0.0 none (or no f32 builds yet).
   const double mix_total = static_cast<double>(stats.cache.f32_detectors) +

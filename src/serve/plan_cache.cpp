@@ -118,14 +118,16 @@ void PlanCache::erase_locked(const LayoutKey& key,
   if (bucket->second.empty()) slots_.erase(bucket);
 }
 
-void PlanCache::record_precision_mix_locked(
-    const sw::wavesim::EvalProgram& program,
-    sw::wavesim::Precision precision) {
-  if (precision != sw::wavesim::Precision::kFloat32) return;
-  // Exactly one of the three per-plan counters, plus the detector-
-  // granularity mix either way.
+void PlanCache::record_plan_mix_locked(const sw::wavesim::EvalProgram& program,
+                                       sw::wavesim::Precision precision) {
   for (std::size_t s = 0; s < program.num_stages(); ++s) {
     const auto& plan = program.stage_plan(s);
+    // The decode each detector gets: a tabulated stage runs eval_tables.
+    (plan.tabulated() ? stats_.table_detectors : stats_.phasor_detectors) +=
+        plan.num_detectors();
+    if (precision != sw::wavesim::Precision::kFloat32) continue;
+    // Exactly one of the three per-plan counters, plus the detector-
+    // granularity mix either way.
     if (plan.has_f32()) {
       ++stats_.f32_plans;
     } else if (plan.is_block()) {
@@ -228,7 +230,7 @@ PlanCache::Lookup PlanCache::get_or_build(
         auto built = std::make_shared<const sw::wavesim::EvalProgram>(
             layout, *engine_, options);
         std::lock_guard<std::mutex> lock(mutex_);
-        record_precision_mix_locked(*built, resolved);
+        record_plan_mix_locked(*built, resolved);
         return built;
       });
 }
@@ -258,9 +260,9 @@ PlanCache::Lookup PlanCache::get_or_build(
         if (built->depth() > stats_.max_program_depth) {
           stats_.max_program_depth = built->depth();
         }
-        // Per-stage precision verdicts roll into the same detector mix the
-        // metrics endpoint exports for single plans.
-        record_precision_mix_locked(*built, resolved);
+        // Per-stage decode and precision verdicts roll into the same
+        // detector mixes the metrics endpoint exports for single plans.
+        record_plan_mix_locked(*built, resolved);
         return built;
       });
 }

@@ -73,6 +73,13 @@ struct PlanCacheStats {
   /// is the fleet-visible f32 ratio the metrics endpoint exports.
   std::uint64_t f32_detectors = 0;
   std::uint64_t f64_rescue_detectors = 0;
+  /// Built detectors by the decode that serves them, counted like the f32
+  /// mix (one per layout build, one per stage of a program build) at every
+  /// precision: those of a tabulated plan decode from their truth tables
+  /// (Kernel::eval_tables), any other plan's by phasor sum (eval_bits). A
+  /// phasor detector is a layout too wide to tabulate, on the slow loop.
+  std::uint64_t table_detectors = 0;
+  std::uint64_t phasor_detectors = 0;
   /// ProgramSpec entries built (their lookups also count into
   /// hits/misses/evictions above — the LRU is shared). Layout targets
   /// never count here.
@@ -177,9 +184,10 @@ class PlanCache {
   Slot* find_locked(const LayoutKey& key, sw::wavesim::Precision precision);
   void evict_for_insert_locked();
   void erase_locked(const LayoutKey& key, sw::wavesim::Precision precision);
-  /// Folds a built program's per-stage f32 verdicts into the stats.
-  void record_precision_mix_locked(const sw::wavesim::EvalProgram& program,
-                                   sw::wavesim::Precision precision);
+  /// Folds a built program's per-stage decode paths and f32 verdicts into
+  /// the stats.
+  void record_plan_mix_locked(const sw::wavesim::EvalProgram& program,
+                              sw::wavesim::Precision precision);
 
   /// The program builds' StageResolver: a live artefact from the stage
   /// table, else one build per (spec, precision) that concurrent callers

@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -42,17 +41,11 @@ void log_kernel_once(sw::wavesim::Precision precision) {
                static_cast<int>(prec.size()), prec.data());
 }
 
-/// Whether `num_words` words of `program` are at most kMaxInlineWork
-/// contribution-words: the phasor contributions each word costs, summed
-/// over the program's stages (one for a gate), times the words.
+/// Whether `num_words` words of `program` cost the kernels at most
+/// kMaxInlineWork (EvalProgram::kernel_work).
 bool small_enough_to_inline(const sw::wavesim::EvalProgram& program,
                             std::size_t num_words) {
-  std::size_t per_word = 0;
-  for (std::size_t s = 0; s < program.num_stages(); ++s) {
-    per_word += program.stage_plan(s).num_contributions();
-  }
-  return num_words <=
-         EvaluatorService::kMaxInlineWork / std::max<std::size_t>(per_word, 1);
+  return program.kernel_work(num_words) <= EvaluatorService::kMaxInlineWork;
 }
 
 }  // namespace

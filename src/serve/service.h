@@ -25,12 +25,14 @@
 // behind the cache entry.
 //
 // submit_async runs a request on the calling thread instead of the pool
-// when its program is already cached and its kernel work is at most
-// kMaxInlineWork: a small warm request then costs about its kernel, with
-// no queue hop, no worker handoff and no cross-thread completion. Cold
-// targets and large batches, and everything submit() takes, go to the
-// pool. Either way a request passes the same admission, accounting,
-// hooks and trace.
+// when its program is already cached and its kernel work
+// (EvalProgram::kernel_work, in what the table or phasor decode of each
+// stage costs) is at most kMaxInlineWork: a small warm request then costs
+// about its kernel, with no queue hop, no worker handoff and no
+// cross-thread completion. A warm 4096-word sweep shard of a tabulated
+// gate is small. Cold targets and large batches, and everything submit()
+// takes, go to the pool. Either way a request passes the same admission,
+// accounting, hooks and trace.
 //
 // Each quantity the service reports has one source: a settled request's
 // submit-to-settle latency is recorded once, into the request_latency
@@ -163,22 +165,21 @@ class EvaluatorService {
   using CompletionFn =
       std::function<void(ResultBatch&& result, std::exception_ptr error)>;
 
-  /// Largest kernel work submit_async runs on the calling thread, in
-  /// contribution-words: num_words x the program's phasor contributions
-  /// per word (EvalPlan::num_contributions(), summed over its stages).
-  /// An inline kernel runs on the submitter, which in EvalServer is the
-  /// event thread, the serial stage. So the bound is set against that
-  /// thread's CPU: the pool hop an inline request skips (queue post and
-  /// wake, completion drain) cost it ~5-7 us per request on a 4-vCPU
-  /// AVX-512 VM. The column kernels cost ~0.17 ns per contribution-word
-  /// there (AVX-512, f64, 341 words of the 3-input gate, edges included),
-  /// so this bound is a ~1.4 us kernel and the hop would only match the
-  /// kernel at ~30-40k; the bound stays until a mid-size workload can
-  /// retune it. The benchmark covers only the two ends: a 24-word request
-  /// on an 8-channel 3..7-input gate (576..1344) runs inline, and a 4096-word
-  /// shard on the 3-input one (98,304) stays pooled. In between, only
-  /// one-off runs with larger requests checked it: inline gave 1.4x the
-  /// pooled words/s at 4.6k..10.8k, and about the same at 9.2k..21.5k.
+  /// Largest kernel work submit_async runs on the calling thread, in the
+  /// unit of EvalProgram::kernel_work: a tabulated stage costs its
+  /// decision-diagram muxes per 64 words, any other stage its phasor
+  /// contributions per word. An inline kernel runs on the submitter, which
+  /// in EvalServer is the event thread, the serial stage. So the bound is
+  /// set against that thread's CPU: the pool hop an inline request skips
+  /// (queue post and wake, completion drain) cost it ~5-7 us per request
+  /// on a 4-vCPU AVX-512 VM. There a tabulated 4096-word shard of the
+  /// 8-channel 3-input gate (work 2,048) took ~1.3 us in
+  /// EvalProgram::evaluate_columns, so 8,192 is a ~5 us kernel on the
+  /// table path; a phasor stage costs ~0.17 ns per contribution-word, a
+  /// ~1.4 us kernel at the bound. The benchmark covers: 24-word requests
+  /// (at most a few hundred) and tabulated 4096-word sweep shards (2,048)
+  /// run inline. Priced by phasor sum the same shard is 98,304 and stays
+  /// pooled, as a shard of a layout too wide to tabulate does.
   static constexpr std::size_t kMaxInlineWork = 8192;
 
   /// Layout targets arrive designed (e.g. by InlineGateDesigner against the

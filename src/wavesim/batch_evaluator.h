@@ -16,6 +16,12 @@
 // which is not configurable), and every kernel preserves the scalar
 // per-detector accumulation order word by word.
 //
+// evaluate_bits decodes by phasor sum (Kernel::eval_bits) on every plan,
+// tabulated or not: BatchEvaluator is the phasor reference the benches,
+// the examples and the benchmark's oracles compare against, while
+// EvalProgram, the serving path, decodes tabulated stages from their
+// tables (see EvalPlan). The two agree bit for bit.
+//
 // The kernels decode bit-sliced columns (kernels/kernel.h), and
 // evaluate_bits keeps its row-major byte API by converting at the edge:
 // block by block (1024 words), the kernel's to_columns turns the caller's

@@ -1,6 +1,7 @@
 #include "wavesim/eval_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <limits>
@@ -81,6 +82,120 @@ EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate,
   std::iota(det_results_.begin(), det_results_.end(), std::size_t{0});
 
   if (requested_ == Precision::kFloat32) build_f32();
+  build_tables();
+}
+
+TableDiagram compile_diagram(std::span<const std::uint64_t> table,
+                             std::span<const std::uint32_t> vars) {
+  const std::size_t k = vars.size();
+  SW_REQUIRE(k <= kMaxTableInputs,
+             "a decision diagram takes at most kMaxTableInputs variables");
+  const std::size_t entries = std::size_t{1} << k;
+  SW_REQUIRE(table.size() == (entries + 63) / 64,
+             "a truth table over k variables holds 2^k bits");
+  TableDiagram diagram;
+  // The unique table that shares cofactors: per variable, the values of the
+  // muxes made on it so far (a level holds a few for a threshold function).
+  std::array<std::vector<std::uint16_t>, kMaxTableInputs> made;
+  // The value of entries [first, first + 2^j), a function of variables
+  // [0, j): Shannon expansion on variable j - 1, children first, so the
+  // mux list comes out in evaluation order.
+  const auto build = [&](const auto& self, std::size_t j,
+                         std::size_t first) -> std::uint16_t {
+    if (j == 0) {
+      return static_cast<std::uint16_t>((table[first / 64] >> (first % 64)) &
+                                        1);
+    }
+    const std::uint16_t lo = self(self, j - 1, first);
+    const std::uint16_t hi =
+        self(self, j - 1, first + (std::size_t{1} << (j - 1)));
+    if (lo == hi) return lo;
+    for (const std::uint16_t value : made[j - 1]) {
+      const TableMux& mux = diagram.muxes[value - 2];
+      if (mux.lo == lo && mux.hi == hi) return value;
+    }
+    const auto value = static_cast<std::uint16_t>(diagram.muxes.size() + 2);
+    made[j - 1].push_back(value);
+    diagram.muxes.push_back({vars[j - 1], lo, hi});
+    return value;
+  };
+  diagram.root = build(build, k, 0);
+  return diagram;
+}
+
+std::optional<DetectorTable> tabulate_detector(
+    std::span<const double> re0, std::span<const double> re1,
+    std::span<const std::uint32_t> slots) {
+  SW_REQUIRE(re0.size() == slots.size() && re1.size() == slots.size(),
+             "a detector's constants and slots pair up");
+  DetectorTable table;
+  std::vector<std::uint8_t> var_of;
+  std::vector<char> first_use;
+  for (const std::uint32_t slot : slots) {
+    const auto var = static_cast<std::size_t>(
+        std::find(table.vars.begin(), table.vars.end(), slot) -
+        table.vars.begin());
+    first_use.push_back(var == table.vars.size());
+    if (first_use.back()) {
+      if (var == kMaxTableInputs) return std::nullopt;
+      table.vars.push_back(slot);
+    }
+    var_of.push_back(static_cast<std::uint8_t>(var));
+  }
+  table.bits.assign(((std::size_t{1} << table.vars.size()) + 63) / 64, 0);
+  // Depth first over the contributions in plan order: one that reads a
+  // slot for the first time branches on its bit, a later one on that slot
+  // follows the bit already chosen. Each leaf's sum is then its
+  // assignment's accumulation in plan order from 0.0, the additions
+  // eval_bits performs, and a prefix shared by many assignments is added
+  // once.
+  const auto visit = [&](const auto& self, std::size_t c, std::size_t a,
+                         double sum) -> void {
+    if (c == slots.size()) {
+      if (sum < 0.0) table.bits[a / 64] |= std::uint64_t{1} << (a % 64);
+      return;
+    }
+    const std::size_t bit = std::size_t{1} << var_of[c];
+    if (first_use[c]) {
+      self(self, c + 1, a, sum + re0[c]);
+      self(self, c + 1, a | bit, sum + re1[c]);
+    } else {
+      self(self, c + 1, a, sum + ((a & bit) != 0 ? re1[c] : re0[c]));
+    }
+  };
+  visit(visit, 0, 0, 0.0);
+  return table;
+}
+
+void EvalPlan::build_tables() {
+  // All or nothing: one detector too wide leaves the plan untabulated, and
+  // every detector of it decodes by phasor sum.
+  const std::size_t nd = num_detectors();
+  table_offsets_.assign(nd + 1, 0);
+  table_roots_.assign(nd, 0);
+  std::vector<TableMux> muxes;
+  std::vector<std::uint16_t> roots(nd);
+  std::vector<std::size_t> offsets{0};
+  std::size_t max_muxes = 0;
+  for (std::size_t d = 0; d < nd; ++d) {
+    const std::size_t begin = det_offsets_[d];
+    const std::size_t count = det_offsets_[d + 1] - begin;
+    const std::optional<DetectorTable> table = tabulate_detector(
+        std::span<const double>(re0_).subspan(begin, count),
+        std::span<const double>(re1_).subspan(begin, count),
+        std::span<const std::uint32_t>(slots_).subspan(begin, count));
+    if (!table) return;
+    const TableDiagram diagram = compile_diagram(table->bits, table->vars);
+    muxes.insert(muxes.end(), diagram.muxes.begin(), diagram.muxes.end());
+    roots[d] = diagram.root;
+    offsets.push_back(muxes.size());
+    max_muxes = std::max(max_muxes, diagram.muxes.size());
+  }
+  tabulated_ = true;
+  table_muxes_ = std::move(muxes);
+  table_offsets_ = std::move(offsets);
+  table_roots_ = std::move(roots);
+  max_table_muxes_ = max_muxes;
 }
 
 void EvalPlan::build_f32() {

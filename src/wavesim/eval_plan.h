@@ -40,6 +40,20 @@
 // will ever serve: f32 lanes are enumerated-proved, rescue lanes are f64 by
 // construction.
 //
+// Tables. A detector's verdict is a fixed Boolean function of the distinct
+// input slots its contributions read, so a detector with at most
+// kMaxTableInputs of them is also frozen as its exact truth table: for each
+// of the 2^k slot assignments, the detector's f64 constants summed in plan
+// order from 0.0 (the accumulation eval_bits performs), verdict sum < 0.
+// The table is therefore bit-exact with the scalar reference at any margin,
+// and with the f32 decode, which the margin proof only grants where f32
+// and f64 agree. Each table is compiled once, here, into a reduced ordered
+// decision diagram: a straight-line list of muxes over slot columns
+// (TableMux) with shared cofactors, which the kernels' eval_tables runs on
+// 64 words per u64. A majority of m inputs is (m+1)^2/4 muxes. The plan is
+// tabulated() when every detector has a diagram; a plan with one wider
+// detector keeps none and decodes by phasor sum only.
+//
 // An EvalPlan is immutable after construction and holds no reference to the
 // gate or engine, so it is safe to share across threads and to cache (see
 // sw::serve::PlanCache, which stores one per (layout, precision) and hands
@@ -48,6 +62,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,6 +72,56 @@
 #include "wavesim/precision.h"
 
 namespace sw::wavesim {
+
+/// Most distinct input slots a detector may read and still be tabulated:
+/// its table is 2^11 sums at plan build. Every layout the benches and
+/// examples build has at most 11 inputs per channel (bench_scalability's
+/// widest), and so does every test layout but the deliberately wider ones.
+inline constexpr std::size_t kMaxTableInputs = 11;
+
+/// One mux of a decision diagram: its value is `hi` where the column of plan
+/// slot `slot` has a 1 and `lo` where it has a 0. `lo` and `hi` name values
+/// of the same diagram: 0 is the constant 0, 1 the constant 1, and r >= 2
+/// the value of mux r - 2, which always comes earlier in the list.
+struct TableMux {
+  std::uint32_t slot = 0;
+  std::uint16_t lo = 0;
+  std::uint16_t hi = 0;
+};
+
+/// A reduced ordered decision diagram: muxes in evaluation order and the
+/// value (same naming as TableMux::lo) that is the verdict.
+struct TableDiagram {
+  std::vector<TableMux> muxes;
+  std::uint16_t root = 0;
+};
+
+/// One detector's exact truth table. `vars` are the distinct slots its
+/// contributions read, in order of first use, and entry a (bit a % 64 of
+/// bits[a / 64]) is its verdict where slot vars[i] holds bit i of a.
+struct DetectorTable {
+  std::vector<std::uint32_t> vars;
+  std::vector<std::uint64_t> bits;
+};
+
+/// Tabulates a detector whose contribution c reads slot slots[c] and adds
+/// re0[c] on a 0, re1[c] on a 1: for each assignment of the distinct slots,
+/// the constants summed in contribution order from 0.0 (the accumulation
+/// eval_bits performs), verdict sum < 0. Two contributions on one slot read
+/// one variable, so the table holds exactly the assignments a word can
+/// make. std::nullopt when more than kMaxTableInputs slots are read.
+std::optional<DetectorTable> tabulate_detector(
+    std::span<const double> re0, std::span<const double> re1,
+    std::span<const std::uint32_t> slots);
+
+/// Compiles a truth table over vars.size() <= kMaxTableInputs variables into
+/// its reduced ordered decision diagram. Entry a of the table (bit a % 64 of
+/// table[a / 64]) is the function's value where variable i, the column of
+/// plan slot vars[i], holds bit i of a. Equal cofactors share one mux and a
+/// mux whose two cofactors are equal is dropped, so the diagram is the
+/// unique minimal one for its variable order (the last variable on top).
+TableDiagram compile_diagram(std::span<const std::uint64_t> table,
+                             std::span<const std::uint32_t> vars);
 
 class EvalPlan {
  public:
@@ -116,6 +181,25 @@ class EvalPlan {
   /// that index nested per-channel words instead of packed rows.
   std::span<const std::uint32_t> channels() const { return channels_; }
   std::span<const std::uint32_t> inputs() const { return inputs_; }
+
+  // ------------------------------------------------------------ tables --
+
+  /// True iff every detector reads at most kMaxTableInputs distinct slots
+  /// and so carries its decision diagram (the kernels' eval_tables then
+  /// decodes the whole plan). A plan without detectors is tabulated.
+  bool tabulated() const { return tabulated_; }
+  /// Plan-order detector d's diagram muxes; empty on an untabulated plan
+  /// and for a detector whose verdict is constant.
+  std::span<const TableMux> table_muxes(std::size_t d) const {
+    return std::span<const TableMux>(table_muxes_)
+        .subspan(table_offsets_[d], table_offsets_[d + 1] - table_offsets_[d]);
+  }
+  /// Plan-order detector d's verdict, named as TableMux::lo names values.
+  std::uint16_t table_root(std::size_t d) const { return table_roots_[d]; }
+  /// Muxes over every detector: the table decode's work per 64 words.
+  std::size_t num_table_muxes() const { return table_muxes_.size(); }
+  /// Largest diagram of any detector (the kernels' scratch per value).
+  std::size_t max_table_muxes() const { return max_table_muxes_; }
 
   // ------------------------------------------------------- f32 variant --
 
@@ -179,6 +263,7 @@ class EvalPlan {
  private:
   void build_f32();
   void partition_detectors(const std::vector<char>& accepted);
+  void build_tables();
 
   Precision requested_ = Precision::kFloat64;
   std::size_t num_channels_ = 0;
@@ -195,6 +280,12 @@ class EvalPlan {
   sw::util::AlignedVector<std::uint32_t> slots_;
   sw::util::AlignedVector<std::uint32_t> channels_;
   sw::util::AlignedVector<std::uint32_t> inputs_;
+
+  bool tabulated_ = false;
+  std::vector<TableMux> table_muxes_;
+  std::vector<std::size_t> table_offsets_;
+  std::vector<std::uint16_t> table_roots_;
+  std::size_t max_table_muxes_ = 0;
 
   sw::util::AlignedVector<float> re0_f32_;
   sw::util::AlignedVector<float> re1_f32_;

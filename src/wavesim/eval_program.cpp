@@ -166,6 +166,22 @@ EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
           },
           options) {}
 
+std::size_t EvalProgram::kernel_work(std::size_t num_words) const {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // column_words without the wrap of num_words + 63.
+  const std::size_t col_words = num_words / 64 + (num_words % 64 != 0);
+  std::size_t work = 0;
+  for (const auto& stage : stages_) {
+    const EvalPlan& plan = stage->plan();
+    const std::size_t units = plan.tabulated() ? col_words : num_words;
+    const std::size_t per_unit = plan.tabulated() ? plan.num_table_muxes()
+                                                  : plan.num_contributions();
+    if (per_unit != 0 && units > (kMax - work) / per_unit) return kMax;
+    work += units * per_unit;
+  }
+  return work;
+}
+
 std::string EvalProgram::precision_label() const {
   std::string first = stages_.front()->plan().precision_label();
   bool uniform = true;
@@ -216,9 +232,10 @@ void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,
       inputs[j - slot_begin_[s]] = source(slot_columns_[j]);
     }
     const bool is_last = s + 1 == num_stages;
-    kernel.eval_bits(stages_[s]->plan(), inputs, words,
-                     is_last ? last : table(s * n),
-                     is_last ? last_stride : stride);
+    const EvalPlan& plan = stages_[s]->plan();
+    (plan.tabulated() ? kernel.eval_tables : kernel.eval_bits)(
+        plan, inputs, words, is_last ? last : table(s * n),
+        is_last ? last_stride : stride);
     if (timings) {
       const std::uint64_t now = stage_clock_ns();
       timings->ns[s].fetch_add(now - stage_start, std::memory_order_relaxed);

@@ -29,11 +29,14 @@
 // and — through a StageResolver such as serve::PlanCache's stage table —
 // across programs. An EvalStage is immutable, so sharing it is free.
 //
-// Each stage runs the kernel's one eval_bits over its own plan, so
-// per-stage precision and block-f32 are honoured and every stage's decode
-// is lane-for-lane bit-exact with evaluating that stage's gate alone —
-// which makes the whole program bit-exact with the per-stage physics path
-// by induction.
+// A stage whose plan is tabulated (every detector reads at most
+// kMaxTableInputs distinct slots; see EvalPlan) runs the kernel's
+// eval_tables, its detectors' decision diagrams; any other stage runs the
+// phasor eval_bits over its own plan, so per-stage precision and block-f32
+// are honoured there. Both decode every stage bit-exactly like evaluating
+// that stage's gate alone, which makes the whole program bit-exact with
+// the per-stage physics path by induction. kernel_work prices a request in
+// the unit each stage's decode costs.
 //
 // A single gate is the one-stage case: EvalProgram(GateLayout, ...) wraps
 // the layout as given in one stage whose slot j reads primary column j. It
@@ -204,6 +207,14 @@ class EvalProgram {
   const sw::core::DataParallelGate& stage_gate(std::size_t stage) const {
     return stages_[stage]->gate();
   }
+
+  /// What evaluating `num_words` words costs the kernels, summed over the
+  /// stages: a tabulated stage costs its muxes (EvalPlan::num_table_muxes)
+  /// per column u64, column_words(num_words) x muxes; any other stage its
+  /// phasor contributions per word, num_words x contributions. Saturates
+  /// at SIZE_MAX instead of wrapping. The 8-channel 3-input gate costs 32
+  /// per 64 words tabulated and 24 per word by phasor sum.
+  std::size_t kernel_work(std::size_t num_words) const;
 
   /// Aggregate precision mix: "f64" / "f32" when every stage agrees, else
   /// "mixed(<stage labels>)".

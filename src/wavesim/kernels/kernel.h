@@ -5,16 +5,26 @@
 // on a little-endian host), and a column is zero-padded to whole u64s. A
 // stage reads one column per input slot and writes one column per output
 // channel, so the next stage of a cascade reads those columns as they are.
-// Four entry points per kernel:
+// Five entry points per kernel:
 //
-//   * eval_bits — the one packed decode. Detectors [0,
+//   * eval_tables — the table decode of a tabulated plan (see EvalPlan):
+//     each detector's decision diagram runs as a straight-line list of
+//     muxes, one bitwise select per 64 words (per 512 on AVX-512, one
+//     vpternlogq), over its slot columns. Every rung instantiates the one
+//     template in kernels/table_step.h. It decodes exactly what eval_bits
+//     decodes, for a few ops per 64 words instead of a phasor sum per
+//     word: EvalProgram, so every served request, runs it on every stage
+//     whose plan is tabulated.
+//   * eval_bits — the phasor decode. Detectors [0,
 //     plan.num_f32_detectors()) accumulate their bit-selected phasor real
 //     parts in f32 over the plan's float mirrors, the rest in f64 (on a
 //     plan without proved detectors that is all of them), each in plan
 //     order, and decode Re < 0 (the decide_phase decision with reference
 //     0). Vector kernels evaluate whole vector groups: a last partial group
 //     runs on the column padding, whose verdict bits the row edge drops.
-//     There is no scalar tail.
+//     There is no scalar tail. BatchEvaluator runs it on every plan: it is
+//     the phasor reference the benches and the benchmark's oracles use,
+//     and the decode of a plan too wide to tabulate.
 //   * to_columns / to_rows — the edge converter between the row-major byte
 //     matrices of the public APIs (one byte per bit, nonzero = 1) and
 //     columns, in both directions. BatchEvaluator and EvalProgram convert
@@ -80,6 +90,12 @@ struct Kernel {
   void (*eval_bits)(const EvalPlan& plan, const std::uint64_t* const* slots,
                     std::size_t num_words, std::uint64_t* out,
                     std::size_t out_stride);
+  /// The same decode and column contract from a tabulated plan's diagrams
+  /// (plan.tabulated() must hold): writes column_words(num_words) u64s of
+  /// each detector's column and reads no u64 past that many of a slot's.
+  void (*eval_tables)(const EvalPlan& plan, const std::uint64_t* const* slots,
+                      std::size_t num_words, std::uint64_t* out,
+                      std::size_t out_stride);
   /// Rows to columns: reads bytes [0, width) of rows [0, num_words) of
   /// `rows` (row w at rows + w * row_stride, nonzero = 1) and writes
   /// column_words(num_words) u64s of column c at cols + c * col_stride,

@@ -19,6 +19,9 @@
 // group takes the byte's two nibbles as two __m256d. The verdicts' movemask
 // is the channel column's byte.
 //
+// eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
+// four column u64s per mux, as and/xor.
+//
 // The edge converter packs 8 words x 32 columns at a time: per word a byte
 // compare adds the word's bit into one byte per column, and an unpack
 // network transposes the 8 bytes of each column into its u64. Going back,
@@ -47,10 +50,44 @@
 #include "util/aligned.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/column_step.h"
+#include "wavesim/kernels/table_step.h"
 
 namespace sw::wavesim::kernels {
 
 namespace {
+
+/// eval_tables' lanes: four column u64s (256 words) per mux, a masked load
+/// and store for a last group of fewer.
+struct Avx2Lanes {
+  struct V {
+    __m256i v;
+  };
+  static constexpr std::size_t kWords = 4;
+  static __m256i first(std::size_t n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  static V load(const std::uint64_t* p, std::size_t n) {
+    const auto* q = reinterpret_cast<const long long*>(p);
+    return {n == kWords
+                ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
+                : _mm256_maskload_epi64(q, first(n))};
+  }
+  static void store(std::uint64_t* p, V x, std::size_t n) {
+    if (n == kWords) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x.v);
+    } else {
+      _mm256_maskstore_epi64(reinterpret_cast<long long*>(p), first(n), x.v);
+    }
+  }
+  static V splat(std::uint64_t x) {
+    return {_mm256_set1_epi64x(static_cast<long long>(x))};
+  }
+  static V mux(V x, V lo, V hi) {
+    return {_mm256_xor_si256(
+        lo.v, _mm256_and_si256(_mm256_xor_si256(lo.v, hi.v), x.v))};
+  }
+};
 
 /// Lane-mask scratch for eval_channels' word group: one vector register's
 /// worth of per-slot select masks, stored as raw bytes (vector<__m256d>
@@ -353,8 +390,12 @@ const Kernel* detail::avx2_kernel_candidate() {
   // is compiled with -mavx2, so any non-trivial code in it could be
   // VEX-encoded and fault on a pre-AVX2 host. The runtime support check
   // lives in dispatch.cpp (a portable TU); this is a bare constant return.
-  static constexpr Kernel kernel{"avx2", &eval_bits_avx2, &to_columns_avx2,
-                                 &to_rows_avx2, &eval_channels_avx2};
+  static constexpr Kernel kernel{"avx2",
+                                 &eval_bits_avx2,
+                                 &detail::eval_tables<Avx2Lanes>,
+                                 &to_columns_avx2,
+                                 &to_rows_avx2,
+                                 &eval_channels_avx2};
   return &kernel;
 }
 

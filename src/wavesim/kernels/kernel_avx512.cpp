@@ -11,6 +11,9 @@
 // < 0.0, so a -0.0 sum decodes as 0 exactly like the scalar `acc < 0.0`)
 // stored as one byte or u16 of the channel's column.
 //
+// eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
+// eight column u64s per mux, one vpternlogq each.
+//
 // The edge converter works on whole 64-word groups of rows of 8 .. 64 bytes
 // (every layout with a multiple of 8 slots): a test-mask per 64 bytes packs
 // the group into bit planes, and GF(2) affine ops transpose those into
@@ -53,10 +56,41 @@
 #include "core/gate.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/column_step.h"
+#include "wavesim/kernels/table_step.h"
 
 namespace sw::wavesim::kernels {
 
 namespace {
+
+/// eval_tables' lanes: eight column u64s (512 words) per mux, which is one
+/// vpternlogq; a last group of fewer loads and stores under a mask.
+struct Avx512Lanes {
+  struct V {
+    __m512i v;
+  };
+  static constexpr std::size_t kWords = 8;
+  static __mmask8 first(std::size_t n) {
+    return static_cast<__mmask8>((1u << n) - 1);
+  }
+  static V load(const std::uint64_t* p, std::size_t n) {
+    return {n == kWords ? _mm512_loadu_si512(p)
+                        : _mm512_maskz_loadu_epi64(first(n), p)};
+  }
+  static void store(std::uint64_t* p, V x, std::size_t n) {
+    if (n == kWords) {
+      _mm512_storeu_si512(p, x.v);
+    } else {
+      _mm512_mask_storeu_epi64(p, first(n), x.v);
+    }
+  }
+  static V splat(std::uint64_t x) {
+    return {_mm512_set1_epi64(static_cast<long long>(x))};
+  }
+  /// Immediate 0xCA: bit (x << 2 | hi << 1 | lo) of it is x ? hi : lo.
+  static V mux(V x, V lo, V hi) {
+    return {_mm512_ternarylogic_epi64(x.v, hi.v, lo.v, 0xCA)};
+  }
+};
 
 void eval_bits_avx512(const EvalPlan& plan, const std::uint64_t* const* slots,
                       std::size_t num_words, std::uint64_t* out,
@@ -380,11 +414,18 @@ const Kernel* detail::avx512_kernel_candidate(bool vbmi_gfni) {
   // so anything non-trivial in it could fault on an older host. The
   // runtime support checks live in dispatch.cpp; this is a bare constant
   // return.
-  static constexpr Kernel kernel{"avx512", &eval_bits_avx512,
-                                 &to_columns_avx512, &to_rows_avx512,
+  static constexpr Kernel kernel{"avx512",
+                                 &eval_bits_avx512,
+                                 &detail::eval_tables<Avx512Lanes>,
+                                 &to_columns_avx512,
+                                 &to_rows_avx512,
                                  &eval_channels_avx512<&to_columns_avx512>};
   static constexpr Kernel kernel_without_vbmi{
-      "avx512", &eval_bits_avx512, &to_columns_general, &to_rows_general,
+      "avx512",
+      &eval_bits_avx512,
+      &detail::eval_tables<Avx512Lanes>,
+      &to_columns_general,
+      &to_rows_general,
       &eval_channels_avx512<&to_columns_general>};
   return vbmi_gfni ? &kernel : &kernel_without_vbmi;
 }

@@ -10,6 +10,9 @@
 // keeps the full complex pair because phase and amplitude need it, then
 // decodes via decide_phase exactly like the scalar gate path.
 //
+// eval_tables runs the diagrams in plain u64 ops, one select per column
+// u64 (64 words) per mux.
+//
 // The edge converter here is the portable one, which the vector kernels
 // also use for the shapes they do not vectorise. It moves 64 words x 8
 // columns at a time: each word's 8 bytes, reduced to one bit per byte, are
@@ -27,6 +30,7 @@
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "wavesim/eval_plan.h"
+#include "wavesim/kernels/table_step.h"
 
 namespace sw::wavesim::kernels {
 
@@ -213,8 +217,11 @@ void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
 }  // namespace
 
 const Kernel& scalar_kernel() {
-  static constexpr Kernel kernel{"scalar", &eval_bits_scalar,
-                                 &to_columns_scalar, &to_rows_scalar,
+  static constexpr Kernel kernel{"scalar",
+                                 &eval_bits_scalar,
+                                 &detail::eval_tables<detail::U64Lanes>,
+                                 &to_columns_scalar,
+                                 &to_rows_scalar,
                                  &eval_channels_scalar};
   return kernel;
 }

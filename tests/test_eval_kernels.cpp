@@ -7,6 +7,7 @@
 // padded last group and the 64-word column boundaries.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "column_model.h"
+#include "table_model.h"
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "core/gate_design.h"
@@ -641,6 +643,189 @@ TEST(KernelEquivalence, ThreadedChunkingDoesNotChangeDecodes) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------ tables --
+
+TEST(TableDecode, EveryAssignmentMatchesTheGateOnEveryTestedLayout) {
+  // Exhaustive: every detector of the edge layouts and of the m = 5 gate,
+  // every assignment of its slots, read through its diagram.
+  const KernelFixture fix;
+  std::vector<std::pair<std::size_t, std::size_t>> layouts(
+      std::begin(kEdgeLayouts), std::end(kEdgeLayouts));
+  layouts.emplace_back(5, 8);
+  for (const auto& [m, n] : layouts) {
+    const auto gate = fix.majority_gate(m, n);
+    sw::testing::expect_tables_match_gate(gate, EvalPlan(gate));
+  }
+}
+
+TEST(TableDecode, TwoContributionsOnOneSlotAreOneVariable) {
+  // A validated layout drives each slot from one source, so the case is
+  // built from a detector's own contributions: the paper gate's detector 0
+  // plus a fourth contribution, channel 1's first, read by the slot of its
+  // first. The table spans the 3 distinct slots, not 4 contributions, and
+  // each entry is the scalar kernel's accumulation with both reading that
+  // slot's bit.
+  const KernelFixture fix;
+  const auto gate = fix.majority_gate(3, 8);
+  const EvalPlan plan(gate, sw::wavesim::Precision::kFloat64);
+  const auto offsets = plan.detector_offsets();
+  ASSERT_EQ(offsets[1], 3u);
+  std::vector<double> re0(plan.re0().begin(), plan.re0().begin() + 3);
+  std::vector<double> re1(plan.re1().begin(), plan.re1().begin() + 3);
+  std::vector<std::uint32_t> slots(plan.slots().begin(),
+                                   plan.slots().begin() + 3);
+  re0.push_back(plan.re0()[offsets[1]]);
+  re1.push_back(plan.re1()[offsets[1]]);
+  slots.push_back(slots[0]);
+
+  const auto table = sw::wavesim::tabulate_detector(re0, re1, slots);
+  ASSERT_TRUE(table.has_value());
+  ASSERT_EQ(table->vars,
+            (std::vector<std::uint32_t>{slots[0], slots[1], slots[2]}));
+  ASSERT_EQ(table->bits.size(), 1u);
+  const auto diagram = sw::wavesim::compile_diagram(table->bits, table->vars);
+  bool any_one = false;
+  bool any_zero = false;
+  for (std::size_t a = 0; a < 8; ++a) {
+    std::vector<std::uint8_t> slot_bits(plan.slot_count(), 0);
+    for (std::size_t i = 0; i < 3; ++i) {
+      slot_bits[table->vars[i]] = static_cast<std::uint8_t>((a >> i) & 1);
+    }
+    double acc = 0.0;
+    for (std::size_t c = 0; c < slots.size(); ++c) {
+      acc += slot_bits[slots[c]] != 0 ? re1[c] : re0[c];
+    }
+    const bool want = acc < 0.0;
+    EXPECT_EQ(((table->bits[0] >> a) & 1) != 0, want) << "assignment " << a;
+    EXPECT_EQ(sw::testing::read_diagram(diagram, slot_bits), want)
+        << "assignment " << a;
+    (want ? any_one : any_zero) = true;
+  }
+  EXPECT_TRUE(any_one && any_zero) << "the fixture should not be constant";
+}
+
+TEST(TableDecode, MajorityDiagramsShareCofactors) {
+  // A majority of m inputs is (m + 1)^2 / 4 muxes once cofactors are
+  // shared; a full mux tree would be 2^m - 1 (511 at m = 9, not 25).
+  for (const std::size_t m : {3, 5, 7, 9}) {
+    const std::size_t entries = std::size_t{1} << m;
+    std::vector<std::uint64_t> table((entries + 63) / 64);
+    for (std::size_t a = 0; a < entries; ++a) {
+      if (static_cast<std::size_t>(std::popcount(a)) > m / 2) {
+        table[a / 64] |= std::uint64_t{1} << (a % 64);
+      }
+    }
+    std::vector<std::uint32_t> vars(m);
+    for (std::size_t i = 0; i < m; ++i) vars[i] = static_cast<std::uint32_t>(i);
+    const auto diagram = sw::wavesim::compile_diagram(table, vars);
+    EXPECT_EQ(diagram.muxes.size(), (m + 1) * (m + 1) / 4) << "MAJ" << m;
+    for (std::size_t a = 0; a < entries; ++a) {
+      std::vector<std::uint8_t> bits(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        bits[i] = static_cast<std::uint8_t>((a >> i) & 1);
+      }
+      ASSERT_EQ(sw::testing::read_diagram(diagram, bits),
+                static_cast<std::size_t>(std::popcount(a)) > m / 2)
+          << "MAJ" << m << ", assignment " << a;
+    }
+  }
+}
+
+TEST(TableDecode, EvalTablesMatchesScalarEvalBitsWithDirtyPadding) {
+  // Every rung's eval_tables against the scalar phasor eval_bits on the
+  // same columns. Each slot column is its own exactly-sized allocation
+  // with random bits past num_words too, so a read past column_words shows
+  // under ASan and padding bits must not leak into a verdict. Besides the
+  // edge word counts, counts whose last vector of 4 (AVX2) or 8 (AVX-512)
+  // column u64s holds 1..7 of them, after whole vectors and after a whole
+  // 16-u64 tile, run the masked loads and stores.
+  constexpr std::size_t kTileWordCounts[] = {320, 577, 703, 960, 1025, 1600};
+  std::vector<std::size_t> word_counts(std::begin(kEdgeWordCounts),
+                                       std::end(kEdgeWordCounts));
+  word_counts.insert(word_counts.end(), std::begin(kTileWordCounts),
+                     std::end(kTileWordCounts));
+  const KernelFixture fix;
+  std::mt19937_64 rng(71);
+  for (const auto& [m, n] : kEdgeLayouts) {
+    const auto gate = fix.majority_gate(m, n);
+    const EvalPlan plan(gate);
+    ASSERT_TRUE(plan.tabulated());
+    for (const std::size_t words : word_counts) {
+      const std::size_t stride = sw::wavesim::kernels::column_words(words);
+      std::vector<std::vector<std::uint64_t>> columns(plan.slot_count());
+      std::vector<const std::uint64_t*> inputs;
+      for (auto& column : columns) {
+        column.resize(stride);
+        for (auto& u : column) u = rng();
+        inputs.push_back(column.data());
+      }
+      std::vector<std::uint64_t> want(n * stride, rng());
+      scalar_kernel().eval_bits(plan, inputs.data(), words, want.data(),
+                                stride);
+      for (const Kernel* k : available_kernels()) {
+        std::vector<std::uint64_t> got(n * stride, rng());
+        k->eval_tables(plan, inputs.data(), words, got.data(), stride);
+        for (std::size_t w = 0; w < words; ++w) {
+          for (std::size_t ch = 0; ch < n; ++ch) {
+            const std::size_t at = ch * stride + w / 64;
+            ASSERT_EQ((got[at] >> (w % 64)) & 1, (want[at] >> (w % 64)) & 1)
+                << m << "x" << n << ", " << words << " words, kernel "
+                << k->name << ", word " << w << ", channel " << ch;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TableDecode, LayoutWiderThanTheTablesStaysOnThePhasorSum) {
+  // 13 inputs per channel is past kMaxTableInputs: no diagrams, and the
+  // one-stage program runs eval_bits, priced per contribution-word, still
+  // bit-exact with the row reference on every rung.
+  const KernelFixture fix;
+  const auto gate = fix.majority_gate(sw::wavesim::kMaxTableInputs + 2, 2);
+  const EvalPlan plan(gate);
+  EXPECT_FALSE(plan.tabulated());
+  EXPECT_EQ(plan.num_table_muxes(), 0u);
+  const sw::wavesim::EvalProgram program(gate.layout(), gate.engine(),
+                                         {.num_threads = 1});
+  EXPECT_FALSE(program.stage_plan(0).tabulated());
+  EXPECT_EQ(program.kernel_work(100), 100 * plan.num_contributions());
+  std::mt19937 rng(73);
+  std::bernoulli_distribution coin(0.5);
+  for (const std::size_t words : {1ul, 63ul, 65ul, 1100ul}) {
+    std::vector<std::uint8_t> rows(words * plan.slot_count());
+    for (auto& b : rows) b = coin(rng) ? 1 : 0;
+    const auto want = row_reference(plan, words, rows);
+    const auto primary =
+        sw::testing::columns_of(rows, words, plan.slot_count());
+    for (const Kernel* k : available_kernels()) {
+      EXPECT_EQ(sw::testing::rows_of(program.evaluate_columns(words, primary,
+                                                              *k),
+                                     words, 2),
+                want)
+          << words << " words, kernel " << k->name;
+    }
+  }
+}
+
+TEST(TableDecode, KernelWorkSaturatesInsteadOfWrapping) {
+  const KernelFixture fix;
+  const auto tabulated = fix.majority_gate(3, 8);
+  const sw::wavesim::EvalProgram program(tabulated.layout(),
+                                         tabulated.engine());
+  // The paper gate: 32 muxes per 64 words.
+  EXPECT_EQ(program.kernel_work(4096), 64u * 32u);
+  EXPECT_EQ(program.kernel_work(24), 32u);
+  EXPECT_EQ(program.kernel_work(0), 0u);
+  // column_words(SIZE_MAX) without the wrap of num_words + 63.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(program.kernel_work(kMax), (kMax / 64 + 1) * 32);
+  const auto wide = fix.majority_gate(sw::wavesim::kMaxTableInputs + 2, 1);
+  const sw::wavesim::EvalProgram phasor(wide.layout(), wide.engine());
+  EXPECT_EQ(phasor.kernel_work(kMax / 2), kMax);
 }
 
 // -------------------------------------------------------------- validation --

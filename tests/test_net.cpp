@@ -128,6 +128,18 @@ struct ServerFixture {
 
 Endpoint loopback() { return Endpoint::parse("tcp:127.0.0.1:0"); }
 
+/// The fewest whole 64-word groups of `layout` whose kernel work passes
+/// kMaxInlineWork: the smallest warm frame of it the service pools.
+std::size_t pooled_words(const GateLayout& layout, const WaveEngine& engine) {
+  const sw::wavesim::EvalProgram program(layout, engine);
+  std::size_t words = 64;
+  while (program.kernel_work(words) <=
+         sw::serve::EvaluatorService::kMaxInlineWork) {
+    words += 64;
+  }
+  return words;
+}
+
 /// Send one tagged request frame, encoded straight from `view`.
 void send_frame(Connection& conn, const sw::serve::SweepFrameView& view,
                 std::uint64_t tag) {
@@ -355,6 +367,15 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
     // An f32 service built this fixture's plan with f32 detectors.
     EXPECT_GT(ratio, 0.0) << text;
   }
+  // The one build tabulated all 4 detectors: they decode from tables.
+  EXPECT_EQ(
+      metric_value(text, "sw_serve_plan_cache_detectors{decode=\"table\"}"),
+      4.0)
+      << text;
+  EXPECT_EQ(
+      metric_value(text, "sw_serve_plan_cache_detectors{decode=\"phasor\"}"),
+      0.0)
+      << text;
 
   const auto counters = fx.server.counters();
   EXPECT_EQ(counters.frames_received, 3u);
@@ -1018,6 +1039,8 @@ TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
   // thread it last ran on names the event thread. A warm small frame is
   // evaluated there; a cold frame (the plan is built first) and a warm
   // frame whose kernel work passes kMaxInlineWork go to a service worker.
+  // A warm 4096-word shard of the paper's 8-channel 3-input gate is
+  // small: its tables cost 32 muxes per 64 words.
   const Waveguide wg = paper_waveguide();
   const FvmswDispersion model(wg);
   const InlineGateDesigner designer(model);
@@ -1042,22 +1065,35 @@ TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
       loopback());
 
   const GateLayout layout = designer.design(majority_spec(3, 4));
+  const GateLayout paper = designer.design(majority_spec(3, 8));
   const WaveEngine engine(model, wg.material.alpha);
   const DataParallelGate gate(layout, engine);
   const BatchEvaluator evaluator(gate);
-  // One 4-channel 3-input word costs 12 contributions.
+  const DataParallelGate paper_gate(paper, engine);
+  const BatchEvaluator paper_evaluator(paper_gate);
+  const sw::wavesim::EvalProgram program(layout, engine);
   constexpr std::size_t kSmall = 24;
-  constexpr std::size_t kLarge = 4096;
-  ASSERT_LE(kSmall * 12, sw::serve::EvaluatorService::kMaxInlineWork);
-  ASSERT_GT(kLarge * 12, sw::serve::EvaluatorService::kMaxInlineWork);
+  const std::size_t kLarge = pooled_words(layout, engine);
+  constexpr std::size_t kShard = 4096;
+  ASSERT_LE(program.kernel_work(kSmall),
+            sw::serve::EvaluatorService::kMaxInlineWork);
+  ASSERT_GT(program.kernel_work(kLarge),
+            sw::serve::EvaluatorService::kMaxInlineWork);
+  ASSERT_LE(sw::wavesim::EvalProgram(paper, engine).kernel_work(kShard),
+            sw::serve::EvaluatorService::kMaxInlineWork);
 
   auto conn = Connection::connect(server.local_endpoint(), 2000ms);
   std::uint64_t tag = 0;
-  for (const std::size_t words : {kSmall, kSmall, kLarge, kSmall}) {
-    const auto matrix = random_matrix(words, 12, static_cast<unsigned>(++tag));
+  const auto round_trip = [&](const GateLayout& target,
+                              const BatchEvaluator& reference,
+                              std::size_t words) {
+    const std::size_t slots = target.spec.num_inputs *
+                              target.spec.frequencies.size();
+    const auto matrix =
+        random_matrix(words, slots, static_cast<unsigned>(++tag));
     send_frame(conn,
                sw::serve::make_request_view(
-                   layout.spec, sw::serve::hash_layout(layout), 0, words,
+                   target.spec, sw::serve::hash_layout(target), 0, words,
                    matrix),
                tag);
     const auto reply = recv_message(conn, 60000ms);
@@ -1065,15 +1101,22 @@ TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
     ASSERT_EQ(reply->kind, MessageKind::kFrame);
     EXPECT_EQ(reply->tag, tag);
     EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix,
-              evaluator.evaluate_bits(words, matrix))
+              reference.evaluate_bits(words, matrix))
         << "request " << tag;
+  };
+  for (const std::size_t words : {kSmall, kSmall, kLarge, kSmall}) {
+    round_trip(layout, evaluator, words);
   }
+  round_trip(paper, paper_evaluator, kShard);
+  round_trip(paper, paper_evaluator, kShard);
   std::lock_guard<std::mutex> lock(mutex);
-  ASSERT_EQ(evaluated_on.size(), 4u);
+  ASSERT_EQ(evaluated_on.size(), 6u);
   EXPECT_NE(evaluated_on[0], event_thread) << "cold: built on the pool";
   EXPECT_EQ(evaluated_on[1], event_thread) << "warm and small: inline";
   EXPECT_NE(evaluated_on[2], event_thread) << "warm but large: pooled";
   EXPECT_EQ(evaluated_on[3], event_thread) << "warm and small: inline";
+  EXPECT_NE(evaluated_on[4], event_thread) << "cold shard: built on the pool";
+  EXPECT_EQ(evaluated_on[5], event_thread) << "warm tabulated shard: inline";
 }
 
 TEST(EvalServer, ShedsAWarmSmallFrameWithATaggedOverloadReply) {
@@ -1082,7 +1125,9 @@ TEST(EvalServer, ShedsAWarmSmallFrameWithATaggedOverloadReply) {
   // small frame is shed with a kOverload reply carrying its tag, and the
   // connection keeps serving once the budget frees.
   constexpr std::size_t kSmall = 24;
-  constexpr std::size_t kLarge = 4096;  // 2-channel 3-input: pooled
+  // Past kMaxInlineWork in the kernel work of the 2-channel 3-input gate,
+  // so pooled; set before the first frame.
+  std::atomic<std::size_t> large_words{0};
   std::atomic<const sw::serve::EvaluatorService*> service{nullptr};
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -1093,7 +1138,7 @@ TEST(EvalServer, ShedsAWarmSmallFrameWithATaggedOverloadReply) {
   options.admission.policy = sw::serve::OverloadPolicy::kShed;
   options.admission.max_inflight_words = 64;
   options.on_request_start = [&](std::uint64_t) {
-    if (service.load()->stats().inflight_words < kLarge) return;
+    if (service.load()->stats().inflight_words < large_words.load()) return;
     large_started.store(true);
     std::unique_lock<std::mutex> lock(gate_mutex);
     gate_cv.wait_for(lock, 60s, [&] { return gate_open; });
@@ -1105,6 +1150,8 @@ TEST(EvalServer, ShedsAWarmSmallFrameWithATaggedOverloadReply) {
   const WaveEngine engine(fx.model, fx.wg.material.alpha);
   const DataParallelGate gate(layout, engine);
   const BatchEvaluator evaluator(gate);
+  const std::size_t kLarge = pooled_words(layout, engine);
+  large_words.store(kLarge);
   const auto small = random_matrix(kSmall, 6, 51);
   const auto large = random_matrix(kLarge, 6, 53);
   const auto send = [&](Connection& conn, std::uint64_t tag,

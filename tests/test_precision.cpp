@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "table_model.h"
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "core/gate_design.h"
@@ -378,6 +379,28 @@ TEST(BlockPrecision, AllDetectorsRejectedDegeneratesToTheDoublePlan) {
     EXPECT_EQ(fallback.evaluate_bits(128, matrix, *k),
               f64.evaluate_bits(128, matrix, *k))
         << "kernel " << k->name;
+  }
+}
+
+// --------------------------------------------------------------- tables --
+
+TEST(ThinMarginTables, DiagramsDecodeEveryThinAssignmentExactly) {
+  // A table sums the f64 constants as eval_bits does, so it holds at any
+  // margin: the near-cancelling assignment of a thinned detector included,
+  // whichever precision was requested (f32 only changes which detectors
+  // the phasor path would accumulate in f32).
+  const PrecisionFixture fix;
+  GateLayout all_thin = fix.majority_layout(3, 4);
+  for (std::size_t ch = 0; ch < 4; ++ch) {
+    all_thin = fix.thin_channel(std::move(all_thin), ch);
+  }
+  for (const GateLayout& layout :
+       {fix.thin_margin_layout(), fix.thin_channel(fix.majority_layout(3, 8), 3),
+        all_thin}) {
+    const DataParallelGate gate(layout, fix.engine);
+    for (const auto precision : {Precision::kFloat64, Precision::kFloat32}) {
+      sw::testing::expect_tables_match_gate(gate, EvalPlan(gate, precision));
+    }
   }
 }
 

@@ -89,6 +89,16 @@ std::vector<std::uint8_t> random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+/// The fewest whole 64-word groups whose kernel work on `program` passes
+/// kMaxInlineWork: the smallest such request goes to the pool.
+std::size_t pooled_words(const sw::wavesim::EvalProgram& program) {
+  std::size_t words = 64;
+  while (program.kernel_work(words) <= EvaluatorService::kMaxInlineWork) {
+    words += 64;
+  }
+  return words;
+}
+
 // --------------------------------------------------------------------------
 // Layout hashing.
 
@@ -522,6 +532,54 @@ TEST(EvaluatorService, MatchesScalarGateAndCachesPlans) {
                 sw::wavesim::active_precision())));
 }
 
+TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
+  // 13 inputs per channel is past kMaxTableInputs: the service still
+  // serves it bit-exactly, through eval_bits, inline when warm and small
+  // and pooled when cold, and the cache counts its detectors as phasor
+  // ones; the paper-shaped gate's count as table ones.
+  const ServeFixture fix;
+  const auto wide = fix.majority_layout(sw::wavesim::kMaxTableInputs + 2, 2);
+  const auto narrow = fix.majority_layout(3, 2);
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  const DataParallelGate gate(wide, fix.engine);
+  const BatchEvaluator reference(gate, {.num_threads = 1});
+  ASSERT_FALSE(reference.plan().tabulated());
+  for (const std::size_t words : {24ul, 1000ul}) {
+    const auto matrix =
+        random_matrix(words, reference.slot_count(), /*seed=*/33);
+    const auto want = reference.evaluate_bits(words, matrix);
+    EXPECT_EQ(svc.submit(EvalRequest::for_layout(wide, matrix, words))
+                  .get()
+                  .bits,
+              want)
+        << words << " words";
+    std::promise<std::vector<std::uint64_t>> done;
+    std::thread::id ran_on;
+    svc.submit_async(EvalRequest::for_layout(wide, matrix, words),
+                     [&](ResultBatch&& result, std::exception_ptr error) {
+                       EXPECT_EQ(error, nullptr);
+                       ran_on = std::this_thread::get_id();
+                       done.set_value(std::move(result.columns));
+                     });
+    const auto columns = done.get_future().get();
+    // 24 words are 624 contribution-words: inline. 1000 are pooled.
+    EXPECT_EQ(ran_on == std::this_thread::get_id(), words == 24)
+        << words << " words";
+    ASSERT_EQ(columns.size(),
+              2 * sw::wavesim::kernels::column_words(words));
+    std::vector<std::uint8_t> rows(words * 2);
+    sw::wavesim::kernels::scalar_kernel().to_rows(
+        columns.data(), sw::wavesim::kernels::column_words(words), words, 2,
+        rows.data(), 2);
+    EXPECT_EQ(rows, want) << words << " words, submit_async";
+  }
+  (void)svc.submit(EvalRequest::for_layout(narrow, random_matrix(4, 6, 34), 4))
+      .get();
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.cache.phasor_detectors, 2u);
+  EXPECT_EQ(stats.cache.table_detectors, 2u);
+}
+
 TEST(EvaluatorService, NestedBitsConvenienceMatchesScalarLoop) {
   const ServeFixture fix;
   const auto layout = fix.majority_layout(3, 2);
@@ -709,8 +767,9 @@ TEST(EvaluatorService, CountsEachAdmittedRequestOnceOnEveryPath) {
   const ServeFixture fix;
   const auto layout = fix.majority_layout(3, 2);
   const auto small = random_matrix(4, 6, /*seed=*/51);
-  // 4096 words of this gate are past kMaxInlineWork: always pooled.
-  constexpr std::size_t kLargeWords = 4096;
+  // Past kMaxInlineWork in this gate's kernel work: always pooled.
+  const std::size_t kLargeWords =
+      pooled_words(sw::wavesim::EvalProgram(layout, fix.engine));
   const auto large = random_matrix(kLargeWords, 6, /*seed=*/52);
   ServiceOptions options;
   options.num_threads = 2;
