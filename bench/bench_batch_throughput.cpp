@@ -14,7 +14,8 @@
 // one core), cross-checks that both paths decode identically, and registers
 // Google Benchmark timings for regression tracking. Its last section times
 // the table decode every served request runs (Kernel::eval_tables) against
-// the phasor eval_bits, per rung, at m = 3, 5, 7 and 9 inputs.
+// the phasor eval_bits, per rung, at m = 3, 5, 7 and 9 inputs, and holds
+// each rung's table decode of the m = 3 gate to an ns/word budget.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -141,12 +143,9 @@ void run_experiment(bench::BenchJson& json) {
               scalar_s / batch_s);
   std::printf("Outputs cross-checked identical on all %zu words.\n\n",
               scalar.size());
-  // The batched row's evaluator uses default options, so it runs at the
-  // process-wide precision (f32 on that CI leg).
   json.add("scalar_per_word_loop", "none", "f64", words / scalar_s);
   json.add("batch_evaluator", std::string(wavesim::active_kernel_name()),
-           std::string(wavesim::precision_name(wavesim::active_precision())),
-           words / batch_s);
+           "f64", words / batch_s);
 }
 
 // ------------------------------------------------------------------------
@@ -216,12 +215,7 @@ void print_column_kernel(const wavesim::kernels::Kernel& kernel,
 void run_kernel_experiment(bench::BenchJson& json) {
   const auto& s = setup();
   // Single inline thread: kernel-vs-kernel, no pool fan-out in the ratio.
-  // Precision pinned to f64 here so the f64 rows of the comparison stay
-  // f64 even under an SW_EVAL_PRECISION=f32 CI leg; the f32 section below
-  // pins its own.
-  const wavesim::BatchEvaluator evaluator(
-      s.gate.gate(),
-      {.num_threads = 1, .precision = wavesim::Precision::kFloat64});
+  const wavesim::BatchEvaluator evaluator(s.gate.gate(), {.num_threads = 1});
   const wavesim::EvalPlan& plan = evaluator.plan();
   const std::size_t stride = evaluator.slot_count();
   const std::size_t num_words = s.table.a_words.size();
@@ -247,7 +241,7 @@ void run_kernel_experiment(bench::BenchJson& json) {
     }
   }
 
-  std::vector<std::uint8_t> aos_bits, scalar_bits, simd_bits;
+  std::vector<std::uint8_t> aos_bits, scalar_bits;
   const double aos_s = bench::best_of_three_seconds([&] {
     aos_bits = run_aos_reference(plan, aos, packed, num_words);
   });
@@ -283,32 +277,8 @@ void run_kernel_experiment(bench::BenchJson& json) {
   SW_REQUIRE(aos_s / scalar_s >= 0.9,
              "scalar SoA kernel regressed below the AoS baseline");
 
-  // f32 plan over the same gate: the margin analysis must accept the paper
-  // layout (decode margins are orders of magnitude above the f32 error
-  // bound), and every decode must stay bit-identical to f64 — that is the
-  // fallback's contract, checked here on the full 2^16 sweep.
-  const wavesim::BatchEvaluator evaluator_f32(
-      s.gate.gate(),
-      {.num_threads = 1, .precision = wavesim::Precision::kFloat32});
-  SW_REQUIRE(evaluator_f32.effective_precision() ==
-                 wavesim::Precision::kFloat32,
-             "paper layout unexpectedly rejected the f32 plan");
-  std::vector<std::uint8_t> f32_scalar_bits, f32_simd_bits;
-  const double f32_scalar_s = bench::best_of_three_seconds([&] {
-    f32_scalar_bits =
-        evaluator_f32.evaluate_bits(num_words, packed,
-                                    wavesim::kernels::scalar_kernel());
-  });
-  SW_REQUIRE(f32_scalar_bits == scalar_bits,
-             "f32 scalar decode diverged from the f64 decode");
-  std::printf("scalar SoA f32       : %8.1f ms  (%10.0f words/s, %.2fx)\n",
-              f32_scalar_s * 1e3, words / f32_scalar_s,
-              aos_s / f32_scalar_s);
-  print_column_kernel(scalar, evaluator_f32.plan(), packed, num_words);
-  json.add("exhaustive_2^16_sweep", "scalar", "f32", words / f32_scalar_s);
-
-  double f32_avx2_s = 0.0;  // the avx512 section compares against this
   if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
+    std::vector<std::uint8_t> simd_bits;
     const double simd_s = bench::best_of_three_seconds([&] {
       simd_bits = evaluator.evaluate_bits(num_words, packed, *avx2);
     });
@@ -322,31 +292,13 @@ void run_kernel_experiment(bench::BenchJson& json) {
     // SIMD kernel at >= 2x the PR 2 AoS words/s (the acceptance bar).
     SW_REQUIRE(aos_s / simd_s >= 2.0,
                "AVX2 kernel below 2x the AoS baseline on an AVX2 host");
-
-    // f32 AVX2: eight words per register instead of four, half the
-    // constant traffic. The acceptance bar of the f32 PR: >= 1.5x the f64
-    // AVX2 words/s on the same sweep, with bit-identical decodes.
-    const double f32_simd_s = bench::best_of_three_seconds([&] {
-      f32_simd_bits = evaluator_f32.evaluate_bits(num_words, packed, *avx2);
-    });
-    SW_REQUIRE(f32_simd_bits == scalar_bits,
-               "f32 AVX2 decode diverged from the f64 decode");
-    std::printf("AVX2 SoA f32         : %8.1f ms  (%10.0f words/s, %.2fx, "
-                "%.2fx over f64 AVX2)\n",
-                f32_simd_s * 1e3, words / f32_simd_s, aos_s / f32_simd_s,
-                simd_s / f32_simd_s);
-    print_column_kernel(*avx2, evaluator_f32.plan(), packed, num_words);
-    json.add("exhaustive_2^16_sweep", "avx2", "f32", words / f32_simd_s);
-    SW_REQUIRE(simd_s / f32_simd_s >= 1.5,
-               "f32 AVX2 kernel below 1.5x the f64 AVX2 kernel");
-    f32_avx2_s = f32_simd_s;
   } else {
     std::printf("AVX2 SoA kernel      : unavailable on this build/host\n");
   }
 
   if (const auto* avx512 = wavesim::kernels::avx512_kernel()) {
-    // AVX-512: 8 doubles / 16 floats per register, mask-register blends.
-    std::vector<std::uint8_t> avx512_bits, f32_avx512_bits;
+    // AVX-512: 8 doubles per register, mask-register blends.
+    std::vector<std::uint8_t> avx512_bits;
     const double simd512_s = bench::best_of_three_seconds([&] {
       avx512_bits = evaluator.evaluate_bits(num_words, packed, *avx512);
     });
@@ -358,30 +310,6 @@ void run_kernel_experiment(bench::BenchJson& json) {
     json.add("exhaustive_2^16_sweep", "avx512", "f64", words / simd512_s);
     SW_REQUIRE(aos_s / simd512_s >= 2.0,
                "AVX-512 kernel below 2x the AoS baseline on an AVX-512 host");
-
-    const double f32_simd512_s = bench::best_of_three_seconds([&] {
-      f32_avx512_bits =
-          evaluator_f32.evaluate_bits(num_words, packed, *avx512);
-    });
-    SW_REQUIRE(f32_avx512_bits == scalar_bits,
-               "f32 AVX-512 decode diverged from the f64 decode");
-    std::printf("AVX-512 SoA f32      : %8.1f ms  (%10.0f words/s, %.2fx, "
-                "%.2fx over f64 AVX-512",
-                f32_simd512_s * 1e3, words / f32_simd512_s,
-                aos_s / f32_simd512_s, simd512_s / f32_simd512_s);
-    if (f32_avx2_s > 0.0) {
-      std::printf(", %.2fx over f32 AVX2", f32_avx2_s / f32_simd512_s);
-    }
-    std::printf(")\n");
-    print_column_kernel(*avx512, evaluator_f32.plan(), packed, num_words);
-    json.add("exhaustive_2^16_sweep", "avx512", "f32", words / f32_simd512_s);
-    // The acceptance bar of the AVX-512 PR: the 16-wide f32 kernel at
-    // >= 1.5x the AVX2 f32 words/s on the same sweep. Both sides are timed
-    // in this process, so the full bar holds as the CI floor.
-    if (f32_avx2_s > 0.0) {
-      SW_REQUIRE(f32_avx2_s / f32_simd512_s >= 1.5,
-                 "f32 AVX-512 kernel below 1.5x the f32 AVX2 kernel");
-    }
   } else {
     std::printf("AVX-512 SoA kernel   : unavailable on this build/host\n");
   }
@@ -390,102 +318,22 @@ void run_kernel_experiment(bench::BenchJson& json) {
 }
 
 // ------------------------------------------------------------------------
-// Mixed precision: one thin detector out of eight. The per-detector margin
-// proof rejects exactly the thinned channel, so the plan partitions into a
-// block-f32 plan — f32 accumulation on the seven proved detectors, f64
-// rescue lanes for the thin one — which must land between the all-f64
-// floor and the all-f32 ceiling. Acceptance bar: >= 1.3x the all-f64
-// plan's words/s on the same sweep.
-
-/// Rescales one channel of the AND fabric so one bit assignment nearly
-/// cancels at that channel's detector: with phase-pi contributions being
-/// exact negations, scaling the third source by (re0[0] + re0[1]) /
-/// re0[2] zeroes that assignment's sum. The f64 decode stays
-/// deterministic; the f32 margin proof must refuse exactly this detector.
-core::GateLayout thin_one_channel(const BenchSetup& s,
-                                  std::size_t channel) {
-  core::GateLayout layout = s.gate.layout();
-  const core::DataParallelGate gate(layout, s.engine);
-  const wavesim::EvalPlan probe(gate, wavesim::Precision::kFloat64);
-  const auto offsets = probe.detector_offsets();
-  for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
-    if (probe.detector_channels()[d] != channel) continue;
-    SW_REQUIRE(offsets[d + 1] - offsets[d] == 3,
-               "thin-channel fixture expects 3 contributions");
-    const std::size_t i = offsets[d];
-    const double t =
-        (probe.re0()[i] + probe.re0()[i + 1]) / probe.re0()[i + 2];
-    const std::uint32_t input = probe.inputs()[i + 2];
-    for (auto& src : layout.sources) {
-      if (src.channel == channel && src.input == input) src.amplitude *= t;
-    }
-    return layout;
-  }
-  throw sw::util::Error("no detector found for the thinned channel");
-}
-
-void run_mixed_experiment(bench::BenchJson& json) {
-  const auto& s = setup();
-  const core::GateLayout thin = thin_one_channel(s, /*channel=*/3);
-  const core::DataParallelGate gate(thin, s.engine);
-  const wavesim::BatchEvaluator f64(
-      gate, {.num_threads = 1, .precision = wavesim::Precision::kFloat64});
-  const wavesim::BatchEvaluator block(
-      gate, {.num_threads = 1, .precision = wavesim::Precision::kFloat32});
-  const wavesim::EvalPlan& plan = block.plan();
-  SW_REQUIRE(plan.is_block(),
-             "thin-1-of-8 layout did not partition into a block plan");
-  SW_REQUIRE(plan.num_f32_detectors() == 7 &&
-                 plan.num_f64_rescue_detectors() == 1,
-             "expected a 7-proved / 1-rescued detector split");
-
-  // The same packed exhaustive sweep as the kernel comparison.
-  const std::size_t stride = f64.slot_count();
-  const std::size_t num_inputs = plan.num_inputs();
-  const std::size_t num_words = s.table.a_words.size();
-  std::vector<std::uint8_t> packed(num_words * stride);
-  for (std::size_t w = 0; w < num_words; ++w) {
-    for (std::size_t ch = 0; ch < kChannels; ++ch) {
-      packed[w * stride + ch * num_inputs] = s.table.a_words[w][ch];
-      packed[w * stride + ch * num_inputs + 1] = s.table.b_words[w][ch];
-    }
-  }
-
-  std::vector<std::uint8_t> f64_bits, block_bits;
-  const double f64_s = bench::best_of_three_seconds(
-      [&] { f64_bits = f64.evaluate_bits(num_words, packed); });
-  const double block_s = bench::best_of_three_seconds(
-      [&] { block_bits = block.evaluate_bits(num_words, packed); });
-  SW_REQUIRE(block_bits == f64_bits,
-             "block-f32 decode diverged from the all-f64 decode");
-
-  const double words = static_cast<double>(num_words);
-  const std::string kernel(wavesim::active_kernel_name());
-  std::printf("1-thin-of-8 block plan (%s), same sweep (single thread):\n",
-              plan.precision_label().c_str());
-  std::printf("all-f64 plan         : %8.1f ms  (%10.0f words/s)\n",
-              f64_s * 1e3, words / f64_s);
-  std::printf("block-f32 plan       : %8.1f ms  (%10.0f words/s, %.2fx; "
-              "bar: 1.3x)\n\n",
-              block_s * 1e3, words / block_s, f64_s / block_s);
-  json.add("thin_1_of_8_sweep", kernel, "f64", words / f64_s);
-  json.add_mix("thin_1_of_8_sweep", kernel, "block-f32", words / block_s,
-               plan.num_f32_detectors(), plan.num_f64_rescue_detectors());
-  // The acceptance bar only binds where a SIMD kernel actually widens the
-  // f32 run; the forced-scalar CI leg still cross-checks the decode above.
-  if (kernel != "scalar") {
-    SW_REQUIRE(f64_s / block_s >= 1.3,
-               "block-f32 plan below 1.3x the all-f64 plan");
-  }
-}
-
-// ------------------------------------------------------------------------
 // Tables: the decode EvalProgram, so every served request, runs on a
 // tabulated plan. Per rung and gate width, the column kernel's eval_tables
-// next to its phasor eval_bits (f64 plan) on the same 2^16 words' columns,
-// with the decodes checked equal: m = 3 is the bench gate above, m = 5, 7
-// and 9 are 8-channel majority gates. No floor here: the three f32 floors
-// above keep timing the phasor path through BatchEvaluator.
+// next to its phasor eval_bits on the same 2^16 words' columns, with the
+// decodes checked equal: m = 3 is the bench gate above, m = 5, 7 and 9 are
+// 8-channel majority gates. The m = 3 line is the per-rung floor of the
+// served decode: each rung's eval_tables must stay within its ns/word
+// budget (CI runs this bench pinned to one core). Every rung is timed
+// before the check, so one run names every rung that missed.
+
+/// ns/word budgets of the m = 3 table decode, about 3x the slowest of 32
+/// runs pinned to one core of a 4-vCPU 2.1 GHz AVX-512 Xeon VM (scalar
+/// 0.38-0.68, AVX2 0.19-0.33, AVX-512 0.17-0.29). The phasor eval_bits of
+/// the same gate read 32-100, 5.8-11.1 and 2.3-4.4 ns/word there, so a
+/// served path that fell back to it would miss every budget.
+constexpr double kScalarTableBudgetNs = 2.0;
+constexpr double kSimdTableBudgetNs = 1.0;  // AVX2 and AVX-512
 
 /// Best-of-three seconds per call of `fn`, each timing repeating it until at
 /// least 10 ms pass, so a microsecond-scale kernel call is timed over many.
@@ -521,13 +369,14 @@ void run_table_experiment(bench::BenchJson& json) {
               "words of 8 channels (single thread):\n",
               kWords);
   std::mt19937_64 rng(2026);
+  std::string missed;
   for (const std::size_t m : {3, 5, 7, 9}) {
     core::GateSpec spec;
     spec.num_inputs = m;
     spec.frequencies = bench::paper_frequencies();
     const core::DataParallelGate majority(s.designer.design(spec), s.engine);
     const core::DataParallelGate& gate = m == 3 ? s.gate.gate() : majority;
-    const wavesim::EvalPlan plan(gate, wavesim::Precision::kFloat64);
+    const wavesim::EvalPlan plan(gate);
     SW_REQUIRE(plan.tabulated(), "bench gate unexpectedly not tabulated");
     const std::size_t slots = plan.slot_count();
     std::vector<std::uint64_t> columns(slots * stride);
@@ -549,16 +398,28 @@ void run_table_experiment(bench::BenchJson& json) {
       });
       SW_REQUIRE(tables == phasor,
                  "eval_tables diverged from the phasor eval_bits decode");
+      const double tables_ns = tables_s * 1e9 / kWords;
       std::printf("  m = %zu, %-7s: tables %7.3f ns/word (%3zu muxes), "
-                  "eval_bits f64 %7.3f ns/word, %6.1fx\n",
-                  m, kernel->name, tables_s * 1e9 / kWords,
-                  plan.num_table_muxes(), bits_s * 1e9 / kWords,
-                  bits_s / tables_s);
+                  "eval_bits f64 %7.3f ns/word, %6.1fx",
+                  m, kernel->name, tables_ns, plan.num_table_muxes(),
+                  bits_s * 1e9 / kWords, bits_s / tables_s);
+      if (m == 3) {
+        const double budget = std::string_view(kernel->name) == "scalar"
+                                  ? kScalarTableBudgetNs
+                                  : kSimdTableBudgetNs;
+        std::printf("; budget %.1f ns/word%s", budget,
+                    tables_ns <= budget ? "" : " MISSED");
+        if (tables_ns > budget) missed += std::string(" ") + kernel->name;
+      }
+      std::printf("\n");
       json.add(name, kernel->name, "table", kWords / tables_s);
       json.add(name, kernel->name, "f64", kWords / bits_s);
     }
   }
   std::printf("\n");
+  std::fflush(stdout);
+  SW_REQUIRE(missed.empty(),
+             "m = 3 table decode over its ns/word budget on:" + missed);
 }
 
 void BM_ScalarTruthTableSweep(benchmark::State& state) {
@@ -606,7 +467,6 @@ int main(int argc, char** argv) {
   sw::bench::BenchJson json("BENCH_batch.json");
   run_experiment(json);
   run_kernel_experiment(json);
-  run_mixed_experiment(json);
   run_table_experiment(json);
   json.write("bench_batch_throughput");
   benchmark::Initialize(&argc, argv);

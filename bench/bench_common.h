@@ -134,17 +134,7 @@ class BenchJson {
 
   void add(const std::string& name, const std::string& kernel,
            const std::string& precision, double words_per_s) {
-    rows_.push_back({name, kernel, precision, words_per_s, false, 0, 0});
-  }
-
-  /// Row for a mixed-precision (block-f32) measurement: also records the
-  /// per-detector grant split so the artifact shows WHAT ran at f32, not
-  /// just how fast. Plain `add` rows omit the mix fields entirely.
-  void add_mix(const std::string& name, const std::string& kernel,
-               const std::string& precision, double words_per_s,
-               std::size_t f32_detectors, std::size_t rescue_detectors) {
-    rows_.push_back({name, kernel, precision, words_per_s, true,
-                     f32_detectors, rescue_detectors});
+    rows_.push_back({name, kernel, precision, words_per_s});
   }
 
   /// Phase-breakdown row: time spent in one request phase during the
@@ -193,12 +183,6 @@ class BenchJson {
                    "\"precision\": \"%s\", \"words_per_s\": %.1f",
                    r.name.c_str(), r.kernel.c_str(), r.precision.c_str(),
                    r.words_per_s);
-      if (r.has_mix) {
-        std::fprintf(f,
-                     ", \"f32_detectors\": %zu, "
-                     "\"f64_rescue_detectors\": %zu",
-                     r.f32_detectors, r.f64_rescue_detectors);
-      }
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]%s\n", phases_.empty() ? "" : ",");
@@ -240,9 +224,6 @@ class BenchJson {
     std::string kernel;
     std::string precision;
     double words_per_s = 0.0;
-    bool has_mix = false;  ///< emit the per-detector precision split
-    std::size_t f32_detectors = 0;
-    std::size_t f64_rescue_detectors = 0;
   };
   struct PhaseRow {
     std::string name;

@@ -123,32 +123,18 @@ void run_experiment(bench::BenchJson& json) {
   const auto stats = svc.stats();
   std::printf("rebuild per call : %8.1f ms  (%10.0f words/s)\n",
               rebuild_s * 1e3, words / rebuild_s);
-  std::printf("EvaluatorService : %8.1f ms  (%10.0f words/s, kernel: %s, "
-              "precision: %s)\n",
-              service_s * 1e3, words / service_s, stats.kernel.c_str(),
-              stats.precision.c_str());
+  std::printf("EvaluatorService : %8.1f ms  (%10.0f words/s, kernel: %s)\n",
+              service_s * 1e3, words / service_s, stats.kernel.c_str());
   std::printf("speedup          : %8.1fx  (floor: 2x)\n\n",
               rebuild_s / service_s);
-  json.add("rebuild_per_call", stats.kernel, stats.precision,
-           words / rebuild_s);
-  json.add("service_steady_state", stats.kernel, stats.precision,
-           words / service_s);
+  json.add("rebuild_per_call", stats.kernel, "f64", words / rebuild_s);
+  json.add("service_steady_state", stats.kernel, "f64", words / service_s);
 
-  // Kernel x precision side-by-side on the serving batch shape: the
-  // cached-plan steady state runs exactly this evaluate_bits call per
-  // request. Both precisions pinned explicitly so the rows mean the same
-  // thing on every CI leg.
+  // Kernels side by side on the serving batch shape, through the phasor
+  // reference (BatchEvaluator::evaluate_bits) the served tables equal.
   {
-    const wavesim::BatchEvaluator f64(
-        s.gate,
-        {.num_threads = 1, .precision = wavesim::Precision::kFloat64});
-    const wavesim::BatchEvaluator f32(
-        s.gate,
-        {.num_threads = 1, .precision = wavesim::Precision::kFloat32});
-    SW_REQUIRE(f32.effective_precision() == wavesim::Precision::kFloat32,
-               "serving layout unexpectedly rejected the f32 plan");
-    const auto time_kernel = [&](const wavesim::BatchEvaluator& evaluator,
-                                 const wavesim::kernels::Kernel& kernel) {
+    const wavesim::BatchEvaluator evaluator(s.gate, {.num_threads = 1});
+    const auto time_kernel = [&](const wavesim::kernels::Kernel& kernel) {
       return bench::best_of_three_seconds([&] {
         for (std::size_t i = 0; i < kBatches; ++i) {
           benchmark::DoNotOptimize(
@@ -156,41 +142,24 @@ void run_experiment(bench::BenchJson& json) {
         }
       });
     };
-    const double scalar_s = time_kernel(f64, wavesim::kernels::scalar_kernel());
-    const double scalar_f32_s =
-        time_kernel(f32, wavesim::kernels::scalar_kernel());
+    const double scalar_s = time_kernel(wavesim::kernels::scalar_kernel());
     std::printf("cached-plan evaluate_bits, per kernel (single thread):\n");
-    std::printf("scalar f64       : %8.2f ms  (%10.0f words/s)\n",
+    std::printf("scalar kernel    : %8.2f ms  (%10.0f words/s)\n",
                 scalar_s * 1e3, words / scalar_s);
-    std::printf("scalar f32       : %8.2f ms  (%10.0f words/s)\n",
-                scalar_f32_s * 1e3, words / scalar_f32_s);
     json.add("serving_batch_shape", "scalar", "f64", words / scalar_s);
-    json.add("serving_batch_shape", "scalar", "f32", words / scalar_f32_s);
     if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
-      const double simd_s = time_kernel(f64, *avx2);
-      const double simd_f32_s = time_kernel(f32, *avx2);
-      std::printf("AVX2 f64         : %8.2f ms  (%10.0f words/s, %.2fx)\n",
+      const double simd_s = time_kernel(*avx2);
+      std::printf("AVX2 kernel      : %8.2f ms  (%10.0f words/s, %.2fx)\n",
                   simd_s * 1e3, words / simd_s, scalar_s / simd_s);
-      std::printf("AVX2 f32         : %8.2f ms  (%10.0f words/s, %.2fx over "
-                  "f64 AVX2)\n\n",
-                  simd_f32_s * 1e3, words / simd_f32_s,
-                  simd_s / simd_f32_s);
       json.add("serving_batch_shape", "avx2", "f64", words / simd_s);
-      json.add("serving_batch_shape", "avx2", "f32", words / simd_f32_s);
     } else {
-      std::printf("AVX2 kernel      : unavailable on this build/host\n\n");
+      std::printf("AVX2 kernel      : unavailable on this build/host\n");
     }
     if (const auto* avx512 = wavesim::kernels::avx512_kernel()) {
-      const double simd512_s = time_kernel(f64, *avx512);
-      const double simd512_f32_s = time_kernel(f32, *avx512);
-      std::printf("AVX-512 f64      : %8.2f ms  (%10.0f words/s, %.2fx)\n",
+      const double simd512_s = time_kernel(*avx512);
+      std::printf("AVX-512 kernel   : %8.2f ms  (%10.0f words/s, %.2fx)\n\n",
                   simd512_s * 1e3, words / simd512_s, scalar_s / simd512_s);
-      std::printf("AVX-512 f32      : %8.2f ms  (%10.0f words/s, %.2fx over "
-                  "f64 AVX-512)\n\n",
-                  simd512_f32_s * 1e3, words / simd512_f32_s,
-                  simd512_s / simd512_f32_s);
       json.add("serving_batch_shape", "avx512", "f64", words / simd512_s);
-      json.add("serving_batch_shape", "avx512", "f32", words / simd512_f32_s);
     } else {
       std::printf("AVX-512 kernel   : unavailable on this build/host\n\n");
     }
@@ -235,84 +204,6 @@ void run_experiment(bench::BenchJson& json) {
              "service steady state regressed below 2x rebuild-per-call");
 }
 
-/// Returns the serving layout with one channel's margin driven to ~0: the
-/// last input's source amplitude at `channel` is rescaled so the pattern
-/// exciting only that input nearly cancels the rest at the detector. The
-/// f32 margin proof must then reject exactly that detector, making an
-/// f32-precision service build a block plan (f32 run + one f64 rescue lane)
-/// instead of falling back wholesale.
-core::GateLayout thin_one_channel(const BenchSetup& s, std::size_t channel) {
-  core::GateLayout layout = s.layout;
-  const core::DataParallelGate gate(layout, s.engine);
-  const wavesim::EvalPlan probe(gate, wavesim::Precision::kFloat64);
-  const auto offsets = probe.detector_offsets();
-  for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
-    if (probe.detector_channels()[d] != channel) continue;
-    const std::size_t i = offsets[d];
-    const std::size_t n = offsets[d + 1] - offsets[d];
-    SW_REQUIRE(n >= 2, "thin-channel fixture expects >= 2 contributions");
-    double head = 0.0;
-    for (std::size_t k = 0; k + 1 < n; ++k) head += probe.re0()[i + k];
-    const double t = head / probe.re0()[i + n - 1];
-    const std::uint32_t input = probe.inputs()[i + n - 1];
-    for (auto& src : layout.sources) {
-      if (src.channel == channel && src.input == input) src.amplitude *= t;
-    }
-    return layout;
-  }
-  throw sw::util::Error("no detector found for the thinned channel");
-}
-
-/// Steady-state serving of a layout whose f32 plan is a block plan: the
-/// detector mix must surface through PlanCacheStats -> ServiceStats -> the
-/// bench artifact, and the served bits must equal the all-f64 reference
-/// (the proof guarantees the f32 run, the rescue lanes guarantee the rest).
-void run_block_experiment(bench::BenchJson& json) {
-  const auto& s = setup();
-  const core::GateLayout thin = thin_one_channel(s, /*channel=*/5);
-  const double words = static_cast<double>(kBatches * kWordsPerBatch);
-
-  const core::DataParallelGate gate(thin, s.engine);
-  const wavesim::BatchEvaluator f64(
-      gate, {.num_threads = 1, .precision = wavesim::Precision::kFloat64});
-  const auto want = f64.evaluate_bits(kWordsPerBatch, s.batch);
-
-  serve::ServiceOptions options;
-  options.plan_cache_capacity = 8;
-  options.admission.max_queued_requests = kBatches + 8;
-  options.evaluator_options = {.num_threads = 1,
-                               .precision = wavesim::Precision::kFloat32};
-  serve::EvaluatorService svc(s.model, s.wg.material.alpha, options);
-  (void)svc.submit(serve::EvalRequest::for_layout(thin, s.batch, kWordsPerBatch)).get();  // warm the cache
-
-  std::vector<std::uint8_t> served;
-  const double service_s = bench::best_of_three_seconds(
-      [&] { served = run_service_batches(svc, thin, s, kBatches); });
-
-  const auto stats = svc.stats();
-  std::printf("block-plan serving (1 thinned channel, f32-precision "
-              "service):\n");
-  std::printf("steady state     : %8.1f ms  (%10.0f words/s, kernel: %s)\n",
-              service_s * 1e3, words / service_s, stats.kernel.c_str());
-  std::printf("plan mix         : %llu block plan(s), %llu f32 detectors / "
-              "%llu f64 rescue detectors\n\n",
-              static_cast<unsigned long long>(stats.cache.block_plans),
-              static_cast<unsigned long long>(stats.cache.f32_detectors),
-              static_cast<unsigned long long>(
-                  stats.cache.f64_rescue_detectors));
-  std::fflush(stdout);
-  SW_REQUIRE(served == want,
-             "block-plan serving diverged from the all-f64 reference");
-  SW_REQUIRE(stats.cache.block_plans == 1,
-             "thinned layout did not build a block plan in the service");
-  SW_REQUIRE(stats.cache.f32_detectors == 7 &&
-                 stats.cache.f64_rescue_detectors == 1,
-             "expected a 7-proved / 1-rescued detector split in the cache");
-  json.add_mix("service_block_plan", stats.kernel, "block-f32",
-               words / service_s, stats.cache.f32_detectors,
-               stats.cache.f64_rescue_detectors);
-}
-
 void BM_RebuildPerCall(benchmark::State& state) {
   const auto& s = setup();
   for (auto _ : state) {
@@ -343,7 +234,6 @@ int main(int argc, char** argv) {
       "=== E7: serving throughput — plan cache vs rebuild per call ===\n\n");
   sw::bench::BenchJson json("BENCH_service.json");
   run_experiment(json);
-  run_block_experiment(json);
   json.write("bench_service_throughput");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

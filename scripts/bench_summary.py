@@ -17,7 +17,7 @@ Each path may be a BENCH_*.json file or a directory searched recursively
 for files matching BENCH_*.json. With no arguments the current directory
 is searched. The leg label for a result is the file's parent directory
 (relative, '.' for the working directory), which matches the artifact
-names CI uses (bench-json-<compiler>-<kernel>-<precision>).
+names CI uses (bench-json-<compiler>-<kernel>).
 
 Standard library only — the CI runners and the dev image both lack
 third-party Python packages by design.
@@ -70,8 +70,6 @@ def load_rows(leg, path):
                 "kernel": r.get("kernel", "?"),
                 "precision": r.get("precision", "?"),
                 "words_per_s": float(r.get("words_per_s", 0.0)),
-                "f32_detectors": r.get("f32_detectors"),
-                "f64_rescue_detectors": r.get("f64_rescue_detectors"),
                 "host_kernel": host.get("active_kernel", "?"),
             }
         )
@@ -96,12 +94,6 @@ def fmt_rate(words_per_s):
     if words_per_s >= 1e3:
         return f"{words_per_s / 1e3:.1f}k"
     return f"{words_per_s:.0f}"
-
-
-def fmt_mix(row):
-    if row["f32_detectors"] is None:
-        return ""
-    return f"{row['f32_detectors']}f32/{row['f64_rescue_detectors']}f64"
 
 
 def fmt_mean_us(seconds):
@@ -156,11 +148,10 @@ def main(argv):
 
     rows.sort(key=lambda r: (r["bench"], r["name"], r["kernel"],
                              r["precision"], r["leg"]))
-    header = ["bench", "experiment", "kernel", "precision", "words/s",
-              "detector mix", "leg"]
+    header = ["bench", "experiment", "kernel", "precision", "words/s", "leg"]
     table = [
         [r["bench"], r["name"], r["kernel"], r["precision"],
-         fmt_rate(r["words_per_s"]), fmt_mix(r), r["leg"]]
+         fmt_rate(r["words_per_s"]), r["leg"]]
         for r in rows
     ]
     print_table(header, table)

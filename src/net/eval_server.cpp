@@ -25,6 +25,7 @@
 #include "serve/layout_hash.h"
 #include "serve/wire.h"
 #include "wavesim/kernels/kernel.h"
+#include "wavesim/precision.h"
 
 namespace sw::net {
 
@@ -893,7 +894,8 @@ void EvalServer::heartbeat_loop() {
                         ? local_endpoint().to_string()
                         : options_.advertise;
   advert.kernel = std::string(sw::wavesim::active_kernel_name());
-  advert.precision = service_->stats().precision;
+  advert.precision =
+      sw::wavesim::precision_name(sw::wavesim::active_precision());
   advert.words_per_second = options_.advertised_words_per_second;
   for (;;) {
     try {

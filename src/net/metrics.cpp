@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/histogram.h"
+#include "wavesim/precision.h"
 
 namespace sw::net {
 
@@ -35,28 +36,12 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   line_u64(out, "sw_serve_plan_cache_hits", stats.cache.hits);
   line_u64(out, "sw_serve_plan_cache_misses", stats.cache.misses);
   line_u64(out, "sw_serve_plan_cache_evictions", stats.cache.evictions);
-  line_u64(out, "sw_serve_plan_cache_f32_plans", stats.cache.f32_plans);
-  line_u64(out, "sw_serve_plan_cache_f32_fallbacks",
-           stats.cache.f32_fallbacks);
-  line_u64(out, "sw_serve_plan_cache_block_plans", stats.cache.block_plans);
-  line_u64(out, "sw_serve_plan_cache_f32_detectors",
-           stats.cache.f32_detectors);
-  line_u64(out, "sw_serve_plan_cache_f64_rescue_detectors",
-           stats.cache.f64_rescue_detectors);
   // Which decode the built detectors got: a nonzero phasor count names a
   // layout too wide to tabulate.
   line_u64(out, "sw_serve_plan_cache_detectors{decode=\"table\"}",
            stats.cache.table_detectors);
   line_u64(out, "sw_serve_plan_cache_detectors{decode=\"phasor\"}",
            stats.cache.phasor_detectors);
-  // Detector-granularity f32 share across every f32-requested build: 1.0
-  // means every detector runs f32, 0.0 none (or no f32 builds yet).
-  const double mix_total = static_cast<double>(stats.cache.f32_detectors) +
-                           static_cast<double>(stats.cache.f64_rescue_detectors);
-  line_f64(out, "sw_serve_f32_detector_ratio",
-           mix_total > 0.0
-               ? static_cast<double>(stats.cache.f32_detectors) / mix_total
-               : 0.0);
   // The phase histograms: full distributions a scraper can rate(),
   // aggregate and read percentiles from.
   sw::obs::append_histogram(out, "sw_serve_request_latency_seconds",
@@ -70,8 +55,10 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   sw::obs::append_histogram(out, "sw_serve_batch_words", stats.batch_words);
   // The one identity series carries its values in labels, Prometheus-style,
   // so the set of metric names stays fixed across hosts and configurations.
-  out += "sw_serve_kernel_info{kernel=\"" + stats.kernel + "\",precision=\"" +
-         stats.precision + "\"} 1\n";
+  // The precision label is the one every plan runs at.
+  out += "sw_serve_kernel_info{kernel=\"" + stats.kernel + "\",precision=\"";
+  out += sw::wavesim::precision_name(sw::wavesim::active_precision());
+  out += "\"} 1\n";
   return out;
 }
 

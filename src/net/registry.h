@@ -18,7 +18,7 @@
 //   u64 count, then per advert:
 //     u64 len + bytes  endpoint   ("tcp:HOST:PORT" / "unix:PATH")
 //     u64 len + bytes  kernel     ("scalar" | "avx2" | …)
-//     u64 len + bytes  precision  ("f64" | "f32")
+//     u64 len + bytes  precision  ("f64"; kept for older peers)
 //     f64              words_per_second (0 = unmeasured)
 //
 // The registry is deliberately thread-per-connection and blocking: its
@@ -47,7 +47,7 @@ namespace sw::net {
 struct WorkerAdvert {
   std::string endpoint;   ///< the worker's serving address, parseable
   std::string kernel;     ///< evaluation kernel (active_kernel_name())
-  std::string precision;  ///< resolved precision of the service's plans
+  std::string precision;  ///< the plans' precision (always "f64")
   double words_per_second = 0.0;  ///< measured throughput hint; 0 unknown
 
   friend bool operator==(const WorkerAdvert&, const WorkerAdvert&) = default;

@@ -1,8 +1,8 @@
 // The one request type of the serving API.
 //
 // EvalRequest is a single value: a word batch bound to *either* a single
-// gate layout *or* a multi-stage ProgramSpec, plus an optional per-request
-// precision hint, consumed by EvaluatorService::submit / submit_async.
+// gate layout *or* a multi-stage ProgramSpec, consumed by
+// EvaluatorService::submit / submit_async.
 // Both targets become one wavesim::EvalProgram in the service (a gate is
 // the one-stage, identity-source case), so they differ only in how the
 // input slots are named.
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "core/gate_design.h"
 #include "obs/trace.h"
 #include "wavesim/eval_program.h"
-#include "wavesim/precision.h"
 
 namespace sw::serve {
 
@@ -47,9 +45,6 @@ struct EvalRequest {
   /// j * column_words(num_words), word w at bit w % 64 of u64 w / 64.
   std::vector<std::uint64_t> columns;
   std::size_t num_words = 0;
-  /// Per-request precision override; unset uses the service's configured
-  /// precision. Distinct precisions cache as distinct plan entries.
-  std::optional<sw::wavesim::Precision> precision;
   /// Carried through the service and returned (with the service's phase
   /// spans appended) in ResultBatch::trace. A transport that stamps its
   /// own spans first (wire decode) seeds it here; trace.track survives

@@ -15,17 +15,15 @@ bool ready(const std::shared_future<T>& fut) {
   return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
-/// Stage-table bucket of a (GateSpec, precision): FNV-1a over the fields
+/// Stage-table bucket of a GateSpec: FNV-1a over the fields
 /// GateSpec::operator== compares, doubles by value (+0.0 and -0.0 compare
 /// equal, so they hash alike).
-std::uint64_t stage_hash(const sw::core::GateSpec& spec,
-                         sw::wavesim::Precision precision) {
+std::uint64_t stage_hash(const sw::core::GateSpec& spec) {
   std::uint64_t h = kFnvOffsetBasis;
   const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * kFnvPrime; };
   const auto mix_f64 = [&mix](double v) {
     mix(v == 0.0 ? 0 : std::bit_cast<std::uint64_t>(v));
   };
-  mix(static_cast<std::uint64_t>(precision));
   mix(spec.num_inputs);
   mix(spec.frequencies.size());
   for (const double f : spec.frequencies) mix_f64(f);
@@ -47,32 +45,15 @@ PlanCache::PlanCache(const sw::wavesim::WaveEngine& engine,
     : engine_(&engine),
       capacity_(capacity),
       evaluator_options_(evaluator_options),
-      designer_(designer) {
-  // Resolve kAuto once so every entry, key and stat of this cache agrees
-  // on the precision even if the environment changes mid-run.
-  evaluator_options_.precision =
-      sw::wavesim::resolve_precision(evaluator_options_.precision);
-}
+      designer_(designer) {}
 
-std::uint64_t PlanCache::bucket_hash(const LayoutKey& key,
-                                     sw::wavesim::Precision precision) {
-  // The precision bit is part of the cache key: an f32 and an f64 plan for
-  // one layout are distinct artefacts (different arrays, different margin
-  // verdicts) and must never alias. Golden-ratio mixing keeps the two
-  // variants in unrelated buckets instead of chaining in one. Programs and
-  // layouts need no extra bit: their canonical bytes carry distinct format
-  // tags, so their key hashes already disagree.
-  return precision == sw::wavesim::Precision::kFloat32
-             ? key.hash() ^ 0x9e3779b97f4a7c15ull
-             : key.hash();
-}
-
-PlanCache::Slot* PlanCache::find_locked(const LayoutKey& key,
-                                        sw::wavesim::Precision precision) {
-  const auto bucket = slots_.find(bucket_hash(key, precision));
+PlanCache::Slot* PlanCache::find_locked(const LayoutKey& key) {
+  // Programs and layouts share the buckets: their canonical bytes carry
+  // distinct format tags, so their key hashes already disagree.
+  const auto bucket = slots_.find(key.hash());
   if (bucket == slots_.end()) return nullptr;
   for (auto& slot : bucket->second) {
-    if (slot.precision == precision && slot.key == key) return &slot;
+    if (slot.key == key) return &slot;
   }
   return nullptr;
 }
@@ -108,50 +89,29 @@ void PlanCache::evict_for_insert_locked() {
   }
 }
 
-void PlanCache::erase_locked(const LayoutKey& key,
-                             sw::wavesim::Precision precision) {
-  const auto bucket = slots_.find(bucket_hash(key, precision));
+void PlanCache::erase_locked(const LayoutKey& key) {
+  const auto bucket = slots_.find(key.hash());
   if (bucket == slots_.end()) return;
-  size_ -= std::erase_if(bucket->second, [&](const Slot& slot) {
-    return slot.precision == precision && slot.key == key;
-  });
+  size_ -= std::erase_if(bucket->second,
+                         [&](const Slot& slot) { return slot.key == key; });
   if (bucket->second.empty()) slots_.erase(bucket);
 }
 
-void PlanCache::record_plan_mix_locked(const sw::wavesim::EvalProgram& program,
-                                       sw::wavesim::Precision precision) {
+void PlanCache::record_decodes_locked(
+    const sw::wavesim::EvalProgram& program) {
   for (std::size_t s = 0; s < program.num_stages(); ++s) {
     const auto& plan = program.stage_plan(s);
     // The decode each detector gets: a tabulated stage runs eval_tables.
     (plan.tabulated() ? stats_.table_detectors : stats_.phasor_detectors) +=
         plan.num_detectors();
-    if (precision != sw::wavesim::Precision::kFloat32) continue;
-    // Exactly one of the three per-plan counters, plus the detector-
-    // granularity mix either way.
-    if (plan.has_f32()) {
-      ++stats_.f32_plans;
-    } else if (plan.is_block()) {
-      ++stats_.block_plans;
-    } else {
-      ++stats_.f32_fallbacks;
-    }
-    stats_.f32_detectors += plan.num_f32_detectors();
-    stats_.f64_rescue_detectors += plan.num_f64_rescue_detectors();
   }
 }
 
-sw::wavesim::Precision PlanCache::resolve(
-    std::optional<sw::wavesim::Precision> precision) const {
-  return precision ? sw::wavesim::resolve_precision(*precision)
-                   : evaluator_options_.precision;
-}
-
-PlanCache::ProgramPtr PlanCache::find_ready(const LayoutKey& key,
-                                            sw::wavesim::Precision precision) {
+PlanCache::ProgramPtr PlanCache::find_ready(const LayoutKey& key) {
   std::shared_future<ProgramPtr> fut;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Slot* slot = find_locked(key, precision);
+    Slot* slot = find_locked(key);
     if (slot == nullptr || !ready(slot->program)) return nullptr;
     ++stats_.hits;
     slot->last_used = ++tick_;
@@ -163,14 +123,13 @@ PlanCache::ProgramPtr PlanCache::find_ready(const LayoutKey& key,
 }
 
 PlanCache::Lookup PlanCache::find_or_build(const LayoutKey& key,
-                                           sw::wavesim::Precision precision,
                                            const BuildFn& build) {
   std::promise<ProgramPtr> builder;
   std::shared_future<ProgramPtr> fut;
   bool build_here = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (Slot* slot = find_locked(key, precision)) {
+    if (Slot* slot = find_locked(key)) {
       ++stats_.hits;
       slot->last_used = ++tick_;
       fut = slot->program;
@@ -179,26 +138,23 @@ PlanCache::Lookup PlanCache::find_or_build(const LayoutKey& key,
       evict_for_insert_locked();
       Slot fresh;
       fresh.key = key;
-      fresh.precision = precision;
       fresh.program = builder.get_future().share();
       fresh.last_used = ++tick_;
       fut = fresh.program;
-      slots_[bucket_hash(key, precision)].push_back(std::move(fresh));
+      slots_[key.hash()].push_back(std::move(fresh));
       ++size_;
       build_here = true;
     }
   }
   if (build_here) {
     try {
-      sw::wavesim::BatchOptions options = evaluator_options_;
-      options.precision = precision;
-      builder.set_value(build(options));
+      builder.set_value(build());
     } catch (...) {
       // Drop the poisoned entry first so no new lookup can ever observe a
       // ready-with-exception slot, then wake the waiters with the error.
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        erase_locked(key, precision);
+        erase_locked(key);
       }
       builder.set_exception(std::current_exception());
     }
@@ -206,88 +162,69 @@ PlanCache::Lookup PlanCache::find_or_build(const LayoutKey& key,
   return {fut.get(), !build_here};
 }
 
-PlanCache::ProgramPtr PlanCache::try_get(
-    const sw::core::GateLayout& layout,
-    std::optional<sw::wavesim::Precision> precision) {
-  return find_ready(LayoutKey::from(layout), resolve(precision));
+PlanCache::ProgramPtr PlanCache::try_get(const sw::core::GateLayout& layout) {
+  return find_ready(LayoutKey::from(layout));
 }
 
 PlanCache::ProgramPtr PlanCache::try_get(
-    const sw::wavesim::ProgramSpec& program,
-    std::optional<sw::wavesim::Precision> precision) {
+    const sw::wavesim::ProgramSpec& program) {
   SW_REQUIRE(designer_ != nullptr,
              "plan cache was built without a designer; cannot serve programs");
-  return find_ready(LayoutKey::from(program), resolve(precision));
+  return find_ready(LayoutKey::from(program));
+}
+
+PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout) {
+  return find_or_build(LayoutKey::from(layout), [&] {
+    auto built = std::make_shared<const sw::wavesim::EvalProgram>(
+        layout, *engine_, evaluator_options_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_decodes_locked(*built);
+    return built;
+  });
 }
 
 PlanCache::Lookup PlanCache::get_or_build(
-    const sw::core::GateLayout& layout,
-    std::optional<sw::wavesim::Precision> precision) {
-  const sw::wavesim::Precision resolved = resolve(precision);
-  return find_or_build(
-      LayoutKey::from(layout), resolved,
-      [&](const sw::wavesim::BatchOptions& options) {
-        auto built = std::make_shared<const sw::wavesim::EvalProgram>(
-            layout, *engine_, options);
-        std::lock_guard<std::mutex> lock(mutex_);
-        record_plan_mix_locked(*built, resolved);
-        return built;
-      });
-}
-
-PlanCache::Lookup PlanCache::get_or_build(
-    const sw::wavesim::ProgramSpec& program,
-    std::optional<sw::wavesim::Precision> precision) {
+    const sw::wavesim::ProgramSpec& program) {
   SW_REQUIRE(designer_ != nullptr,
              "plan cache was built without a designer; cannot serve programs");
   // Reject malformed specs before touching the cache: a spec that cannot
   // validate must not occupy a slot (its build would fail every time).
   program.validate();
-  const sw::wavesim::Precision resolved = resolve(precision);
-  return find_or_build(
-      LayoutKey::from(program), resolved,
-      [&](const sw::wavesim::BatchOptions& options) {
-        auto built = std::make_shared<const sw::wavesim::EvalProgram>(
-            program,
-            [this](const sw::core::GateSpec& spec,
-                   sw::wavesim::Precision stage_precision) {
-              return resolve_stage(spec, stage_precision);
-            },
-            options);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.program_builds;
-        stats_.program_stages += built->num_stages();
-        if (built->depth() > stats_.max_program_depth) {
-          stats_.max_program_depth = built->depth();
-        }
-        // Per-stage decode and precision verdicts roll into the same
-        // detector mixes the metrics endpoint exports for single plans.
-        record_plan_mix_locked(*built, resolved);
-        return built;
-      });
+  return find_or_build(LayoutKey::from(program), [&] {
+    auto built = std::make_shared<const sw::wavesim::EvalProgram>(
+        program,
+        [this](const sw::core::GateSpec& spec) { return resolve_stage(spec); },
+        evaluator_options_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.program_builds;
+    stats_.program_stages += built->num_stages();
+    if (built->depth() > stats_.max_program_depth) {
+      stats_.max_program_depth = built->depth();
+    }
+    // Per-stage decodes roll into the same detector counts the metrics
+    // endpoint exports for single plans.
+    record_decodes_locked(*built);
+    return built;
+  });
 }
 
 PlanCache::StageSlot* PlanCache::find_stage_locked(
-    std::uint64_t hash, const sw::core::GateSpec& spec,
-    sw::wavesim::Precision precision) {
+    std::uint64_t hash, const sw::core::GateSpec& spec) {
   const auto [first, last] = stages_.equal_range(hash);
   for (auto it = first; it != last; ++it) {
-    if (it->second.precision == precision && it->second.spec == spec) {
-      return &it->second;
-    }
+    if (it->second.spec == spec) return &it->second;
   }
   return nullptr;
 }
 
-PlanCache::StagePtr PlanCache::resolve_stage(
-    const sw::core::GateSpec& spec, sw::wavesim::Precision precision) {
-  const std::uint64_t hash = stage_hash(spec, precision);
+PlanCache::StagePtr PlanCache::resolve_stage(const sw::core::GateSpec& spec) {
+  const std::uint64_t hash = stage_hash(spec);
   std::promise<StagePtr> builder;
   std::shared_future<StagePtr> pending;
   StageSlot* slot = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    slot = find_stage_locked(hash, spec, precision);
+    slot = find_stage_locked(hash, spec);
     if (slot != nullptr) {
       if (StagePtr live = slot->stage.lock()) return live;
     } else {
@@ -296,7 +233,7 @@ PlanCache::StagePtr PlanCache::resolve_stage(
       std::erase_if(stages_, [](const auto& entry) {
         return !entry.second.building.valid() && entry.second.stage.expired();
       });
-      slot = &stages_.emplace(hash, StageSlot{spec, precision, {}, {}})->second;
+      slot = &stages_.emplace(hash, StageSlot{spec, {}, {}})->second;
     }
     if (slot->building.valid()) {
       pending = slot->building;
@@ -309,7 +246,7 @@ PlanCache::StagePtr PlanCache::resolve_stage(
   if (pending.valid()) return pending.get();
   try {
     auto stage = std::make_shared<const sw::wavesim::EvalStage>(
-        spec, *designer_, *engine_, precision);
+        spec, *designer_, *engine_);
     {
       // The entry cannot have moved or gone: the table is node-based and
       // nothing erases an entry whose build is in flight but its builder.

@@ -1,6 +1,5 @@
 // LRU cache of ready-to-run evaluation programs, keyed by canonical target
-// hash *plus the evaluation precision*, with collision-safe full-key
-// comparison.
+// hash, with collision-safe full-key comparison.
 //
 // Every target the service evaluates is a wavesim::EvalProgram, the one
 // artefact this cache holds. A GateLayout target builds a one-stage
@@ -15,23 +14,19 @@
 // plus one steady-phasor solve per (detector, source, launch-phase)
 // triple), so every cached submit runs the runtime-dispatched SIMD kernels
 // with zero per-request conversion, and the build cost amortises across
-// every request that reuses the target. A plan requested at kFloat32 may
-// come out effectively double (the margin-aware fallback, see EvalPlan);
-// the cache records that in its stats but still files the entry under the
-// f32 key — the fallback is a property of that (target, precision) pair,
-// decided once, and re-deciding it per request would redo the margin
-// sweep. Construction for one key is serialised *behind the cache entry*:
-// the first caller inserts a pending entry and builds, concurrent callers
-// for the same key wait on the entry's shared future instead of racing a
-// second build. Distinct keys build concurrently.
+// every request that reuses the target. Construction for one key is
+// serialised *behind the cache entry*: the first caller inserts a pending
+// entry and builds, concurrent callers for the same key wait on the
+// entry's shared future instead of racing a second build. Distinct keys
+// build concurrently.
 //
 // Program entries share their stages. Lowering emits few distinct stage
 // GateSpecs, so a ProgramSpec build resolves each stage's artefact
 // (designed gate + EvalPlan, wavesim::EvalStage) through a stage table
-// beside the LRU: one build per (GateSpec, precision), with the same
-// one-builder-per-key discipline. The table holds only weak references, so
-// a stage lives exactly as long as some cached or in-flight program uses
-// it, and it adds no LRU entries and no capacity of its own. A layout
+// beside the LRU: one build per GateSpec, with the same one-builder-per-key
+// discipline. The table holds only weak references, so a stage lives
+// exactly as long as some cached or in-flight program uses it, and it adds
+// no LRU entries and no capacity of its own. A layout
 // target's stage is the layout it was handed, so it never enters the table.
 #pragma once
 
@@ -40,14 +35,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/gate_design.h"
 #include "serve/layout_hash.h"
 #include "wavesim/eval_program.h"
-#include "wavesim/precision.h"
 #include "wavesim/wave_engine.h"
 
 namespace sw::serve {
@@ -56,28 +49,11 @@ struct PlanCacheStats {
   std::uint64_t hits = 0;       ///< lookups served from a cached entry
   std::uint64_t misses = 0;     ///< lookups that triggered a build
   std::uint64_t evictions = 0;  ///< LRU entries dropped to respect capacity
-  /// Plans requested at kFloat32 that got it everywhere (every detector
-  /// passed the margin analysis): one per layout build, one per stage of a
-  /// program build.
-  std::uint64_t f32_plans = 0;
-  /// Plans requested at kFloat32 that fell back to the double plan
-  /// entirely (no detector passed).
-  std::uint64_t f32_fallbacks = 0;
-  /// Plans that came out block-f32: a genuine per-detector mix of f32 and
-  /// f64 rescue lanes. Disjoint from both counters above; every f32-
-  /// requested plan lands in exactly one of the three.
-  std::uint64_t block_plans = 0;
-  /// Detector-granularity mix, accumulated across every f32-requested
-  /// plan: how many detectors were proved for f32 accumulation vs rescued
-  /// to f64 lanes. f32_detectors / (f32_detectors + f64_rescue_detectors)
-  /// is the fleet-visible f32 ratio the metrics endpoint exports.
-  std::uint64_t f32_detectors = 0;
-  std::uint64_t f64_rescue_detectors = 0;
-  /// Built detectors by the decode that serves them, counted like the f32
-  /// mix (one per layout build, one per stage of a program build) at every
-  /// precision: those of a tabulated plan decode from their truth tables
-  /// (Kernel::eval_tables), any other plan's by phasor sum (eval_bits). A
-  /// phasor detector is a layout too wide to tabulate, on the slow loop.
+  /// Built detectors by the decode that serves them, counted per plan (one
+  /// per layout build, one per stage of a program build): those of a
+  /// tabulated plan decode from their truth tables (Kernel::eval_tables),
+  /// any other plan's by phasor sum (eval_bits). A phasor detector is a
+  /// layout too wide to tabulate, on the slow loop.
   std::uint64_t table_detectors = 0;
   std::uint64_t phasor_detectors = 0;
   /// ProgramSpec entries built (their lookups also count into
@@ -92,7 +68,7 @@ struct PlanCacheStats {
   std::uint64_t max_program_depth = 0;
   /// Stage artefacts (designed gate + EvalPlan) built for ProgramSpecs. A
   /// program build reuses the artefact of any live program with an equal
-  /// (stage GateSpec, precision), so this stays far below program_stages.
+  /// stage GateSpec, so this stays far below program_stages.
   std::uint64_t stage_builds = 0;
 };
 
@@ -103,11 +79,10 @@ class PlanCache {
   using ProgramPtr = std::shared_ptr<const sw::wavesim::EvalProgram>;
 
   /// `capacity == 0` means unbounded. The engine must outlive the cache.
-  /// evaluator_options.precision (kAuto resolved at construction) is the
-  /// default precision for lookups that do not pass one; its num_threads
-  /// sizes every built program's word-loop pool (default: single inline
-  /// thread, so evaluation runs on the calling service worker and cached
-  /// programs do not each own idle worker threads). `designer` enables
+  /// evaluator_options.num_threads sizes every built program's word-loop
+  /// pool (default: single inline thread, so evaluation runs on the calling
+  /// service worker and cached programs do not each own idle worker
+  /// threads). `designer` enables
   /// ProgramSpec targets (they carry design requests, not finished
   /// layouts); when null, ProgramSpec lookups throw. The designer must
   /// outlive the cache.
@@ -117,12 +92,9 @@ class PlanCache {
 
   /// Fast-path lookup: returns the program when it is cached *and ready*,
   /// nullptr otherwise (counts a hit only when it returns one). Never
-  /// blocks and never copies the target beyond its canonical bytes. An
-  /// unset precision means default_precision().
-  ProgramPtr try_get(const sw::core::GateLayout& layout,
-                     std::optional<sw::wavesim::Precision> precision = {});
-  ProgramPtr try_get(const sw::wavesim::ProgramSpec& program,
-                     std::optional<sw::wavesim::Precision> precision = {});
+  /// blocks and never copies the target beyond its canonical bytes.
+  ProgramPtr try_get(const sw::core::GateLayout& layout);
+  ProgramPtr try_get(const sw::wavesim::ProgramSpec& program);
 
   struct Lookup {
     ProgramPtr program;
@@ -130,74 +102,54 @@ class PlanCache {
   };
 
   /// Returns the cached program, building it on a miss. One builder per
-  /// key: concurrent callers for the same (target, precision) wait on the
-  /// first builder's future. A build failure propagates to every waiter
-  /// and removes the entry so a later call can retry.
-  Lookup get_or_build(const sw::core::GateLayout& layout,
-                      std::optional<sw::wavesim::Precision> precision = {});
-  Lookup get_or_build(const sw::wavesim::ProgramSpec& program,
-                      std::optional<sw::wavesim::Precision> precision = {});
+  /// key: concurrent callers for the same target wait on the first
+  /// builder's future. A build failure propagates to every waiter and
+  /// removes the entry so a later call can retry.
+  Lookup get_or_build(const sw::core::GateLayout& layout);
+  Lookup get_or_build(const sw::wavesim::ProgramSpec& program);
 
   PlanCacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  /// The resolved default precision of this cache's entries.
-  sw::wavesim::Precision default_precision() const {
-    return evaluator_options_.precision;
-  }
 
  private:
   struct Slot {
     LayoutKey key;
-    sw::wavesim::Precision precision = sw::wavesim::Precision::kFloat64;
     std::shared_future<ProgramPtr> program;
     std::uint64_t last_used = 0;
   };
 
   using StagePtr = std::shared_ptr<const sw::wavesim::EvalStage>;
-  /// Builds one entry's program at a resolved precision (run on a miss,
-  /// outside the cache lock).
-  using BuildFn =
-      std::function<ProgramPtr(const sw::wavesim::BatchOptions& options)>;
+  /// Builds one entry's program (run on a miss, outside the cache lock).
+  using BuildFn = std::function<ProgramPtr()>;
 
   /// One stage-table entry. It references its artefact weakly, so the
   /// artefact lives exactly as long as some cached or in-flight program
   /// holds it; while its one builder runs, `building` is armed instead.
   struct StageSlot {
     sw::core::GateSpec spec;
-    sw::wavesim::Precision precision = sw::wavesim::Precision::kFloat64;
     std::weak_ptr<const sw::wavesim::EvalStage> stage;
     std::shared_future<StagePtr> building;
   };
 
-  sw::wavesim::Precision resolve(
-      std::optional<sw::wavesim::Precision> precision) const;
-  /// The ready entry for (key, precision) as a hit, or nullptr.
-  ProgramPtr find_ready(const LayoutKey& key,
-                        sw::wavesim::Precision precision);
-  /// The entry for (key, precision), building it with `build` on a miss.
-  Lookup find_or_build(const LayoutKey& key, sw::wavesim::Precision precision,
-                       const BuildFn& build);
+  /// The ready entry for `key` as a hit, or nullptr.
+  ProgramPtr find_ready(const LayoutKey& key);
+  /// The entry for `key`, building it with `build` on a miss.
+  Lookup find_or_build(const LayoutKey& key, const BuildFn& build);
 
-  static std::uint64_t bucket_hash(const LayoutKey& key,
-                                   sw::wavesim::Precision precision);
-  Slot* find_locked(const LayoutKey& key, sw::wavesim::Precision precision);
+  Slot* find_locked(const LayoutKey& key);
   void evict_for_insert_locked();
-  void erase_locked(const LayoutKey& key, sw::wavesim::Precision precision);
-  /// Folds a built program's per-stage decode paths and f32 verdicts into
-  /// the stats.
-  void record_plan_mix_locked(const sw::wavesim::EvalProgram& program,
-                              sw::wavesim::Precision precision);
+  void erase_locked(const LayoutKey& key);
+  /// Folds a built program's per-stage decode paths into the stats.
+  void record_decodes_locked(const sw::wavesim::EvalProgram& program);
 
   /// The program builds' StageResolver: a live artefact from the stage
-  /// table, else one build per (spec, precision) that concurrent callers
-  /// wait on. A failed build leaves no entry and throws to every waiter.
-  StagePtr resolve_stage(const sw::core::GateSpec& spec,
-                         sw::wavesim::Precision precision);
-  /// Stage-table entry for (spec, precision) under `hash`, or nullptr.
+  /// table, else one build per spec that concurrent callers wait on. A
+  /// failed build leaves no entry and throws to every waiter.
+  StagePtr resolve_stage(const sw::core::GateSpec& spec);
+  /// Stage-table entry for `spec` under `hash`, or nullptr.
   StageSlot* find_stage_locked(std::uint64_t hash,
-                               const sw::core::GateSpec& spec,
-                               sw::wavesim::Precision precision);
+                               const sw::core::GateSpec& spec);
 
   const sw::wavesim::WaveEngine* engine_;
   std::size_t capacity_;

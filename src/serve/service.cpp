@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <mutex>
 #include <utility>
 #include <variant>
 
@@ -22,23 +21,16 @@ double span_seconds(const sw::obs::TraceContext& trace, std::size_t slot) {
   return static_cast<double>(s.end_ns - s.start_ns) * 1e-9;
 }
 
-/// One line per process *per precision*, not per service: the kernel is
-/// process-wide, but precision is per-service configuration — a later
-/// service running a different precision still gets its line (else an
-/// operator would read the first service's choice as the process's), while
-/// repeated construction at one precision stays quiet.
-void log_kernel_once(sw::wavesim::Precision precision) {
-  static std::mutex mutex;
-  static bool logged[3] = {};
-  const auto idx = static_cast<std::size_t>(precision);
-  std::lock_guard<std::mutex> lock(mutex);
-  if (idx >= 3 || logged[idx]) return;
-  logged[idx] = true;
-  const std::string_view name = sw::wavesim::active_kernel_name();
-  const std::string_view prec = sw::wavesim::precision_name(precision);
-  std::fprintf(stderr, "[sw::serve] evaluation kernel: %.*s, precision: %.*s\n",
-               static_cast<int>(name.size()), name.data(),
-               static_cast<int>(prec.size()), prec.data());
+/// One line per process, like the kernel choice itself. Resolving the
+/// kernel here makes a bad SW_EVAL_KERNEL fail the service's constructor
+/// rather than its first request.
+void log_kernel_once() {
+  [[maybe_unused]] static const bool logged = [] {
+    const std::string_view name = sw::wavesim::active_kernel_name();
+    std::fprintf(stderr, "[sw::serve] evaluation kernel: %.*s\n",
+                 static_cast<int>(name.size()), name.data());
+    return true;
+  }();
 }
 
 /// Whether `num_words` words of `program` cost the kernels at most
@@ -55,8 +47,6 @@ struct EvaluatorService::Request {
   std::size_t num_words = 0;
   std::size_t num_channels = 0;
   std::chrono::steady_clock::time_point submitted_at;
-  /// Per-request precision override (EvalRequest::precision).
-  std::optional<sw::wavesim::Precision> precision;
   /// Resolved on the submit fast path; when null the worker consults the
   /// cache with the copied target (and builds the entry on a cold miss).
   PlanCache::ProgramPtr program;
@@ -76,14 +66,7 @@ struct EvaluatorService::Request {
 
 EvaluatorService::EvaluatorService(const sw::disp::DispersionModel& model,
                                    double alpha, ServiceOptions options)
-    : options_([&options] {
-        // Resolve kAuto up front (throwing on a bad SW_EVAL_PRECISION
-        // here, not inside the first request) so the cache, the stats and
-        // the log line all report the same resolved choice.
-        options.evaluator_options.precision = sw::wavesim::resolve_precision(
-            options.evaluator_options.precision);
-        return std::move(options);
-      }()),
+    : options_(std::move(options)),
       engine_(model, alpha),
       designer_(model),
       cache_(engine_, options_.plan_cache_capacity,
@@ -91,7 +74,7 @@ EvaluatorService::EvaluatorService(const sw::disp::DispersionModel& model,
       admission_(options_.admission),
       trace_recorder_(options_.trace_capacity),
       pool_(options_.num_threads, /*always_spawn=*/true) {
-  log_kernel_once(options_.evaluator_options.precision);
+  log_kernel_once();
 }
 
 EvaluatorService::~EvaluatorService() {
@@ -129,7 +112,6 @@ void EvaluatorService::post_request(EvalRequest&& source,
 
   request->num_words = num_words;
   request->submitted_at = std::chrono::steady_clock::now();
-  request->precision = source.precision;
   request->columns = std::move(source.columns);
   request->trace = std::move(source.trace);
   request->defer_trace = source.defer_trace_record;
@@ -145,10 +127,10 @@ void EvaluatorService::post_request(EvalRequest&& source,
   const std::size_t lookup_slot =
       request->trace.begin(sw::obs::Phase::kPlanLookup);
   if (source.layout != nullptr) {
-    request->program = cache_.try_get(*source.layout, source.precision);
+    request->program = cache_.try_get(*source.layout);
     if (!request->program) request->target = *source.layout;
   } else {
-    request->program = cache_.try_get(*source.program, source.precision);
+    request->program = cache_.try_get(*source.program);
     if (!request->program) request->target = *source.program;
   }
   request->trace.end(lookup_slot);
@@ -207,9 +189,7 @@ void EvaluatorService::process(Request* raw) {
     if (!program) {
       const std::uint64_t build_start = sw::obs::now_ns();
       PlanCache::Lookup lookup = std::visit(
-          [&](const auto& target) {
-            return cache_.get_or_build(target, request->precision);
-          },
+          [&](const auto& target) { return cache_.get_or_build(target); },
           request->target);
       program = std::move(lookup.program);
       out.cache_hit = lookup.hit;
@@ -298,8 +278,6 @@ ServiceStats EvaluatorService::stats() const {
   s.queued_requests = admission_.queued();
   s.inflight_words = admission_.inflight_words();
   s.kernel = std::string(sw::wavesim::active_kernel_name());
-  s.precision = std::string(
-      sw::wavesim::precision_name(options_.evaluator_options.precision));
   s.cache = cache_.stats();
   s.admission_wait = admission_wait_hist_.snapshot();
   s.queue_wait = queue_wait_hist_.snapshot();

@@ -65,8 +65,7 @@ struct ServiceOptions {
   /// std::thread::hardware_concurrency(). At least one dedicated worker is
   /// always spawned so submission stays asynchronous on one-core hosts.
   std::size_t num_threads = 0;
-  /// Plan-cache capacity in distinct (target, precision) entries;
-  /// 0 = unbounded.
+  /// Plan-cache capacity in distinct target entries; 0 = unbounded.
   std::size_t plan_cache_capacity = 32;
   /// Options for the cached EvalPrograms. The default single inline
   /// thread makes each evaluation run entirely on the thread that
@@ -132,15 +131,6 @@ struct ServiceStats {
   /// Evaluation kernel every evaluate_bits dispatches to ("scalar" |
   /// "avx2" | "avx512"; see sw::wavesim::active_kernel_name()).
   std::string kernel;
-  /// Requested evaluation precision of this service's plans ("f64" |
-  /// "f32"; ServiceOptions::evaluator_options.precision with kAuto
-  /// resolved). An f32 service can still serve double or block-f32 plans
-  /// per layout: cache.f32_fallbacks counts full margin-aware fallbacks,
-  /// cache.block_plans the per-detector mixes, and cache.f32_detectors /
-  /// cache.f64_rescue_detectors the detector-granularity split — so
-  /// precision == "f32" with f64_rescue_detectors > 0 reads "asked for
-  /// f32, some detectors were rescued to f64 lanes".
-  std::string precision;
   PlanCacheStats cache;
   /// Since-start distributions (log-bucketed, Prometheus-renderable):
   /// submit-to-settle latency, admission wait, queue wait, kernel
@@ -186,9 +176,8 @@ class EvaluatorService {
   /// same model); ProgramSpec stages are designed by designer(). `model`
   /// must outlive the service; `alpha` is the Gilbert damping for the owned
   /// WaveEngine. Resolves (and logs to stderr, once per process) the
-  /// evaluation kernel and precision requests will run on, so an invalid
-  /// SW_EVAL_KERNEL or SW_EVAL_PRECISION override fails here rather than
-  /// inside the first request.
+  /// evaluation kernel requests will run on, so an invalid SW_EVAL_KERNEL
+  /// override fails here rather than inside the first request.
   EvaluatorService(const sw::disp::DispersionModel& model, double alpha,
                    ServiceOptions options = {});
 

@@ -12,18 +12,13 @@ namespace sw::wavesim {
 
 BatchEvaluator::BatchEvaluator(const sw::core::DataParallelGate& gate,
                                BatchOptions options)
-    : BatchEvaluator(
-          gate, std::make_shared<const EvalPlan>(gate, options.precision),
-          options) {}
+    : BatchEvaluator(gate, std::make_shared<const EvalPlan>(gate), options) {}
 
 BatchEvaluator::BatchEvaluator(const sw::core::DataParallelGate& gate,
                                std::shared_ptr<const EvalPlan> plan,
                                BatchOptions options)
     : gate_(&gate), plan_(std::move(plan)), pool_(options.num_threads) {
   SW_REQUIRE(plan_ != nullptr, "shared evaluation plan must not be null");
-  SW_REQUIRE(plan_->requested_precision() ==
-                 resolve_precision(options.precision),
-             "shared plan was built with a different precision");
   const auto& spec = gate.layout().spec;
   SW_REQUIRE(plan_->num_channels() == spec.frequencies.size() &&
                  plan_->num_inputs() == spec.num_inputs,

@@ -29,16 +29,6 @@
 // and to_rows writes those back as the caller's result rows. Pool chunks
 // split at whole 64-word column u64s. EvalProgram uses the same edge
 // converter and kernel entry, only at the ends of its cascade.
-//
-// Precision: BatchOptions::precision (default kAuto -> SW_EVAL_PRECISION /
-// f64) asks for the single-precision plan variant on the packed
-// evaluate_bits path — twice the words per register — which the plan
-// grants *per detector* after its build-time margin analysis proves no
-// decode can flip (see EvalPlan): the proved detectors accumulate in f32,
-// the rest in f64, within the kernel's one eval_bits; with none proved the
-// plan is the double plan and effective_precision() says so. The
-// ChannelResult paths always accumulate in double: phase/amplitude/margin
-// are analog readouts.
 #pragma once
 
 #include <algorithm>
@@ -52,17 +42,12 @@
 #include "util/thread_pool.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/kernel.h"
-#include "wavesim/precision.h"
 
 namespace sw::wavesim {
 
 struct BatchOptions {
   /// Worker count; 0 selects std::thread::hardware_concurrency().
   std::size_t num_threads = 0;
-  /// Requested evaluation precision for the packed evaluate_bits path.
-  /// kAuto defers to SW_EVAL_PRECISION (default f64); kFloat32 is granted
-  /// per layout by the plan's margin analysis, else falls back to f64.
-  Precision precision = Precision::kAuto;
 };
 
 class BatchEvaluator {
@@ -78,7 +63,7 @@ class BatchEvaluator {
 
   /// Adopts an already-built plan instead of rebuilding it, so several
   /// evaluators over one layout can share it. The plan must have been
-  /// built from this gate's layout with options.precision.
+  /// built from this gate's layout.
   BatchEvaluator(const sw::core::DataParallelGate& gate,
                  std::shared_ptr<const EvalPlan> plan,
                  BatchOptions options = {});
@@ -87,11 +72,6 @@ class BatchEvaluator {
   /// The frozen SoA plan the kernels evaluate against.
   const EvalPlan& plan() const { return *plan_; }
   std::size_t num_threads() const { return pool_.size(); }
-  /// Precision the packed path actually runs (kFloat64 when a kFloat32
-  /// request fell back; see EvalPlan::f32_rejection() for why).
-  Precision effective_precision() const {
-    return plan_->effective_precision();
-  }
 
   /// Evaluate a batch of input assignments; element w has the same shape as
   /// the argument of DataParallelGate::evaluate (one m-bit vector per
@@ -126,8 +106,7 @@ class BatchEvaluator {
   /// channel-count matrix of decoded output bits. The decode is exactly
   /// decide_phase's threshold (phase closer to pi than to 0, i.e. Re < 0)
   /// without the polar conversion, so bits match the ChannelResult paths
-  /// bit-for-bit — including on an f32 plan, whose build-time validation
-  /// guarantees the float decode never disagrees. Rejects a `bits` span
+  /// bit-for-bit. Rejects a `bits` span
   /// whose size is not num_words * slot_count(), including when that
   /// product would overflow size_t.
   std::vector<std::uint8_t> evaluate_bits(

@@ -15,61 +15,33 @@
 // kernel that accumulates a detector's range in index order is bit-for-bit
 // identical to DataParallelGate::evaluate by construction.
 //
-// A plan built with Precision::kFloat32 additionally carries float mirrors
-// of the real-part arrays for the wide f32 kernels — but only for detectors
-// that have been *proved* safe at build time. The margin proof runs per
-// detector: the minimum decode margin (the smallest |Re| any bit assignment
-// can produce at that detector) is computed in double, checked against a
-// worst-case f32 accumulation error bound, and an exhaustive validation
-// sweep replays the exact f32 accumulation to confirm every reachable
-// decode matches the double plan. The proof's verdict is a per-detector
-// precision tag, not an all-or-nothing plan property:
-//
-//   * every detector proved  -> a pure f32 plan (has_f32(), the PR 4 case);
-//   * every detector rejected -> the plan degenerates to exactly the double
-//     plan (no float arrays, identical decode path);
-//   * a mix -> a *block-f32* plan: detectors are partitioned at build time
-//     into two contiguous runs — the proved detectors first (served by f32
-//     accumulation over the float mirrors), the rejected ones after (served
-//     by f64 "rescue lanes" over the double arrays) — so the kernels'
-//     eval_bits runs two branch-free loops instead of a per-detector
-//     precision branch. detector_results() maps each plan-order detector
-//     back to its original layout position for the ChannelResult paths.
-//
-// Decoded bits are identical across precisions on every plan this class
-// will ever serve: f32 lanes are enumerated-proved, rescue lanes are f64 by
-// construction.
-//
 // Tables. A detector's verdict is a fixed Boolean function of the distinct
 // input slots its contributions read, so a detector with at most
 // kMaxTableInputs of them is also frozen as its exact truth table: for each
 // of the 2^k slot assignments, the detector's f64 constants summed in plan
 // order from 0.0 (the accumulation eval_bits performs), verdict sum < 0.
 // The table is therefore bit-exact with the scalar reference at any margin,
-// and with the f32 decode, which the margin proof only grants where f32
-// and f64 agree. Each table is compiled once, here, into a reduced ordered
-// decision diagram: a straight-line list of muxes over slot columns
-// (TableMux) with shared cofactors, which the kernels' eval_tables runs on
-// 64 words per u64. A majority of m inputs is (m+1)^2/4 muxes. The plan is
-// tabulated() when every detector has a diagram; a plan with one wider
-// detector keeps none and decodes by phasor sum only.
+// a near-cancelling sum included. Each table is compiled once, here, into a
+// reduced ordered decision diagram: a straight-line list of muxes over slot
+// columns (TableMux) with shared cofactors, which the kernels' eval_tables
+// runs on 64 words per u64. A majority of m inputs is (m+1)^2/4 muxes. The
+// plan is tabulated() when every detector has a diagram; a plan with one
+// wider detector keeps none and decodes by phasor sum only.
 //
 // An EvalPlan is immutable after construction and holds no reference to the
 // gate or engine, so it is safe to share across threads and to cache (see
-// sw::serve::PlanCache, which stores one per (layout, precision) and hands
-// it to every request for that layout).
+// sw::serve::PlanCache, which stores one per layout and hands it to every
+// request for that layout).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/gate.h"
 #include "util/aligned.h"
-#include "wavesim/precision.h"
 
 namespace sw::wavesim {
 
@@ -130,12 +102,8 @@ class EvalPlan {
   /// expensive per-layout cost the serve-layer cache amortises). Neither
   /// the gate nor the engine needs to outlive the plan. Sources match
   /// detectors within kDefaultFreqTol, the scalar path's one tolerance,
-  /// which bit-exact equivalence requires. `precision` is the *requested*
-  /// precision (kAuto defers to SW_EVAL_PRECISION / f64); the per-detector
-  /// margin analysis decides what is actually served — see
-  /// num_f32_detectors() / effective_precision().
-  explicit EvalPlan(const sw::core::DataParallelGate& gate,
-                    Precision precision = Precision::kAuto);
+  /// which bit-exact equivalence requires.
+  explicit EvalPlan(const sw::core::DataParallelGate& gate);
 
   std::size_t num_channels() const { return num_channels_; }
   std::size_t num_inputs() const { return num_inputs_; }
@@ -147,23 +115,14 @@ class EvalPlan {
 
   /// Detector d's contributions occupy indices [detector_offsets()[d],
   /// detector_offsets()[d + 1]) of the per-contribution arrays, in scalar
-  /// source order. Size num_detectors() + 1. Detector indices are *plan
-  /// order*: on a block-f32 plan the proved detectors occupy [0,
-  /// num_f32_detectors()) and the rescue detectors the rest; everywhere
-  /// else plan order equals layout order.
+  /// source order. Size num_detectors() + 1. Detector d is the layout's
+  /// detector d.
   std::span<const std::size_t> detector_offsets() const {
     return det_offsets_;
   }
   /// Output channel written by detector d (row index of the decoded bit).
   std::span<const std::size_t> detector_channels() const {
     return det_channels_;
-  }
-  /// Original layout position of plan-order detector d — the element index
-  /// the ChannelResult kernels write, so reordering detectors for the
-  /// block-f32 partition never reorders caller-visible results. Identity
-  /// on every non-block plan.
-  std::span<const std::size_t> detector_results() const {
-    return det_results_;
   }
 
   /// Per-contribution SoA arrays (all of size num_contributions(), 64-byte
@@ -188,90 +147,27 @@ class EvalPlan {
   /// and so carries its decision diagram (the kernels' eval_tables then
   /// decodes the whole plan). A plan without detectors is tabulated.
   bool tabulated() const { return tabulated_; }
-  /// Plan-order detector d's diagram muxes; empty on an untabulated plan
-  /// and for a detector whose verdict is constant.
+  /// Detector d's diagram muxes; empty on an untabulated plan and for a
+  /// detector whose verdict is constant.
   std::span<const TableMux> table_muxes(std::size_t d) const {
     return std::span<const TableMux>(table_muxes_)
         .subspan(table_offsets_[d], table_offsets_[d + 1] - table_offsets_[d]);
   }
-  /// Plan-order detector d's verdict, named as TableMux::lo names values.
+  /// Detector d's verdict, named as TableMux::lo names values.
   std::uint16_t table_root(std::size_t d) const { return table_roots_[d]; }
   /// Muxes over every detector: the table decode's work per 64 words.
   std::size_t num_table_muxes() const { return table_muxes_.size(); }
   /// Largest diagram of any detector (the kernels' scratch per value).
   std::size_t max_table_muxes() const { return max_table_muxes_; }
 
-  // ------------------------------------------------------- f32 variant --
-
-  /// What the caller asked for, kAuto already resolved (kFloat64/kFloat32).
-  Precision requested_precision() const { return requested_; }
-  /// The strict verdict: kFloat32 iff *every* decode runs in f32
-  /// (has_f32()), kFloat64 otherwise — including block-f32 plans, whose
-  /// mix is reported by num_f32_detectors()/num_f64_rescue_detectors()
-  /// and precision_label() instead of widening this enum.
-  Precision effective_precision() const {
-    return has_f32() ? Precision::kFloat32 : Precision::kFloat64;
-  }
-  /// True iff every detector passed the margin proof (pure f32 plan: the
-  /// kernels' eval_bits accumulates every detector in f32).
-  bool has_f32() const {
-    return requested_ == Precision::kFloat32 &&
-           num_f32_detectors_ == num_detectors();
-  }
-
-  /// Detectors served by f32 accumulation — plan-order indices
-  /// [0, num_f32_detectors()). 0 unless kFloat32 was requested.
-  std::size_t num_f32_detectors() const { return num_f32_detectors_; }
-  /// Detectors that failed the margin proof and run f64 rescue lanes —
-  /// plan-order indices [num_f32_detectors(), num_detectors()). 0 when f32
-  /// was never requested (nothing was rescued).
-  std::size_t num_f64_rescue_detectors() const { return num_rescue_; }
-  /// A genuine mix: some detectors f32, some rescued; the kernels'
-  /// eval_bits runs both.
-  bool is_block() const { return num_f32_detectors_ > 0 && num_rescue_ > 0; }
-
-  /// Human-readable precision mix: "f64", "f32", or "block-f32(7/8)" —
-  /// what logs, stats strings and benches print.
-  std::string precision_label() const;
-
-  /// Float mirrors of the real-part arrays, covering exactly the f32 run's
-  /// contributions: indices [0, detector_offsets()[num_f32_detectors()]).
-  /// Empty when no detector was proved. Only the real parts exist in f32:
-  /// the packed decode consumes nothing but sign(Re), and the
-  /// ChannelResult paths (which need im for phase and amplitude) always
-  /// run in double — those are analog readouts, not thresholded bits, so
-  /// single precision buys nothing worth the loss.
-  std::span<const float> re0_f32() const { return re0_f32_; }
-  std::span<const float> re1_f32() const { return re1_f32_; }
-
-  /// Smallest |Re| any bit assignment can produce at any enumerated
-  /// detector, in double (the decode threshold is Re < 0, so this is the
-  /// worst-case distance to a bit flip). 0 when the margin analysis was
-  /// skipped (kFloat64 requested) or no detector could be enumerated.
-  double min_decode_margin() const { return min_decode_margin_; }
-  /// Worst-case |f32 accumulation - f64 accumulation| bound over all
-  /// detectors and bit assignments (conversion + summation rounding).
-  double f32_error_bound() const { return f32_error_bound_; }
-
-  /// Why a kFloat32 request could not run f32 everywhere; empty when every
-  /// detector was proved or f32 was never requested. On a block plan this
-  /// names how many detectors were rescued and the first rejection reason.
-  /// Surfaced through PlanCacheStats / ServiceStats so operators can see
-  /// which layouts refuse f32.
-  const std::string& f32_rejection() const { return f32_rejection_; }
-
  private:
-  void build_f32();
-  void partition_detectors(const std::vector<char>& accepted);
   void build_tables();
 
-  Precision requested_ = Precision::kFloat64;
   std::size_t num_channels_ = 0;
   std::size_t num_inputs_ = 0;
 
   std::vector<std::size_t> det_offsets_;
   std::vector<std::size_t> det_channels_;
-  std::vector<std::size_t> det_results_;
 
   sw::util::AlignedVector<double> re0_;
   sw::util::AlignedVector<double> im0_;
@@ -286,14 +182,6 @@ class EvalPlan {
   std::vector<std::size_t> table_offsets_;
   std::vector<std::uint16_t> table_roots_;
   std::size_t max_table_muxes_ = 0;
-
-  sw::util::AlignedVector<float> re0_f32_;
-  sw::util::AlignedVector<float> re1_f32_;
-  std::size_t num_f32_detectors_ = 0;
-  std::size_t num_rescue_ = 0;
-  double min_decode_margin_ = 0.0;
-  double f32_error_bound_ = 0.0;
-  std::string f32_rejection_;
 };
 
 }  // namespace sw::wavesim

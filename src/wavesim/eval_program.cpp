@@ -84,23 +84,21 @@ void ProgramSpec::validate() const {
   }
 }
 
-EvalStage::EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
-                     Precision precision)
-    : gate_(std::move(layout), engine), plan_(gate_, precision) {}
+EvalStage::EvalStage(sw::core::GateLayout layout, const WaveEngine& engine)
+    : gate_(std::move(layout), engine), plan_(gate_) {}
 
 EvalStage::EvalStage(const sw::core::GateSpec& spec,
                      const sw::core::InlineGateDesigner& designer,
-                     const WaveEngine& engine, Precision precision)
-    : EvalStage(designer.design(spec), engine, precision) {}
+                     const WaveEngine& engine)
+    : EvalStage(designer.design(spec), engine) {}
 
 EvalProgram::EvalProgram(ProgramSpec spec,
                          const sw::core::InlineGateDesigner& designer,
                          const WaveEngine& engine, BatchOptions options)
     : EvalProgram(
           std::move(spec),
-          [&](const sw::core::GateSpec& gate, Precision precision) {
-            return std::make_shared<const EvalStage>(gate, designer, engine,
-                                                     precision);
+          [&](const sw::core::GateSpec& gate) {
+            return std::make_shared<const EvalStage>(gate, designer, engine);
           },
           options) {}
 
@@ -108,7 +106,6 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
                          BatchOptions options)
     : spec_(std::move(spec)), pool_(options.num_threads) {
   spec_.validate();
-  options.precision = resolve_precision(options.precision);
   stages_.reserve(spec_.stages.size());
   for (std::size_t s = 0; s < spec_.stages.size(); ++s) {
     const sw::core::GateSpec& gate = spec_.stages[s].gate;
@@ -116,8 +113,7 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
     // the earlier stages finds the shared artefact.
     std::size_t same = 0;
     while (same < s && !(spec_.stages[same].gate == gate)) ++same;
-    stages_.push_back(same < s ? stages_[same]
-                               : resolve(gate, options.precision));
+    stages_.push_back(same < s ? stages_[same] : resolve(gate));
     max_slots_ = std::max(max_slots_, stages_.back()->plan().slot_count());
   }
   depth_ = spec_.depth();
@@ -160,9 +156,9 @@ EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
                          BatchOptions options)
     : EvalProgram(
           identity_program(layout.spec),
-          [&](const sw::core::GateSpec&, Precision precision) {
+          [&](const sw::core::GateSpec&) {
             return std::make_shared<const EvalStage>(std::move(layout),
-                                                     engine, precision);
+                                                     engine);
           },
           options) {}
 
@@ -180,25 +176,6 @@ std::size_t EvalProgram::kernel_work(std::size_t num_words) const {
     work += units * per_unit;
   }
   return work;
-}
-
-std::string EvalProgram::precision_label() const {
-  std::string first = stages_.front()->plan().precision_label();
-  bool uniform = true;
-  for (const auto& stage : stages_) {
-    if (stage->plan().precision_label() != first) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) return first;
-  std::string label = "mixed(";
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    if (s > 0) label += ",";
-    label += stages_[s]->plan().precision_label();
-  }
-  label += ")";
-  return label;
 }
 
 void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,

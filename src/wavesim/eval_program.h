@@ -25,18 +25,17 @@
 //
 // Lowering emits few distinct stage GateSpecs (a compiled cascade is MAJ
 // and inverted-MAJ gates on one fabric), so stages are resolved once per
-// distinct (GateSpec, resolved precision): within a program by equality,
-// and — through a StageResolver such as serve::PlanCache's stage table —
-// across programs. An EvalStage is immutable, so sharing it is free.
+// distinct GateSpec: within a program by equality, and — through a
+// StageResolver such as serve::PlanCache's stage table — across programs.
+// An EvalStage is immutable, so sharing it is free.
 //
 // A stage whose plan is tabulated (every detector reads at most
 // kMaxTableInputs distinct slots; see EvalPlan) runs the kernel's
 // eval_tables, its detectors' decision diagrams; any other stage runs the
-// phasor eval_bits over its own plan, so per-stage precision and block-f32
-// are honoured there. Both decode every stage bit-exactly like evaluating
-// that stage's gate alone, which makes the whole program bit-exact with
-// the per-stage physics path by induction. kernel_work prices a request in
-// the unit each stage's decode costs.
+// phasor eval_bits over its own plan. Both decode every stage bit-exactly
+// like evaluating that stage's gate alone, which makes the whole program
+// bit-exact with the per-stage physics path by induction. kernel_work
+// prices a request in the unit each stage's decode costs.
 //
 // A single gate is the one-stage case: EvalProgram(GateLayout, ...) wraps
 // the layout as given in one stage whose slot j reads primary column j. It
@@ -55,7 +54,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,7 +63,6 @@
 #include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/kernel.h"
-#include "wavesim/precision.h"
 #include "wavesim/wave_engine.h"
 
 namespace sw::wavesim {
@@ -141,20 +138,18 @@ struct StageTimings {
 };
 
 /// The expensive, immutable half of a program stage: the gate designed
-/// from one GateSpec and the EvalPlan frozen from it at one requested
-/// precision. Programs hold it by shared_ptr<const>, so every stage (of any
-/// program) with an equal (GateSpec, resolved precision) can use one.
+/// from one GateSpec and the EvalPlan frozen from it. Programs hold it by
+/// shared_ptr<const>, so every stage (of any program) with an equal
+/// GateSpec can use one.
 class EvalStage {
  public:
-  /// Builds the plan of a finished `layout` on `engine` at `precision`
-  /// (already resolved; the plan's margin analysis decides f32 / block-f32
-  /// / f64). Throws whatever the layout validation or plan throws.
-  EvalStage(sw::core::GateLayout layout, const WaveEngine& engine,
-            Precision precision);
+  /// Builds the plan of a finished `layout` on `engine`. Throws whatever
+  /// the layout validation or plan throws.
+  EvalStage(sw::core::GateLayout layout, const WaveEngine& engine);
   /// Designs `spec` with `designer`, then builds as above.
   EvalStage(const sw::core::GateSpec& spec,
             const sw::core::InlineGateDesigner& designer,
-            const WaveEngine& engine, Precision precision);
+            const WaveEngine& engine);
 
   const sw::core::DataParallelGate& gate() const { return gate_; }
   const EvalPlan& plan() const { return plan_; }
@@ -164,25 +159,23 @@ class EvalStage {
   EvalPlan plan_;
 };
 
-/// Returns the stage artefact for a (GateSpec, resolved precision): a fresh
-/// build or one shared with other programs. Must return a fully built
-/// stage or throw.
-using StageResolver = std::function<std::shared_ptr<const EvalStage>(
-    const sw::core::GateSpec&, Precision)>;
+/// Returns the stage artefact for a GateSpec: a fresh build or one shared
+/// with other programs. Must return a fully built stage or throw.
+using StageResolver =
+    std::function<std::shared_ptr<const EvalStage>(const sw::core::GateSpec&)>;
 
 class EvalProgram {
  public:
   /// Designs every distinct stage GateSpec once with `designer`, builds
-  /// its EvalPlan on `engine` at options.precision (kAuto resolved; each
-  /// stage's margin analysis decides f32 / block-f32 / f64 independently)
-  /// and keeps a worker pool of options.num_threads for the word loop.
-  /// Neither designer nor engine needs to outlive the program.
+  /// its EvalPlan on `engine` and keeps a worker pool of
+  /// options.num_threads for the word loop. Neither designer nor engine
+  /// needs to outlive the program.
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
               const WaveEngine& engine, BatchOptions options = {});
 
   /// Same, with stage artefacts from `resolve`, called once per distinct
-  /// stage GateSpec with options.precision resolved. Stages with equal
-  /// GateSpecs share the returned artefact.
+  /// stage GateSpec. Stages with equal GateSpecs share the returned
+  /// artefact.
   EvalProgram(ProgramSpec spec, const StageResolver& resolve,
               BatchOptions options = {});
 
@@ -216,15 +209,11 @@ class EvalProgram {
   /// per 64 words tabulated and 24 per word by phasor sum.
   std::size_t kernel_work(std::size_t num_words) const;
 
-  /// Aggregate precision mix: "f64" / "f32" when every stage agrees, else
-  /// "mixed(<stage labels>)".
-  std::string precision_label() const;
-
   /// Fused evaluation. `bits` is the row-major num_words x
   /// num_primary_slots() primary matrix (see ProgramSpec); returns the
   /// row-major num_words x num_channels() decoded bits of the LAST stage.
   /// Bit-exact with evaluating each stage's gate separately and re-packing
-  /// by hand, for every kernel and per-stage precision.
+  /// by hand, for every kernel.
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits) const;
   std::vector<std::uint8_t> evaluate_bits(

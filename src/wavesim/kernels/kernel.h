@@ -15,16 +15,14 @@
 //     decodes, for a few ops per 64 words instead of a phasor sum per
 //     word: EvalProgram, so every served request, runs it on every stage
 //     whose plan is tabulated.
-//   * eval_bits — the phasor decode. Detectors [0,
-//     plan.num_f32_detectors()) accumulate their bit-selected phasor real
-//     parts in f32 over the plan's float mirrors, the rest in f64 (on a
-//     plan without proved detectors that is all of them), each in plan
-//     order, and decode Re < 0 (the decide_phase decision with reference
-//     0). Vector kernels evaluate whole vector groups: a last partial group
-//     runs on the column padding, whose verdict bits the row edge drops.
-//     There is no scalar tail. BatchEvaluator runs it on every plan: it is
-//     the phasor reference the benches and the benchmark's oracles use,
-//     and the decode of a plan too wide to tabulate.
+//   * eval_bits — the phasor decode. Each detector accumulates its
+//     bit-selected phasor real parts in f64, in plan order, and decodes
+//     Re < 0 (the decide_phase decision with reference 0). Vector kernels
+//     evaluate whole vector groups: a last partial group runs on the
+//     column padding, whose verdict bits the row edge drops. There is no
+//     scalar tail. BatchEvaluator runs it on every plan: it is the phasor
+//     reference the benches and the benchmark's oracles use, and the
+//     decode of a plan too wide to tabulate.
 //   * to_columns / to_rows — the edge converter between the row-major byte
 //     matrices of the public APIs (one byte per bit, nonzero = 1) and
 //     columns, in both directions. BatchEvaluator and EvalProgram convert
@@ -32,16 +30,14 @@
 //   * eval_channels — the full ChannelResult path (evaluate /
 //     evaluate_with): accumulates the complex phasor in double and decodes
 //     phase/amplitude/margin via decide_phase, writing rows of
-//     num_words x plan.num_detectors() ChannelResults. Always double:
-//     phase and amplitude are analog readouts, not thresholded bits.
+//     num_words x plan.num_detectors() ChannelResults.
 //
 // Three implementations exist, a ladder of identical semantics at
 // increasing width: a portable scalar reference, an AVX2 kernel (four
-// words per 256-bit register in double, eight in f32) and an AVX-512
-// kernel (eight words per 512-bit register in double, sixteen in f32).
-// Both vector kernels evaluate lane-for-lane in the scalar accumulation
-// order, so every entry point decodes bit-for-bit identically to its
-// scalar counterpart.
+// words per 256-bit register) and an AVX-512 kernel (eight words per
+// 512-bit register). Both vector kernels evaluate lane-for-lane in the
+// scalar accumulation order, so every entry point decodes bit-for-bit
+// identically to its scalar counterpart.
 //
 // Selection happens once per process on first use: the SW_EVAL_KERNEL
 // environment variable overrides (accepted values are exactly the kernel
@@ -110,13 +106,10 @@ struct Kernel {
                   std::uint8_t* rows, std::size_t row_stride);
   /// Full ChannelResult decode of words [begin, end): writes rows
   /// [begin, end) of the row-major num_words x plan.num_detectors() result
-  /// matrix `out`, element plan.detector_results()[d] of a row carrying
-  /// plan-order detector d's decision (channel field =
-  /// plan.detector_channels()[d]) — so rows are always in layout order,
-  /// even on a block-f32 plan whose detectors were partitioned at build
-  /// time. Accumulation is complex double in plan order and the decision
-  /// is core::decide_phase, so results are bit-for-bit the scalar gate
-  /// path's.
+  /// matrix `out`, element d of a row carrying detector d's decision
+  /// (channel field = plan.detector_channels()[d]). Accumulation is
+  /// complex double in plan order and the decision is core::decide_phase,
+  /// so results are bit-for-bit the scalar gate path's.
   void (*eval_channels)(const EvalPlan& plan, const std::uint8_t* bits,
                         std::size_t begin, std::size_t end,
                         sw::core::ChannelResult* out);

@@ -1,5 +1,4 @@
-// AVX2 kernel: four words per __m256d (eight per __m256 in f32), one word
-// per lane.
+// AVX2 kernel: four words per __m256d, one word per lane.
 //
 // Bit-exactness argument: vectorising *across words* (not across a
 // detector's contributions) keeps each lane's accumulation in exactly the
@@ -7,17 +6,14 @@
 // in the same sequence as the scalar kernel would for word l — so every
 // lane's sum is bitwise identical to the scalar sum and no word can decode
 // differently, not even one sitting within an ulp of the threshold. The
-// argument covers both runs of eval_bits — f32 at 8 words per __m256 (twice
-// the words per register and half the constant traffic, which is the whole
-// point of the f32 plan) and f64 at 4 words per __m256d — and eval_channels
-// (4 x f64 complex accumulation, then the scalar decide_phase per lane so
+// argument covers eval_bits and eval_channels (4 x f64 complex
+// accumulation, then the scalar decide_phase per lane so
 // phase/amplitude/margin match the gate path bitwise).
 //
-// A slot's lane masks come straight from its column: one byte covers 8
-// words, and a variable left shift of the broadcast byte moves bit l into
-// the sign bit of lane l, which is all vblendvps/vblendvpd read. An f64
-// group takes the byte's two nibbles as two __m256d. The verdicts' movemask
-// is the channel column's byte.
+// A slot's lane masks come straight from its column: a u16 covers 16
+// words, and a variable left shift of the broadcast u16 moves bit 4b + l
+// into the sign bit of lane l of register b, which is all vblendvpd reads.
+// The four registers' verdict movemasks are the channel column's u16.
 //
 // eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
 // four column u64s per mux, as and/xor.
@@ -102,57 +98,22 @@ void eval_bits_avx2(const EvalPlan& plan, const std::uint64_t* const* slots,
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto slot_of = plan.slots();
-  const std::size_t kf = plan.num_f32_detectors();
+  const auto re0 = plan.re0();
+  const auto re1 = plan.re1();
 
-  // Each step's accumulators are independent registers, so one
+  // Each 16-word step's four accumulators are independent registers, so one
   // contribution's column load and broadcast constants serve all of them.
   // A last step past num_words runs on padding lanes. Lane l of register b
-  // reads bit 8b + l of the f32 step's u32 (bit 4b + l of the f64 step's
-  // u16), shifted into the sign bit that vblendvps/vblendvpd select on.
-  const __m256i lanes32 = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i lanes64 = _mm256_setr_epi64x(0, 1, 2, 3);
-  __m256i f32_shifts[4];
-  __m256i f64_shifts[4];
+  // reads bit 4b + l of the step's u16, shifted into the sign bit that
+  // vblendvpd selects on.
+  const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256i shifts[4];
   for (int b = 0; b < 4; ++b) {
-    f32_shifts[b] = _mm256_sub_epi32(_mm256_set1_epi32(31 - 8 * b), lanes32);
-    f64_shifts[b] = _mm256_sub_epi64(_mm256_set1_epi64x(63 - 4 * b), lanes64);
+    shifts[b] = _mm256_sub_epi64(_mm256_set1_epi64x(63 - 4 * b), lanes);
   }
   // An ordered < 0.0 compare, not the raw sign bit: a -0.0 sum must decode
   // as 0 exactly like the scalar kernel's `acc < 0.0`.
-  const auto re0f = plan.re0_f32();
-  const auto re1f = plan.re1_f32();
-  for (std::size_t d = 0; d < kf; ++d) {
-    std::uint64_t* column = out + det_channel[d] * out_stride;
-    for (std::size_t t = 0; t * 32 < num_words; ++t) {
-      __m256 acc[4];
-      for (__m256& a : acc) a = _mm256_setzero_ps();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256i masks = _mm256_set1_epi32(static_cast<int>(
-            detail::load_step<std::uint32_t>(slots[slot_of[i]], t)));
-        const __m256 zero = _mm256_broadcast_ss(&re0f[i]);
-        const __m256 one = _mm256_broadcast_ss(&re1f[i]);
-        for (std::size_t b = 0; b < 4; ++b) {
-          acc[b] = _mm256_add_ps(
-              acc[b],
-              _mm256_blendv_ps(zero, one,
-                               _mm256_castsi256_ps(
-                                   _mm256_sllv_epi32(masks, f32_shifts[b]))));
-        }
-      }
-      std::uint32_t verdicts = 0;
-      for (std::size_t b = 0; b < 4; ++b) {
-        verdicts |= static_cast<std::uint32_t>(_mm256_movemask_ps(
-                        _mm256_cmp_ps(acc[b], _mm256_setzero_ps(),
-                                      _CMP_LT_OQ)))
-                    << (8 * b);
-      }
-      detail::store_step(column, t, verdicts);
-    }
-  }
-
-  const auto re0 = plan.re0();
-  const auto re1 = plan.re1();
-  for (std::size_t d = kf; d < plan.num_detectors(); ++d) {
+  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
     std::uint64_t* column = out + det_channel[d] * out_stride;
     for (std::size_t t = 0; t * 16 < num_words; ++t) {
       __m256d acc[4];
@@ -167,7 +128,7 @@ void eval_bits_avx2(const EvalPlan& plan, const std::uint64_t* const* slots,
               acc[b],
               _mm256_blendv_pd(zero, one,
                                _mm256_castsi256_pd(
-                                   _mm256_sllv_epi64(masks, f64_shifts[b]))));
+                                   _mm256_sllv_epi64(masks, shifts[b]))));
         }
       }
       std::uint16_t verdicts = 0;
@@ -310,7 +271,6 @@ void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
                         sw::core::ChannelResult* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
-  const auto results = plan.detector_results();
   const auto re0 = plan.re0();
   const auto im0 = plan.im0();
   const auto re1 = plan.re1();
@@ -369,9 +329,7 @@ void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
         const auto decision = sw::core::decide_phase(
             std::complex<double>(lane_re[l], lane_im[l]),
             sw::core::kPhaseZero);
-        // Element results[d]: plan order may be the block-f32 partition,
-        // result rows stay in layout order.
-        sw::core::ChannelResult& r = out[(w + l) * detectors + results[d]];
+        sw::core::ChannelResult& r = out[(w + l) * detectors + d];
         r.channel = det_channel[d];
         r.logic = decision.logic;
         r.phase = decision.phase;

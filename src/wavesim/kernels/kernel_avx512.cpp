@@ -1,15 +1,13 @@
-// AVX-512 kernel: eight words per __m512d (sixteen per __m512 in f32), one
-// word per lane.
+// AVX-512 kernel: eight words per __m512d, one word per lane.
 //
 // Same bit-exactness argument as the AVX2 kernel — vectorise across words,
 // never across a detector's contributions, so lane l's accumulation is the
 // scalar kernel's for word l, addition for addition — at twice the width.
 // AVX-512's mask registers are the column layout itself: a slot's __mmask8
-// (f64) or __mmask16 (f32) for a word group is one byte or u16 of its
-// column, loaded as it is and consumed by _mm512_mask_blend_pd/ps, and the
-// decode is a single _mm512_cmp_pd_mask / _mm512_cmp_ps_mask (ordered
-// < 0.0, so a -0.0 sum decodes as 0 exactly like the scalar `acc < 0.0`)
-// stored as one byte or u16 of the channel's column.
+// for a word group is one byte of its column, loaded as it is and consumed
+// by _mm512_mask_blend_pd, and the decode is a single _mm512_cmp_pd_mask
+// (ordered < 0.0, so a -0.0 sum decodes as 0 exactly like the scalar
+// `acc < 0.0`) stored as one byte of the channel's column.
 //
 // eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
 // eight column u64s per mux, one vpternlogq each.
@@ -98,46 +96,16 @@ void eval_bits_avx512(const EvalPlan& plan, const std::uint64_t* const* slots,
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto slot_of = plan.slots();
-  const std::size_t kf = plan.num_f32_detectors();
-
-  // Each step fills four independent accumulators, 64 words in f32 and 32
-  // in f64, so one contribution's column pointer and broadcast constants
-  // serve all four. A last step past num_words runs on padding lanes.
-  // blend(k, a, b): lane l reads b where bit l of k is set — so a set input
-  // bit selects the phase-one constant, per lane, and the add is the
-  // scalar accumulation step in every lane.
-  const auto re0f = plan.re0_f32();
-  const auto re1f = plan.re1_f32();
-  for (std::size_t d = 0; d < kf; ++d) {
-    std::uint64_t* column = out + det_channel[d] * out_stride;
-    for (std::size_t t = 0; t * 64 < num_words; ++t) {
-      __m512 acc[4];
-      for (__m512& a : acc) a = _mm512_setzero_ps();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const std::uint64_t* slot = slots[slot_of[i]];
-        const __m512 zero = _mm512_set1_ps(re0f[i]);
-        const __m512 one = _mm512_set1_ps(re1f[i]);
-        for (std::size_t h = 0; h < 4; ++h) {
-          acc[h] = _mm512_add_ps(
-              acc[h],
-              _mm512_mask_blend_ps(
-                  detail::load_step<std::uint16_t>(slot, 4 * t + h), zero,
-                  one));
-        }
-      }
-      std::uint64_t verdicts = 0;
-      for (std::size_t h = 0; h < 4; ++h) {
-        verdicts |= std::uint64_t{_mm512_cmp_ps_mask(
-                        acc[h], _mm512_setzero_ps(), _CMP_LT_OQ)}
-                    << (16 * h);
-      }
-      column[t] = verdicts;
-    }
-  }
-
   const auto re0 = plan.re0();
   const auto re1 = plan.re1();
-  for (std::size_t d = kf; d < plan.num_detectors(); ++d) {
+
+  // Each 32-word step fills four independent accumulators, so one
+  // contribution's column pointer and broadcast constants serve all four. A
+  // last step past num_words runs on padding lanes. blend(k, a, b): lane l
+  // reads b where bit l of k is set — so a set input bit selects the
+  // phase-one constant, per lane, and the add is the scalar accumulation
+  // step in every lane.
+  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
     std::uint64_t* column = out + det_channel[d] * out_stride;
     for (std::size_t t = 0; t * 32 < num_words; ++t) {
       __m512d acc[4];
@@ -351,7 +319,6 @@ void eval_channels_avx512(const EvalPlan& plan, const std::uint8_t* bits,
                           sw::core::ChannelResult* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
-  const auto results = plan.detector_results();
   const auto re0 = plan.re0();
   const auto im0 = plan.im0();
   const auto re1 = plan.re1();
@@ -395,7 +362,7 @@ void eval_channels_avx512(const EvalPlan& plan, const std::uint8_t* bits,
         const auto decision = sw::core::decide_phase(
             std::complex<double>(lane_re[l], lane_im[l]),
             sw::core::kPhaseZero);
-        sw::core::ChannelResult& r = out[(w + l) * detectors + results[d]];
+        sw::core::ChannelResult& r = out[(w + l) * detectors + d];
         r.channel = det_channel[d];
         r.logic = decision.logic;
         r.phase = decision.phase;

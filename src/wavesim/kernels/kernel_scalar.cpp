@@ -3,12 +3,11 @@
 //
 // eval_bits accumulates only the real parts: complex addition is
 // componentwise, so dropping the imaginary lane leaves the real sum bitwise
-// unchanged, and the packed-bit decode consumes nothing but sign(Re). The
-// f32 run is the same loop over the plan's float mirrors. A word's bit
-// selects the constant with a bit mask, not a branch on input bits the
-// predictor cannot learn; the addend is the same either way. eval_channels
-// keeps the full complex pair because phase and amplitude need it, then
-// decodes via decide_phase exactly like the scalar gate path.
+// unchanged, and the packed-bit decode consumes nothing but sign(Re). A
+// word's bit selects the constant with a bit mask, not a branch on input
+// bits the predictor cannot learn; the addend is the same either way.
+// eval_channels keeps the full complex pair because phase and amplitude
+// need it, then decodes via decide_phase exactly like the scalar gate path.
 //
 // eval_tables runs the diagrams in plain u64 ops, one select per column
 // u64 (64 words) per mux.
@@ -24,7 +23,6 @@
 #include <bit>
 #include <complex>
 #include <cstring>
-#include <type_traits>
 
 #include "core/detector.h"
 #include "core/encoding.h"
@@ -56,52 +54,37 @@ void detail::transpose_8x8_bytes(std::uint64_t x[8]) {
 
 namespace {
 
-/// Detectors [d_begin, d_end), accumulating in T over the constants
-/// re0/re1: the plan's float mirrors for the f32 run, its doubles else.
-template <typename T>
-void eval_bits_run(const EvalPlan& plan, const T* re0, const T* re1,
-                   std::size_t d_begin, std::size_t d_end,
-                   const std::uint64_t* const* slots, std::size_t num_words,
-                   std::uint64_t* out, std::size_t out_stride) {
-  using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+void eval_bits_scalar(const EvalPlan& plan, const std::uint64_t* const* slots,
+                      std::size_t num_words, std::uint64_t* out,
+                      std::size_t out_stride) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto slot_of = plan.slots();
-  for (std::size_t d = d_begin; d < d_end; ++d) {
+  const auto re0 = plan.re0();
+  const auto re1 = plan.re1();
+  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
     std::uint64_t* column = out + det_channel[d] * out_stride;
     for (std::size_t g = 0; g * 64 < num_words; ++g) {
       const std::size_t words = std::min<std::size_t>(64, num_words - g * 64);
       std::uint64_t verdicts = 0;
       for (std::size_t w = 0; w < words; ++w) {
-        // Accumulation in T, in index order: for the f32 run exactly the
-        // sum the plan's build-time validation replayed, so a proved
-        // detector never decodes differently from the double plan.
-        T acc = 0;
+        double acc = 0.0;
         for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
           // All ones when word w's bit is set: picks re1[i]'s bits, else
           // re0[i]'s, without a branch.
-          const U take1 =
-              U{0} - static_cast<U>((slots[slot_of[i]][g] >> w) & 1);
-          acc += std::bit_cast<T>((std::bit_cast<U>(re0[i]) & ~take1) |
-                                  (std::bit_cast<U>(re1[i]) & take1));
+          const std::uint64_t take1 =
+              std::uint64_t{0} - ((slots[slot_of[i]][g] >> w) & 1);
+          acc += std::bit_cast<double>(
+              (std::bit_cast<std::uint64_t>(re0[i]) & ~take1) |
+              (std::bit_cast<std::uint64_t>(re1[i]) & take1));
         }
         // decide_phase with reference 0: logic 1 iff the phase is closer
         // to pi than to 0, which is exactly Re(acc) < 0.
-        verdicts |= static_cast<std::uint64_t>(acc < 0) << w;
+        verdicts |= static_cast<std::uint64_t>(acc < 0.0) << w;
       }
       column[g] = verdicts;
     }
   }
-}
-
-void eval_bits_scalar(const EvalPlan& plan, const std::uint64_t* const* slots,
-                      std::size_t num_words, std::uint64_t* out,
-                      std::size_t out_stride) {
-  const std::size_t kf = plan.num_f32_detectors();
-  eval_bits_run(plan, plan.re0_f32().data(), plan.re1_f32().data(), 0, kf,
-                slots, num_words, out, out_stride);
-  eval_bits_run(plan, plan.re0().data(), plan.re1().data(), kf,
-                plan.num_detectors(), slots, num_words, out, out_stride);
 }
 
 constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
@@ -183,7 +166,6 @@ void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                           sw::core::ChannelResult* out) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
-  const auto results = plan.detector_results();
   const auto re0 = plan.re0();
   const auto im0 = plan.im0();
   const auto re1 = plan.re1();
@@ -202,9 +184,7 @@ void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
                               : std::complex<double>(re0[i], im0[i]);
       }
       const auto decision = sw::core::decide_phase(acc, sw::core::kPhaseZero);
-      // Element results[d], not d: a block-f32 plan's detectors are in
-      // partitioned plan order, but result rows stay in layout order.
-      sw::core::ChannelResult& r = row[results[d]];
+      sw::core::ChannelResult& r = row[d];
       r.channel = det_channel[d];
       r.logic = decision.logic;
       r.phase = decision.phase;

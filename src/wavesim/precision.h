@@ -1,18 +1,9 @@
-// Evaluation precision selection for the SoA plan/kernel layer.
-//
-// The decode the serving path cares about is a sign test on an accumulated
-// real part, and the paper's layouts leave enormous phase margins between
-// the logic-0 and logic-1 superpositions — double precision is overkill for
-// sweep throughput. kFloat32 asks for single-precision plan arrays and the
-// 8-wide f32 kernels; whether a given layout actually gets them is decided
-// per plan by a margin analysis plus an exhaustive validation sweep at
-// build time (see EvalPlan), falling back to the double plan whenever f32
-// accumulation error could cross a decode threshold. kFloat64 is the
-// default and preserves the bit-exact-vs-scalar-path contract everywhere.
-//
-// Like the kernel choice (SW_EVAL_KERNEL), the process-wide default can be
-// forced with SW_EVAL_PRECISION=f64|f32; unknown values fail loudly on
-// first use instead of silently serving a fallback.
+// The evaluation precision, a constant: every plan, kernel and decode runs
+// in double. Served detectors decode from exact truth tables that sum the
+// f64 phasor constants at plan build (see EvalPlan), and the f64 phasor sum
+// is the reference and the decode of a detector too wide to tabulate. Its
+// name is what peers and scrapes read: the registry advert's precision
+// field and the sw_serve_kernel_info label.
 #pragma once
 
 #include <cstdint>
@@ -21,29 +12,13 @@
 namespace sw::wavesim {
 
 enum class Precision : std::uint8_t {
-  kAuto = 0,     ///< resolve to SW_EVAL_PRECISION, else kFloat64
-  kFloat64 = 1,  ///< double plan arrays, bit-exact vs the scalar gate path
-  kFloat32 = 2,  ///< float plan arrays where the margin analysis allows
+  kFloat64,  ///< double plan arrays, bit-exact vs the scalar gate path
 };
 
-/// Canonical short name: "auto" | "f64" | "f32".
-std::string_view precision_name(Precision precision);
+/// Canonical short name: "f64".
+constexpr std::string_view precision_name(Precision) { return "f64"; }
 
-/// Parses "f64" / "f32" (the SW_EVAL_PRECISION vocabulary; "auto" is not a
-/// valid forced value). Throws sw::util::Error on anything else.
-Precision parse_precision(std::string_view name);
-
-/// Resolves a forced SW_EVAL_PRECISION value, wrapping parse errors with
-/// the variable name so a typo'd override fails with an actionable message
-/// rather than a bare unknown-name error.
-Precision precision_from_env(std::string_view value);
-
-/// The process-wide default: SW_EVAL_PRECISION when set (unknown values
-/// throw on first use, then retry on the next call), else kFloat64. Never
-/// returns kAuto. Cached after the first successful call.
-Precision active_precision();
-
-/// kAuto -> active_precision(); anything else passes through.
-Precision resolve_precision(Precision requested);
+/// The precision of every plan in the process.
+constexpr Precision active_precision() { return Precision::kFloat64; }
 
 }  // namespace sw::wavesim

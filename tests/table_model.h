@@ -26,14 +26,14 @@ inline bool read_diagram(const sw::wavesim::TableDiagram& diagram,
   return values[diagram.root];
 }
 
-/// Plan-order detector d's diagram, as the plan holds it.
+/// Detector d's diagram, as the plan holds it.
 inline sw::wavesim::TableDiagram plan_diagram(const sw::wavesim::EvalPlan& plan,
                                               std::size_t d) {
   const auto muxes = plan.table_muxes(d);
   return {{muxes.begin(), muxes.end()}, plan.table_root(d)};
 }
 
-/// The distinct slots plan-order detector d reads, in order of first use.
+/// The distinct slots detector d reads, in order of first use.
 inline std::vector<std::uint32_t> detector_slots(
     const sw::wavesim::EvalPlan& plan, std::size_t d) {
   const auto offsets = plan.detector_offsets();
@@ -67,8 +67,7 @@ inline void expect_tables_match_gate(const sw::core::DataParallelGate& gate,
         inputs[vars[i] / m][vars[i] % m] = bit;
       }
       const auto results = gate.evaluate(inputs);
-      ASSERT_EQ(read_diagram(diagram, slot_bits),
-                results[plan.detector_results()[d]].logic != 0)
+      ASSERT_EQ(read_diagram(diagram, slot_bits), results[d].logic != 0)
           << n << " channels x " << m << " inputs, detector " << d
           << ", assignment " << a;
     }

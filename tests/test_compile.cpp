@@ -6,7 +6,7 @@
 // program's column cascade is pinned on every slot source kind,
 // non-canonical input bytes and partial blocks, and so is the one-stage
 // program a single gate becomes; seeded random tables run the whole trip on
-// every kernel and precision (ProgramDifferential).
+// every kernel (ProgramDifferential).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -521,27 +521,23 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
 
 // --------------------------------------------------------------------------
 // Differential: seeded random 2-, 3- and 4-input tables through synthesis,
-// lowering and EvalProgram, on every kernel and both requested precisions,
-// against the table and against each stage's gate evaluated alone.
+// lowering and EvalProgram, on every kernel, against the table and against
+// each stage's gate evaluated alone.
 
 /// Stage artefacts shared by every program of a differential run, one per
-/// (GateSpec, precision), so hundreds of programs design only a handful of
-/// gates.
+/// GateSpec, so hundreds of programs design only a handful of gates.
 struct StageCache {
   const CompileFixture& fix;
-  std::vector<std::pair<std::pair<GateSpec, sw::wavesim::Precision>,
+  std::vector<std::pair<GateSpec,
                         std::shared_ptr<const sw::wavesim::EvalStage>>>
       stages;
 
-  std::shared_ptr<const sw::wavesim::EvalStage> get(
-      const GateSpec& gate, sw::wavesim::Precision precision) {
+  std::shared_ptr<const sw::wavesim::EvalStage> get(const GateSpec& gate) {
     for (const auto& [key, stage] : stages) {
-      if (key.first == gate && key.second == precision) return stage;
+      if (key == gate) return stage;
     }
-    stages.push_back(
-        {{gate, precision},
-         std::make_shared<const sw::wavesim::EvalStage>(
-             gate, fix.designer, fix.engine, precision)});
+    stages.push_back({gate, std::make_shared<const sw::wavesim::EvalStage>(
+                                gate, fix.designer, fix.engine)});
     return stages.back().second;
   }
 };
@@ -592,8 +588,7 @@ std::vector<std::uint8_t> differential_inputs(std::size_t arity,
 /// primary rows and the earlier stages' outputs: the per-stage physics
 /// path, in the evaluate_all_bits layout.
 std::vector<std::uint8_t> stage_by_stage(
-    StageCache& cache, const ProgramSpec& spec,
-    sw::wavesim::Precision precision, std::size_t words,
+    StageCache& cache, const ProgramSpec& spec, std::size_t words,
     const std::vector<std::uint8_t>& primary) {
   using sw::wavesim::SlotSource;
   const std::size_t n = spec.num_channels();
@@ -601,11 +596,11 @@ std::vector<std::uint8_t> stage_by_stage(
   const std::size_t width = spec.num_stages() * n;
   std::vector<std::uint8_t> all(words * width);
   for (std::size_t s = 0; s < spec.num_stages(); ++s) {
-    const auto stage = cache.get(spec.stages[s].gate, precision);
+    const auto stage = cache.get(spec.stages[s].gate);
     const sw::wavesim::BatchEvaluator evaluator(
         stage->gate(),
         std::shared_ptr<const sw::wavesim::EvalPlan>(stage, &stage->plan()),
-        {.num_threads = 1, .precision = precision});
+        {.num_threads = 1});
     const auto& sources = spec.stages[s].sources;
     std::vector<std::uint8_t> packed(words * sources.size());
     for (std::size_t w = 0; w < words; ++w) {
@@ -641,9 +636,6 @@ std::vector<const sw::wavesim::kernels::Kernel*> available_kernels() {
   return kernels;
 }
 
-constexpr sw::wavesim::Precision kBothPrecisions[] = {
-    sw::wavesim::Precision::kFloat64, sw::wavesim::Precision::kFloat32};
-
 TEST(ProgramDifferential, RandomTablesCoverNegatedAndConstantSources) {
   // The sample must exercise the interconnect the cascade resolves into
   // column pointers: negated primary and stage sources (complemented
@@ -677,32 +669,25 @@ TEST(ProgramDifferential, LastStageDecodesTheTableOnEveryKernel) {
   for (const auto& c : differential_cases(fix, n)) {
     const std::size_t arity = c.table.num_inputs();
     const auto primary = differential_inputs(arity, n, words);
-    for (const auto precision : kBothPrecisions) {
-      const EvalProgram program(
-          c.spec,
-          [&](const GateSpec& gate, sw::wavesim::Precision p) {
-            return cache.get(gate, p);
-          },
-          {.num_threads = 1, .precision = precision});
-      const auto primary_columns = sw::testing::columns_of(
-          primary, words, program.num_primary_slots());
-      for (const auto* k : kernels) {
-        const auto out = program.evaluate_bits(words, primary, *k);
-        ASSERT_EQ(out.size(), words * n);
-        // The column entry the service runs decodes the same bits.
-        const auto columns =
-            program.evaluate_columns(words, primary_columns, *k);
-        ASSERT_EQ(columns, sw::testing::columns_of(out, words, n))
-            << "column entry, table " << c.table.bits() << "/" << arity
-            << " kernel " << k->name << " " << program.precision_label();
-        for (std::size_t w = 0; w < words; ++w) {
-          for (std::size_t ch = 0; ch < n; ++ch) {
-            const std::size_t a = (w + 3 * ch) % (std::size_t{1} << arity);
-            ASSERT_EQ(out[w * n + ch], c.table.value(a) ? 1 : 0)
-                << "table " << c.table.bits() << "/" << arity << " kernel "
-                << k->name << " " << program.precision_label() << " w=" << w
-                << " ch=" << ch;
-          }
+    const EvalProgram program(
+        c.spec, [&](const GateSpec& gate) { return cache.get(gate); },
+        {.num_threads = 1});
+    const auto primary_columns = sw::testing::columns_of(
+        primary, words, program.num_primary_slots());
+    for (const auto* k : kernels) {
+      const auto out = program.evaluate_bits(words, primary, *k);
+      ASSERT_EQ(out.size(), words * n);
+      // The column entry the service runs decodes the same bits.
+      const auto columns = program.evaluate_columns(words, primary_columns, *k);
+      ASSERT_EQ(columns, sw::testing::columns_of(out, words, n))
+          << "column entry, table " << c.table.bits() << "/" << arity
+          << " kernel " << k->name;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::size_t ch = 0; ch < n; ++ch) {
+          const std::size_t a = (w + 3 * ch) % (std::size_t{1} << arity);
+          ASSERT_EQ(out[w * n + ch], c.table.value(a) ? 1 : 0)
+              << "table " << c.table.bits() << "/" << arity << " kernel "
+              << k->name << " w=" << w << " ch=" << ch;
         }
       }
     }
@@ -720,37 +705,29 @@ TEST(ProgramDifferential, EveryStageMatchesItsGateAlone) {
     for (const std::size_t words : {67ul, 1000ul}) {
       const auto primary =
           differential_inputs(c.table.num_inputs(), n, words);
-      for (const auto precision : kBothPrecisions) {
-        const auto want = stage_by_stage(cache, c.spec, precision, words,
-                                         primary);
-        const EvalProgram program(
-            c.spec,
-            [&](const GateSpec& gate, sw::wavesim::Precision p) {
-              return cache.get(gate, p);
-            },
-            {.num_threads = words > 64 * 3 ? 3u : 1u,
-             .precision = precision});
-        // The last stage's columns, for the column entry.
-        std::vector<std::uint8_t> last(words * n);
-        for (std::size_t w = 0; w < words; ++w) {
-          std::copy_n(want.begin() + static_cast<std::ptrdiff_t>(
-                                         (w + 1) * c.spec.num_stages() * n - n),
-                      n, last.begin() + static_cast<std::ptrdiff_t>(w * n));
-        }
-        const auto last_columns = sw::testing::columns_of(last, words, n);
-        const auto primary_columns = sw::testing::columns_of(
-            primary, words, program.num_primary_slots());
-        for (const auto* k : kernels) {
-          ASSERT_EQ(program.evaluate_all_bits(words, primary, *k), want)
-              << "table " << c.table.bits() << "/" << c.table.num_inputs()
-              << " kernel " << k->name << " " << program.precision_label()
-              << " " << words << " words";
-          ASSERT_EQ(program.evaluate_columns(words, primary_columns, *k),
-                    last_columns)
-              << "column entry, table " << c.table.bits() << "/"
-              << c.table.num_inputs() << " kernel " << k->name << " "
-              << program.precision_label() << " " << words << " words";
-        }
+      const auto want = stage_by_stage(cache, c.spec, words, primary);
+      const EvalProgram program(
+          c.spec, [&](const GateSpec& gate) { return cache.get(gate); },
+          {.num_threads = words > 64 * 3 ? 3u : 1u});
+      // The last stage's columns, for the column entry.
+      std::vector<std::uint8_t> last(words * n);
+      for (std::size_t w = 0; w < words; ++w) {
+        std::copy_n(want.begin() + static_cast<std::ptrdiff_t>(
+                                       (w + 1) * c.spec.num_stages() * n - n),
+                    n, last.begin() + static_cast<std::ptrdiff_t>(w * n));
+      }
+      const auto last_columns = sw::testing::columns_of(last, words, n);
+      const auto primary_columns = sw::testing::columns_of(
+          primary, words, program.num_primary_slots());
+      for (const auto* k : kernels) {
+        ASSERT_EQ(program.evaluate_all_bits(words, primary, *k), want)
+            << "table " << c.table.bits() << "/" << c.table.num_inputs()
+            << " kernel " << k->name << " " << words << " words";
+        ASSERT_EQ(program.evaluate_columns(words, primary_columns, *k),
+                  last_columns)
+            << "column entry, table " << c.table.bits() << "/"
+            << c.table.num_inputs() << " kernel " << k->name << " " << words
+            << " words";
       }
     }
   }

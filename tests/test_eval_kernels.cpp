@@ -2,9 +2,10 @@
 // evaluation kernels, and the runtime dispatch. The load-bearing property
 // is bit-exact equivalence — every kernel must decode exactly like the
 // scalar gate path (DataParallelGate::evaluate) on every BooleanOp,
-// including the full 2^16 operand sweep at n = 8 and word counts that
-// exercise each kernel's word grouping (4/8 doubles, 8/16 floats), its
-// padded last group and the 64-word column boundaries.
+// including the full 2^16 operand sweep at n = 8, near-cancelling
+// thin-margin sums, and word counts that exercise each kernel's word
+// grouping (4/8 doubles), its padded last group and the 64-word column
+// boundaries.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -71,6 +72,50 @@ struct KernelFixture {
     spec.num_inputs = m;
     spec.frequencies = channel_frequencies(n);
     return DataParallelGate(designer.design(spec), engine);
+  }
+
+  /// Rescales one channel of a 3-input layout so a bit assignment sums to
+  /// (nearly) zero at that channel's detector: with phase-pi contributions
+  /// being exact negations, scaling the third source's amplitude by
+  /// (re0[0] + re0[1]) / re0[2] makes the (0, 0, 1) assignment cancel.
+  /// Every other channel keeps its paper margin.
+  GateLayout thin_channel(GateLayout layout, std::size_t channel) const {
+    const DataParallelGate gate(layout, engine);
+    const EvalPlan probe(gate);
+    const auto offsets = probe.detector_offsets();
+    for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
+      if (probe.detector_channels()[d] != channel) continue;
+      // Map the third contribution back to its source via the plan's input
+      // index rather than the source vector's order, and fail cleanly if a
+      // designer change ever alters the detector's shape.
+      if (offsets[d + 1] - offsets[d] != 3) {
+        throw sw::util::Error("thin-channel fixture expects 3 contributions");
+      }
+      const std::size_t i = offsets[d];
+      const double t =
+          (probe.re0()[i] + probe.re0()[i + 1]) / probe.re0()[i + 2];
+      EXPECT_GT(t, 0.0);  // phase-0 contributions are co-phased by design
+      const std::uint32_t input = probe.inputs()[i + 2];
+      for (auto& s : layout.sources) {
+        if (s.channel == channel && s.input == input) s.amplitude *= t;
+      }
+      return layout;
+    }
+    throw sw::util::Error("no detector found for the thinned channel");
+  }
+
+  /// The near-cancelling fixtures: the 1-channel gate thinned, channel 3
+  /// of 8 thinned, and all 4 channels of 4 thinned.
+  std::vector<DataParallelGate> thin_margin_gates() const {
+    GateLayout all_thin = majority_gate(3, 4).layout();
+    for (std::size_t ch = 0; ch < 4; ++ch) {
+      all_thin = thin_channel(std::move(all_thin), ch);
+    }
+    std::vector<DataParallelGate> gates;
+    gates.emplace_back(thin_channel(majority_gate(3, 1).layout(), 0), engine);
+    gates.emplace_back(thin_channel(majority_gate(3, 8).layout(), 3), engine);
+    gates.emplace_back(std::move(all_thin), engine);
+    return gates;
   }
 };
 
@@ -179,9 +224,7 @@ void expect_kernels_match_rows(const BatchEvaluator& evaluator,
   std::mt19937 rng(seed);
   std::uniform_int_distribution<unsigned> byte(0, max_byte);
   const sw::wavesim::EvalProgram program(
-      evaluator.gate().layout(), evaluator.gate().engine(),
-      {.num_threads = 1,
-       .precision = evaluator.plan().requested_precision()});
+      evaluator.gate().layout(), evaluator.gate().engine(), {.num_threads = 1});
   const std::size_t n = evaluator.plan().num_channels();
   for (const std::size_t words : kEdgeWordCounts) {
     std::vector<std::uint8_t> packed(words * evaluator.slot_count());
@@ -191,13 +234,12 @@ void expect_kernels_match_rows(const BatchEvaluator& evaluator,
         sw::testing::columns_of(packed, words, evaluator.slot_count());
     for (const Kernel* k : available_kernels()) {
       EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
-          << evaluator.slot_count() << " slots, " << words << " words, "
-          << evaluator.plan().precision_label() << ", kernel " << k->name;
+          << evaluator.slot_count() << " slots, " << words << " words, kernel "
+          << k->name;
       const auto columns = program.evaluate_columns(words, primary, *k);
       EXPECT_EQ(sw::testing::rows_of(columns, words, n), want)
           << "column entry, " << evaluator.slot_count() << " slots, "
-          << words << " words, " << program.precision_label() << ", kernel "
-          << k->name;
+          << words << " words, kernel " << k->name;
       EXPECT_EQ(sw::testing::columns_of(want, words, n), columns)
           << "column padding, " << words << " words, kernel " << k->name;
     }
@@ -292,41 +334,6 @@ TEST(KernelDispatch, BadEnvOverrideFailsLoudlyAndNamesTheVariable) {
   }
 }
 
-TEST(PrecisionDispatch, ParseAndEnvOverride) {
-  using sw::wavesim::parse_precision;
-  using sw::wavesim::Precision;
-  EXPECT_EQ(parse_precision("f64"), Precision::kFloat64);
-  EXPECT_EQ(parse_precision("f32"), Precision::kFloat32);
-  EXPECT_THROW(parse_precision(""), sw::util::Error);
-  EXPECT_THROW(parse_precision("auto"), sw::util::Error);  // not forceable
-  EXPECT_THROW(parse_precision("F32"), sw::util::Error);   // names are exact
-  EXPECT_THROW(parse_precision("double"), sw::util::Error);
-
-  // The env wrapper names the variable, like the kernel one.
-  try {
-    sw::wavesim::precision_from_env("f16");
-    FAIL() << "expected sw::util::Error";
-  } catch (const sw::util::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("SW_EVAL_PRECISION"),
-              std::string::npos)
-        << e.what();
-  }
-
-  // Resolution honours the process-wide choice and passes explicit
-  // requests through untouched.
-  const Precision active = sw::wavesim::active_precision();
-  if (const char* env = std::getenv("SW_EVAL_PRECISION"); env && *env) {
-    EXPECT_EQ(active, parse_precision(env));
-  } else {
-    EXPECT_EQ(active, Precision::kFloat64);
-  }
-  EXPECT_EQ(sw::wavesim::resolve_precision(Precision::kAuto), active);
-  EXPECT_EQ(sw::wavesim::resolve_precision(Precision::kFloat32),
-            Precision::kFloat32);
-  EXPECT_EQ(sw::wavesim::resolve_precision(Precision::kFloat64),
-            Precision::kFloat64);
-}
-
 TEST(KernelDispatch, ActiveKernelHonoursOverrideOrPicksBest) {
   const std::string active(sw::wavesim::active_kernel_name());
   // The forced-scalar CI job runs the whole suite under
@@ -410,50 +417,6 @@ TEST(EvalPlan, SharedPlanMustMatchTheGate) {
   }
 }
 
-TEST(EvalPlan, Float32ArraysAndMarginMetadata) {
-  const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 8);
-
-  const EvalPlan f64(gate, sw::wavesim::Precision::kFloat64);
-  EXPECT_EQ(f64.requested_precision(), sw::wavesim::Precision::kFloat64);
-  EXPECT_EQ(f64.effective_precision(), sw::wavesim::Precision::kFloat64);
-  EXPECT_FALSE(f64.has_f32());
-  EXPECT_TRUE(f64.re0_f32().empty());
-  EXPECT_TRUE(f64.f32_rejection().empty());  // nothing was rejected
-
-  const EvalPlan f32(gate, sw::wavesim::Precision::kFloat32);
-  ASSERT_TRUE(f32.has_f32()) << f32.f32_rejection();
-  EXPECT_EQ(f32.effective_precision(), sw::wavesim::Precision::kFloat32);
-  ASSERT_EQ(f32.re0_f32().size(), f32.num_contributions());
-  ASSERT_EQ(f32.re1_f32().size(), f32.num_contributions());
-  for (std::size_t i = 0; i < f32.num_contributions(); ++i) {
-    EXPECT_EQ(f32.re0_f32()[i], static_cast<float>(f32.re0()[i]));
-    EXPECT_EQ(f32.re1_f32()[i], static_cast<float>(f32.re1()[i]));
-  }
-  // The margin analysis publishes its numbers: a real margin, a nonzero
-  // error bound and plenty of head-room between them on a paper layout.
-  EXPECT_GT(f32.min_decode_margin(), 0.0);
-  EXPECT_GT(f32.f32_error_bound(), 0.0);
-  EXPECT_GT(f32.min_decode_margin(), 8.0 * f32.f32_error_bound());
-  EXPECT_TRUE(f32.f32_rejection().empty());
-}
-
-TEST(EvalPlan, SharedPlanPrecisionMustMatchTheOptions) {
-  const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 4);
-  auto f32 = std::make_shared<const EvalPlan>(
-      gate, sw::wavesim::Precision::kFloat32);
-  // A plan built at one precision cannot back an evaluator asked for the
-  // other: silently serving it would misreport effective_precision().
-  EXPECT_THROW(
-      BatchEvaluator(gate, f32,
-                     {.precision = sw::wavesim::Precision::kFloat64}),
-      sw::util::Error);
-  const BatchEvaluator ok(gate, f32,
-                          {.precision = sw::wavesim::Precision::kFloat32});
-  EXPECT_EQ(&ok.plan(), f32.get());
-}
-
 TEST(EvalPlan, PlanCacheServesTheSoAPlanItBuilt) {
   const KernelFixture fix;
   sw::serve::PlanCache cache(fix.engine, 4);
@@ -522,62 +485,6 @@ TEST(KernelEquivalence, EveryOpExhaustiveAtEveryWidth) {
   }
 }
 
-TEST(KernelEquivalence, Float32DecodesBitIdenticalOnEveryOp) {
-  // The acceptance bar of the f32 plan: decodes bit-identical to f64 on
-  // every BooleanOp at n = 1/4/8, including the full 2^16 operand sweep —
-  // guaranteed per layout by the plan's build-time margin analysis, which
-  // must accept f32 for every designed (paper-margin) layout here.
-  const KernelFixture fix;
-  for (const std::size_t n : {1ul, 4ul, 8ul}) {
-    for (const BooleanOp op : kAllOps) {
-      const ParallelLogicGate logic(op, channel_frequencies(n), fix.designer,
-                                    fix.engine);
-      const BatchEvaluator f64(logic.gate(),
-                               {.precision = sw::wavesim::Precision::kFloat64});
-      const BatchEvaluator f32(logic.gate(),
-                               {.precision = sw::wavesim::Precision::kFloat32});
-      ASSERT_EQ(f32.effective_precision(), sw::wavesim::Precision::kFloat32)
-          << boolean_op_name(op) << " n=" << n << ": margin analysis "
-          << "unexpectedly rejected f32: " << f32.plan().f32_rejection();
-      const PackedSweep sweep = exhaustive_sweep(logic, n);
-      const auto want =
-          f64.evaluate_bits(sweep.num_words, sweep.bits, scalar_kernel());
-      EXPECT_EQ(f32.evaluate_bits(sweep.num_words, sweep.bits,
-                                  scalar_kernel()),
-                want)
-          << boolean_op_name(op) << " n=" << n << " (f32 scalar)";
-      if (const Kernel* avx2 = avx2_kernel()) {
-        EXPECT_EQ(f32.evaluate_bits(sweep.num_words, sweep.bits, *avx2), want)
-            << boolean_op_name(op) << " n=" << n << " (f32 avx2)";
-      }
-      if (const Kernel* avx512 = avx512_kernel()) {
-        EXPECT_EQ(f32.evaluate_bits(sweep.num_words, sweep.bits, *avx512),
-                  want)
-            << boolean_op_name(op) << " n=" << n << " (f32 avx512)";
-      }
-    }
-  }
-}
-
-TEST(KernelEquivalence, Float32OddWordCountsExerciseTheWideTails) {
-  // The f32 run groups EIGHT words per register on AVX2 and SIXTEEN on
-  // AVX-512, and a last partial group runs on the column padding: every
-  // edge word count on every layout must still decode like the rows do.
-  // test_precision's block-f32 test runs the same word counts through a
-  // plan with both runs.
-  const KernelFixture fix;
-  for (const auto& [m, n] : kEdgeLayouts) {
-    const auto gate = fix.majority_gate(m, n);
-    const BatchEvaluator evaluator(
-        gate,
-        {.num_threads = 1, .precision = sw::wavesim::Precision::kFloat32});
-    ASSERT_EQ(evaluator.effective_precision(),
-              sw::wavesim::Precision::kFloat32)
-        << m << "x" << n << ": " << evaluator.plan().f32_rejection();
-    expect_kernels_match_rows(evaluator, 1, static_cast<unsigned>(53 + m + n));
-  }
-}
-
 TEST(KernelEquivalence, ActiveKernelMatchesScalarKernel) {
   const KernelFixture fix;
   const ParallelLogicGate logic(BooleanOp::kAnd, channel_frequencies(8),
@@ -596,9 +503,7 @@ TEST(KernelEquivalence, OddWordCountsExerciseTheVectorTail) {
   const KernelFixture fix;
   for (const auto& [m, n] : kEdgeLayouts) {
     const auto gate = fix.majority_gate(m, n);
-    const BatchEvaluator evaluator(
-        gate,
-        {.num_threads = 1, .precision = sw::wavesim::Precision::kFloat64});
+    const BatchEvaluator evaluator(gate, {.num_threads = 1});
     expect_kernels_match_rows(evaluator, 1, static_cast<unsigned>(31 + m + n));
   }
 }
@@ -607,17 +512,13 @@ TEST(KernelEquivalence, NonCanonicalBytesDecodeIdentically) {
   // evaluate_bits documents a bit per byte but never validates the values;
   // the scalar reference treats any nonzero byte as a set bit, and every
   // converter must agree (a pack keyed on bit 0 alone would silently
-  // decode 2, 4, 0x80... as zeros), in both precisions.
+  // decode 2, 4, 0x80... as zeros).
   const KernelFixture fix;
-  for (const auto precision :
-       {sw::wavesim::Precision::kFloat64, sw::wavesim::Precision::kFloat32}) {
-    for (const auto& [m, n] : kEdgeLayouts) {
-      const auto gate = fix.majority_gate(m, n);
-      const BatchEvaluator evaluator(
-          gate, {.num_threads = 1, .precision = precision});
-      expect_kernels_match_rows(evaluator, 255,
-                                static_cast<unsigned>(41 + m + n));
-    }
+  for (const auto& [m, n] : kEdgeLayouts) {
+    const auto gate = fix.majority_gate(m, n);
+    const BatchEvaluator evaluator(gate, {.num_threads = 1});
+    expect_kernels_match_rows(evaluator, 255,
+                              static_cast<unsigned>(41 + m + n));
   }
 }
 
@@ -645,6 +546,48 @@ TEST(KernelEquivalence, ThreadedChunkingDoesNotChangeDecodes) {
   }
 }
 
+TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
+  // The near-cancelling fixtures through every rung's phasor eval_bits and
+  // table eval_tables, against the scalar eval_bits on the same columns at
+  // every edge word count; the scalar eval_bits is itself pinned to the
+  // row reference, which shares no code with it.
+  const KernelFixture fix;
+  std::mt19937 rng(79);
+  std::bernoulli_distribution coin(0.5);
+  for (const DataParallelGate& gate : fix.thin_margin_gates()) {
+    const EvalPlan plan(gate);
+    ASSERT_TRUE(plan.tabulated());
+    const std::size_t slots = plan.slot_count();
+    const std::size_t n = plan.num_channels();
+    for (const std::size_t words : kEdgeWordCounts) {
+      std::vector<std::uint8_t> rows(words * slots);
+      for (auto& b : rows) b = coin(rng) ? 1 : 0;
+      const auto primary = sw::testing::columns_of(rows, words, slots);
+      const std::size_t stride = sw::wavesim::kernels::column_words(words);
+      std::vector<const std::uint64_t*> inputs(slots);
+      for (std::size_t j = 0; j < slots; ++j) {
+        inputs[j] = primary.data() + j * stride;
+      }
+      const auto decode = [&](auto entry) {
+        std::vector<std::uint64_t> out(n * stride);
+        entry(plan, inputs.data(), words, out.data(), stride);
+        return sw::testing::rows_of(out, words, n);
+      };
+      const auto want = decode(scalar_kernel().eval_bits);
+      ASSERT_EQ(want, row_reference(plan, words, rows))
+          << n << " channels, " << words << " words";
+      for (const Kernel* k : available_kernels()) {
+        EXPECT_EQ(decode(k->eval_bits), want)
+            << "eval_bits, " << n << " channels, " << words
+            << " words, kernel " << k->name;
+        EXPECT_EQ(decode(k->eval_tables), want)
+            << "eval_tables, " << n << " channels, " << words
+            << " words, kernel " << k->name;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------ tables --
 
 TEST(TableDecode, EveryAssignmentMatchesTheGateOnEveryTestedLayout) {
@@ -660,6 +603,17 @@ TEST(TableDecode, EveryAssignmentMatchesTheGateOnEveryTestedLayout) {
   }
 }
 
+TEST(ThinMarginTables, DiagramsDecodeEveryThinAssignmentExactly) {
+  // A table sums the f64 constants as eval_bits does, so it holds at any
+  // margin: every assignment of the thin-margin fixtures, the
+  // near-cancelling one of each thinned detector included, exhaustive
+  // against the gate.
+  const KernelFixture fix;
+  for (const DataParallelGate& gate : fix.thin_margin_gates()) {
+    sw::testing::expect_tables_match_gate(gate, EvalPlan(gate));
+  }
+}
+
 TEST(TableDecode, TwoContributionsOnOneSlotAreOneVariable) {
   // A validated layout drives each slot from one source, so the case is
   // built from a detector's own contributions: the paper gate's detector 0
@@ -669,7 +623,7 @@ TEST(TableDecode, TwoContributionsOnOneSlotAreOneVariable) {
   // slot's bit.
   const KernelFixture fix;
   const auto gate = fix.majority_gate(3, 8);
-  const EvalPlan plan(gate, sw::wavesim::Precision::kFloat64);
+  const EvalPlan plan(gate);
   const auto offsets = plan.detector_offsets();
   ASSERT_EQ(offsets[1], 3u);
   std::vector<double> re0(plan.re0().begin(), plan.re0().begin() + 3);

@@ -325,14 +325,13 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_NE(text.find("sw_serve_plan_cache_hits 2"), std::string::npos);
   EXPECT_NE(text.find("sw_net_frames_received 3"), std::string::npos);
   EXPECT_NE(text.find("sw_net_connections_accepted 1"), std::string::npos);
-  // The kernel/precision identity gauge and the detector-granularity f32
-  // share must scrape: the kernel label is the active kernel's name, and
-  // the ratio and block-plan lines carry what the service's own stats say
-  // (rendered as render_service_metrics does), whatever precision the
-  // process resolved.
+  // The kernel/precision identity series must scrape: the kernel label is
+  // the active kernel's name, and the precision label the one every plan
+  // runs at.
   const std::string kernel_label =
       "\"" + std::string(sw::wavesim::active_kernel_name()) + "\"";
-  EXPECT_NE(text.find("sw_serve_kernel_info{kernel=" + kernel_label),
+  EXPECT_NE(text.find("\nsw_serve_kernel_info{kernel=" + kernel_label +
+                      ",precision=\"f64\"} 1\n"),
             std::string::npos)
       << text;
   // One series per quantity: no sample line (name plus labels) repeats,
@@ -348,25 +347,8 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_EQ(kernel_series, 1u) << text;
   EXPECT_EQ(text.find("sw_serve_kernel{"), std::string::npos) << text;
   EXPECT_EQ(text.find("sw_serve_precision{"), std::string::npos) << text;
-  const sw::serve::ServiceStats stats = fx.service.stats();
-  const double mix_total =
-      static_cast<double>(stats.cache.f32_detectors) +
-      static_cast<double>(stats.cache.f64_rescue_detectors);
-  const double ratio =
-      mix_total > 0.0
-          ? static_cast<double>(stats.cache.f32_detectors) / mix_total
-          : 0.0;
-  char line[96];
-  std::snprintf(line, sizeof line, "\nsw_serve_f32_detector_ratio %.9g\n",
-                ratio);
-  EXPECT_NE(text.find(line), std::string::npos) << text;
-  std::snprintf(line, sizeof line, "\nsw_serve_plan_cache_block_plans %llu\n",
-                static_cast<unsigned long long>(stats.cache.block_plans));
-  EXPECT_NE(text.find(line), std::string::npos) << text;
-  if (stats.precision == "f32") {
-    // An f32 service built this fixture's plan with f32 detectors.
-    EXPECT_GT(ratio, 0.0) << text;
-  }
+  // Every plan runs at f64, so no series counts f32 plans or detectors.
+  EXPECT_EQ(text.find("f32"), std::string::npos) << text;
   // The one build tabulated all 4 detectors: they decode from tables.
   EXPECT_EQ(
       metric_value(text, "sw_serve_plan_cache_detectors{decode=\"table\"}"),
@@ -2126,7 +2108,7 @@ TEST(SweepCoordinator, DiscoversHeartbeatingWorkersAndSweepsBitExact) {
   // The adverts must carry real capability facts, not placeholders.
   for (const auto& advert : fetch_registry(registry.local_endpoint(), 2000ms)) {
     EXPECT_FALSE(advert.kernel.empty());
-    EXPECT_FALSE(advert.precision.empty());
+    EXPECT_EQ(advert.precision, "f64");
     EXPECT_EQ(advert.words_per_second, 1e6);
   }
 

@@ -1,8 +1,8 @@
 // Serving-layer tests: canonical layout hashing (stability across designs
 // and process runs), plan-cache hit/miss/eviction accounting and
-// single-build-under-contention, program stage sharing (per GateSpec and
-// precision, no longer than some program holds it, failed designs leave no
-// entry, concurrent builders agree), wire-format round trips with hostile
+// single-build-under-contention, program stage sharing (per GateSpec, no
+// longer than some program holds it, failed designs leave no entry,
+// concurrent builders agree), wire-format round trips with hostile
 // input rejection, admission-control shed-vs-block semantics, and the
 // EvaluatorService end-to-end against the scalar gate path, with its
 // request counts and latency histogram agreeing on every submit path.
@@ -523,13 +523,9 @@ TEST(EvaluatorService, MatchesScalarGateAndCachesPlans) {
   EXPECT_EQ(stats.cache.misses, 1u);
   EXPECT_GE(stats.cache.hits, 1u);
   EXPECT_EQ(stats.shed, 0u);
-  // The stats surface which evaluation kernel and precision requests
-  // dispatch to, so operators can tell the scalar fallback from the SIMD
-  // path and a forced-f32 process from the default double one.
+  // The stats surface which evaluation kernel requests dispatch to, so
+  // operators can tell the scalar fallback from the SIMD path.
   EXPECT_EQ(stats.kernel, std::string(sw::wavesim::active_kernel_name()));
-  EXPECT_EQ(stats.precision,
-            std::string(sw::wavesim::precision_name(
-                sw::wavesim::active_precision())));
 }
 
 TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
@@ -1008,8 +1004,8 @@ TEST(PlanCache, ProgramLookupWithoutDesignerThrows) {
 }
 
 // --------------------------------------------------------------------------
-// Stage sharing: one artefact per (stage GateSpec, precision) across the
-// programs the cache holds or hands out.
+// Stage sharing: one artefact per stage GateSpec across the programs the
+// cache holds or hands out.
 
 /// A two-stage program with one plain and one inverted-output MAJ stage
 /// (the two stage GateSpecs lowering emits on an n-channel fabric).
@@ -1042,24 +1038,21 @@ sw::wavesim::ProgramSpec maj_and_inverted_maj(int variant, std::size_t n) {
 /// that shares nothing with any cache.
 std::vector<std::uint8_t> standalone_bits(
     const ServeFixture& fix, const sw::wavesim::ProgramSpec& program,
-    const std::vector<std::uint8_t>& matrix, std::size_t words,
-    sw::wavesim::Precision precision = sw::wavesim::Precision::kAuto) {
-  const sw::wavesim::EvalProgram standalone(
-      program, fix.designer, fix.engine,
-      {.num_threads = 1, .precision = precision});
+    const std::vector<std::uint8_t>& matrix, std::size_t words) {
+  const sw::wavesim::EvalProgram standalone(program, fix.designer, fix.engine,
+                                            {.num_threads = 1});
   return standalone.evaluate_bits(words, matrix);
 }
 
-TEST(PlanCache, ProgramsShareStagesPerGateSpecAndPrecision) {
+TEST(PlanCache, ProgramsShareStagesPerGateSpec) {
   const ServeFixture fix;
   PlanCache cache(fix.engine, 8, {.num_threads = 1}, &fix.designer);
   const auto a = maj_and_inverted_maj(0, 4);
   const auto b = maj_and_inverted_maj(1, 4);
   ASSERT_NE(a, b);
-  const auto f64 = sw::wavesim::Precision::kFloat64;
-  const auto pa = cache.get_or_build(a, f64).program;
-  const auto pb = cache.get_or_build(b, f64).program;
-  auto stats = cache.stats();
+  const auto pa = cache.get_or_build(a).program;
+  const auto pb = cache.get_or_build(b).program;
+  const auto stats = cache.stats();
   EXPECT_EQ(stats.program_builds, 2u);
   EXPECT_EQ(stats.program_stages, 4u);
   EXPECT_EQ(stats.stage_builds, 2u);  // MAJ and inverted MAJ, once each
@@ -1070,20 +1063,9 @@ TEST(PlanCache, ProgramsShareStagesPerGateSpecAndPrecision) {
   const std::size_t words = 64;
   const auto matrix = random_matrix(words, a.primary_slot_count(), 71);
   EXPECT_EQ(pa->evaluate_bits(words, matrix),
-            standalone_bits(fix, a, matrix, words, f64));
+            standalone_bits(fix, a, matrix, words));
   EXPECT_EQ(pb->evaluate_bits(words, matrix),
-            standalone_bits(fix, b, matrix, words, f64));
-
-  // f32 and f64 stages never share: an f32 entry builds its own pair.
-  const auto f32 = sw::wavesim::Precision::kFloat32;
-  const auto pa32 = cache.get_or_build(a, f32).program;
-  stats = cache.stats();
-  EXPECT_EQ(stats.stage_builds, 4u);
-  EXPECT_NE(&pa32->stage_plan(0), &pa->stage_plan(0));
-  EXPECT_EQ(pa32->evaluate_bits(words, matrix),
-            standalone_bits(fix, a, matrix, words, f32));
-  (void)cache.get_or_build(b, f32);
-  EXPECT_EQ(cache.stats().stage_builds, 4u);
+            standalone_bits(fix, b, matrix, words));
 }
 
 TEST(PlanCache, SharedStagesLiveOnlyAsLongAsTheirPrograms) {
