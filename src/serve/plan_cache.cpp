@@ -10,6 +10,10 @@ namespace sw::serve {
 
 namespace {
 
+/// Every cached program's word loop: one inline thread, so a request runs
+/// on the thread that evaluates it.
+constexpr sw::wavesim::BatchOptions kInline{.num_threads = 1};
+
 template <typename T>
 bool ready(const std::shared_future<T>& fut) {
   return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
@@ -40,12 +44,8 @@ std::uint64_t stage_hash(const sw::core::GateSpec& spec) {
 
 PlanCache::PlanCache(const sw::wavesim::WaveEngine& engine,
                      std::size_t capacity,
-                     sw::wavesim::BatchOptions evaluator_options,
                      const sw::core::InlineGateDesigner* designer)
-    : engine_(&engine),
-      capacity_(capacity),
-      evaluator_options_(evaluator_options),
-      designer_(designer) {}
+    : engine_(&engine), capacity_(capacity), designer_(designer) {}
 
 PlanCache::Slot* PlanCache::find_locked(const LayoutKey& key) {
   // Programs and layouts share the buckets: their canonical bytes carry
@@ -176,7 +176,7 @@ PlanCache::ProgramPtr PlanCache::try_get(
 PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout) {
   return find_or_build(LayoutKey::from(layout), [&] {
     auto built = std::make_shared<const sw::wavesim::EvalProgram>(
-        layout, *engine_, evaluator_options_);
+        layout, *engine_, kInline);
     std::lock_guard<std::mutex> lock(mutex_);
     record_decodes_locked(*built);
     return built;
@@ -194,7 +194,7 @@ PlanCache::Lookup PlanCache::get_or_build(
     auto built = std::make_shared<const sw::wavesim::EvalProgram>(
         program,
         [this](const sw::core::GateSpec& spec) { return resolve_stage(spec); },
-        evaluator_options_);
+        kInline);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.program_builds;
     stats_.program_stages += built->num_stages();

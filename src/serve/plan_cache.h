@@ -79,15 +79,12 @@ class PlanCache {
   using ProgramPtr = std::shared_ptr<const sw::wavesim::EvalProgram>;
 
   /// `capacity == 0` means unbounded. The engine must outlive the cache.
-  /// evaluator_options.num_threads sizes every built program's word-loop
-  /// pool (default: single inline thread, so evaluation runs on the calling
-  /// service worker and cached programs do not each own idle worker
-  /// threads). `designer` enables
-  /// ProgramSpec targets (they carry design requests, not finished
-  /// layouts); when null, ProgramSpec lookups throw. The designer must
-  /// outlive the cache.
+  /// Every built program evaluates on one inline thread, so evaluation runs
+  /// on the calling thread and cached programs do not each own idle worker
+  /// threads. `designer` enables ProgramSpec targets (they carry design
+  /// requests, not finished layouts); when null, ProgramSpec lookups throw.
+  /// The designer must outlive the cache.
   PlanCache(const sw::wavesim::WaveEngine& engine, std::size_t capacity,
-            sw::wavesim::BatchOptions evaluator_options = {.num_threads = 1},
             const sw::core::InlineGateDesigner* designer = nullptr);
 
   /// Fast-path lookup: returns the program when it is cached *and ready*,
@@ -153,7 +150,6 @@ class PlanCache {
 
   const sw::wavesim::WaveEngine* engine_;
   std::size_t capacity_;
-  sw::wavesim::BatchOptions evaluator_options_;
   const sw::core::InlineGateDesigner* designer_ = nullptr;
 
   mutable std::mutex mutex_;

@@ -69,8 +69,7 @@ EvaluatorService::EvaluatorService(const sw::disp::DispersionModel& model,
     : options_(std::move(options)),
       engine_(model, alpha),
       designer_(model),
-      cache_(engine_, options_.plan_cache_capacity,
-             options_.evaluator_options, &designer_),
+      cache_(engine_, options_.plan_cache_capacity, &designer_),
       admission_(options_.admission),
       trace_recorder_(options_.trace_capacity),
       pool_(options_.num_threads, /*always_spawn=*/true) {

@@ -61,18 +61,17 @@
 namespace sw::serve {
 
 struct ServiceOptions {
-  /// Worker threads consuming the request queue; 0 selects
-  /// std::thread::hardware_concurrency(). At least one dedicated worker is
-  /// always spawned so submission stays asynchronous on one-core hosts.
+  /// Worker threads consuming the request queue; 0 selects one per CPU
+  /// the process may run on (util::ThreadPool). At least one dedicated
+  /// worker is always spawned so submission stays asynchronous on one-core
+  /// hosts.
   std::size_t num_threads = 0;
-  /// Plan-cache capacity in distinct target entries; 0 = unbounded.
+  /// Plan-cache capacity in distinct target entries; 0 = unbounded. Every
+  /// cached program evaluates on one inline thread (see PlanCache), so a
+  /// request runs entirely on the thread that evaluates it: the service
+  /// worker that picked it up, or the submit_async caller for a request run
+  /// inline. Parallelism comes from concurrent requests.
   std::size_t plan_cache_capacity = 32;
-  /// Options for the cached EvalPrograms. The default single inline
-  /// thread makes each evaluation run entirely on the thread that
-  /// evaluates the request: the service worker that picked it up, or the
-  /// submit_async caller for a request run inline (parallelism comes from
-  /// concurrent requests); raise it only for few-but-huge-batch workloads.
-  sw::wavesim::BatchOptions evaluator_options{.num_threads = 1};
   AdmissionOptions admission;
   /// Observability hook: called right after a request leaves the queue,
   /// before its evaluation starts, on the thread that evaluates it — a

@@ -5,13 +5,31 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace sw::util {
 
-ThreadPool::ThreadPool(std::size_t num_threads, bool always_spawn) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+namespace {
+
+/// The CPUs this process may run on: its affinity mask's count, which
+/// hardware_concurrency() ignores (it reads every online CPU).
+std::size_t default_thread_count() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
   }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t num_threads, bool always_spawn) {
+  if (num_threads == 0) num_threads = default_thread_count();
   size_ = num_threads;
   if (size_ == 1 && !always_spawn) return;  // inline mode: no workers, no locking
   workers_.reserve(size_);

@@ -17,7 +17,9 @@ namespace sw::util {
 
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects std::thread::hardware_concurrency() (at
+  /// `num_threads == 0` selects one thread per CPU in the process's
+  /// affinity mask (sched_getaffinity), so a process pinned to one CPU gets
+  /// one; where that call fails, std::thread::hardware_concurrency() (at
   /// least 1). By default a single-thread pool runs jobs inline on the
   /// calling thread, so small hosts pay no synchronisation overhead;
   /// `always_spawn` forces a dedicated worker even then, which `post`-based

@@ -5,16 +5,16 @@
 // propagated phasor — yet none of that depends on the input bits. For a
 // fixed layout the contribution of source j to detector d is one of exactly
 // two complex constants (launch phase 0 or pi). BatchEvaluator is the thin
-// orchestrator over that observation: the frozen constants live in a SoA
-// EvalPlan (eval_plan.h), every per-word path — the packed evaluate_bits
-// decode *and* the full ChannelResult evaluate/evaluate_with paths — runs
-// in a runtime-dispatched kernel (kernels/kernel.h — scalar reference,
-// AVX2 or AVX-512, SW_EVAL_KERNEL overrides), and the word batch fans
-// across a ThreadPool. Decoded results are bit-for-bit identical to the
-// scalar path: the plan's constants are produced by the same arithmetic
-// from the same sources (both match frequencies within kDefaultFreqTol,
-// which is not configurable), and every kernel preserves the scalar
-// per-detector accumulation order word by word.
+// orchestrator over that observation: it freezes the constants once in a
+// SoA EvalPlan (eval_plan.h), decodes every word's logic bits in a
+// runtime-dispatched kernel (kernels/kernel.h — scalar reference, AVX2 or
+// AVX-512, SW_EVAL_KERNEL overrides), and fans the word batch across a
+// ThreadPool. Decoded bits are bit-for-bit identical to the scalar path:
+// the plan's constants are produced by the same arithmetic from the same
+// sources (both match frequencies within kDefaultFreqTol, which is not
+// configurable), and every kernel preserves the scalar per-detector
+// accumulation order word by word. It decodes bits only; a word's phase,
+// amplitude and margin come from DataParallelGate::evaluate.
 //
 // evaluate_bits decodes by phasor sum (Kernel::eval_bits) on every plan,
 // tabulated or not: BatchEvaluator is the phasor reference the benches,
@@ -27,14 +27,13 @@
 // block by block (1024 words), the kernel's to_columns turns the caller's
 // rows into one column per slot, eval_bits writes one column per channel,
 // and to_rows writes those back as the caller's result rows. Pool chunks
-// split at whole 64-word column u64s. EvalProgram uses the same edge
-// converter and kernel entry, only at the ends of its cascade.
+// split at whole 64-word column u64s, so a batch of at most 64 words runs
+// on the caller. EvalProgram uses the same edge converter and kernel
+// entry, only at the ends of its cascade.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,7 +45,8 @@
 namespace sw::wavesim {
 
 struct BatchOptions {
-  /// Worker count; 0 selects std::thread::hardware_concurrency().
+  /// Worker count; 0 selects one per CPU the process may run on (see
+  /// util::ThreadPool).
   std::size_t num_threads = 0;
 };
 
@@ -54,61 +54,30 @@ class BatchEvaluator {
  public:
   /// Builds the EvalPlan from the gate's layout. The gate (and its engine)
   /// must outlive the evaluator. The engine is only consulted during plan
-  /// construction, never in the per-word hot loop, so the evaluate* methods
-  /// of a constructed evaluator are safe to call concurrently. Construction
-  /// is thread-safe too: the engine's memoisation cache is mutex-guarded,
-  /// so several threads may build evaluators against one shared WaveEngine.
+  /// construction, never in the per-word hot loop, so evaluate_bits on a
+  /// constructed evaluator is safe to call concurrently. Construction is
+  /// thread-safe too: the engine's memoisation cache is mutex-guarded, so
+  /// several threads may build evaluators against one shared WaveEngine.
   explicit BatchEvaluator(const sw::core::DataParallelGate& gate,
                           BatchOptions options = {});
 
-  /// Adopts an already-built plan instead of rebuilding it, so several
-  /// evaluators over one layout can share it. The plan must have been
-  /// built from this gate's layout.
-  BatchEvaluator(const sw::core::DataParallelGate& gate,
-                 std::shared_ptr<const EvalPlan> plan,
-                 BatchOptions options = {});
-
   const sw::core::DataParallelGate& gate() const { return *gate_; }
   /// The frozen SoA plan the kernels evaluate against.
-  const EvalPlan& plan() const { return *plan_; }
+  const EvalPlan& plan() const { return plan_; }
   std::size_t num_threads() const { return pool_.size(); }
 
-  /// Evaluate a batch of input assignments; element w has the same shape as
-  /// the argument of DataParallelGate::evaluate (one m-bit vector per
-  /// channel). Returns one result vector per word, in batch order.
-  std::vector<std::vector<sw::core::ChannelResult>> evaluate(
-      std::span<const std::vector<sw::core::Bits>> batch) const;
+  /// Input slots per word: one per (channel, input).
+  std::size_t slot_count() const { return plan_.slot_count(); }
 
-  /// Evaluate uniform patterns: word w applies patterns[w] to every channel
-  /// (the truth-table sweep case).
-  std::vector<std::vector<sw::core::ChannelResult>> evaluate_uniform(
-      std::span<const sw::core::Bits> patterns) const;
-
-  /// Generic entry point: the bit of input slot `input` on channel
-  /// `channel` for word `word` is provided by `bit`. Lets callers (e.g.
-  /// ParallelLogicGate) evaluate large batches without materialising
-  /// per-word input vectors. The accessor is consulted once per (word,
-  /// plan contribution) to pack the kernel's bit matrix — a (channel,
-  /// input) pair feeding several detectors is read once per contribution,
-  /// with identical values — and never in the inner accumulation loop.
-  using BitAccessor = std::function<std::uint8_t(
-      std::size_t word, std::size_t channel, std::size_t input)>;
-  std::vector<std::vector<sw::core::ChannelResult>> evaluate_with(
-      std::size_t num_words, const BitAccessor& bit) const;
-
-  /// Input slots per word for the packed path: one per (channel, input).
-  std::size_t slot_count() const { return plan_->slot_count(); }
-
-  /// Fastest path, decoding only the logic bits via the active kernel.
-  /// `bits` is a row-major num_words x slot_count() matrix; the bit of
-  /// input slot `input` on channel `channel` lives at column
-  /// channel * num_inputs + input. Returns a row-major num_words x
+  /// Decodes the logic bits of a batch via the active kernel. `bits` is a
+  /// row-major num_words x slot_count() matrix (one byte per bit, nonzero
+  /// = 1); the bit of input slot `input` on channel `channel` lives at
+  /// column channel * num_inputs + input. Returns a row-major num_words x
   /// channel-count matrix of decoded output bits. The decode is exactly
   /// decide_phase's threshold (phase closer to pi than to 0, i.e. Re < 0)
-  /// without the polar conversion, so bits match the ChannelResult paths
-  /// bit-for-bit. Rejects a `bits` span
-  /// whose size is not num_words * slot_count(), including when that
-  /// product would overflow size_t.
+  /// without the polar conversion, so bits match DataParallelGate::evaluate
+  /// bit-for-bit. Rejects a `bits` span whose size is not num_words *
+  /// slot_count(), including when that product would overflow size_t.
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits) const;
 
@@ -119,12 +88,8 @@ class BatchEvaluator {
       const kernels::Kernel& kernel) const;
 
  private:
-  template <typename BitFn>
-  std::vector<std::vector<sw::core::ChannelResult>> run(std::size_t num_words,
-                                                        const BitFn& bit) const;
-
   const sw::core::DataParallelGate* gate_;
-  std::shared_ptr<const EvalPlan> plan_;
+  EvalPlan plan_;
   mutable sw::util::ThreadPool pool_;
 };
 

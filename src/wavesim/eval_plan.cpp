@@ -26,11 +26,12 @@ EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate) {
   det_channels_.reserve(layout.detectors.size());
   for (const auto& det : layout.detectors) {
     const double f = freqs[det.channel];
-    // Each contribution is the engine's own steady phasor of that single
-    // source driven at phase 0 / pi, appended in scalar source order, so a
-    // kernel summing the detector's range in index order reproduces the
-    // scalar evaluation bitwise (x + 0 == x keeps skipped sources
-    // invisible, but the match check below also keeps the plan compact).
+    // Each contribution is the real part of the engine's own steady phasor
+    // of that single source driven at phase 0 / pi, appended in scalar
+    // source order, so a kernel summing the detector's range in index order
+    // reproduces the real part of the scalar evaluation bitwise (x + 0 == x
+    // keeps skipped sources invisible, but the match check below also keeps
+    // the plan compact).
     for (const auto& s : layout.sources) {
       const double sf = freqs[s.channel];
       if (std::abs(sf - f) > kDefaultFreqTol * f) continue;
@@ -39,19 +40,11 @@ EvalPlan::EvalPlan(const sw::core::DataParallelGate& gate) {
       src.frequency = sf;
       src.amplitude = s.amplitude;
       src.phase = sw::core::kPhaseZero;
-      const std::complex<double> zero =
-          engine.steady_phasor({&src, 1}, det.x, f);
+      re0_.push_back(engine.steady_phasor({&src, 1}, det.x, f).real());
       src.phase = sw::core::kPhaseOne;
-      const std::complex<double> one =
-          engine.steady_phasor({&src, 1}, det.x, f);
-      re0_.push_back(zero.real());
-      im0_.push_back(zero.imag());
-      re1_.push_back(one.real());
-      im1_.push_back(one.imag());
+      re1_.push_back(engine.steady_phasor({&src, 1}, det.x, f).real());
       slots_.push_back(
           static_cast<std::uint32_t>(s.channel * num_inputs_ + s.input));
-      channels_.push_back(static_cast<std::uint32_t>(s.channel));
-      inputs_.push_back(static_cast<std::uint32_t>(s.input));
     }
     det_channels_.push_back(det.channel);
     det_offsets_.push_back(re0_.size());

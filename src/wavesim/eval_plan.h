@@ -6,9 +6,12 @@
 // phasor constants with indexing metadata and blocked vectorisation of the
 // per-word accumulation. EvalPlan is the extracted, immutable artefact: the
 // constants live in separate contiguous cache-line-aligned arrays
-// (re0/im0/re1/im1), the per-contribution flat input-slot index in its own
-// array, and detectors are described by [offset, offset+count) ranges over
-// those arrays — exactly the shape the kernels in wavesim/kernels consume.
+// (re0/re1), the per-contribution flat input-slot index in its own array,
+// and detectors are described by [offset, offset+count) ranges over those
+// arrays — exactly the shape the kernels in wavesim/kernels consume. A
+// decode reads only the sign of a sum's real part, so the plan keeps only
+// the real parts of the constants; a word's phase, amplitude and margin
+// come from the physics path, DataParallelGate::evaluate.
 //
 // The arrays preserve scalar source order per detector, and every constant
 // is produced by the same engine arithmetic as the scalar path, so any
@@ -126,20 +129,15 @@ class EvalPlan {
   }
 
   /// Per-contribution SoA arrays (all of size num_contributions(), 64-byte
-  /// aligned): real/imaginary parts of the phasor contributed when the
-  /// governing bit is 0 resp. 1.
+  /// aligned): real part of the phasor contributed when the governing bit
+  /// is 0 resp. 1.
   std::span<const double> re0() const { return re0_; }
-  std::span<const double> im0() const { return im0_; }
   std::span<const double> re1() const { return re1_; }
-  std::span<const double> im1() const { return im1_; }
 
   /// Flat input-slot index of each contribution's governing bit (column
-  /// into a packed word row; always < slot_count()).
+  /// into a packed word row; always < slot_count()): channel * num_inputs()
+  /// + input.
   std::span<const std::uint32_t> slots() const { return slots_; }
-  /// The same governing bit as (channel, input) coordinates, for callers
-  /// that index nested per-channel words instead of packed rows.
-  std::span<const std::uint32_t> channels() const { return channels_; }
-  std::span<const std::uint32_t> inputs() const { return inputs_; }
 
   // ------------------------------------------------------------ tables --
 
@@ -170,12 +168,8 @@ class EvalPlan {
   std::vector<std::size_t> det_channels_;
 
   sw::util::AlignedVector<double> re0_;
-  sw::util::AlignedVector<double> im0_;
   sw::util::AlignedVector<double> re1_;
-  sw::util::AlignedVector<double> im1_;
   sw::util::AlignedVector<std::uint32_t> slots_;
-  sw::util::AlignedVector<std::uint32_t> channels_;
-  sw::util::AlignedVector<std::uint32_t> inputs_;
 
   bool tabulated_ = false;
   std::vector<TableMux> table_muxes_;

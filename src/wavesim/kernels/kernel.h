@@ -5,7 +5,7 @@
 // on a little-endian host), and a column is zero-padded to whole u64s. A
 // stage reads one column per input slot and writes one column per output
 // channel, so the next stage of a cascade reads those columns as they are.
-// Five entry points per kernel:
+// Four entry points per kernel:
 //
 //   * eval_tables — the table decode of a tabulated plan (see EvalPlan):
 //     each detector's decision diagram runs as a straight-line list of
@@ -27,10 +27,9 @@
 //     matrices of the public APIs (one byte per bit, nonzero = 1) and
 //     columns, in both directions. BatchEvaluator and EvalProgram convert
 //     per block through the same two entries.
-//   * eval_channels — the full ChannelResult path (evaluate /
-//     evaluate_with): accumulates the complex phasor in double and decodes
-//     phase/amplitude/margin via decide_phase, writing rows of
-//     num_words x plan.num_detectors() ChannelResults.
+//
+// The kernels decode logic bits only. A word's analog readout (phase,
+// amplitude, margin) comes from the physics path, DataParallelGate::evaluate.
 //
 // Three implementations exist, a ladder of identical semantics at
 // increasing width: a portable scalar reference, an AVX2 kernel (four
@@ -54,10 +53,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-
-namespace sw::core {
-struct ChannelResult;
-}  // namespace sw::core
 
 namespace sw::wavesim {
 
@@ -104,15 +99,6 @@ struct Kernel {
   void (*to_rows)(const std::uint64_t* cols, std::size_t col_stride,
                   std::size_t num_words, std::size_t width,
                   std::uint8_t* rows, std::size_t row_stride);
-  /// Full ChannelResult decode of words [begin, end): writes rows
-  /// [begin, end) of the row-major num_words x plan.num_detectors() result
-  /// matrix `out`, element d of a row carrying detector d's decision
-  /// (channel field = plan.detector_channels()[d]). Accumulation is
-  /// complex double in plan order and the decision is core::decide_phase,
-  /// so results are bit-for-bit the scalar gate path's.
-  void (*eval_channels)(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end,
-                        sw::core::ChannelResult* out);
 };
 
 /// Portable reference kernel; always available.

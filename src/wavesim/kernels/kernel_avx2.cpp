@@ -5,10 +5,7 @@
 // scalar order — lane l performs the same additions on the same constants
 // in the same sequence as the scalar kernel would for word l — so every
 // lane's sum is bitwise identical to the scalar sum and no word can decode
-// differently, not even one sitting within an ulp of the threshold. The
-// argument covers eval_bits and eval_channels (4 x f64 complex
-// accumulation, then the scalar decide_phase per lane so
-// phase/amplitude/margin match the gate path bitwise).
+// differently, not even one sitting within an ulp of the threshold.
 //
 // A slot's lane masks come straight from its column: a u16 covers 16
 // words, and a variable left shift of the broadcast u16 moves bit 4b + l
@@ -37,13 +34,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <complex>
 #include <cstring>
 
-#include "core/detector.h"
-#include "core/encoding.h"
-#include "core/gate.h"
-#include "util/aligned.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/column_step.h"
 #include "wavesim/kernels/table_step.h"
@@ -84,13 +76,6 @@ struct Avx2Lanes {
         lo.v, _mm256_and_si256(_mm256_xor_si256(lo.v, hi.v), x.v))};
   }
 };
-
-/// Lane-mask scratch for eval_channels' word group: one vector register's
-/// worth of per-slot select masks, stored as raw bytes (vector<__m256d>
-/// trips -Wignored-attributes). Small strides (every gate in the paper:
-/// 8 channels x 3 inputs = 24) use the stack so the serving hot path does
-/// not pay an aligned heap round-trip per call.
-constexpr std::size_t kStackSlots = 64;
 
 void eval_bits_avx2(const EvalPlan& plan, const std::uint64_t* const* slots,
                     std::size_t num_words, std::uint64_t* out,
@@ -266,81 +251,6 @@ void to_rows_avx2(const std::uint64_t* cols, std::size_t col_stride,
   }
 }
 
-void eval_channels_avx2(const EvalPlan& plan, const std::uint8_t* bits,
-                        std::size_t begin, std::size_t end,
-                        sw::core::ChannelResult* out) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0();
-  const auto im0 = plan.im0();
-  const auto re1 = plan.re1();
-  const auto im1 = plan.im1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t detectors = plan.num_detectors();
-
-  alignas(32) double stack_masks[kStackSlots * 4];
-  sw::util::AlignedVector<double, 32> heap_masks;
-  double* masks_data = stack_masks;
-  if (stride > kStackSlots) {
-    heap_masks.resize(stride * 4);
-    masks_data = heap_masks.data();
-  }
-
-  std::size_t w = begin;
-  for (; w + 4 <= end; w += 4) {
-    const std::uint8_t* w0 = bits + (w + 0) * stride;
-    const std::uint8_t* w1 = bits + (w + 1) * stride;
-    const std::uint8_t* w2 = bits + (w + 2) * stride;
-    const std::uint8_t* w3 = bits + (w + 3) * stride;
-    const auto sign_bit = [](std::uint8_t b) {
-      return static_cast<long long>(static_cast<std::uint64_t>(b != 0) << 63);
-    };
-    for (std::size_t s = 0; s < stride; ++s) {
-      _mm256_store_pd(
-          masks_data + 4 * s,
-          _mm256_castsi256_pd(_mm256_setr_epi64x(sign_bit(w0[s]),
-                                                 sign_bit(w1[s]),
-                                                 sign_bit(w2[s]),
-                                                 sign_bit(w3[s]))));
-    }
-
-    for (std::size_t d = 0; d < detectors; ++d) {
-      // Both complex components ride the same blend mask: the vector adds
-      // are per-lane in plan order, so each lane's (re, im) pair is the
-      // scalar kernel's sum bitwise, and decide_phase below sees exactly
-      // the phasor the scalar gate path would.
-      __m256d acc_re = _mm256_setzero_pd();
-      __m256d acc_im = _mm256_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256d mask = _mm256_load_pd(masks_data + 4 * slots[i]);
-        acc_re = _mm256_add_pd(
-            acc_re, _mm256_blendv_pd(_mm256_broadcast_sd(&re0[i]),
-                                     _mm256_broadcast_sd(&re1[i]), mask));
-        acc_im = _mm256_add_pd(
-            acc_im, _mm256_blendv_pd(_mm256_broadcast_sd(&im0[i]),
-                                     _mm256_broadcast_sd(&im1[i]), mask));
-      }
-      alignas(32) double lane_re[4];
-      alignas(32) double lane_im[4];
-      _mm256_store_pd(lane_re, acc_re);
-      _mm256_store_pd(lane_im, acc_im);
-      for (std::size_t l = 0; l < 4; ++l) {
-        const auto decision = sw::core::decide_phase(
-            std::complex<double>(lane_re[l], lane_im[l]),
-            sw::core::kPhaseZero);
-        sw::core::ChannelResult& r = out[(w + l) * detectors + d];
-        r.channel = det_channel[d];
-        r.logic = decision.logic;
-        r.phase = decision.phase;
-        r.amplitude = decision.amplitude;
-        r.margin = decision.margin;
-      }
-    }
-  }
-  if (w < end) scalar_kernel().eval_channels(plan, bits, w, end, out);
-}
-
 }  // namespace
 
 const Kernel* detail::avx2_kernel_candidate() {
@@ -352,8 +262,7 @@ const Kernel* detail::avx2_kernel_candidate() {
                                  &eval_bits_avx2,
                                  &detail::eval_tables<Avx2Lanes>,
                                  &to_columns_avx2,
-                                 &to_rows_avx2,
-                                 &eval_channels_avx2};
+                                 &to_rows_avx2};
   return &kernel;
 }
 

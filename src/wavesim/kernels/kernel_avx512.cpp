@@ -45,13 +45,7 @@
 
 #include <algorithm>
 #include <array>
-#include <complex>
-#include <cstring>
-#include <vector>
 
-#include "core/detector.h"
-#include "core/encoding.h"
-#include "core/gate.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/column_step.h"
 #include "wavesim/kernels/table_step.h"
@@ -313,67 +307,6 @@ __attribute__((target("avx512vbmi,gfni"))) void to_rows_avx512(
   }
 }
 
-template <auto ToColumns>
-void eval_channels_avx512(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          sw::core::ChannelResult* out) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0();
-  const auto im0 = plan.im0();
-  const auto re1 = plan.re1();
-  const auto im1 = plan.im1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t detectors = plan.num_detectors();
-
-  // Per 64 words one u64 column per slot, through the edge converter;
-  // byte k of a column is the __mmask8 of words 8k .. 8k + 7.
-  std::vector<std::uint64_t> columns(stride);
-  std::size_t w = begin;
-  for (; w + 8 <= end; w += 8) {
-    const std::size_t k = (w - begin) / 8 % 8;
-    if (k == 0) {
-      ToColumns(bits + w * stride, stride, std::min<std::size_t>(64, end - w),
-                stride, columns.data(), 1);
-    }
-
-    for (std::size_t d = 0; d < detectors; ++d) {
-      // Both complex components ride the same mask; each lane's (re, im)
-      // pair is the scalar sum bitwise, so decide_phase sees exactly the
-      // phasor the scalar gate path would.
-      __m512d acc_re = _mm512_setzero_pd();
-      __m512d acc_im = _mm512_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const auto mask =
-            static_cast<__mmask8>(columns[slots[i]] >> (8 * k));
-        acc_re = _mm512_add_pd(
-            acc_re, _mm512_mask_blend_pd(mask, _mm512_set1_pd(re0[i]),
-                                         _mm512_set1_pd(re1[i])));
-        acc_im = _mm512_add_pd(
-            acc_im, _mm512_mask_blend_pd(mask, _mm512_set1_pd(im0[i]),
-                                         _mm512_set1_pd(im1[i])));
-      }
-      alignas(64) double lane_re[8];
-      alignas(64) double lane_im[8];
-      _mm512_store_pd(lane_re, acc_re);
-      _mm512_store_pd(lane_im, acc_im);
-      for (std::size_t l = 0; l < 8; ++l) {
-        const auto decision = sw::core::decide_phase(
-            std::complex<double>(lane_re[l], lane_im[l]),
-            sw::core::kPhaseZero);
-        sw::core::ChannelResult& r = out[(w + l) * detectors + d];
-        r.channel = det_channel[d];
-        r.logic = decision.logic;
-        r.phase = decision.phase;
-        r.amplitude = decision.amplitude;
-        r.margin = decision.margin;
-      }
-    }
-  }
-  if (w < end) scalar_kernel().eval_channels(plan, bits, w, end, out);
-}
-
 }  // namespace
 
 const Kernel* detail::avx512_kernel_candidate(bool vbmi_gfni) {
@@ -385,15 +318,10 @@ const Kernel* detail::avx512_kernel_candidate(bool vbmi_gfni) {
                                  &eval_bits_avx512,
                                  &detail::eval_tables<Avx512Lanes>,
                                  &to_columns_avx512,
-                                 &to_rows_avx512,
-                                 &eval_channels_avx512<&to_columns_avx512>};
+                                 &to_rows_avx512};
   static constexpr Kernel kernel_without_vbmi{
-      "avx512",
-      &eval_bits_avx512,
-      &detail::eval_tables<Avx512Lanes>,
-      &to_columns_general,
-      &to_rows_general,
-      &eval_channels_avx512<&to_columns_general>};
+      "avx512", &eval_bits_avx512, &detail::eval_tables<Avx512Lanes>,
+      &to_columns_general, &to_rows_general};
   return vbmi_gfni ? &kernel : &kernel_without_vbmi;
 }
 

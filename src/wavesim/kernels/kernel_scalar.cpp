@@ -1,13 +1,11 @@
 // Portable reference kernel: one word at a time, one detector at a time,
 // contributions accumulated in plan (= scalar source) order.
 //
-// eval_bits accumulates only the real parts: complex addition is
-// componentwise, so dropping the imaginary lane leaves the real sum bitwise
-// unchanged, and the packed-bit decode consumes nothing but sign(Re). A
+// eval_bits accumulates real parts only, the plan's re0/re1: complex
+// addition is componentwise, so their sum is bitwise the real part of the
+// physics path's complex sum, and the decode consumes nothing but sign(Re). A
 // word's bit selects the constant with a bit mask, not a branch on input
 // bits the predictor cannot learn; the addend is the same either way.
-// eval_channels keeps the full complex pair because phase and amplitude
-// need it, then decodes via decide_phase exactly like the scalar gate path.
 //
 // eval_tables runs the diagrams in plain u64 ops, one select per column
 // u64 (64 words) per mux.
@@ -21,12 +19,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <complex>
 #include <cstring>
 
-#include "core/detector.h"
-#include "core/encoding.h"
-#include "core/gate.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/table_step.h"
 
@@ -161,39 +155,6 @@ void to_rows_scalar(const std::uint64_t* cols, std::size_t col_stride,
   }
 }
 
-void eval_channels_scalar(const EvalPlan& plan, const std::uint8_t* bits,
-                          std::size_t begin, std::size_t end,
-                          sw::core::ChannelResult* out) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto re0 = plan.re0();
-  const auto im0 = plan.im0();
-  const auto re1 = plan.re1();
-  const auto im1 = plan.im1();
-  const auto slots = plan.slots();
-  const std::size_t stride = plan.slot_count();
-  const std::size_t detectors = plan.num_detectors();
-
-  for (std::size_t w = begin; w < end; ++w) {
-    const std::uint8_t* word = bits + w * stride;
-    sw::core::ChannelResult* row = out + w * detectors;
-    for (std::size_t d = 0; d < detectors; ++d) {
-      std::complex<double> acc{0.0, 0.0};
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        acc += word[slots[i]] ? std::complex<double>(re1[i], im1[i])
-                              : std::complex<double>(re0[i], im0[i]);
-      }
-      const auto decision = sw::core::decide_phase(acc, sw::core::kPhaseZero);
-      sw::core::ChannelResult& r = row[d];
-      r.channel = det_channel[d];
-      r.logic = decision.logic;
-      r.phase = decision.phase;
-      r.amplitude = decision.amplitude;
-      r.margin = decision.margin;
-    }
-  }
-}
-
 }  // namespace
 
 const Kernel& scalar_kernel() {
@@ -201,8 +162,7 @@ const Kernel& scalar_kernel() {
                                  &eval_bits_scalar,
                                  &detail::eval_tables<detail::U64Lanes>,
                                  &to_columns_scalar,
-                                 &to_rows_scalar,
-                                 &eval_channels_scalar};
+                                 &to_rows_scalar};
   return kernel;
 }
 

@@ -597,10 +597,8 @@ std::vector<std::uint8_t> stage_by_stage(
   std::vector<std::uint8_t> all(words * width);
   for (std::size_t s = 0; s < spec.num_stages(); ++s) {
     const auto stage = cache.get(spec.stages[s].gate);
-    const sw::wavesim::BatchEvaluator evaluator(
-        stage->gate(),
-        std::shared_ptr<const sw::wavesim::EvalPlan>(stage, &stage->plan()),
-        {.num_threads = 1});
+    const sw::wavesim::BatchEvaluator evaluator(stage->gate(),
+                                                {.num_threads = 1});
     const auto& sources = spec.stages[s].sources;
     std::vector<std::uint8_t> packed(words * sources.size());
     for (std::size_t w = 0; w < words; ++w) {

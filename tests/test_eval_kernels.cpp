@@ -85,9 +85,9 @@ struct KernelFixture {
     const auto offsets = probe.detector_offsets();
     for (std::size_t d = 0; d < probe.num_detectors(); ++d) {
       if (probe.detector_channels()[d] != channel) continue;
-      // Map the third contribution back to its source via the plan's input
-      // index rather than the source vector's order, and fail cleanly if a
-      // designer change ever alters the detector's shape.
+      // Map the third contribution back to its source via the plan's slot
+      // (channel * m + input) rather than the source vector's order, and
+      // fail cleanly if a designer change ever alters the detector's shape.
       if (offsets[d + 1] - offsets[d] != 3) {
         throw sw::util::Error("thin-channel fixture expects 3 contributions");
       }
@@ -95,7 +95,7 @@ struct KernelFixture {
       const double t =
           (probe.re0()[i] + probe.re0()[i + 1]) / probe.re0()[i + 2];
       EXPECT_GT(t, 0.0);  // phase-0 contributions are co-phased by design
-      const std::uint32_t input = probe.inputs()[i + 2];
+      const std::size_t input = probe.slots()[i + 2] % probe.num_inputs();
       for (auto& s : layout.sources) {
         if (s.channel == channel && s.input == input) s.amplitude *= t;
       }
@@ -195,20 +195,24 @@ constexpr std::size_t kEdgeWordCounts[] = {1,  3,  7,   8,   9,   15,
 constexpr std::pair<std::size_t, std::size_t> kEdgeLayouts[] = {
     {3, 4}, {3, 8}, {9, 8}};
 
-/// The decoded bits of the scalar kernel's ChannelResult loop, which reads
-/// the rows directly and shares no code with the column path: the
-/// reference every kernel's evaluate_bits must equal.
-std::vector<std::uint8_t> row_reference(const EvalPlan& plan,
+/// The decoded bits of the physics path, DataParallelGate::evaluate, on
+/// each row (nonzero byte = 1): it shares no code with any kernel, so it is
+/// the reference every kernel's evaluate_bits must equal.
+std::vector<std::uint8_t> row_reference(const DataParallelGate& gate,
                                         std::size_t words,
                                         const std::vector<std::uint8_t>& rows) {
-  const std::size_t detectors = plan.num_detectors();
-  std::vector<ChannelResult> results(words * detectors);
-  scalar_kernel().eval_channels(plan, rows.data(), 0, words, results.data());
-  std::vector<std::uint8_t> bits(words * plan.num_channels());
+  const std::size_t n = gate.layout().spec.frequencies.size();
+  const std::size_t m = gate.layout().spec.num_inputs;
+  std::vector<std::uint8_t> bits(words * n);
+  std::vector<Bits> inputs(n, Bits(m));
   for (std::size_t w = 0; w < words; ++w) {
-    for (std::size_t d = 0; d < detectors; ++d) {
-      const ChannelResult& r = results[w * detectors + d];
-      bits[w * plan.num_channels() + r.channel] = r.logic;
+    for (std::size_t ch = 0; ch < n; ++ch) {
+      for (std::size_t in = 0; in < m; ++in) {
+        inputs[ch][in] = rows[(w * n + ch) * m + in] != 0 ? 1 : 0;
+      }
+    }
+    for (const ChannelResult& r : gate.evaluate(inputs)) {
+      bits[w * n + r.channel] = r.logic;
     }
   }
   return bits;
@@ -229,7 +233,7 @@ void expect_kernels_match_rows(const BatchEvaluator& evaluator,
   for (const std::size_t words : kEdgeWordCounts) {
     std::vector<std::uint8_t> packed(words * evaluator.slot_count());
     for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
-    const auto want = row_reference(evaluator.plan(), words, packed);
+    const auto want = row_reference(evaluator.gate(), words, packed);
     const auto primary =
         sw::testing::columns_of(packed, words, evaluator.slot_count());
     for (const Kernel* k : available_kernels()) {
@@ -369,17 +373,17 @@ TEST(EvalPlan, MirrorsLayoutStructure) {
     EXPECT_LE(offsets[d], offsets[d + 1]);
   }
   ASSERT_EQ(plan.re0().size(), plan.num_contributions());
-  ASSERT_EQ(plan.im0().size(), plan.num_contributions());
   ASSERT_EQ(plan.re1().size(), plan.num_contributions());
-  ASSERT_EQ(plan.im1().size(), plan.num_contributions());
   ASSERT_EQ(plan.slots().size(), plan.num_contributions());
-  for (std::size_t i = 0; i < plan.num_contributions(); ++i) {
-    EXPECT_LT(plan.slots()[i], plan.slot_count());
-    EXPECT_EQ(plan.slots()[i],
-              plan.channels()[i] * plan.num_inputs() + plan.inputs()[i]);
-  }
-  for (const std::size_t ch : plan.detector_channels()) {
+  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
+    const std::size_t ch = plan.detector_channels()[d];
     EXPECT_LT(ch, plan.num_channels());
+    // A detector reads the sources of its own channel's frequency: slot
+    // channel * m + input.
+    for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+      EXPECT_LT(plan.slots()[i], plan.slot_count());
+      EXPECT_EQ(plan.slots()[i] / plan.num_inputs(), ch);
+    }
   }
 }
 
@@ -388,33 +392,8 @@ TEST(EvalPlan, ArraysAreCacheLineAligned) {
   const auto gate = fix.majority_gate(3, 8);
   const EvalPlan plan(gate);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plan.re0().data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plan.im0().data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plan.re1().data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plan.im1().data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(plan.slots().data()) % 64, 0u);
-}
-
-TEST(EvalPlan, SharedPlanMustMatchTheGate) {
-  const KernelFixture fix;
-  const auto gate3 = fix.majority_gate(3, 4);
-  const auto gate5 = fix.majority_gate(5, 4);
-  auto plan3 = std::make_shared<const EvalPlan>(gate3);
-  EXPECT_THROW(BatchEvaluator(gate5, plan3, {}), sw::util::Error);
-  EXPECT_THROW(BatchEvaluator(gate3, nullptr, {}), sw::util::Error);
-  // A matching share works and evaluates identically to a rebuilt plan.
-  const BatchEvaluator shared(gate3, plan3, {});
-  EXPECT_EQ(&shared.plan(), plan3.get());
-  const BatchEvaluator rebuilt(gate3);
-  const auto patterns = all_patterns(3);
-  const auto a = shared.evaluate_uniform(patterns);
-  const auto b = rebuilt.evaluate_uniform(patterns);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    for (std::size_t ch = 0; ch < a[w].size(); ++ch) {
-      EXPECT_EQ(a[w][ch].logic, b[w][ch].logic);
-      EXPECT_EQ(a[w][ch].phase, b[w][ch].phase);
-    }
-  }
 }
 
 TEST(EvalPlan, PlanCacheServesTheSoAPlanItBuilt) {
@@ -574,7 +553,7 @@ TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
         return sw::testing::rows_of(out, words, n);
       };
       const auto want = decode(scalar_kernel().eval_bits);
-      ASSERT_EQ(want, row_reference(plan, words, rows))
+      ASSERT_EQ(want, row_reference(gate, words, rows))
           << n << " channels, " << words << " words";
       for (const Kernel* k : available_kernels()) {
         EXPECT_EQ(decode(k->eval_bits), want)
@@ -752,7 +731,7 @@ TEST(TableDecode, LayoutWiderThanTheTablesStaysOnThePhasorSum) {
   for (const std::size_t words : {1ul, 63ul, 65ul, 1100ul}) {
     std::vector<std::uint8_t> rows(words * plan.slot_count());
     for (auto& b : rows) b = coin(rng) ? 1 : 0;
-    const auto want = row_reference(plan, words, rows);
+    const auto want = row_reference(gate, words, rows);
     const auto primary =
         sw::testing::columns_of(rows, words, plan.slot_count());
     for (const Kernel* k : available_kernels()) {
@@ -811,23 +790,6 @@ TEST(EvaluateBitsValidation, GuardsWordCountOverflow) {
   const std::size_t wrap =
       (std::numeric_limits<std::size_t>::max() / 6) + 1;  // 6 * wrap wraps
   EXPECT_THROW(evaluator.evaluate_bits(wrap, tiny), sw::util::Error);
-}
-
-TEST(EvaluateBitsValidation, ChannelResultPathGuardsWordCountOverflow) {
-  // The kernelised evaluate_with packs num_words x slot_count bytes; a
-  // wrapping product must throw before it can size a tiny buffer and
-  // drive the packing loop far out of bounds.
-  const KernelFixture fix;
-  const auto gate = fix.majority_gate(3, 2);
-  const BatchEvaluator evaluator(gate);
-  const auto accessor = [](std::size_t, std::size_t, std::size_t) {
-    return std::uint8_t{0};
-  };
-  const std::size_t huge = std::numeric_limits<std::size_t>::max() / 2;
-  EXPECT_THROW(evaluator.evaluate_with(huge, accessor), sw::util::Error);
-  const std::size_t wrap =
-      (std::numeric_limits<std::size_t>::max() / 6) + 1;  // 6 * wrap wraps
-  EXPECT_THROW(evaluator.evaluate_with(wrap, accessor), sw::util::Error);
 }
 
 }  // namespace

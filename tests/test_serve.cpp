@@ -967,8 +967,7 @@ TEST(WireFormat, VersionCeilingYieldsTypedUnsupportedError) {
 
 TEST(PlanCache, ProgramEntriesShareTheLruWithStats) {
   const ServeFixture fix;
-  PlanCache cache(fix.engine, /*capacity=*/2, {.num_threads = 1},
-                  &fix.designer);
+  PlanCache cache(fix.engine, /*capacity=*/2, &fix.designer);
   const auto program = synthesize_program(0x1B, 3, 2);
 
   EXPECT_EQ(cache.try_get(program), nullptr);  // cold: no entry
@@ -1046,7 +1045,7 @@ std::vector<std::uint8_t> standalone_bits(
 
 TEST(PlanCache, ProgramsShareStagesPerGateSpec) {
   const ServeFixture fix;
-  PlanCache cache(fix.engine, 8, {.num_threads = 1}, &fix.designer);
+  PlanCache cache(fix.engine, 8, &fix.designer);
   const auto a = maj_and_inverted_maj(0, 4);
   const auto b = maj_and_inverted_maj(1, 4);
   ASSERT_NE(a, b);
@@ -1070,8 +1069,7 @@ TEST(PlanCache, ProgramsShareStagesPerGateSpec) {
 
 TEST(PlanCache, SharedStagesLiveOnlyAsLongAsTheirPrograms) {
   const ServeFixture fix;
-  PlanCache cache(fix.engine, /*capacity=*/1, {.num_threads = 1},
-                  &fix.designer);
+  PlanCache cache(fix.engine, /*capacity=*/1, &fix.designer);
   const auto a = maj_and_inverted_maj(0, 2);
   const auto layout = fix.majority_layout(3, 2);
 
@@ -1115,7 +1113,7 @@ TEST(PlanCache, FailedStageDesignLeavesNoEntryAndRetries) {
   const ServeFixture fix;
   SwitchableDispersion model(fix.model);
   const InlineGateDesigner designer(model);
-  PlanCache cache(fix.engine, 4, {.num_threads = 1}, &designer);
+  PlanCache cache(fix.engine, 4, &designer);
   const auto a = maj_and_inverted_maj(0, 2);
 
   model.fail = true;
@@ -1138,7 +1136,7 @@ TEST(PlanCache, ConcurrentOverlappingProgramBuildsAreBitIdentical) {
   const ServeFixture fix;
   // Capacity 2 for 4 programs: entries are evicted and rebuilt while other
   // threads resolve the same stages.
-  PlanCache cache(fix.engine, 2, {.num_threads = 1}, &fix.designer);
+  PlanCache cache(fix.engine, 2, &fix.designer);
   const std::vector<sw::wavesim::ProgramSpec> programs = {
       maj_and_inverted_maj(0, 4), maj_and_inverted_maj(1, 4),
       synthesize_program(0x1B, 3, 4), synthesize_program(0x96, 3, 4)};
