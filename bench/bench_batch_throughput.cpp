@@ -13,9 +13,10 @@
 // >= 4x on a multi-core host; the precompute alone clears that bar even on
 // one core), cross-checks that both paths decode identically, and registers
 // Google Benchmark timings for regression tracking. Its last section times
-// the table decode every served request runs (Kernel::eval_tables) against
-// the phasor eval_bits, per rung, at m = 3, 5, 7 and 9 inputs, and holds
-// each rung's table decode of the m = 3 gate to an ns/word budget.
+// the table decode every served request runs (Kernel::eval_tables), per
+// rung, at m = 3, 5, 7 and 9 inputs, checks each against the one phasor
+// eval_bits, and holds each rung's table decode at m = 3, 7 and 9 to an
+// ns/word budget.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -149,10 +150,10 @@ void run_experiment(bench::BenchJson& json) {
 }
 
 // ------------------------------------------------------------------------
-// Kernel comparison: the same exhaustive packed sweep through (a) a rebuilt
-// PR 2-shape AoS inner loop, (b) the scalar SoA kernel, (c) the AVX2 SoA
-// kernel where the host supports it. Single-threaded evaluator so the
-// ratios measure the kernels, not the pool.
+// Phasor sum: the same exhaustive packed sweep through (a) a rebuilt PR
+// 2-shape AoS inner loop and (b) BatchEvaluator's SoA phasor sum
+// (kernels::eval_bits, with the scalar kernel's edge converters).
+// Single-threaded evaluator so the ratio measures the loops, not the pool.
 
 /// PR 2's evaluation shape, reconstructed from the SoA plan: interleaved
 /// complex pairs + slot per contribution, complex accumulation per word.
@@ -185,38 +186,9 @@ std::vector<std::uint8_t> run_aos_reference(
   return out;
 }
 
-/// The column kernel's own rate on a packed sweep, without the row edges:
-/// the rows become bit-sliced columns once, outside the timing, and only
-/// Kernel::eval_bits is timed. Printed under each row-API line with the
-/// kernel's input plus output bytes per word, (slots + channels) / 8, so
-/// the split between edge and kernel stays visible. The floors below stay
-/// on the row API.
-void print_column_kernel(const wavesim::kernels::Kernel& kernel,
-                         const wavesim::EvalPlan& plan,
-                         const std::vector<std::uint8_t>& packed,
-                         std::size_t num_words) {
-  const std::size_t slots = plan.slot_count();
-  const std::size_t stride = wavesim::kernels::column_words(num_words);
-  std::vector<std::uint64_t> columns((slots + plan.num_channels()) * stride);
-  kernel.to_columns(packed.data(), slots, num_words, slots, columns.data(),
-                    stride);
-  std::vector<const std::uint64_t*> inputs(slots);
-  for (std::size_t j = 0; j < slots; ++j) {
-    inputs[j] = columns.data() + j * stride;
-  }
-  std::uint64_t* outputs = columns.data() + slots * stride;
-  const double seconds = bench::best_of_three_seconds([&] {
-    kernel.eval_bits(plan, inputs.data(), num_words, outputs, stride);
-  });
-  std::printf("  column kernel only : %8.2f ms  (%10.0f words/s, %.0f bytes "
-              "per word in + out)\n",
-              seconds * 1e3, static_cast<double>(num_words) / seconds,
-              static_cast<double>(slots + plan.num_channels()) / 8.0);
-}
-
 void run_kernel_experiment(bench::BenchJson& json) {
   const auto& s = setup();
-  // Single inline thread: kernel-vs-kernel, no pool fan-out in the ratio.
+  // Single inline thread: loop against loop, no pool fan-out in the ratio.
   const wavesim::BatchEvaluator evaluator(s.gate.gate(), {.num_threads = 1});
   const wavesim::EvalPlan& plan = evaluator.plan();
   const std::size_t stride = evaluator.slot_count();
@@ -251,9 +223,9 @@ void run_kernel_experiment(bench::BenchJson& json) {
     scalar_bits = evaluator.evaluate_bits(num_words, packed, scalar);
   });
   SW_REQUIRE(scalar_bits == aos_bits,
-             "scalar kernel diverged from the AoS reference decode");
+             "SoA phasor sum diverged from the AoS reference decode");
   // Ground the whole comparison in the Boolean truth, not just internal
-  // consistency: a packing bug would fool all three loops identically.
+  // consistency: a packing bug would fool both loops identically.
   for (std::size_t w = 0; w < num_words; ++w) {
     for (std::size_t ch = 0; ch < kChannels; ++ch) {
       const std::uint8_t want =
@@ -267,74 +239,42 @@ void run_kernel_experiment(bench::BenchJson& json) {
   std::printf("packed evaluate_bits, same sweep (single thread):\n");
   std::printf("AoS reference (PR 2) : %8.1f ms  (%10.0f words/s)\n",
               aos_s * 1e3, words / aos_s);
-  std::printf("scalar SoA kernel    : %8.1f ms  (%10.0f words/s, %.2fx)\n",
+  std::printf("SoA phasor sum       : %8.1f ms  (%10.0f words/s, %.2fx)\n\n",
               scalar_s * 1e3, words / scalar_s, aos_s / scalar_s);
-  print_column_kernel(scalar, plan, packed, num_words);
   json.add("exhaustive_2^16_sweep", "aos_reference", "f64", words / aos_s);
   json.add("exhaustive_2^16_sweep", "scalar", "f64", words / scalar_s);
-  // The portable acceptance bar: the scalar-kernel fallback must not be
-  // slower than the PR 2 AoS shape it replaced (parity; the hard floor
-  // leaves 10% for machine-load noise since both sides are timed here).
+  // The portable acceptance bar: the SoA phasor sum must not be slower
+  // than the PR 2 AoS shape it replaced (parity; the hard floor leaves 10%
+  // for machine-load noise since both sides are timed here).
   SW_REQUIRE(aos_s / scalar_s >= 0.9,
-             "scalar SoA kernel regressed below the AoS baseline");
-
-  if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
-    std::vector<std::uint8_t> simd_bits;
-    const double simd_s = bench::best_of_three_seconds([&] {
-      simd_bits = evaluator.evaluate_bits(num_words, packed, *avx2);
-    });
-    SW_REQUIRE(simd_bits == scalar_bits,
-               "AVX2 kernel diverged from the scalar kernel decode");
-    std::printf("AVX2 SoA kernel      : %8.1f ms  (%10.0f words/s, %.2fx)\n",
-                simd_s * 1e3, words / simd_s, aos_s / simd_s);
-    print_column_kernel(*avx2, plan, packed, num_words);
-    json.add("exhaustive_2^16_sweep", "avx2", "f64", words / simd_s);
-    // Raised floor, applied only where the host verifiably runs AVX2: the
-    // SIMD kernel at >= 2x the PR 2 AoS words/s (the acceptance bar).
-    SW_REQUIRE(aos_s / simd_s >= 2.0,
-               "AVX2 kernel below 2x the AoS baseline on an AVX2 host");
-  } else {
-    std::printf("AVX2 SoA kernel      : unavailable on this build/host\n");
-  }
-
-  if (const auto* avx512 = wavesim::kernels::avx512_kernel()) {
-    // AVX-512: 8 doubles per register, mask-register blends.
-    std::vector<std::uint8_t> avx512_bits;
-    const double simd512_s = bench::best_of_three_seconds([&] {
-      avx512_bits = evaluator.evaluate_bits(num_words, packed, *avx512);
-    });
-    SW_REQUIRE(avx512_bits == scalar_bits,
-               "AVX-512 kernel diverged from the scalar kernel decode");
-    std::printf("AVX-512 SoA kernel   : %8.1f ms  (%10.0f words/s, %.2fx)\n",
-                simd512_s * 1e3, words / simd512_s, aos_s / simd512_s);
-    print_column_kernel(*avx512, plan, packed, num_words);
-    json.add("exhaustive_2^16_sweep", "avx512", "f64", words / simd512_s);
-    SW_REQUIRE(aos_s / simd512_s >= 2.0,
-               "AVX-512 kernel below 2x the AoS baseline on an AVX-512 host");
-  } else {
-    std::printf("AVX-512 SoA kernel   : unavailable on this build/host\n");
-  }
-  std::printf("active kernel        : %s\n\n",
-              std::string(wavesim::active_kernel_name()).c_str());
+             "SoA phasor sum regressed below the AoS baseline");
 }
 
 // ------------------------------------------------------------------------
-// Tables: the decode EvalProgram, so every served request, runs on a
-// tabulated plan. Per rung and gate width, the column kernel's eval_tables
-// next to its phasor eval_bits on the same 2^16 words' columns, with the
-// decodes checked equal: m = 3 is the bench gate above, m = 5, 7 and 9 are
-// 8-channel majority gates. The m = 3 line is the per-rung floor of the
-// served decode: each rung's eval_tables must stay within its ns/word
-// budget (CI runs this bench pinned to one core). Every rung is timed
-// before the check, so one run names every rung that missed.
+// Tables: the decode EvalProgram, so every served request, runs. Per rung
+// and gate width, the column kernel's eval_tables on 2^16 words' columns,
+// checked against the one phasor eval_bits on the same columns: m = 3 is
+// the bench gate above, m = 5, 7 and 9 are 8-channel majority gates. The
+// m = 3, 7 and 9 lines are the per-rung floors of the served decode: each
+// rung's eval_tables must stay within its ns/word budget (CI runs this
+// bench pinned to one core). Every rung is timed before the check, so one
+// run names every rung and width that missed.
 
-/// ns/word budgets of the m = 3 table decode, about 3x the slowest of 32
-/// runs pinned to one core of a 4-vCPU 2.1 GHz AVX-512 Xeon VM (scalar
-/// 0.38-0.68, AVX2 0.19-0.33, AVX-512 0.17-0.29). The phasor eval_bits of
-/// the same gate read 32-100, 5.8-11.1 and 2.3-4.4 ns/word there, so a
+/// ns/word budgets of the table decode by width, about 3x the slowest of
+/// at least 20 runs pinned to one core of a 4-vCPU 2.1 GHz AVX-512 Xeon VM.
+/// m = 3: scalar 0.38-0.68, AVX2 0.19-0.33, AVX-512 0.17-0.29 (32 runs).
+/// m = 7: scalar 1.41-2.10, AVX2 0.57-0.74, AVX-512 0.52-0.64 (24 runs).
+/// m = 9: scalar 2.95-4.76, AVX2 1.07-1.48, AVX-512 0.75-0.94 (24 runs).
+/// The phasor eval_bits of the m = 3 gate reads 32-100 ns/word there, so a
 /// served path that fell back to it would miss every budget.
-constexpr double kScalarTableBudgetNs = 2.0;
-constexpr double kSimdTableBudgetNs = 1.0;  // AVX2 and AVX-512
+struct TableBudget {
+  std::size_t m;
+  double scalar_ns;
+  double avx2_ns;
+  double avx512_ns;
+};
+constexpr TableBudget kTableBudgets[] = {
+    {3, 2.0, 1.0, 1.0}, {7, 6.5, 2.2, 2.0}, {9, 14.0, 4.5, 2.8}};
 
 /// Best-of-three seconds per call of `fn`, each timing repeating it until at
 /// least 10 ms pass, so a microsecond-scale kernel call is timed over many.
@@ -366,8 +306,8 @@ void run_table_experiment(bench::BenchJson& json) {
   if (const auto* avx512 = wavesim::kernels::avx512_kernel()) {
     rungs.push_back(avx512);
   }
-  std::printf("tables vs phasor eval_bits (f64), column kernel only, %zu "
-              "words of 8 channels (single thread):\n",
+  std::printf("table decode, column kernel only, %zu words of 8 channels "
+              "(single thread):\n",
               kWords);
   std::mt19937_64 rng(2026);
   std::string missed;
@@ -389,10 +329,18 @@ void run_table_experiment(bench::BenchJson& json) {
     std::vector<std::uint64_t> phasor(kChannels * stride);
     std::vector<std::uint64_t> tables(kChannels * stride);
     const std::string name = "column_kernel_m" + std::to_string(m) + "_2^16";
+    const double bits_s = seconds_per_call([&] {
+      wavesim::kernels::eval_bits(plan, inputs.data(), kWords, phasor.data(),
+                                  stride);
+    });
+    std::printf("  m = %zu, phasor eval_bits %7.3f ns/word\n", m,
+                bits_s * 1e9 / kWords);
+    json.add(name, "scalar", "f64", kWords / bits_s);
+    const TableBudget* budget = nullptr;
+    for (const TableBudget& b : kTableBudgets) {
+      if (b.m == m) budget = &b;
+    }
     for (const auto* kernel : rungs) {
-      const double bits_s = seconds_per_call([&] {
-        kernel->eval_bits(plan, inputs.data(), kWords, phasor.data(), stride);
-      });
       const double tables_s = seconds_per_call([&] {
         kernel->eval_tables(plan, inputs.data(), kWords, tables.data(),
                             stride);
@@ -401,26 +349,29 @@ void run_table_experiment(bench::BenchJson& json) {
                  "eval_tables diverged from the phasor eval_bits decode");
       const double tables_ns = tables_s * 1e9 / kWords;
       std::printf("  m = %zu, %-7s: tables %7.3f ns/word (%3zu muxes), "
-                  "eval_bits f64 %7.3f ns/word, %6.1fx",
+                  "%6.1fx the phasor sum",
                   m, kernel->name, tables_ns, plan.num_table_muxes(),
-                  bits_s * 1e9 / kWords, bits_s / tables_s);
-      if (m == 3) {
-        const double budget = std::string_view(kernel->name) == "scalar"
-                                  ? kScalarTableBudgetNs
-                                  : kSimdTableBudgetNs;
-        std::printf("; budget %.1f ns/word%s", budget,
-                    tables_ns <= budget ? "" : " MISSED");
-        if (tables_ns > budget) missed += std::string(" ") + kernel->name;
+                  bits_s / tables_s);
+      if (budget != nullptr) {
+        const std::string_view rung = kernel->name;
+        const double limit = rung == "scalar" ? budget->scalar_ns
+                             : rung == "avx2" ? budget->avx2_ns
+                                              : budget->avx512_ns;
+        std::printf("; budget %.1f ns/word%s", limit,
+                    tables_ns <= limit ? "" : " MISSED");
+        if (tables_ns > limit) {
+          missed += " " + std::string(kernel->name) + " at m = " +
+                    std::to_string(m) + ";";
+        }
       }
       std::printf("\n");
       json.add(name, kernel->name, "table", kWords / tables_s);
-      json.add(name, kernel->name, "f64", kWords / bits_s);
     }
   }
   std::printf("\n");
   std::fflush(stdout);
   SW_REQUIRE(missed.empty(),
-             "m = 3 table decode over its ns/word budget on:" + missed);
+             "table decode over its ns/word budget on:" + missed);
 }
 
 void BM_ScalarTruthTableSweep(benchmark::State& state) {

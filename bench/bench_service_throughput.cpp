@@ -23,6 +23,7 @@
 #include "serve/service.h"
 #include "util/error.h"
 #include "wavesim/batch_evaluator.h"
+#include "wavesim/eval_program.h"
 #include "wavesim/kernels/kernel.h"
 #include "wavesim/wave_engine.h"
 
@@ -130,28 +131,28 @@ void run_experiment(bench::BenchJson& json) {
   json.add("rebuild_per_call", stats.kernel, "f64", words / rebuild_s);
   json.add("service_steady_state", stats.kernel, "f64", words / service_s);
 
-  // Kernels side by side on the serving batch shape, through the phasor
-  // reference (BatchEvaluator::evaluate_bits) the served tables equal.
+  // Kernels side by side on the serving batch shape, through the decode
+  // the service runs: the layout's one-stage EvalProgram, its tables.
   {
-    const wavesim::BatchEvaluator evaluator(s.gate, {.num_threads = 1});
+    const wavesim::EvalProgram program(s.layout, s.engine, {.num_threads = 1});
     const auto time_kernel = [&](const wavesim::kernels::Kernel& kernel) {
       return bench::best_of_three_seconds([&] {
         for (std::size_t i = 0; i < kBatches; ++i) {
           benchmark::DoNotOptimize(
-              evaluator.evaluate_bits(kWordsPerBatch, s.batch, kernel));
+              program.evaluate_bits(kWordsPerBatch, s.batch, kernel));
         }
       });
     };
     const double scalar_s = time_kernel(wavesim::kernels::scalar_kernel());
-    std::printf("cached-plan evaluate_bits, per kernel (single thread):\n");
+    std::printf("cached-program evaluate_bits, per kernel (single thread):\n");
     std::printf("scalar kernel    : %8.2f ms  (%10.0f words/s)\n",
                 scalar_s * 1e3, words / scalar_s);
-    json.add("serving_batch_shape", "scalar", "f64", words / scalar_s);
+    json.add("serving_batch_shape", "scalar", "table", words / scalar_s);
     if (const auto* avx2 = wavesim::kernels::avx2_kernel()) {
       const double simd_s = time_kernel(*avx2);
       std::printf("AVX2 kernel      : %8.2f ms  (%10.0f words/s, %.2fx)\n",
                   simd_s * 1e3, words / simd_s, scalar_s / simd_s);
-      json.add("serving_batch_shape", "avx2", "f64", words / simd_s);
+      json.add("serving_batch_shape", "avx2", "table", words / simd_s);
     } else {
       std::printf("AVX2 kernel      : unavailable on this build/host\n");
     }
@@ -159,7 +160,7 @@ void run_experiment(bench::BenchJson& json) {
       const double simd512_s = time_kernel(*avx512);
       std::printf("AVX-512 kernel   : %8.2f ms  (%10.0f words/s, %.2fx)\n\n",
                   simd512_s * 1e3, words / simd512_s, scalar_s / simd512_s);
-      json.add("serving_batch_shape", "avx512", "f64", words / simd512_s);
+      json.add("serving_batch_shape", "avx512", "table", words / simd512_s);
     } else {
       std::printf("AVX-512 kernel   : unavailable on this build/host\n\n");
     }

@@ -6,9 +6,9 @@ uploads one artifact per matrix leg. Downloading those artifacts yields a
 directory per leg, each holding the same three file names — this script
 merges any number of them into a single markdown table so a perf trajectory
 across legs (and across downloaded runs) is one page instead of N job logs.
-Rows timed both as the table decode (precision "table") and as the phasor
-f64 decode, bench_batch_throughput's tables lines, also get a table of
-their own in ns per word with the speedup.
+bench_batch_throughput's tables lines, each rung's table decode (precision
+"table") and the experiment's one phasor decode (the "scalar" kernel's
+"f64" row), also get a table of their own in ns per word with the speedup.
 
 Usage:
     scripts/bench_summary.py [path ...]
@@ -102,22 +102,26 @@ def fmt_mean_us(seconds):
 
 def table_decode_rows(rows):
     """bench_batch_throughput's tables lines: for each (leg, experiment,
-    kernel) timed both ways, eval_tables ("table") next to the phasor
-    eval_bits ("f64") in ns per word, and the phasor-over-table ratio."""
-    rates = {}
+    kernel) table decode ("table"), its ns per word next to the same
+    experiment's phasor eval_bits (the "scalar" kernel's "f64" row, the one
+    phasor decode every rung is checked against), and the phasor-over-table
+    ratio. A rung whose experiment has no phasor row is skipped."""
+    phasor = {}
+    tables = []
     for r in rows:
-        if r["precision"] in ("table", "f64"):
-            key = (r["bench"], r["name"], r["kernel"], r["leg"])
-            rates.setdefault(key, {})[r["precision"]] = r["words_per_s"]
+        if r["precision"] == "f64" and r["kernel"] == "scalar":
+            phasor[(r["bench"], r["name"], r["leg"])] = r["words_per_s"]
+        elif r["precision"] == "table":
+            tables.append(r)
     out = []
-    for (bench, name, kernel, leg), rate in sorted(rates.items()):
-        if "table" not in rate or "f64" not in rate:
+    for r in sorted(tables, key=lambda r: (r["bench"], r["name"],
+                                           r["kernel"], r["leg"])):
+        f64 = phasor.get((r["bench"], r["name"], r["leg"]), 0.0)
+        if r["words_per_s"] <= 0.0 or f64 <= 0.0:
             continue
-        if rate["table"] <= 0.0 or rate["f64"] <= 0.0:
-            continue
-        out.append([bench, name, kernel, f"{1e9 / rate['table']:.3f}",
-                    f"{1e9 / rate['f64']:.3f}",
-                    f"{rate['table'] / rate['f64']:.1f}x", leg])
+        out.append([r["bench"], r["name"], r["kernel"],
+                    f"{1e9 / r['words_per_s']:.3f}", f"{1e9 / f64:.3f}",
+                    f"{r['words_per_s'] / f64:.1f}x", r["leg"]])
     return out
 
 
@@ -159,9 +163,10 @@ def main(argv):
     decode = table_decode_rows(rows)
     if decode:
         print()
-        print("table decode vs phasor eval_bits (column kernel, ns/word):")
-        print_table(["bench", "experiment", "kernel", "tables", "eval_bits f64",
-                     "speedup", "leg"], decode)
+        print("table decode per rung vs the phasor eval_bits "
+              "(column kernel, ns/word):")
+        print_table(["bench", "experiment", "kernel", "tables",
+                     "phasor eval_bits", "speedup", "leg"], decode)
 
     if phase_rows:
         # The per-phase sections benches emit (bench_common.h add_phase):

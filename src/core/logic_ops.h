@@ -51,9 +51,10 @@ class ParallelLogicGate {
   const GateLayout& layout() const { return gate_->layout(); }
 
   /// The underlying majority fabric. Batched callers build a
-  /// sw::wavesim::BatchEvaluator over it once and feed it pack_batch()
-  /// matrices (input slots per channel: 0 = a, 1 = b for binary ops, last =
-  /// the pinned constant).
+  /// sw::wavesim::EvalProgram over its layout once (the table decode) or a
+  /// sw::wavesim::BatchEvaluator over it (the phasor-sum reference) and
+  /// feed it pack_batch() matrices (input slots per channel: 0 = a, 1 = b
+  /// for binary ops, last = the pinned constant).
   const DataParallelGate& gate() const { return *gate_; }
 
   /// Data inputs per channel: 2 bits for binary ops, 1 for buffer/not.
@@ -65,9 +66,9 @@ class ParallelLogicGate {
 
   /// Pack per-word operand pairs into the flat num_words x slot_count bit
   /// matrix of gate()'s slot layout (slot 0 = a, slot 1 = b for binary
-  /// ops, last slot = the pinned constant): the input a long-lived
-  /// sw::wavesim::BatchEvaluator over gate() — or a serve::EvalRequest —
-  /// evaluates. b_words may be empty for unary ops.
+  /// ops, last slot = the pinned constant): the input an EvalProgram or
+  /// BatchEvaluator over gate() — or a serve::EvalRequest — evaluates.
+  /// b_words may be empty for unary ops.
   std::vector<std::uint8_t> pack_batch(const std::vector<Bits>& a_words,
                                        const std::vector<Bits>& b_words) const;
 

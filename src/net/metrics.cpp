@@ -36,12 +36,9 @@ std::string render_service_metrics(const sw::serve::ServiceStats& stats) {
   line_u64(out, "sw_serve_plan_cache_hits", stats.cache.hits);
   line_u64(out, "sw_serve_plan_cache_misses", stats.cache.misses);
   line_u64(out, "sw_serve_plan_cache_evictions", stats.cache.evictions);
-  // Which decode the built detectors got: a nonzero phasor count names a
-  // layout too wide to tabulate.
+  // Every built detector decodes from its table.
   line_u64(out, "sw_serve_plan_cache_detectors{decode=\"table\"}",
            stats.cache.table_detectors);
-  line_u64(out, "sw_serve_plan_cache_detectors{decode=\"phasor\"}",
-           stats.cache.phasor_detectors);
   // The phase histograms: full distributions a scraper can rate(),
   // aggregate and read percentiles from.
   sw::obs::append_histogram(out, "sw_serve_request_latency_seconds",

@@ -100,10 +100,7 @@ void PlanCache::erase_locked(const LayoutKey& key) {
 void PlanCache::record_decodes_locked(
     const sw::wavesim::EvalProgram& program) {
   for (std::size_t s = 0; s < program.num_stages(); ++s) {
-    const auto& plan = program.stage_plan(s);
-    // The decode each detector gets: a tabulated stage runs eval_tables.
-    (plan.tabulated() ? stats_.table_detectors : stats_.phasor_detectors) +=
-        plan.num_detectors();
+    stats_.table_detectors += program.stage_plan(s).num_detectors();
   }
 }
 

@@ -10,11 +10,13 @@
 // format tags, so a layout and a one-stage ProgramSpec of the same spec are
 // distinct entries.
 //
-// The expensive part of an entry is its stage plans (dispersion lookups
-// plus one steady-phasor solve per (detector, source, launch-phase)
-// triple), so every cached submit runs the runtime-dispatched SIMD kernels
-// with zero per-request conversion, and the build cost amortises across
-// every request that reuses the target. Construction for one key is
+// The expensive part of an entry is its stage plans (dispersion lookups,
+// one steady-phasor solve per (detector, source, launch-phase) triple and
+// each detector's decision diagram), so every cached submit runs the
+// runtime-dispatched table kernels with zero per-request conversion, and
+// the build cost amortises across every request that reuses the target. A
+// target with a detector over wavesim::kMaxTableMuxes fails to build
+// (EvalProgram refuses it) and leaves no entry. Construction for one key is
 // serialised *behind the cache entry*: the first caller inserts a pending
 // entry and builds, concurrent callers for the same key wait on the
 // entry's shared future instead of racing a second build. Distinct keys
@@ -49,13 +51,11 @@ struct PlanCacheStats {
   std::uint64_t hits = 0;       ///< lookups served from a cached entry
   std::uint64_t misses = 0;     ///< lookups that triggered a build
   std::uint64_t evictions = 0;  ///< LRU entries dropped to respect capacity
-  /// Built detectors by the decode that serves them, counted per plan (one
-  /// per layout build, one per stage of a program build): those of a
-  /// tabulated plan decode from their truth tables (Kernel::eval_tables),
-  /// any other plan's by phasor sum (eval_bits). A phasor detector is a
-  /// layout too wide to tabulate, on the slow loop.
+  /// Built detectors, counted per plan (one per layout build, one per
+  /// stage of a program build). Each decodes from its decision diagram
+  /// (Kernel::eval_tables): a build whose plan is not tabulated fails and
+  /// counts nothing.
   std::uint64_t table_detectors = 0;
-  std::uint64_t phasor_detectors = 0;
   /// ProgramSpec entries built (their lookups also count into
   /// hits/misses/evictions above — the LRU is shared). Layout targets
   /// never count here.
@@ -137,7 +137,7 @@ class PlanCache {
   Slot* find_locked(const LayoutKey& key);
   void evict_for_insert_locked();
   void erase_locked(const LayoutKey& key);
-  /// Folds a built program's per-stage decode paths into the stats.
+  /// Folds a built program's detectors into the stats.
   void record_decodes_locked(const sw::wavesim::EvalProgram& program);
 
   /// The program builds' StageResolver: a live artefact from the stage

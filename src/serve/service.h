@@ -26,13 +26,14 @@
 //
 // submit_async runs a request on the calling thread instead of the pool
 // when its program is already cached and its kernel work
-// (EvalProgram::kernel_work, in what the table or phasor decode of each
-// stage costs) is at most kMaxInlineWork: a small warm request then costs
-// about its kernel, with no queue hop, no worker handoff and no
-// cross-thread completion. A warm 4096-word sweep shard of a tabulated
-// gate is small. Cold targets and large batches, and everything submit()
-// takes, go to the pool. Either way a request passes the same admission,
-// accounting, hooks and trace.
+// (EvalProgram::kernel_work, in decision-diagram muxes per 64 words) is at
+// most kMaxInlineWork: a small warm request then costs about its kernel,
+// with no queue hop, no worker handoff and no cross-thread completion. A
+// warm 4096-word sweep shard of the paper's gate is small. Cold targets and
+// large batches, and everything submit() takes, go to the pool. Either way
+// a request passes the same admission, accounting, hooks and trace. A
+// target whose plan exceeds the table budget (wavesim::kMaxTableMuxes)
+// fails its build, so its request fails and the cache keeps no entry.
 //
 // Each quantity the service reports has one source: a settled request's
 // submit-to-settle latency is recorded once, into the request_latency
@@ -155,20 +156,15 @@ class EvaluatorService {
       std::function<void(ResultBatch&& result, std::exception_ptr error)>;
 
   /// Largest kernel work submit_async runs on the calling thread, in the
-  /// unit of EvalProgram::kernel_work: a tabulated stage costs its
-  /// decision-diagram muxes per 64 words, any other stage its phasor
-  /// contributions per word. An inline kernel runs on the submitter, which
-  /// in EvalServer is the event thread, the serial stage. So the bound is
-  /// set against that thread's CPU: the pool hop an inline request skips
-  /// (queue post and wake, completion drain) cost it ~5-7 us per request
-  /// on a 4-vCPU AVX-512 VM. There a tabulated 4096-word shard of the
-  /// 8-channel 3-input gate (work 2,048) took ~1.3 us in
-  /// EvalProgram::evaluate_columns, so 8,192 is a ~5 us kernel on the
-  /// table path; a phasor stage costs ~0.17 ns per contribution-word, a
-  /// ~1.4 us kernel at the bound. The benchmark covers: 24-word requests
-  /// (at most a few hundred) and tabulated 4096-word sweep shards (2,048)
-  /// run inline. Priced by phasor sum the same shard is 98,304 and stays
-  /// pooled, as a shard of a layout too wide to tabulate does.
+  /// unit of EvalProgram::kernel_work: decision-diagram muxes per 64 words.
+  /// An inline kernel runs on the submitter, which in EvalServer is the
+  /// event thread, the serial stage. So the bound is set against that
+  /// thread's CPU: the pool hop an inline request skips (queue post and
+  /// wake, completion drain) cost it ~5-7 us per request on a 4-vCPU
+  /// AVX-512 VM. There a 4096-word shard of the 8-channel 3-input gate
+  /// (work 2,048) took ~1.3 us in EvalProgram::evaluate_columns, so 8,192
+  /// is a ~5 us kernel. The benchmark covers: 24-word requests (at most a
+  /// few hundred) and 4096-word sweep shards (2,048) run inline.
   static constexpr std::size_t kMaxInlineWork = 8192;
 
   /// Layout targets arrive designed (e.g. by InlineGateDesigner against the

@@ -32,7 +32,7 @@ std::vector<std::uint8_t> BatchEvaluator::evaluate_bits(
              "packed bit matrix must be num_words x slot_count");
 
   // Block-wise through columns: each block's rows become slot columns, the
-  // kernel writes channel columns, and those go back to rows.
+  // phasor sum writes channel columns, and those go back to rows.
   std::vector<std::uint8_t> out(num_words * channels);
   detail::for_each_block(
       pool_, num_words, slots + channels, slots,
@@ -45,7 +45,7 @@ std::vector<std::uint8_t> BatchEvaluator::evaluate_bits(
         std::uint64_t* outputs = columns + slots * stride;
         kernel.to_columns(bits.data() + begin * slots, slots, words, slots,
                           columns, stride);
-        kernel.eval_bits(plan_, inputs, words, outputs, stride);
+        kernels::eval_bits(plan_, inputs, words, outputs, stride);
         kernel.to_rows(outputs, stride, words, channels,
                        out.data() + begin * channels, channels);
       });

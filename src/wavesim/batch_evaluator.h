@@ -1,4 +1,5 @@
-// Batched gate evaluation: many input words through one gate layout.
+// Batched gate evaluation: many input words through one gate layout, by
+// phasor sum. The reference decode.
 //
 // The scalar path (DataParallelGate::evaluate) recomputes, for every word,
 // the per-source dispersion lookups and the exp/cos/sin of each source's
@@ -6,30 +7,29 @@
 // fixed layout the contribution of source j to detector d is one of exactly
 // two complex constants (launch phase 0 or pi). BatchEvaluator is the thin
 // orchestrator over that observation: it freezes the constants once in a
-// SoA EvalPlan (eval_plan.h), decodes every word's logic bits in a
-// runtime-dispatched kernel (kernels/kernel.h — scalar reference, AVX2 or
-// AVX-512, SW_EVAL_KERNEL overrides), and fans the word batch across a
-// ThreadPool. Decoded bits are bit-for-bit identical to the scalar path:
-// the plan's constants are produced by the same arithmetic from the same
-// sources (both match frequencies within kDefaultFreqTol, which is not
-// configurable), and every kernel preserves the scalar per-detector
-// accumulation order word by word. It decodes bits only; a word's phase,
-// amplitude and margin come from DataParallelGate::evaluate.
+// SoA EvalPlan (eval_plan.h), sums every word's constants in
+// kernels::eval_bits, and fans the word batch across a ThreadPool. Decoded
+// bits are bit-for-bit identical to the scalar path: the plan's constants
+// are produced by the same arithmetic from the same sources (both match
+// frequencies within kDefaultFreqTol, which is not configurable), and
+// eval_bits keeps the scalar per-detector accumulation order word by word.
+// It decodes bits only; a word's phase, amplitude and margin come from
+// DataParallelGate::evaluate.
 //
-// evaluate_bits decodes by phasor sum (Kernel::eval_bits) on every plan,
-// tabulated or not: BatchEvaluator is the phasor reference the benches,
-// the examples and the benchmark's oracles compare against, while
-// EvalProgram, the serving path, decodes tabulated stages from their
-// tables (see EvalPlan). The two agree bit for bit.
+// It decodes any layout, tabulated or not, in portable code on every host:
+// it is the phasor reference the benches, the examples and the
+// benchmark's oracles compare against, and the tables of EvalProgram equal
+// it bit for bit. EvalProgram(layout), not BatchEvaluator, is the fast
+// in-process path.
 //
-// The kernels decode bit-sliced columns (kernels/kernel.h), and
+// The phasor sum reads bit-sliced columns (kernels/kernel.h), and
 // evaluate_bits keeps its row-major byte API by converting at the edge:
-// block by block (1024 words), the kernel's to_columns turns the caller's
+// block by block (1024 words), a kernel's to_columns turns the caller's
 // rows into one column per slot, eval_bits writes one column per channel,
 // and to_rows writes those back as the caller's result rows. Pool chunks
 // split at whole 64-word column u64s, so a batch of at most 64 words runs
-// on the caller. EvalProgram uses the same edge converter and kernel
-// entry, only at the ends of its cascade.
+// on the caller. EvalProgram uses the same edge converter, only at the
+// ends of its cascade.
 #pragma once
 
 #include <algorithm>
@@ -62,14 +62,15 @@ class BatchEvaluator {
                           BatchOptions options = {});
 
   const sw::core::DataParallelGate& gate() const { return *gate_; }
-  /// The frozen SoA plan the kernels evaluate against.
+  /// The frozen SoA plan eval_bits sums.
   const EvalPlan& plan() const { return plan_; }
   std::size_t num_threads() const { return pool_.size(); }
 
   /// Input slots per word: one per (channel, input).
   std::size_t slot_count() const { return plan_.slot_count(); }
 
-  /// Decodes the logic bits of a batch via the active kernel. `bits` is a
+  /// Decodes the logic bits of a batch by phasor sum, converting rows
+  /// through the active kernel's edge converter. `bits` is a
   /// row-major num_words x slot_count() matrix (one byte per bit, nonzero
   /// = 1); the bit of input slot `input` on channel `channel` lives at
   /// column channel * num_inputs + input. Returns a row-major num_words x
@@ -81,8 +82,8 @@ class BatchEvaluator {
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits) const;
 
-  /// Same, through an explicit kernel (tests and benches compare kernels
-  /// side by side; production callers use the active-kernel overload).
+  /// Same, through an explicit kernel's edge converter (tests and benches
+  /// compare converters side by side; the decode is eval_bits either way).
   std::vector<std::uint8_t> evaluate_bits(
       std::size_t num_words, std::span<const std::uint8_t> bits,
       const kernels::Kernel& kernel) const;

@@ -18,18 +18,28 @@
 // kernel that accumulates a detector's range in index order is bit-for-bit
 // identical to DataParallelGate::evaluate by construction.
 //
-// Tables. A detector's verdict is a fixed Boolean function of the distinct
-// input slots its contributions read, so a detector with at most
-// kMaxTableInputs of them is also frozen as its exact truth table: for each
-// of the 2^k slot assignments, the detector's f64 constants summed in plan
-// order from 0.0 (the accumulation eval_bits performs), verdict sum < 0.
-// The table is therefore bit-exact with the scalar reference at any margin,
-// a near-cancelling sum included. Each table is compiled once, here, into a
-// reduced ordered decision diagram: a straight-line list of muxes over slot
-// columns (TableMux) with shared cofactors, which the kernels' eval_tables
-// runs on 64 words per u64. A majority of m inputs is (m+1)^2/4 muxes. The
-// plan is tabulated() when every detector has a diagram; a plan with one
-// wider detector keeps none and decodes by phasor sum only.
+// Tables. A detector's verdict is a fixed Boolean function of the input
+// slots its contributions read. The plan freezes it as that function's
+// reduced ordered decision diagram, variables in summation order (the first
+// contribution on top): a straight-line list of muxes over slot columns
+// (TableMux) with shared cofactors, which the kernels' eval_tables runs on
+// 64 words per u64. The diagram is exact: its verdict is the detector's f64
+// constants summed in plan order from 0.0 (the accumulation
+// kernels::eval_bits performs), verdict sum < 0, at any margin, a
+// near-cancelling sum included.
+//
+// build_diagram makes it without enumerating assignments. Rounding to
+// nearest keeps x -> fl(x + c) monotone, so for any bits of the later
+// contributions the verdict is monotone in the partial sum, and every
+// sub-function of the diagram is one interval of the f64 partial sum at its
+// level. A node is that interval: the intersection of its two children's
+// preimages under the node's two constants, each bound found by a bracketed
+// search over ordered f64 bit patterns, and memoised per level (the
+// interval construction of Abio et al., "A New Look at BDDs for
+// Pseudo-Boolean Constraints", JAIR 45, 2012). The cost grows with the
+// diagram, not with 2^k. A majority of m inputs is (m+1)^2/4 muxes. The
+// plan is tabulated() when every detector's diagram fits kMaxTableMuxes; a
+// plan with one larger detector keeps none.
 //
 // An EvalPlan is immutable after construction and holds no reference to the
 // gate or engine, so it is safe to share across threads and to cache (see
@@ -48,11 +58,12 @@
 
 namespace sw::wavesim {
 
-/// Most distinct input slots a detector may read and still be tabulated:
-/// its table is 2^11 sums at plan build. Every layout the benches and
-/// examples build has at most 11 inputs per channel (bench_scalability's
-/// widest), and so does every test layout but the deliberately wider ones.
-inline constexpr std::size_t kMaxTableInputs = 11;
+/// Most muxes a detector's decision diagram may have and still be
+/// tabulated. A reduced ordered diagram over 11 variables has at most 509,
+/// so this covers every detector of up to 11 inputs, and a majority of up
+/// to 43 inputs ((m+1)^2/4 muxes). The kernels' scratch is 128 B per
+/// diagram value per tile, about 64 KiB at the budget.
+inline constexpr std::size_t kMaxTableMuxes = 512;
 
 /// One mux of a decision diagram: its value is `hi` where the column of plan
 /// slot `slot` has a 1 and `lo` where it has a 0. `lo` and `hi` name values
@@ -71,32 +82,20 @@ struct TableDiagram {
   std::uint16_t root = 0;
 };
 
-/// One detector's exact truth table. `vars` are the distinct slots its
-/// contributions read, in order of first use, and entry a (bit a % 64 of
-/// bits[a / 64]) is its verdict where slot vars[i] holds bit i of a.
-struct DetectorTable {
-  std::vector<std::uint32_t> vars;
-  std::vector<std::uint64_t> bits;
-};
-
-/// Tabulates a detector whose contribution c reads slot slots[c] and adds
-/// re0[c] on a 0, re1[c] on a 1: for each assignment of the distinct slots,
-/// the constants summed in contribution order from 0.0 (the accumulation
-/// eval_bits performs), verdict sum < 0. Two contributions on one slot read
-/// one variable, so the table holds exactly the assignments a word can
-/// make. std::nullopt when more than kMaxTableInputs slots are read.
-std::optional<DetectorTable> tabulate_detector(
-    std::span<const double> re0, std::span<const double> re1,
-    std::span<const std::uint32_t> slots);
-
-/// Compiles a truth table over vars.size() <= kMaxTableInputs variables into
-/// its reduced ordered decision diagram. Entry a of the table (bit a % 64 of
-/// table[a / 64]) is the function's value where variable i, the column of
-/// plan slot vars[i], holds bit i of a. Equal cofactors share one mux and a
-/// mux whose two cofactors are equal is dropped, so the diagram is the
-/// unique minimal one for its variable order (the last variable on top).
-TableDiagram compile_diagram(std::span<const std::uint64_t> table,
-                             std::span<const std::uint32_t> vars);
+/// Builds the reduced ordered decision diagram of a detector whose
+/// contribution c reads slot slots[c] and adds re0[c] on a 0, re1[c] on a
+/// 1: its verdict is the constants summed in contribution order from 0.0,
+/// sum < 0. Variable c is slot slots[c], so contribution 0 is on top, and
+/// the muxes are listed a level at a time, the deepest first. Every slot
+/// may be read once (a validated layout drives each slot from one source)
+/// and every constant must be finite; anything else throws.
+/// std::nullopt when the diagram has more than kMaxTableMuxes muxes: the
+/// build stops at the first mux past the budget, and a detector reading
+/// more slots than the budget is refused before any search, so the build
+/// recurses at most kMaxTableMuxes deep.
+std::optional<TableDiagram> build_diagram(std::span<const double> re0,
+                                          std::span<const double> re1,
+                                          std::span<const std::uint32_t> slots);
 
 class EvalPlan {
  public:
@@ -141,9 +140,9 @@ class EvalPlan {
 
   // ------------------------------------------------------------ tables --
 
-  /// True iff every detector reads at most kMaxTableInputs distinct slots
-  /// and so carries its decision diagram (the kernels' eval_tables then
-  /// decodes the whole plan). A plan without detectors is tabulated.
+  /// True iff every detector's decision diagram fits kMaxTableMuxes, so
+  /// the plan carries them all (the kernels' eval_tables then decodes the
+  /// whole plan). A plan without detectors is tabulated.
   bool tabulated() const { return tabulated_; }
   /// Detector d's diagram muxes; empty on an untabulated plan and for a
   /// detector whose verdict is constant.

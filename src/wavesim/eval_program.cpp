@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "util/error.h"
@@ -114,7 +115,12 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
     std::size_t same = 0;
     while (same < s && !(spec_.stages[same].gate == gate)) ++same;
     stages_.push_back(same < s ? stages_[same] : resolve(gate));
-    max_slots_ = std::max(max_slots_, stages_.back()->plan().slot_count());
+    const EvalPlan& plan = stages_.back()->plan();
+    SW_REQUIRE(plan.tabulated(),
+               "a stage's decision diagram exceeds kMaxTableMuxes = " +
+                   std::to_string(kMaxTableMuxes) +
+                   " muxes on a detector, so the stage cannot be tabulated");
+    max_slots_ = std::max(max_slots_, plan.slot_count());
   }
   depth_ = spec_.depth();
 
@@ -166,16 +172,9 @@ std::size_t EvalProgram::kernel_work(std::size_t num_words) const {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   // column_words without the wrap of num_words + 63.
   const std::size_t col_words = num_words / 64 + (num_words % 64 != 0);
-  std::size_t work = 0;
-  for (const auto& stage : stages_) {
-    const EvalPlan& plan = stage->plan();
-    const std::size_t units = plan.tabulated() ? col_words : num_words;
-    const std::size_t per_unit = plan.tabulated() ? plan.num_table_muxes()
-                                                  : plan.num_contributions();
-    if (per_unit != 0 && units > (kMax - work) / per_unit) return kMax;
-    work += units * per_unit;
-  }
-  return work;
+  std::size_t muxes = 0;
+  for (const auto& stage : stages_) muxes += stage->plan().num_table_muxes();
+  return muxes != 0 && col_words > kMax / muxes ? kMax : col_words * muxes;
 }
 
 void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,
@@ -209,10 +208,9 @@ void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,
       inputs[j - slot_begin_[s]] = source(slot_columns_[j]);
     }
     const bool is_last = s + 1 == num_stages;
-    const EvalPlan& plan = stages_[s]->plan();
-    (plan.tabulated() ? kernel.eval_tables : kernel.eval_bits)(
-        plan, inputs, words, is_last ? last : table(s * n),
-        is_last ? last_stride : stride);
+    kernel.eval_tables(stages_[s]->plan(), inputs, words,
+                       is_last ? last : table(s * n),
+                       is_last ? last_stride : stride);
     if (timings) {
       const std::uint64_t now = stage_clock_ns();
       timings->ns[s].fetch_add(now - stage_start, std::memory_order_relaxed);

@@ -29,13 +29,12 @@
 // StageResolver such as serve::PlanCache's stage table — across programs.
 // An EvalStage is immutable, so sharing it is free.
 //
-// A stage whose plan is tabulated (every detector reads at most
-// kMaxTableInputs distinct slots; see EvalPlan) runs the kernel's
-// eval_tables, its detectors' decision diagrams; any other stage runs the
-// phasor eval_bits over its own plan. Both decode every stage bit-exactly
-// like evaluating that stage's gate alone, which makes the whole program
-// bit-exact with the per-stage physics path by induction. kernel_work
-// prices a request in the unit each stage's decode costs.
+// Every stage runs the kernel's eval_tables, its detectors' decision
+// diagrams (see EvalPlan). A stage whose plan is not tabulated (a detector
+// over kMaxTableMuxes) is refused at construction. The tables decode every
+// stage bit-exactly like evaluating that stage's gate alone, which makes
+// the whole program bit-exact with the per-stage physics path by
+// induction. kernel_work prices a request in muxes per 64 words.
 //
 // A single gate is the one-stage case: EvalProgram(GateLayout, ...) wraps
 // the layout as given in one stage whose slot j reads primary column j. It
@@ -169,7 +168,9 @@ class EvalProgram {
   /// Designs every distinct stage GateSpec once with `designer`, builds
   /// its EvalPlan on `engine` and keeps a worker pool of
   /// options.num_threads for the word loop. Neither designer nor engine
-  /// needs to outlive the program.
+  /// needs to outlive the program. Every constructor throws
+  /// sw::util::Error, naming kMaxTableMuxes, when a stage's plan is not
+  /// tabulated.
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
               const WaveEngine& engine, BatchOptions options = {});
 
@@ -201,12 +202,11 @@ class EvalProgram {
     return stages_[stage]->gate();
   }
 
-  /// What evaluating `num_words` words costs the kernels, summed over the
-  /// stages: a tabulated stage costs its muxes (EvalPlan::num_table_muxes)
-  /// per column u64, column_words(num_words) x muxes; any other stage its
-  /// phasor contributions per word, num_words x contributions. Saturates
-  /// at SIZE_MAX instead of wrapping. The 8-channel 3-input gate costs 32
-  /// per 64 words tabulated and 24 per word by phasor sum.
+  /// What evaluating `num_words` words costs the kernels: each stage's
+  /// muxes (EvalPlan::num_table_muxes) per column u64, so
+  /// column_words(num_words) x the muxes of every stage. Saturates at
+  /// SIZE_MAX instead of wrapping. The 8-channel 3-input gate costs 32 per
+  /// 64 words.
   std::size_t kernel_work(std::size_t num_words) const;
 
   /// Fused evaluation. `bits` is the row-major num_words x

@@ -5,38 +5,32 @@
 // on a little-endian host), and a column is zero-padded to whole u64s. A
 // stage reads one column per input slot and writes one column per output
 // channel, so the next stage of a cascade reads those columns as they are.
-// Four entry points per kernel:
+// Three entry points per kernel:
 //
-//   * eval_tables — the table decode of a tabulated plan (see EvalPlan):
-//     each detector's decision diagram runs as a straight-line list of
-//     muxes, one bitwise select per 64 words (per 512 on AVX-512, one
-//     vpternlogq), over its slot columns. Every rung instantiates the one
-//     template in kernels/table_step.h. It decodes exactly what eval_bits
-//     decodes, for a few ops per 64 words instead of a phasor sum per
-//     word: EvalProgram, so every served request, runs it on every stage
-//     whose plan is tabulated.
-//   * eval_bits — the phasor decode. Each detector accumulates its
-//     bit-selected phasor real parts in f64, in plan order, and decodes
-//     Re < 0 (the decide_phase decision with reference 0). Vector kernels
-//     evaluate whole vector groups: a last partial group runs on the
-//     column padding, whose verdict bits the row edge drops. There is no
-//     scalar tail. BatchEvaluator runs it on every plan: it is the phasor
-//     reference the benches and the benchmark's oracles use, and the
-//     decode of a plan too wide to tabulate.
+//   * eval_tables — the decode of a tabulated plan (see EvalPlan): each
+//     detector's decision diagram runs as a straight-line list of muxes,
+//     one bitwise select per 64 words (per 512 on AVX-512, one vpternlogq),
+//     over its slot columns. Every rung instantiates the one template in
+//     kernels/table_step.h. EvalProgram, so every served request, runs it
+//     on every stage.
 //   * to_columns / to_rows — the edge converter between the row-major byte
 //     matrices of the public APIs (one byte per bit, nonzero = 1) and
 //     columns, in both directions. BatchEvaluator and EvalProgram convert
 //     per block through the same two entries.
+//
+// Beside the rungs, eval_bits is the one phasor decode: portable code that
+// sums each detector's constants word by word, on any plan. It is the
+// reference every table decode equals, and BatchEvaluator runs it.
 //
 // The kernels decode logic bits only. A word's analog readout (phase,
 // amplitude, margin) comes from the physics path, DataParallelGate::evaluate.
 //
 // Three implementations exist, a ladder of identical semantics at
 // increasing width: a portable scalar reference, an AVX2 kernel (four
-// words per 256-bit register) and an AVX-512 kernel (eight words per
-// 512-bit register). Both vector kernels evaluate lane-for-lane in the
-// scalar accumulation order, so every entry point decodes bit-for-bit
-// identically to its scalar counterpart.
+// column u64s per 256-bit register) and an AVX-512 kernel (eight per
+// 512-bit register). Every rung runs the same muxes on the same columns,
+// so every entry point decodes bit-for-bit identically to its scalar
+// counterpart.
 //
 // Selection happens once per process on first use: the SW_EVAL_KERNEL
 // environment variable overrides (accepted values are exactly the kernel
@@ -72,18 +66,13 @@ constexpr std::size_t kBlockColumnWords = 16;
 
 struct Kernel {
   const char* name;
-  /// Decodes words [0, num_words): slot j of the plan reads the column
+  /// Decodes words [0, num_words) of a tabulated plan (plan.tabulated()
+  /// must hold) from its diagrams: slot j of the plan reads the column
   /// `slots[j]`, and detector d writes its verdicts to the column at
-  /// `out + plan.detector_channels()[d] * out_stride`. Every column holds
-  /// at least column_words(num_words) u64s. Verdict bits past num_words
-  /// are unspecified: the last group may run on padding lanes, and the
-  /// bytes past that group are left as they were.
-  void (*eval_bits)(const EvalPlan& plan, const std::uint64_t* const* slots,
-                    std::size_t num_words, std::uint64_t* out,
-                    std::size_t out_stride);
-  /// The same decode and column contract from a tabulated plan's diagrams
-  /// (plan.tabulated() must hold): writes column_words(num_words) u64s of
-  /// each detector's column and reads no u64 past that many of a slot's.
+  /// `out + plan.detector_channels()[d] * out_stride`. Writes
+  /// column_words(num_words) u64s of each detector's column and reads no
+  /// u64 past that many of a slot's; verdict bits past num_words are
+  /// unspecified.
   void (*eval_tables)(const EvalPlan& plan, const std::uint64_t* const* slots,
                       std::size_t num_words, std::uint64_t* out,
                       std::size_t out_stride);
@@ -103,6 +92,15 @@ struct Kernel {
 
 /// Portable reference kernel; always available.
 const Kernel& scalar_kernel();
+
+/// The phasor decode, on any plan (tabulated or not), with eval_tables'
+/// column contract: each detector accumulates its bit-selected constants
+/// (re0/re1) in f64, in plan order from 0.0, and decodes Re < 0 (the
+/// decide_phase decision with reference 0), one word at a time. Verdict
+/// bits past num_words are zero. Every eval_tables equals it bit for bit.
+void eval_bits(const EvalPlan& plan, const std::uint64_t* const* slots,
+               std::size_t num_words, std::uint64_t* out,
+               std::size_t out_stride);
 
 /// AVX2 kernel, or nullptr when the build lacks AVX2 codegen or the CPU
 /// lacks the instructions.
@@ -156,9 +154,9 @@ const Kernel& active_kernel();
 
 }  // namespace kernels
 
-/// Name of the kernel evaluate_bits dispatches to ("scalar" | "avx2" |
-/// "avx512"); surfaced through sw::serve::ServiceStats and logged by
-/// EvaluatorService so operators and benches can tell which path ran.
+/// Name of the active kernel ("scalar" | "avx2" | "avx512"); surfaced
+/// through sw::serve::ServiceStats and logged by EvaluatorService so
+/// operators and benches can tell which path ran.
 std::string_view active_kernel_name();
 
 }  // namespace sw::wavesim

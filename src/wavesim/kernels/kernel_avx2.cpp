@@ -1,19 +1,8 @@
-// AVX2 kernel: four words per __m256d, one word per lane.
-//
-// Bit-exactness argument: vectorising *across words* (not across a
-// detector's contributions) keeps each lane's accumulation in exactly the
-// scalar order — lane l performs the same additions on the same constants
-// in the same sequence as the scalar kernel would for word l — so every
-// lane's sum is bitwise identical to the scalar sum and no word can decode
-// differently, not even one sitting within an ulp of the threshold.
-//
-// A slot's lane masks come straight from its column: a u16 covers 16
-// words, and a variable left shift of the broadcast u16 moves bit 4b + l
-// into the sign bit of lane l of register b, which is all vblendvpd reads.
-// The four registers' verdict movemasks are the channel column's u16.
+// AVX2 kernel: four column u64s (256 words) per __m256i.
 //
 // eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
-// four column u64s per mux, as and/xor.
+// four column u64s per mux, as and/xor, so it decodes exactly what the
+// scalar rung's u64 muxes decode.
 //
 // The edge converter packs 8 words x 32 columns at a time: per word a byte
 // compare adds the word's bit into one byte per column, and an unpack
@@ -37,7 +26,6 @@
 #include <cstring>
 
 #include "wavesim/eval_plan.h"
-#include "wavesim/kernels/column_step.h"
 #include "wavesim/kernels/table_step.h"
 
 namespace sw::wavesim::kernels {
@@ -76,57 +64,6 @@ struct Avx2Lanes {
         lo.v, _mm256_and_si256(_mm256_xor_si256(lo.v, hi.v), x.v))};
   }
 };
-
-void eval_bits_avx2(const EvalPlan& plan, const std::uint64_t* const* slots,
-                    std::size_t num_words, std::uint64_t* out,
-                    std::size_t out_stride) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto slot_of = plan.slots();
-  const auto re0 = plan.re0();
-  const auto re1 = plan.re1();
-
-  // Each 16-word step's four accumulators are independent registers, so one
-  // contribution's column load and broadcast constants serve all of them.
-  // A last step past num_words runs on padding lanes. Lane l of register b
-  // reads bit 4b + l of the step's u16, shifted into the sign bit that
-  // vblendvpd selects on.
-  const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
-  __m256i shifts[4];
-  for (int b = 0; b < 4; ++b) {
-    shifts[b] = _mm256_sub_epi64(_mm256_set1_epi64x(63 - 4 * b), lanes);
-  }
-  // An ordered < 0.0 compare, not the raw sign bit: a -0.0 sum must decode
-  // as 0 exactly like the scalar kernel's `acc < 0.0`.
-  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
-    std::uint64_t* column = out + det_channel[d] * out_stride;
-    for (std::size_t t = 0; t * 16 < num_words; ++t) {
-      __m256d acc[4];
-      for (__m256d& a : acc) a = _mm256_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const __m256i masks = _mm256_set1_epi64x(
-            detail::load_step<std::uint16_t>(slots[slot_of[i]], t));
-        const __m256d zero = _mm256_broadcast_sd(&re0[i]);
-        const __m256d one = _mm256_broadcast_sd(&re1[i]);
-        for (std::size_t b = 0; b < 4; ++b) {
-          acc[b] = _mm256_add_pd(
-              acc[b],
-              _mm256_blendv_pd(zero, one,
-                               _mm256_castsi256_pd(
-                                   _mm256_sllv_epi64(masks, shifts[b]))));
-        }
-      }
-      std::uint16_t verdicts = 0;
-      for (std::size_t b = 0; b < 4; ++b) {
-        verdicts |= static_cast<std::uint16_t>(
-            _mm256_movemask_pd(
-                _mm256_cmp_pd(acc[b], _mm256_setzero_pd(), _CMP_LT_OQ))
-            << (4 * b));
-      }
-      detail::store_step(column, t, verdicts);
-    }
-  }
-}
 
 /// Gathers byte c of a[0..7] into one u64 per c and stores it at
 /// column[c * stride] for c < n (n <= 32): byte c of a[k] holds column c's
@@ -258,11 +195,8 @@ const Kernel* detail::avx2_kernel_candidate() {
   // is compiled with -mavx2, so any non-trivial code in it could be
   // VEX-encoded and fault on a pre-AVX2 host. The runtime support check
   // lives in dispatch.cpp (a portable TU); this is a bare constant return.
-  static constexpr Kernel kernel{"avx2",
-                                 &eval_bits_avx2,
-                                 &detail::eval_tables<Avx2Lanes>,
-                                 &to_columns_avx2,
-                                 &to_rows_avx2};
+  static constexpr Kernel kernel{"avx2", &detail::eval_tables<Avx2Lanes>,
+                                 &to_columns_avx2, &to_rows_avx2};
   return &kernel;
 }
 

@@ -1,16 +1,8 @@
-// AVX-512 kernel: eight words per __m512d, one word per lane.
-//
-// Same bit-exactness argument as the AVX2 kernel — vectorise across words,
-// never across a detector's contributions, so lane l's accumulation is the
-// scalar kernel's for word l, addition for addition — at twice the width.
-// AVX-512's mask registers are the column layout itself: a slot's __mmask8
-// for a word group is one byte of its column, loaded as it is and consumed
-// by _mm512_mask_blend_pd, and the decode is a single _mm512_cmp_pd_mask
-// (ordered < 0.0, so a -0.0 sum decodes as 0 exactly like the scalar
-// `acc < 0.0`) stored as one byte of the channel's column.
+// AVX-512 kernel: eight column u64s (512 words) per __m512i.
 //
 // eval_tables runs the plan's decision diagrams (kernels/table_step.h) on
-// eight column u64s per mux, one vpternlogq each.
+// eight column u64s per mux, one vpternlogq each, so it decodes exactly
+// what the scalar rung's u64 muxes decode.
 //
 // The edge converter works on whole 64-word groups of rows of 8 .. 64 bytes
 // (every layout with a multiple of 8 slots): a test-mask per 64 bytes packs
@@ -47,7 +39,6 @@
 #include <array>
 
 #include "wavesim/eval_plan.h"
-#include "wavesim/kernels/column_step.h"
 #include "wavesim/kernels/table_step.h"
 
 namespace sw::wavesim::kernels {
@@ -83,50 +74,6 @@ struct Avx512Lanes {
     return {_mm512_ternarylogic_epi64(x.v, hi.v, lo.v, 0xCA)};
   }
 };
-
-void eval_bits_avx512(const EvalPlan& plan, const std::uint64_t* const* slots,
-                      std::size_t num_words, std::uint64_t* out,
-                      std::size_t out_stride) {
-  const auto offsets = plan.detector_offsets();
-  const auto det_channel = plan.detector_channels();
-  const auto slot_of = plan.slots();
-  const auto re0 = plan.re0();
-  const auto re1 = plan.re1();
-
-  // Each 32-word step fills four independent accumulators, so one
-  // contribution's column pointer and broadcast constants serve all four. A
-  // last step past num_words runs on padding lanes. blend(k, a, b): lane l
-  // reads b where bit l of k is set — so a set input bit selects the
-  // phase-one constant, per lane, and the add is the scalar accumulation
-  // step in every lane.
-  for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
-    std::uint64_t* column = out + det_channel[d] * out_stride;
-    for (std::size_t t = 0; t * 32 < num_words; ++t) {
-      __m512d acc[4];
-      for (__m512d& a : acc) a = _mm512_setzero_pd();
-      for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
-        const std::uint64_t* slot = slots[slot_of[i]];
-        const __m512d zero = _mm512_set1_pd(re0[i]);
-        const __m512d one = _mm512_set1_pd(re1[i]);
-        for (std::size_t q = 0; q < 4; ++q) {
-          acc[q] = _mm512_add_pd(
-              acc[q],
-              _mm512_mask_blend_pd(
-                  static_cast<__mmask8>(
-                      detail::load_step<std::uint8_t>(slot, 4 * t + q)),
-                  zero, one));
-        }
-      }
-      std::uint32_t verdicts = 0;
-      for (std::size_t q = 0; q < 4; ++q) {
-        verdicts |= std::uint32_t{_mm512_cmp_pd_mask(
-                        acc[q], _mm512_setzero_pd(), _CMP_LT_OQ)}
-                    << (8 * q);
-      }
-      detail::store_step(column, t, verdicts);
-    }
-  }
-}
 
 /// The AVX2 converter: shapes the packed converter below does not take, and
 /// every shape on hosts without VBMI and GFNI (every AVX-512 host runs
@@ -314,14 +261,11 @@ const Kernel* detail::avx512_kernel_candidate(bool vbmi_gfni) {
   // so anything non-trivial in it could fault on an older host. The
   // runtime support checks live in dispatch.cpp; this is a bare constant
   // return.
-  static constexpr Kernel kernel{"avx512",
-                                 &eval_bits_avx512,
-                                 &detail::eval_tables<Avx512Lanes>,
-                                 &to_columns_avx512,
-                                 &to_rows_avx512};
+  static constexpr Kernel kernel{"avx512", &detail::eval_tables<Avx512Lanes>,
+                                 &to_columns_avx512, &to_rows_avx512};
   static constexpr Kernel kernel_without_vbmi{
-      "avx512", &eval_bits_avx512, &detail::eval_tables<Avx512Lanes>,
-      &to_columns_general, &to_rows_general};
+      "avx512", &detail::eval_tables<Avx512Lanes>, &to_columns_general,
+      &to_rows_general};
   return vbmi_gfni ? &kernel : &kernel_without_vbmi;
 }
 

@@ -1,10 +1,10 @@
-// Portable reference kernel: one word at a time, one detector at a time,
-// contributions accumulated in plan (= scalar source) order.
+// Portable reference kernel, and the phasor decode beside every rung.
 //
-// eval_bits accumulates real parts only, the plan's re0/re1: complex
+// eval_bits, one word at a time, one detector at a time, accumulates the
+// plan's real parts (re0/re1) in plan (= scalar source) order: complex
 // addition is componentwise, so their sum is bitwise the real part of the
-// physics path's complex sum, and the decode consumes nothing but sign(Re). A
-// word's bit selects the constant with a bit mask, not a branch on input
+// physics path's complex sum, and the decode consumes nothing but sign(Re).
+// A word's bit selects the constant with a bit mask, not a branch on input
 // bits the predictor cannot learn; the addend is the same either way.
 //
 // eval_tables runs the diagrams in plain u64 ops, one select per column
@@ -46,11 +46,9 @@ void detail::transpose_8x8_bytes(std::uint64_t x[8]) {
   }
 }
 
-namespace {
-
-void eval_bits_scalar(const EvalPlan& plan, const std::uint64_t* const* slots,
-                      std::size_t num_words, std::uint64_t* out,
-                      std::size_t out_stride) {
+void eval_bits(const EvalPlan& plan, const std::uint64_t* const* slots,
+               std::size_t num_words, std::uint64_t* out,
+               std::size_t out_stride) {
   const auto offsets = plan.detector_offsets();
   const auto det_channel = plan.detector_channels();
   const auto slot_of = plan.slots();
@@ -80,6 +78,8 @@ void eval_bits_scalar(const EvalPlan& plan, const std::uint64_t* const* slots,
     }
   }
 }
+
+namespace {
 
 constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
 
@@ -159,10 +159,8 @@ void to_rows_scalar(const std::uint64_t* cols, std::size_t col_stride,
 
 const Kernel& scalar_kernel() {
   static constexpr Kernel kernel{"scalar",
-                                 &eval_bits_scalar,
                                  &detail::eval_tables<detail::U64Lanes>,
-                                 &to_columns_scalar,
-                                 &to_rows_scalar};
+                                 &to_columns_scalar, &to_rows_scalar};
   return kernel;
 }
 

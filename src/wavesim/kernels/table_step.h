@@ -1,10 +1,11 @@
 // The table decode every kernel runs (Kernel::eval_tables): each detector's
 // decision diagram (EvalPlan::table_muxes) as a straight-line list of muxes
 // over its slot columns, kTileWords column u64s (64 words each) per pass
-// over the list. Like column_step.h, everything here is TU-local (an
-// anonymous namespace): each kernel TU instantiates it with its own lane
-// type under its own ISA flags, so the kernel SW_EVAL_KERNEL picks also
-// picks the instructions of its table decode.
+// over the list. Everything here is TU-local (an anonymous namespace): each
+// kernel TU instantiates it with its own lane type under its own ISA flags,
+// so no AVX-512-encoded copy can stand in for the AVX2 one at link time,
+// and the kernel SW_EVAL_KERNEL picks also picks the instructions of its
+// table decode.
 //
 // A lane type provides V, kWords, splat(u64), mux(x, lo, hi) (hi where x
 // has a 1, lo where it has a 0), and load(p, n) / store(p, v, n) of the
@@ -40,8 +41,8 @@ struct U64Lanes {
 constexpr std::size_t kTileWords = kBlockColumnWords;
 
 /// Diagram values that fit the stack: a majority of m inputs needs
-/// (m + 1)^2 / 4 + 2, so every odd m up to 13. Larger diagrams (at most
-/// 509 muxes for kMaxTableInputs variables) use the heap.
+/// (m + 1)^2 / 4 + 2, so every odd m up to 13. Larger diagrams use the
+/// heap: at most kMaxTableMuxes + 2 values, about 64 KiB per call.
 constexpr std::size_t kStackValues = 64;
 
 /// Every detector's diagram on the n <= kTileWords column u64s from u64 g

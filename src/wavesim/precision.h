@@ -1,9 +1,8 @@
 // The evaluation precision, a constant: every plan, kernel and decode runs
-// in double. Served detectors decode from exact truth tables that sum the
-// f64 phasor constants at plan build (see EvalPlan), and the f64 phasor sum
-// is the reference and the decode of a detector too wide to tabulate. Its
-// name is what peers and scrapes read: the registry advert's precision
-// field and the sw_serve_kernel_info label.
+// in double. Served detectors decode from exact decision diagrams of the
+// f64 phasor sum (see EvalPlan), and that sum, kernels::eval_bits, is the
+// reference. Its name is what peers and scrapes read: the registry
+// advert's precision field and the sw_serve_kernel_info label.
 #pragma once
 
 #include <cstdint>

@@ -1,19 +1,21 @@
-// Kernel-layer coverage: the SoA EvalPlan, the scalar/AVX2/AVX-512
-// evaluation kernels, and the runtime dispatch. The load-bearing property
-// is bit-exact equivalence — every kernel must decode exactly like the
-// scalar gate path (DataParallelGate::evaluate) on every BooleanOp,
-// including the full 2^16 operand sweep at n = 8, near-cancelling
-// thin-margin sums, and word counts that exercise each kernel's word
-// grouping (4/8 doubles), its padded last group and the 64-word column
-// boundaries.
+// Kernel-layer coverage: the SoA EvalPlan and its decision diagrams, the
+// scalar/AVX2/AVX-512 kernels, the phasor reference (kernels::eval_bits)
+// and the runtime dispatch. The load-bearing property is bit-exact
+// equivalence — every rung's table decode and the phasor sum must decode
+// exactly like the scalar gate path (DataParallelGate::evaluate) on every
+// BooleanOp, including the full 2^16 operand sweep at n = 8, near-cancelling
+// thin-margin sums, and word counts that exercise each kernel's vector
+// groups (4/8 column u64s), its padded last group and the 64-word column
+// boundaries — and every diagram must be the reduced ordered diagram of the
+// enumeration oracle (tests/table_model.h).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "column_model.h"
@@ -22,6 +24,7 @@
 #include "core/gate.h"
 #include "core/gate_design.h"
 #include "core/logic_ops.h"
+#include "core/scalability.h"
 #include "dispersion/fvmsw.h"
 #include "mag/material.h"
 #include "serve/plan_cache.h"
@@ -72,6 +75,16 @@ struct KernelFixture {
     spec.num_inputs = m;
     spec.frequencies = channel_frequencies(n);
     return DataParallelGate(designer.design(spec), engine);
+  }
+
+  /// The designed n-channel m-input layout with the paper's graded drive
+  /// levels (core::damping_compensation): every detector then decodes
+  /// MAJ_m.
+  DataParallelGate compensated_gate(std::size_t m, std::size_t n) const {
+    const GateLayout layout = majority_gate(m, n).layout();
+    return DataParallelGate(
+        with_drive_levels(layout, damping_compensation(layout, engine)),
+        engine);
   }
 
   /// Rescales one channel of a 3-input layout so a bit assignment sums to
@@ -218,11 +231,12 @@ std::vector<std::uint8_t> row_reference(const DataParallelGate& gate,
   return bits;
 }
 
-/// Checks every available kernel's evaluate_bits against the row reference
-/// on random rows of `max_byte`-bounded bytes (1: canonical 0/1 bits; 255:
-/// any nonzero byte is a set bit) at every edge word count. The column
-/// entry the service runs (the same gate as a one-stage EvalProgram, on
-/// the rows' columns) must decode the same bits, with zero padding.
+/// Checks every available kernel's table decode, through the same gate as
+/// a one-stage EvalProgram, against the row reference on random rows of
+/// `max_byte`-bounded bytes (1: canonical 0/1 bits; 255: any nonzero byte
+/// is a set bit) at every edge word count: the row API (the kernel's edge
+/// converters around eval_tables) and the column entry the service runs,
+/// with zero padding. The evaluator's phasor sum must decode the same.
 void expect_kernels_match_rows(const BatchEvaluator& evaluator,
                                unsigned max_byte, unsigned seed) {
   std::mt19937 rng(seed);
@@ -234,10 +248,13 @@ void expect_kernels_match_rows(const BatchEvaluator& evaluator,
     std::vector<std::uint8_t> packed(words * evaluator.slot_count());
     for (auto& b : packed) b = static_cast<std::uint8_t>(byte(rng));
     const auto want = row_reference(evaluator.gate(), words, packed);
+    EXPECT_EQ(evaluator.evaluate_bits(words, packed), want)
+        << "phasor sum, " << evaluator.slot_count() << " slots, " << words
+        << " words";
     const auto primary =
         sw::testing::columns_of(packed, words, evaluator.slot_count());
     for (const Kernel* k : available_kernels()) {
-      EXPECT_EQ(evaluator.evaluate_bits(words, packed, *k), want)
+      EXPECT_EQ(program.evaluate_bits(words, packed, *k), want)
           << evaluator.slot_count() << " slots, " << words << " words, kernel "
           << k->name;
       const auto columns = program.evaluate_columns(words, primary, *k);
@@ -417,22 +434,20 @@ TEST(EvalPlan, PlanCacheServesTheSoAPlanItBuilt) {
 
 // ------------------------------------------------------------ equivalence --
 
-/// Decodes `sweep` through `kernel` and checks every word against the
-/// scalar gate path (ParallelLogicGate::evaluate) and the Boolean
+/// Checks `bits`, the decode of `sweep` by `path`, word by word against
+/// the scalar gate path (ParallelLogicGate::evaluate) and the Boolean
 /// reference.
-void expect_kernel_matches_scalar_gate(const ParallelLogicGate& logic,
-                                       const BatchEvaluator& evaluator,
-                                       const PackedSweep& sweep,
-                                       const Kernel& kernel, std::size_t n) {
-  const auto bits =
-      evaluator.evaluate_bits(sweep.num_words, sweep.bits, kernel);
+void expect_sweep_matches_scalar_gate(const ParallelLogicGate& logic,
+                                      const std::vector<std::uint8_t>& bits,
+                                      const PackedSweep& sweep,
+                                      const std::string& path, std::size_t n) {
   ASSERT_EQ(bits.size(), sweep.num_words * n);
   for (std::size_t w = 0; w < sweep.num_words; ++w) {
     const auto want = logic.evaluate(sweep.a_words[w], sweep.b_words[w]);
     for (std::size_t ch = 0; ch < n; ++ch) {
       ASSERT_EQ(bits[w * n + ch], want[ch])
-          << boolean_op_name(logic.op()) << " kernel " << kernel.name
-          << " word " << w << " channel " << ch;
+          << boolean_op_name(logic.op()) << ", " << path << ", word " << w
+          << " channel " << ch;
       ASSERT_EQ(want[ch] != 0,
                 boolean_op_eval(logic.op(), sweep.a_words[w][ch] != 0,
                                 sweep.b_words[w][ch] != 0))
@@ -445,20 +460,21 @@ TEST(KernelEquivalence, EveryOpExhaustiveAtEveryWidth) {
   const KernelFixture fix;
   // n = 8 on binary ops is the full 2^16-word sweep of the acceptance
   // criteria; n = 1 exercises single-detector plans, n = 4 the mid size.
+  // Every rung decodes through its tables, the phasor sum once.
   for (const std::size_t n : {1ul, 4ul, 8ul}) {
     for (const BooleanOp op : kAllOps) {
       const ParallelLogicGate logic(op, channel_frequencies(n), fix.designer,
                                     fix.engine);
       const BatchEvaluator evaluator(logic.gate());
+      const sw::wavesim::EvalProgram program(logic.layout(), fix.engine);
       const PackedSweep sweep = exhaustive_sweep(logic, n);
-      expect_kernel_matches_scalar_gate(logic, evaluator, sweep,
-                                        scalar_kernel(), n);
-      if (const Kernel* avx2 = avx2_kernel()) {
-        expect_kernel_matches_scalar_gate(logic, evaluator, sweep, *avx2, n);
-      }
-      if (const Kernel* avx512 = avx512_kernel()) {
-        expect_kernel_matches_scalar_gate(logic, evaluator, sweep, *avx512,
-                                          n);
+      expect_sweep_matches_scalar_gate(
+          logic, evaluator.evaluate_bits(sweep.num_words, sweep.bits), sweep,
+          "phasor sum", n);
+      for (const Kernel* k : available_kernels()) {
+        expect_sweep_matches_scalar_gate(
+            logic, program.evaluate_bits(sweep.num_words, sweep.bits, *k),
+            sweep, std::string("tables on ") + k->name, n);
       }
     }
   }
@@ -469,16 +485,18 @@ TEST(KernelEquivalence, ActiveKernelMatchesScalarKernel) {
   const ParallelLogicGate logic(BooleanOp::kAnd, channel_frequencies(8),
                                 fix.designer, fix.engine);
   const BatchEvaluator evaluator(logic.gate());
+  const sw::wavesim::EvalProgram program(logic.layout(), fix.engine);
   const PackedSweep sweep = exhaustive_sweep(logic, 8);
-  EXPECT_EQ(evaluator.evaluate_bits(sweep.num_words, sweep.bits),
-            evaluator.evaluate_bits(sweep.num_words, sweep.bits,
-                                    scalar_kernel()));
+  const auto want = evaluator.evaluate_bits(sweep.num_words, sweep.bits,
+                                            scalar_kernel());
+  EXPECT_EQ(evaluator.evaluate_bits(sweep.num_words, sweep.bits), want);
+  EXPECT_EQ(program.evaluate_bits(sweep.num_words, sweep.bits), want);
 }
 
 TEST(KernelEquivalence, OddWordCountsExerciseTheVectorTail) {
-  // The f64 run groups 4 (AVX2) or 8 (AVX-512) words per register inside
-  // 16- or 32-word steps, and the converters work in 64-word column u64s;
-  // a partial group runs on the padding, whose bits the row edge drops.
+  // The table decode groups 4 (AVX2) or 8 (AVX-512) column u64s per
+  // register, and the converters work in 64-word column u64s; a partial
+  // group runs on the padding, whose bits the row edge drops.
   const KernelFixture fix;
   for (const auto& [m, n] : kEdgeLayouts) {
     const auto gate = fix.majority_gate(m, n);
@@ -526,16 +544,17 @@ TEST(KernelEquivalence, ThreadedChunkingDoesNotChangeDecodes) {
 }
 
 TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
-  // The near-cancelling fixtures through every rung's phasor eval_bits and
-  // table eval_tables, against the scalar eval_bits on the same columns at
-  // every edge word count; the scalar eval_bits is itself pinned to the
-  // row reference, which shares no code with it.
+  // The near-cancelling fixtures through every rung's eval_tables (a
+  // one-stage EvalProgram's column entry), against the phasor eval_bits on
+  // the same columns at every edge word count; eval_bits is itself pinned
+  // to the row reference, which shares no code with it.
   const KernelFixture fix;
   std::mt19937 rng(79);
   std::bernoulli_distribution coin(0.5);
   for (const DataParallelGate& gate : fix.thin_margin_gates()) {
     const EvalPlan plan(gate);
-    ASSERT_TRUE(plan.tabulated());
+    const sw::wavesim::EvalProgram program(gate.layout(), gate.engine(),
+                                           {.num_threads = 1});
     const std::size_t slots = plan.slot_count();
     const std::size_t n = plan.num_channels();
     for (const std::size_t words : kEdgeWordCounts) {
@@ -547,19 +566,16 @@ TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
       for (std::size_t j = 0; j < slots; ++j) {
         inputs[j] = primary.data() + j * stride;
       }
-      const auto decode = [&](auto entry) {
-        std::vector<std::uint64_t> out(n * stride);
-        entry(plan, inputs.data(), words, out.data(), stride);
-        return sw::testing::rows_of(out, words, n);
-      };
-      const auto want = decode(scalar_kernel().eval_bits);
+      std::vector<std::uint64_t> phasor(n * stride);
+      sw::wavesim::kernels::eval_bits(plan, inputs.data(), words,
+                                      phasor.data(), stride);
+      const auto want = sw::testing::rows_of(phasor, words, n);
       ASSERT_EQ(want, row_reference(gate, words, rows))
           << n << " channels, " << words << " words";
       for (const Kernel* k : available_kernels()) {
-        EXPECT_EQ(decode(k->eval_bits), want)
-            << "eval_bits, " << n << " channels, " << words
-            << " words, kernel " << k->name;
-        EXPECT_EQ(decode(k->eval_tables), want)
+        EXPECT_EQ(sw::testing::rows_of(
+                      program.evaluate_columns(words, primary, *k), words, n),
+                  want)
             << "eval_tables, " << n << " channels, " << words
             << " words, kernel " << k->name;
       }
@@ -568,6 +584,9 @@ TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
 }
 
 // ------------------------------------------------------------------ tables --
+
+/// The 8-channel widths the oracle checks exhaustively.
+constexpr std::size_t kOracleWidths[] = {3, 5, 7, 9, 11, 13, 15};
 
 TEST(TableDecode, EveryAssignmentMatchesTheGateOnEveryTestedLayout) {
   // Exhaustive: every detector of the edge layouts and of the m = 5 gate,
@@ -579,6 +598,60 @@ TEST(TableDecode, EveryAssignmentMatchesTheGateOnEveryTestedLayout) {
   for (const auto& [m, n] : layouts) {
     const auto gate = fix.majority_gate(m, n);
     sw::testing::expect_tables_match_gate(gate, EvalPlan(gate));
+  }
+}
+
+TEST(TableDecode, DiagramsAreTheOraclesReducedDiagrams) {
+  // Every detector's diagram against the enumeration oracle: the same
+  // verdict on all 2^k assignments and as many muxes as the reduced ordered
+  // diagram of the oracle's table, on the edge layouts, the thin-margin
+  // fixtures and the 8-channel gates at m = 3..15, as designed and with the
+  // paper's drive levels.
+  const KernelFixture fix;
+  for (const auto& [m, n] : kEdgeLayouts) {
+    sw::testing::expect_diagrams_match_oracle(
+        EvalPlan(fix.majority_gate(m, n)));
+  }
+  for (const DataParallelGate& gate : fix.thin_margin_gates()) {
+    sw::testing::expect_diagrams_match_oracle(EvalPlan(gate));
+  }
+  for (const std::size_t m : kOracleWidths) {
+    sw::testing::expect_diagrams_match_oracle(
+        EvalPlan(fix.majority_gate(m, 8)));
+    sw::testing::expect_diagrams_match_oracle(
+        EvalPlan(fix.compensated_gate(m, 8)));
+  }
+}
+
+TEST(TableDecode, BuilderIsExactWhereSumsLandOnBounds) {
+  // Small integer multiples of the least subnormal add exactly, and their
+  // keys are consecutive integers, so partial sums sit on every preimage
+  // bound and coincide across paths: a bound one ulp out puts a sum in the
+  // wrong sub-function (a wrong verdict), one ulp in splits a sub-function
+  // (a mux more than the oracle's). Whole numbers add exactly too, with
+  // bounds a few ulps apart; zeros, equal constants (a slot that cannot
+  // change the verdict) and -0.0 are in the mix.
+  std::mt19937_64 rng(83);
+  std::uniform_int_distribution<int> pick(-6, 6);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (std::size_t trial = 0; trial < 400; ++trial) {
+    const std::size_t k = 1 + trial % 10;
+    const double unit = trial % 2 == 0 ? tiny : 1.0;
+    std::vector<double> re0(k), re1(k);
+    std::vector<std::uint32_t> slots(k);
+    for (std::size_t c = 0; c < k; ++c) {
+      re0[c] = pick(rng) * unit;
+      re1[c] = trial % 7 == 0 && c % 3 == 1 ? re0[c] : pick(rng) * unit;
+      if (re0[c] == 0.0 && trial % 3 == 0) re0[c] = -0.0;
+      slots[c] = static_cast<std::uint32_t>(3 * k - 2 * c);
+    }
+    const auto diagram = sw::wavesim::build_diagram(re0, re1, slots);
+    ASSERT_TRUE(diagram.has_value());
+    const auto oracle = sw::testing::tabulate_detector({re0, re1, slots});
+    ASSERT_EQ(sw::testing::diagram_table(*diagram, slots), oracle.bits)
+        << "trial " << trial;
+    ASSERT_EQ(diagram->muxes.size(), sw::testing::reduced_size(oracle))
+        << "trial " << trial;
   }
 }
 
@@ -594,12 +667,12 @@ TEST(ThinMarginTables, DiagramsDecodeEveryThinAssignmentExactly) {
 }
 
 TEST(TableDecode, TwoContributionsOnOneSlotAreOneVariable) {
-  // A validated layout drives each slot from one source, so the case is
-  // built from a detector's own contributions: the paper gate's detector 0
-  // plus a fourth contribution, channel 1's first, read by the slot of its
-  // first. The table spans the 3 distinct slots, not 4 contributions, and
-  // each entry is the scalar kernel's accumulation with both reading that
-  // slot's bit.
+  // A validated layout drives each slot from one source, so a diagram's
+  // variables are its contributions and the builder refuses a slot read
+  // twice rather than decode it. The case is built from a detector's own
+  // contributions: the paper gate's detector 0 plus a fourth contribution,
+  // channel 1's first, read by the slot of its first. Without the fourth
+  // the builder makes the oracle's diagram.
   const KernelFixture fix;
   const auto gate = fix.majority_gate(3, 8);
   const EvalPlan plan(gate);
@@ -609,67 +682,103 @@ TEST(TableDecode, TwoContributionsOnOneSlotAreOneVariable) {
   std::vector<double> re1(plan.re1().begin(), plan.re1().begin() + 3);
   std::vector<std::uint32_t> slots(plan.slots().begin(),
                                    plan.slots().begin() + 3);
+  const auto distinct = sw::wavesim::build_diagram(re0, re1, slots);
+  ASSERT_TRUE(distinct.has_value());
+  EXPECT_EQ(sw::testing::diagram_table(*distinct, slots),
+            sw::testing::tabulate_detector({re0, re1, slots}).bits);
+
   re0.push_back(plan.re0()[offsets[1]]);
   re1.push_back(plan.re1()[offsets[1]]);
   slots.push_back(slots[0]);
-
-  const auto table = sw::wavesim::tabulate_detector(re0, re1, slots);
-  ASSERT_TRUE(table.has_value());
-  ASSERT_EQ(table->vars,
-            (std::vector<std::uint32_t>{slots[0], slots[1], slots[2]}));
-  ASSERT_EQ(table->bits.size(), 1u);
-  const auto diagram = sw::wavesim::compile_diagram(table->bits, table->vars);
-  bool any_one = false;
-  bool any_zero = false;
-  for (std::size_t a = 0; a < 8; ++a) {
-    std::vector<std::uint8_t> slot_bits(plan.slot_count(), 0);
-    for (std::size_t i = 0; i < 3; ++i) {
-      slot_bits[table->vars[i]] = static_cast<std::uint8_t>((a >> i) & 1);
-    }
-    double acc = 0.0;
-    for (std::size_t c = 0; c < slots.size(); ++c) {
-      acc += slot_bits[slots[c]] != 0 ? re1[c] : re0[c];
-    }
-    const bool want = acc < 0.0;
-    EXPECT_EQ(((table->bits[0] >> a) & 1) != 0, want) << "assignment " << a;
-    EXPECT_EQ(sw::testing::read_diagram(diagram, slot_bits), want)
-        << "assignment " << a;
-    (want ? any_one : any_zero) = true;
-  }
-  EXPECT_TRUE(any_one && any_zero) << "the fixture should not be constant";
+  EXPECT_THROW(sw::wavesim::build_diagram(re0, re1, slots), sw::util::Error);
 }
 
 TEST(TableDecode, MajorityDiagramsShareCofactors) {
   // A majority of m inputs is (m + 1)^2 / 4 muxes once cofactors are
-  // shared; a full mux tree would be 2^m - 1 (511 at m = 9, not 25).
-  for (const std::size_t m : {3, 5, 7, 9}) {
-    const std::size_t entries = std::size_t{1} << m;
-    std::vector<std::uint64_t> table((entries + 63) / 64);
-    for (std::size_t a = 0; a < entries; ++a) {
-      if (static_cast<std::size_t>(std::popcount(a)) > m / 2) {
-        table[a / 64] |= std::uint64_t{1} << (a % 64);
-      }
-    }
-    std::vector<std::uint32_t> vars(m);
-    for (std::size_t i = 0; i < m; ++i) vars[i] = static_cast<std::uint32_t>(i);
-    const auto diagram = sw::wavesim::compile_diagram(table, vars);
-    EXPECT_EQ(diagram.muxes.size(), (m + 1) * (m + 1) / 4) << "MAJ" << m;
-    for (std::size_t a = 0; a < entries; ++a) {
-      std::vector<std::uint8_t> bits(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        bits[i] = static_cast<std::uint8_t>((a >> i) & 1);
-      }
-      ASSERT_EQ(sw::testing::read_diagram(diagram, bits),
-                static_cast<std::size_t>(std::popcount(a)) > m / 2)
-          << "MAJ" << m << ", assignment " << a;
+  // shared (a full mux tree would be 2^m - 1). With the paper's drive
+  // levels every detector of the 8-channel gate is MAJ_m at every odd width
+  // up to 31, so each diagram has exactly that many.
+  const KernelFixture fix;
+  for (std::size_t m = 3; m <= 31; m += 2) {
+    const EvalPlan plan(fix.compensated_gate(m, 8));
+    ASSERT_TRUE(plan.tabulated()) << "MAJ" << m;
+    for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
+      EXPECT_EQ(plan.table_muxes(d).size(), (m + 1) * (m + 1) / 4)
+          << "MAJ" << m << ", detector " << d;
     }
   }
 }
 
+TEST(TableDecode, CompensatedWideMajoritiesMatchTheSum) {
+  // Past the oracle widths, compensated 8-channel gates at m = 17..31: each
+  // detector's diagram against the f64 sum in plan order, on every
+  // assignment up to m = 21 and on a seeded sample of 4,096 at every width.
+  const KernelFixture fix;
+  std::mt19937_64 rng(89);
+  for (std::size_t m = 17; m <= 31; m += 2) {
+    const EvalPlan plan(fix.compensated_gate(m, 8));
+    ASSERT_TRUE(plan.tabulated()) << "MAJ" << m;
+    for (std::size_t d = 0; d < plan.num_detectors(); ++d) {
+      const auto c = sw::testing::detector_contributions(plan, d);
+      const auto diagram = sw::testing::plan_diagram(plan, d);
+      if (m <= 21) {
+        EXPECT_EQ(sw::testing::diagram_table(diagram, c.slots),
+                  sw::testing::tabulate_detector(c).bits)
+            << "MAJ" << m << ", detector " << d;
+      }
+      for (std::size_t w = 0; w < 64; ++w) {
+        std::vector<std::uint64_t> column(plan.slot_count());
+        for (const std::uint32_t slot : c.slots) column[slot] = rng();
+        std::uint64_t want = 0;
+        for (std::size_t b = 0; b < 64; ++b) {
+          double sum = 0.0;
+          for (std::size_t i = 0; i < c.slots.size(); ++i) {
+            sum += ((column[c.slots[i]] >> b) & 1) != 0 ? c.re1[i] : c.re0[i];
+          }
+          want |= std::uint64_t{sum < 0.0} << b;
+        }
+        ASSERT_EQ(sw::testing::read_diagram_64(
+                      diagram, [&](std::uint32_t s) { return column[s]; }),
+                  want)
+            << "MAJ" << m << ", detector " << d << ", sample word " << w;
+      }
+    }
+  }
+}
+
+TEST(TableDecode, WireSizedDetectorsAreRefusedBeforeAnySearch) {
+  // A v2 spec may put up to 2^20 slots on one detector, so the builder must
+  // not recurse once per slot: one reading more slots than kMaxTableMuxes
+  // is over budget before any search. Here only the last of 2^20
+  // contributions can flip the verdict. At the budget the same shape
+  // builds, one level per contribution, to the one mux that matters.
+  const std::size_t kWire = std::size_t{1} << 20;
+  std::vector<double> re0(kWire, 0.0);
+  std::vector<double> re1(kWire, 0.0);
+  std::vector<std::uint32_t> slots(kWire);
+  for (std::size_t c = 0; c < kWire; ++c) {
+    slots[c] = static_cast<std::uint32_t>(c);
+  }
+  re0.back() = 1.0;
+  re1.back() = -1.0;
+  EXPECT_FALSE(sw::wavesim::build_diagram(re0, re1, slots).has_value());
+
+  const std::size_t k = sw::wavesim::kMaxTableMuxes;
+  const std::span<const double> tail0 = std::span(re0).last(k);
+  const std::span<const double> tail1 = std::span(re1).last(k);
+  const std::span<const std::uint32_t> tail_slots = std::span(slots).last(k);
+  const auto diagram = sw::wavesim::build_diagram(tail0, tail1, tail_slots);
+  ASSERT_TRUE(diagram.has_value());
+  ASSERT_EQ(diagram->muxes.size(), 1u);
+  EXPECT_EQ(diagram->muxes[0].slot, slots.back());
+  EXPECT_EQ(diagram->muxes[0].lo, 0u);
+  EXPECT_EQ(diagram->muxes[0].hi, 1u);
+}
+
 TEST(TableDecode, EvalTablesMatchesScalarEvalBitsWithDirtyPadding) {
-  // Every rung's eval_tables against the scalar phasor eval_bits on the
-  // same columns. Each slot column is its own exactly-sized allocation
-  // with random bits past num_words too, so a read past column_words shows
+  // Every rung's eval_tables against the phasor eval_bits on the same
+  // columns. Each slot column is its own exactly-sized allocation with
+  // random bits past num_words too, so a read past column_words shows
   // under ASan and padding bits must not leak into a verdict. Besides the
   // edge word counts, counts whose last vector of 4 (AVX2) or 8 (AVX-512)
   // column u64s holds 1..7 of them, after whole vectors and after a whole
@@ -695,8 +804,8 @@ TEST(TableDecode, EvalTablesMatchesScalarEvalBitsWithDirtyPadding) {
         inputs.push_back(column.data());
       }
       std::vector<std::uint64_t> want(n * stride, rng());
-      scalar_kernel().eval_bits(plan, inputs.data(), words, want.data(),
-                                stride);
+      sw::wavesim::kernels::eval_bits(plan, inputs.data(), words, want.data(),
+                                      stride);
       for (const Kernel* k : available_kernels()) {
         std::vector<std::uint64_t> got(n * stride, rng());
         k->eval_tables(plan, inputs.data(), words, got.data(), stride);
@@ -713,25 +822,32 @@ TEST(TableDecode, EvalTablesMatchesScalarEvalBitsWithDirtyPadding) {
   }
 }
 
+/// The one-channel 10 GHz majority gate at m = 17, as designed: without
+/// graded drive levels its detector is no majority, and its reduced
+/// diagram has 784 muxes, past kMaxTableMuxes.
+DataParallelGate over_budget_gate(const KernelFixture& fix) {
+  return fix.majority_gate(17, 1);
+}
+
 TEST(TableDecode, LayoutWiderThanTheTablesStaysOnThePhasorSum) {
-  // 13 inputs per channel is past kMaxTableInputs: no diagrams, and the
-  // one-stage program runs eval_bits, priced per contribution-word, still
-  // bit-exact with the row reference on every rung.
+  // Two layouts wider than 11 inputs. A designed 13-input layout is
+  // tabulated, priced in muxes and bit-exact on every rung. An
+  // over-budget one (its diagram past kMaxTableMuxes, by the oracle) keeps
+  // no diagrams: EvalProgram refuses it naming the budget, and only the
+  // phasor sum decodes it, still bit-exact with the row reference.
   const KernelFixture fix;
-  const auto gate = fix.majority_gate(sw::wavesim::kMaxTableInputs + 2, 2);
-  const EvalPlan plan(gate);
-  EXPECT_FALSE(plan.tabulated());
-  EXPECT_EQ(plan.num_table_muxes(), 0u);
-  const sw::wavesim::EvalProgram program(gate.layout(), gate.engine(),
-                                         {.num_threads = 1});
-  EXPECT_FALSE(program.stage_plan(0).tabulated());
-  EXPECT_EQ(program.kernel_work(100), 100 * plan.num_contributions());
   std::mt19937 rng(73);
   std::bernoulli_distribution coin(0.5);
+  const auto wide = fix.majority_gate(13, 2);
+  const EvalPlan plan(wide);
+  EXPECT_TRUE(plan.tabulated());
+  const sw::wavesim::EvalProgram program(wide.layout(), wide.engine(),
+                                         {.num_threads = 1});
+  EXPECT_EQ(program.kernel_work(100), 2 * plan.num_table_muxes());
   for (const std::size_t words : {1ul, 63ul, 65ul, 1100ul}) {
     std::vector<std::uint8_t> rows(words * plan.slot_count());
     for (auto& b : rows) b = coin(rng) ? 1 : 0;
-    const auto want = row_reference(gate, words, rows);
+    const auto want = row_reference(wide, words, rows);
     const auto primary =
         sw::testing::columns_of(rows, words, plan.slot_count());
     for (const Kernel* k : available_kernels()) {
@@ -741,6 +857,29 @@ TEST(TableDecode, LayoutWiderThanTheTablesStaysOnThePhasorSum) {
                 want)
           << words << " words, kernel " << k->name;
     }
+  }
+
+  const auto over = over_budget_gate(fix);
+  const EvalPlan over_plan(over);
+  ASSERT_GT(sw::testing::reduced_size(sw::testing::tabulate_detector(
+                sw::testing::detector_contributions(over_plan, 0))),
+            sw::wavesim::kMaxTableMuxes);
+  EXPECT_FALSE(over_plan.tabulated());
+  EXPECT_EQ(over_plan.num_table_muxes(), 0u);
+  try {
+    const sw::wavesim::EvalProgram refused(over.layout(), over.engine());
+    FAIL() << "expected the stage to be refused";
+  } catch (const sw::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxTableMuxes"), std::string::npos)
+        << e.what();
+  }
+  const BatchEvaluator evaluator(over, {.num_threads = 1});
+  for (const std::size_t words : {1ul, 65ul, 1100ul}) {
+    std::vector<std::uint8_t> rows(words * evaluator.slot_count());
+    for (auto& b : rows) b = coin(rng) ? 1 : 0;
+    EXPECT_EQ(evaluator.evaluate_bits(words, rows),
+              row_reference(over, words, rows))
+        << words << " words";
   }
 }
 
@@ -756,9 +895,11 @@ TEST(TableDecode, KernelWorkSaturatesInsteadOfWrapping) {
   // column_words(SIZE_MAX) without the wrap of num_words + 63.
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   EXPECT_EQ(program.kernel_work(kMax), (kMax / 64 + 1) * 32);
-  const auto wide = fix.majority_gate(sw::wavesim::kMaxTableInputs + 2, 1);
-  const sw::wavesim::EvalProgram phasor(wide.layout(), wide.engine());
-  EXPECT_EQ(phasor.kernel_work(kMax / 2), kMax);
+  // More than 64 muxes: column_words(SIZE_MAX) x muxes passes SIZE_MAX.
+  const auto wider = fix.majority_gate(7, 8);
+  const sw::wavesim::EvalProgram saturating(wider.layout(), wider.engine());
+  ASSERT_GT(saturating.stage_plan(0).num_table_muxes(), 64u);
+  EXPECT_EQ(saturating.kernel_work(kMax), kMax);
 }
 
 // -------------------------------------------------------------- validation --

@@ -349,15 +349,13 @@ TEST(EvalServer, ServesBatchesBitExactWithMetrics) {
   EXPECT_EQ(text.find("sw_serve_precision{"), std::string::npos) << text;
   // Every plan runs at f64, so no series counts f32 plans or detectors.
   EXPECT_EQ(text.find("f32"), std::string::npos) << text;
-  // The one build tabulated all 4 detectors: they decode from tables.
+  // The one build tabulated all 4 detectors: they decode from tables, the
+  // only decode a served detector has.
   EXPECT_EQ(
       metric_value(text, "sw_serve_plan_cache_detectors{decode=\"table\"}"),
       4.0)
       << text;
-  EXPECT_EQ(
-      metric_value(text, "sw_serve_plan_cache_detectors{decode=\"phasor\"}"),
-      0.0)
-      << text;
+  EXPECT_EQ(text.find("decode=\"phasor\""), std::string::npos) << text;
 
   const auto counters = fx.server.counters();
   EXPECT_EQ(counters.frames_received, 3u);
@@ -552,6 +550,47 @@ TEST(EvalServer, RejectsAlienGeometryWithTypedError) {
   request.layout_hash ^= 0xdeadbeefull;
   send_message(conn, make_frame_message(request), 2000ms);
   EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
+}
+
+TEST(EvalServer, AnswersAnOverBudgetLayoutWithATaggedError) {
+  // The one-channel 10 GHz gate at m = 17, as designed, has a decision
+  // diagram past kMaxTableMuxes, so its build fails: the frame is answered
+  // with an error carrying its tag and naming the budget, and the same
+  // connection goes on serving a gate that fits.
+  ServerFixture fx(loopback());
+  const GateLayout over = fx.designer.design(majority_spec(17, 1));
+  const GateLayout fits = fx.designer.design(majority_spec(3, 2));
+  const WaveEngine engine(fx.model, fx.wg.material.alpha);
+  const DataParallelGate fits_gate(fits, engine);
+  const BatchEvaluator evaluator(fits_gate);
+  const auto over_matrix = random_matrix(24, 17, 11);
+  const auto fits_matrix = random_matrix(24, 6, 12);
+
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  send_frame(conn,
+             sw::serve::make_request_view(over.spec,
+                                          sw::serve::hash_layout(over), 0, 24,
+                                          over_matrix),
+             7);
+  const auto refused = recv_message(conn, 60000ms);
+  ASSERT_TRUE(refused.has_value());
+  ASSERT_EQ(refused->kind, MessageKind::kError);
+  EXPECT_EQ(refused->tag, 7u);
+  EXPECT_NE(decode_error_message(*refused).text.find("kMaxTableMuxes"),
+            std::string::npos);
+
+  send_frame(conn,
+             sw::serve::make_request_view(fits.spec,
+                                          sw::serve::hash_layout(fits), 0, 24,
+                                          fits_matrix),
+             8);
+  const auto reply = recv_message(conn, 60000ms);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->kind, MessageKind::kFrame);
+  EXPECT_EQ(reply->tag, 8u);
+  EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix,
+            evaluator.evaluate_bits(24, fits_matrix));
+  EXPECT_EQ(fx.server.counters().errors_sent, 1u);
 }
 
 TEST(EvalServer, RefusesMisShapedFramesBeforeDesigning) {

@@ -28,6 +28,7 @@
 #include "core/encoding.h"
 #include "core/gate.h"
 #include "core/gate_design.h"
+#include "core/scalability.h"
 #include "dispersion/fvmsw.h"
 #include "mag/material.h"
 #include "serve/admission.h"
@@ -529,18 +530,22 @@ TEST(EvaluatorService, MatchesScalarGateAndCachesPlans) {
 }
 
 TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
-  // 13 inputs per channel is past kMaxTableInputs: the service still
-  // serves it bit-exactly, through eval_bits, inline when warm and small
-  // and pooled when cold, and the cache counts its detectors as phasor
-  // ones; the paper-shaped gate's count as table ones.
+  // Two layouts wider than 11 inputs. A designed 13-input layout is
+  // tabulated: the service serves it bit-exactly from its tables, inline
+  // when warm and small and pooled when large, and counts its detectors as
+  // table ones. An over-budget layout (the one-channel 10 GHz gate at
+  // m = 17, no graded drive levels) fails on submit and on submit_async
+  // with the budget error, and the cache keeps no entry: each attempt is a
+  // miss that builds nothing.
   const ServeFixture fix;
-  const auto wide = fix.majority_layout(sw::wavesim::kMaxTableInputs + 2, 2);
-  const auto narrow = fix.majority_layout(3, 2);
+  const auto wide = fix.majority_layout(13, 2);
   EvaluatorService svc(fix.model, fix.wg.material.alpha);
   const DataParallelGate gate(wide, fix.engine);
   const BatchEvaluator reference(gate, {.num_threads = 1});
-  ASSERT_FALSE(reference.plan().tabulated());
-  for (const std::size_t words : {24ul, 1000ul}) {
+  ASSERT_TRUE(reference.plan().tabulated());
+  const std::size_t pooled =
+      pooled_words(sw::wavesim::EvalProgram(wide, fix.engine));
+  for (const std::size_t words : {24ul, pooled}) {
     const auto matrix =
         random_matrix(words, reference.slot_count(), /*seed=*/33);
     const auto want = reference.evaluate_bits(words, matrix);
@@ -558,7 +563,6 @@ TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
                        done.set_value(std::move(result.columns));
                      });
     const auto columns = done.get_future().get();
-    // 24 words are 624 contribution-words: inline. 1000 are pooled.
     EXPECT_EQ(ran_on == std::this_thread::get_id(), words == 24)
         << words << " words";
     ASSERT_EQ(columns.size(),
@@ -569,11 +573,97 @@ TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
         rows.data(), 2);
     EXPECT_EQ(rows, want) << words << " words, submit_async";
   }
-  (void)svc.submit(EvalRequest::for_layout(narrow, random_matrix(4, 6, 34), 4))
-      .get();
+  const auto built = svc.stats().cache;
+  EXPECT_EQ(built.misses, 1u);
+  EXPECT_EQ(built.table_detectors, 2u);
+
+  const auto over = fix.majority_layout(17, 1);
+  const auto matrix = random_matrix(4, 17, /*seed=*/34);
+  const auto expect_budget_error = [](std::exception_ptr error) {
+    ASSERT_NE(error, nullptr);
+    try {
+      std::rethrow_exception(error);
+    } catch (const sw::util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxTableMuxes"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  auto refused = svc.submit(EvalRequest::for_layout(over, matrix, 4));
+  std::exception_ptr submit_error;
+  try {
+    (void)refused.get();
+  } catch (...) {
+    submit_error = std::current_exception();
+  }
+  expect_budget_error(submit_error);
+  std::promise<std::exception_ptr> async_error;
+  svc.submit_async(EvalRequest::for_layout(over, matrix, 4),
+                   [&](ResultBatch&&, std::exception_ptr error) {
+                     async_error.set_value(error);
+                   });
+  expect_budget_error(async_error.get_future().get());
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.cache.phasor_detectors, 2u);
-  EXPECT_EQ(stats.cache.table_detectors, 2u);
+  EXPECT_EQ(stats.cache.misses, built.misses + 2);
+  EXPECT_EQ(stats.cache.hits, built.hits);
+  EXPECT_EQ(stats.cache.table_detectors, built.table_detectors);
+  EXPECT_EQ(stats.completed, stats.submitted);
+}
+
+TEST(EvaluatorService, RefusesAWireSizedLayoutWithTheBudgetError) {
+  // A one-channel spec of 4,097 inputs: its detector reads more slots than
+  // kMaxTableMuxes, so its plan is over budget before any diagram search
+  // and the request fails with the budget error.
+  const ServeFixture fix;
+  const auto layout = fix.majority_layout(4097, 1);
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  try {
+    (void)svc.submit(EvalRequest::for_layout(
+                         layout, random_matrix(1, 4097, /*seed=*/35), 1))
+        .get();
+    FAIL() << "expected the budget error";
+  } catch (const sw::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxTableMuxes"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(svc.stats().cache.table_detectors, 0u);
+}
+
+TEST(EvaluatorService, CompensatedGatesDecodeMajorityAtEveryWidth) {
+  // The 8-channel paper layout with the paper's graded drive levels
+  // (core::damping_compensation) computes MAJ_m on every channel at every
+  // odd width: all 2^m uniform patterns, through the service's tables and
+  // through the physics path, against expected_majority.
+  const ServeFixture fix;
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  for (std::size_t m = 3; m <= 13; m += 2) {
+    const GateLayout designed = fix.majority_layout(m, 8);
+    const GateLayout layout = with_drive_levels(
+        designed, damping_compensation(designed, fix.engine));
+    const DataParallelGate gate(layout, fix.engine);
+    const auto patterns = all_patterns(m);
+    std::vector<std::uint8_t> matrix;
+    for (const Bits& pattern : patterns) {
+      for (std::size_t ch = 0; ch < 8; ++ch) {
+        matrix.insert(matrix.end(), pattern.begin(), pattern.end());
+      }
+    }
+    const auto served =
+        svc.submit(EvalRequest::for_layout(layout, matrix, patterns.size()))
+            .get();
+    for (std::size_t w = 0; w < patterns.size(); ++w) {
+      for (const ChannelResult& r : gate.evaluate_uniform(patterns[w])) {
+        const std::uint8_t want =
+            gate.expected_majority(r.channel, patterns[w]);
+        ASSERT_EQ(r.logic, want)
+            << "physics path, m = " << m << ", pattern " << w << ", channel "
+            << r.channel;
+        ASSERT_EQ(served.bit(w, r.channel), want)
+            << "served tables, m = " << m << ", pattern " << w
+            << ", channel " << r.channel;
+      }
+    }
+  }
 }
 
 TEST(EvaluatorService, NestedBitsConvenienceMatchesScalarLoop) {
