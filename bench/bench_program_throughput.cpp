@@ -213,8 +213,7 @@ BENCHMARK(BM_FusedProgramSweep)->Unit(benchmark::kMillisecond);
 void BM_ProgramBuild(benchmark::State& state) {
   const auto& s = setup();
   for (auto _ : state) {
-    const wavesim::EvalProgram program(s.spec, s.designer, s.engine,
-                                       {.num_threads = 1});
+    const wavesim::EvalProgram program(s.spec, s.designer, s.engine);
     benchmark::DoNotOptimize(&program);
   }
 }

@@ -134,7 +134,7 @@ void run_experiment(bench::BenchJson& json) {
   // Kernels side by side on the serving batch shape, through the decode
   // the service runs: the layout's one-stage EvalProgram, its tables.
   {
-    const wavesim::EvalProgram program(s.layout, s.engine, {.num_threads = 1});
+    const wavesim::EvalProgram program(s.layout, s.engine);
     const auto time_kernel = [&](const wavesim::kernels::Kernel& kernel) {
       return bench::best_of_three_seconds([&] {
         for (std::size_t i = 0; i < kBatches; ++i) {

@@ -26,7 +26,9 @@
 // against its locally constructed dispersion model and verifies the
 // canonical layout hash against the coordinator's before evaluating a
 // single word — geometry drift between binaries is a hard error, not a
-// silent wrong answer.
+// silent wrong answer. The file transport does it here; over a socket the
+// service's plan cache does it with the server's Designer, once per spec
+// on a service worker, and answers a mismatch with a kBadRequest error.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>

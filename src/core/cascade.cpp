@@ -84,13 +84,8 @@ const sw::wavesim::EvalProgram& MajorityCascade::program() const {
   SW_REQUIRE(!nodes_.empty(), "cascade has no gates to compile");
   std::lock_guard<std::mutex> lock(program_mutex_);
   if (!program_) {
-    // A single inline worker: cascade evaluate() calls are one-word-ish
-    // (exhaustive verifies, interactive use); batch traffic goes through
-    // the serving layer, which builds its own programs.
-    sw::wavesim::BatchOptions options;
-    options.num_threads = 1;
     program_ = std::make_unique<sw::wavesim::EvalProgram>(
-        program_spec(), *designer_, *engine_, options);
+        program_spec(), *designer_, *engine_);
   }
   return *program_;
 }

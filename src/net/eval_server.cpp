@@ -43,9 +43,6 @@ constexpr std::size_t kReadChunk = 256u << 10;
 // (back-pressure also comes from the in-flight cap; this bounds memory
 // against a client that blasts frames faster than they are admitted).
 constexpr std::size_t kMaxBufferedRead = 4u << 20;
-// Designed v2 layouts kept by wire hash; sized like the service's default
-// plan cache, which holds the programs built from them.
-constexpr std::size_t kLayoutCacheCapacity = 32;
 
 void set_fd_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -589,8 +586,7 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
         sw::serve::validate_frame(payload, options_.max_wire_version);
     SW_REQUIRE(request.kind == sw::serve::FrameKind::kRequest,
                "server expects request frames");
-    // The frame's shape against its target, before any design work or
-    // column sizing.
+    // The frame's shape against its target, before any column sizing.
     const std::uint64_t slots =
         request.program ? request.program->primary_slot_count()
                         : request.spec->num_inputs *
@@ -600,10 +596,10 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
                    " columns, its target reads " + std::to_string(slots) +
                    " input slots");
     if (request.program) {
-      // v3: prove both ends mean the same program before evaluating, the
-      // same contract layout_for enforces for geometry. The service's plan
-      // cache keys on these canonical bytes, so no server-side program
-      // cache is needed — a repeated program is a cache hit there.
+      // v3: prove both ends mean the same program before evaluating, as
+      // the plan cache proves a v2 frame's geometry when it designs it. The
+      // cache keys on these canonical bytes, so a repeated program is a
+      // cache hit there.
       SW_REQUIRE(sw::serve::hash_program(*request.program) ==
                      request.layout_hash,
                  "program hash mismatch: decoded program differs from the "
@@ -622,9 +618,11 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
     if (request.program) {
       eval_request.program = &*request.program;
     } else {
-      // Borrows the cached layout: submit_async copies what it keeps. A
-      // cold spec is designed here, in its own span.
-      eval_request.layout = &layout_for(request, trace);
+      // A gate named by its spec: the plan cache looks it up by spec and
+      // claimed hash, and a miss designs it on a service worker.
+      eval_request.spec = &*request.spec;
+      eval_request.layout_hash = request.layout_hash;
+      eval_request.designer = &designer_;
     }
     eval_request.trace = std::move(trace);
     // The service's settle is not the request's end here — the reply still
@@ -642,6 +640,11 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
               std::rethrow_exception(error);
             } catch (const sw::serve::OverloadError& e) {
               meta.error_code = ErrorCode::kOverload;
+              meta.error_text = e.what();
+            } catch (const sw::serve::TargetError& e) {
+              // The frame's target cannot be served: a design error, a hash
+              // mismatch, a stage past kMaxTableMuxes.
+              meta.error_code = ErrorCode::kBadRequest;
               meta.error_text = e.what();
             } catch (const std::exception& e) {
               meta.error_code = ErrorCode::kInternal;
@@ -687,8 +690,8 @@ void EvalServer::handle_frame(Conn& conn, std::uint64_t tag,
                                           e.what(), tag));
   } catch (const std::exception& e) {
     // Before submit: the client sent something malformed (bad frame, wrong
-    // shape, alien geometry). After submit is unreachable here — those
-    // failures arrive through the completion callback.
+    // shape, a gate too wide to tabulate). After submit is unreachable here
+    // — those failures arrive through the completion callback.
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.errors_sent;
@@ -863,29 +866,6 @@ void EvalServer::reap_stalled() {
     }
   }
   for (const std::uint64_t id : stalled) close_conn(id);
-}
-
-const sw::core::GateLayout& EvalServer::layout_for(
-    const sw::serve::PackedFrame& request, sw::obs::TraceContext& trace) {
-  auto it = layouts_.find(request.layout_hash);
-  if (it != layouts_.end() && it->second.spec == *request.spec) {
-    return it->second;
-  }
-  const std::size_t design_slot = trace.begin(sw::obs::Phase::kDesign);
-  sw::core::GateLayout layout = designer_(*request.spec);
-  trace.end(design_slot);
-  const std::uint64_t local_hash = sw::serve::hash_layout(layout);
-  SW_REQUIRE(local_hash == request.layout_hash,
-             "layout hash mismatch: server geometry differs from the "
-             "client's");
-  if (it == layouts_.end() && layouts_.size() >= kLayoutCacheCapacity) {
-    // The layout cache is a small redesign-avoidance map, not an LRU:
-    // dropping an arbitrary entry under pressure is fine because misses
-    // only cost a redesign, never a wrong answer.
-    layouts_.erase(layouts_.begin());
-  }
-  return layouts_.insert_or_assign(request.layout_hash, std::move(layout))
-      .first->second;
 }
 
 void EvalServer::heartbeat_loop() {

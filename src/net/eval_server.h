@@ -13,10 +13,17 @@
 //    replies are written in whatever order the evaluations finish.
 //  - A request frame decodes straight to the kernels' bit-sliced columns
 //    (serve::validate_frame + unpack_columns) after its column count is
-//    checked against its target, before any design work; the service
-//    evaluates columns, and the reply is packed straight from the result
-//    columns. No byte matrix exists on the serving path. A v2 spec the
-//    server has not designed yet is designed here, in its own trace span.
+//    checked against its target; the service evaluates columns, and the
+//    reply is packed straight from the result columns. No byte matrix
+//    exists on the serving path.
+//  - The server holds no geometry. A v2 frame is submitted as a gate
+//    target named by its GateSpec and its claimed layout hash (with the
+//    server's Designer), a v3 frame as its ProgramSpec; the service's plan
+//    cache resolves both. A warm v2 frame is one cache lookup. A cold one
+//    is designed, hash-checked and built on a service worker, inside the
+//    request's plan_build span, so the event thread never designs. A
+//    target the cache refuses (a design error, a hash mismatch, a stage
+//    past kMaxTableMuxes) is answered kBadRequest with its reason.
 //  - Where a frame is evaluated is the service's call (submit_async). A
 //    frame whose program is already cached and whose kernel work is small
 //    (EvaluatorService::kMaxInlineWork) runs to completion on the event
@@ -44,9 +51,9 @@
 //    document (service stats, request-phase histograms, transport
 //    counters); kTraceRequest with the service's trace ring as Chrome
 //    trace-event JSON (obs::trace_json) — each served request carries
-//    wire-decode, (cold v2 only) design, admission, plan, kernel,
-//    wire-encode and write-queue spans, recorded once its reply reaches
-//    the socket.
+//    wire-decode, admission, plan lookup, (cold only) plan build, queue,
+//    kernel, wire-encode and write-queue spans, recorded once its reply
+//    reaches the socket.
 //  - With `registry` set, a heartbeat thread periodically registers a
 //    WorkerAdvert (endpoint, kernel, precision, measured words/s) with a
 //    RegistryServer so coordinators can discover this worker instead of
@@ -60,7 +67,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,7 +75,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/gate_design.h"
 #include "net/metrics.h"
 #include "net/protocol.h"
 #include "net/registry.h"
@@ -120,12 +125,18 @@ struct EvalServerOptions {
 
 class EvalServer {
  public:
-  /// Maps a wire GateSpec to the layout the service evaluates; usually
-  /// InlineGateDesigner::design against the same dispersion model the
-  /// service was built on. Called from the event thread, which is also
-  /// the thread that evaluates inline frames.
-  using Designer =
-      std::function<sw::core::GateLayout(const sw::core::GateSpec&)>;
+  /// Maps a v2 frame's GateSpec to the layout the service evaluates;
+  /// usually InlineGateDesigner::design against the same dispersion model
+  /// the service was built on. Each cold v2 request carries its own copy
+  /// into the service, and the plan cache calls it there: on service
+  /// workers, concurrently for distinct specs, and possibly after stop()
+  /// until the service has drained. So it must be safe to call from
+  /// several threads at once, and whatever it references must outlive the
+  /// service's in-flight requests, not just the server. A lambda calling
+  /// InlineGateDesigner::design on a designer that outlives the service is
+  /// both: design is const and keeps no mutable state. Never called on the
+  /// event thread.
+  using Designer = sw::serve::Designer;
 
   /// Binds and starts serving immediately. `service` must outlive the
   /// server. Throws on bind/listen failure (port taken, bad path).
@@ -165,8 +176,8 @@ class EvalServer {
                          std::chrono::milliseconds(0)) const;
 
   /// Stop accepting, wake the event thread, join every thread, close all
-  /// sockets. Idempotent; in-flight evaluations settle harmlessly into the
-  /// (kept-alive) completion queue.
+  /// sockets. Idempotent; in-flight evaluations (cold designs included)
+  /// settle harmlessly into the (kept-alive) completion queue.
   void stop();
 
  private:
@@ -202,12 +213,6 @@ class EvalServer {
   void update_epoll(Conn& conn);
   void close_conn(std::uint64_t conn_id);
   void reap_stalled();
-  /// The designed layout of a v2 frame: from layouts_ when the cached
-  /// entry's spec matches, else designed (a kDesign span on `trace`) and
-  /// hash-checked against the frame. The reference stays valid until the
-  /// next layout_for call.
-  const sw::core::GateLayout& layout_for(const sw::serve::PackedFrame& request,
-                                         sw::obs::TraceContext& trace);
 
   sw::serve::EvaluatorService* service_;
   Designer designer_;
@@ -232,11 +237,6 @@ class EvalServer {
   bool stop_ = false;
   bool shutdown_requested_ = false;
   ServerCounters counters_;
-  /// Wire hash -> designed layout, each entry verified against the spec
-  /// that produced it (a 64-bit collision therefore cannot alias two
-  /// specs: hits re-compare the full GateSpec). Owned by the event thread
-  /// exclusively; no lock.
-  std::unordered_map<std::uint64_t, sw::core::GateLayout> layouts_;
 
   std::thread event_thread_;
   std::thread heartbeat_thread_;

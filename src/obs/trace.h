@@ -30,12 +30,11 @@ enum class Phase : std::uint8_t {
   kAdmission = 0,  ///< waiting for admission control to admit the words
   kPlanLookup,     ///< plan-cache fast-path lookup on the submit thread
   kQueue,          ///< admitted, waiting for a worker to pick the request up
-  kPlanBuild,      ///< cache miss: building the plan / program on the worker
+  kPlanBuild,      ///< cache miss: design (spec) and program build, on a worker
   kKernel,         ///< evaluate_bits: the SIMD kernel pass
   kStage,          ///< one program stage's share of the kernel pass (arg = stage)
   // Transport phases.
   kWireDecode,     ///< parsing + decoding the request's wire frame
-  kDesign,         ///< designing a wire spec's layout the server had not cached
   kWireEncode,     ///< encoding the response frame into the write buffer
   kWriteQueue,     ///< response sitting in the socket write queue
   // Sweep-coordinator shard phases (arg = worker index).

@@ -1,11 +1,12 @@
 // The one request type of the serving API.
 //
-// EvalRequest is a single value: a word batch bound to *either* a single
-// gate layout *or* a multi-stage ProgramSpec, consumed by
-// EvaluatorService::submit / submit_async.
-// Both targets become one wavesim::EvalProgram in the service (a gate is
-// the one-stage, identity-source case), so they differ only in how the
-// input slots are named.
+// EvalRequest is a single value: a word batch bound to exactly one target,
+// consumed by EvaluatorService::submit / submit_async. The target is a
+// finished gate layout, a gate named by its spec (the wire's v2 frames,
+// designed by the service's plan cache on a miss), or a multi-stage
+// ProgramSpec. Every target becomes one wavesim::EvalProgram in the service
+// (a gate is the one-stage, identity-source case), so they differ only in
+// how the input slots are named.
 //
 // Inside the service a batch is only ever bit-sliced columns
 // (kernels/kernel.h): a request carries its primary slot columns, and the
@@ -24,18 +25,28 @@
 #include "core/encoding.h"
 #include "core/gate_design.h"
 #include "obs/trace.h"
+#include "serve/plan_cache.h"
 #include "wavesim/eval_program.h"
 
 namespace sw::serve {
 
-/// One evaluation request. Exactly one of `layout` / `program` must be
-/// set; both are borrowed — submit() copies what it needs (the cache key
-/// bytes on the fast path, the spec itself only on a cache miss) before it
-/// returns, so the pointee need only outlive the submit call itself.
+/// One evaluation request. Exactly one of `layout` / `spec` / `program`
+/// must be set; all are borrowed — submit() copies what it needs (the cache
+/// key bytes on the fast path, the target itself only on a cache miss)
+/// before it returns, so the pointees need only outlive the submit call
+/// itself.
 struct EvalRequest {
   /// Single-gate target: input slot = channel * num_inputs + input (the
   /// same slots as a one-stage program whose slot j reads primary slot j).
   const sw::core::GateLayout* layout = nullptr;
+  /// Single-gate target named by its spec (a GateTarget, same slots as
+  /// `layout`): `layout_hash` is the hash_layout its client claims, and
+  /// `designer` (required with `spec`) designs it on a cache miss. A miss
+  /// copies the spec and the Designer into the request, so the build on a
+  /// pool worker holds no pointer into the submitter.
+  const sw::core::GateSpec* spec = nullptr;
+  std::uint64_t layout_hash = 0;
+  const Designer* designer = nullptr;
   /// Multi-stage target: primary slot = channel * num_primary_inputs +
   /// input; the result carries the last stage's decoded bits.
   const sw::wavesim::ProgramSpec* program = nullptr;

@@ -15,6 +15,9 @@ constexpr std::uint64_t kCanonicalFormatTag = 0x73776c3176310001ull;  // "swl1v1
 // Program form: a different tag namespace entirely, so program bytes can
 // never alias layout bytes of any revision.
 constexpr std::uint64_t kProgramFormatTag = 0x7377707276310001ull;  // "swprv1"+rev
+// Spec form (a gate named by its spec and claimed layout hash): a cache key
+// only, never hashed across processes.
+constexpr std::uint64_t kSpecFormatTag = 0x7377737076310001ull;  // "swspv1"+rev
 
 void append_gate_spec(ByteWriter& w, const sw::core::GateSpec& spec) {
   w.u64(spec.num_inputs);
@@ -143,6 +146,20 @@ LayoutKey LayoutKey::from(const sw::core::GateLayout& layout) {
 LayoutKey LayoutKey::from(const sw::wavesim::ProgramSpec& program) {
   LayoutKey key;
   key.bytes_ = canonical_program_bytes(program);
+  key.hash_ = chunked_fnv1a64(key.bytes_);
+  return key;
+}
+
+LayoutKey LayoutKey::from(const sw::core::GateSpec& spec,
+                          std::uint64_t layout_hash) {
+  LayoutKey key;
+  // Nine u64 fields beside the frequencies and the inversion flags.
+  ByteWriter w(key.bytes_, 8 * (9 + spec.frequencies.size()) +
+                               spec.invert_output.size());
+  w.u64(kSpecFormatTag);
+  append_gate_spec(w, spec);
+  w.u64(layout_hash);
+  w.finish();
   key.hash_ = chunked_fnv1a64(key.bytes_);
   return key;
 }

@@ -59,14 +59,20 @@ std::vector<std::uint8_t> canonical_program_bytes(
 std::uint64_t hash_program(const sw::wavesim::ProgramSpec& program);
 
 /// Collision-safe plan-cache key: the hash indexes the cache, the canonical
-/// bytes back equality, so two distinct layouts that collide on the 64-bit
-/// hash still occupy distinct cache entries.
+/// bytes back equality, so two distinct targets that collide on the 64-bit
+/// hash still occupy distinct cache entries. Three forms, each under its own
+/// format tag so no two can compare equal: a layout (its canonical bytes),
+/// a program (its canonical bytes), and a gate named by its spec (the wire's
+/// v2 target: the spec's fields plus the layout hash its client claims,
+/// about 140 bytes for 8 channels).
 class LayoutKey {
  public:
   LayoutKey() = default;
 
   static LayoutKey from(const sw::core::GateLayout& layout);
   static LayoutKey from(const sw::wavesim::ProgramSpec& program);
+  static LayoutKey from(const sw::core::GateSpec& spec,
+                        std::uint64_t layout_hash);
 
   std::uint64_t hash() const { return hash_; }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }

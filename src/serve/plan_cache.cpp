@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "util/error.h"
@@ -9,10 +10,6 @@
 namespace sw::serve {
 
 namespace {
-
-/// Every cached program's word loop: one inline thread, so a request runs
-/// on the thread that evaluates it.
-constexpr sw::wavesim::BatchOptions kInline{.num_threads = 1};
 
 template <typename T>
 bool ready(const std::shared_future<T>& fut) {
@@ -144,16 +141,24 @@ PlanCache::Lookup PlanCache::find_or_build(const LayoutKey& key,
     }
   }
   if (build_here) {
+    std::exception_ptr error;
     try {
       builder.set_value(build());
+    } catch (const sw::util::Error& e) {
+      // A contract the target broke (its design, its hash, the layout
+      // invariants, the table budget), not a fault of the service.
+      error = std::make_exception_ptr(TargetError(e.what()));
     } catch (...) {
+      error = std::current_exception();
+    }
+    if (error) {
       // Drop the poisoned entry first so no new lookup can ever observe a
       // ready-with-exception slot, then wake the waiters with the error.
       {
         std::lock_guard<std::mutex> lock(mutex_);
         erase_locked(key);
       }
-      builder.set_exception(std::current_exception());
+      builder.set_exception(error);
     }
   }
   return {fut.get(), !build_here};
@@ -170,14 +175,36 @@ PlanCache::ProgramPtr PlanCache::try_get(
   return find_ready(LayoutKey::from(program));
 }
 
+PlanCache::ProgramPtr PlanCache::try_get(const sw::core::GateSpec& spec,
+                                         std::uint64_t layout_hash) {
+  return find_ready(LayoutKey::from(spec, layout_hash));
+}
+
+PlanCache::ProgramPtr PlanCache::build_layout(sw::core::GateLayout layout) {
+  auto built =
+      std::make_shared<const sw::wavesim::EvalProgram>(std::move(layout),
+                                                       *engine_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  record_decodes_locked(*built);
+  return built;
+}
+
 PlanCache::Lookup PlanCache::get_or_build(const sw::core::GateLayout& layout) {
-  return find_or_build(LayoutKey::from(layout), [&] {
-    auto built = std::make_shared<const sw::wavesim::EvalProgram>(
-        layout, *engine_, kInline);
-    std::lock_guard<std::mutex> lock(mutex_);
-    record_decodes_locked(*built);
-    return built;
-  });
+  return find_or_build(LayoutKey::from(layout),
+                       [&] { return build_layout(layout); });
+}
+
+PlanCache::Lookup PlanCache::get_or_build(const GateTarget& target) {
+  return find_or_build(
+      LayoutKey::from(target.spec, target.layout_hash), [&] {
+        sw::core::GateLayout layout = target.designer(target.spec);
+        // The wire contract, checked before any plan is solved: both ends
+        // designed the same geometry from this spec.
+        SW_REQUIRE(hash_layout(layout) == target.layout_hash,
+                   "layout hash mismatch: server geometry differs from the "
+                   "client's");
+        return build_layout(std::move(layout));
+      });
 }
 
 PlanCache::Lookup PlanCache::get_or_build(
@@ -190,8 +217,7 @@ PlanCache::Lookup PlanCache::get_or_build(
   return find_or_build(LayoutKey::from(program), [&] {
     auto built = std::make_shared<const sw::wavesim::EvalProgram>(
         program,
-        [this](const sw::core::GateSpec& spec) { return resolve_stage(spec); },
-        kInline);
+        [this](const sw::core::GateSpec& spec) { return resolve_stage(spec); });
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.program_builds;
     stats_.program_stages += built->num_stages();

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 #include <variant>
 
@@ -40,6 +41,18 @@ bool small_enough_to_inline(const sw::wavesim::EvalProgram& program,
   return program.kernel_work(num_words) <= EvaluatorService::kMaxInlineWork;
 }
 
+/// Each detector of `gate` reads at least its channel's num_inputs slots,
+/// and build_diagram refuses a detector reading more than kMaxTableMuxes,
+/// so a wider gate can never be tabulated: refused before any work.
+void require_tabulable(const sw::core::GateSpec& gate) {
+  SW_REQUIRE(gate.num_inputs <= sw::wavesim::kMaxTableMuxes,
+             "a gate of " + std::to_string(gate.num_inputs) +
+                 " inputs per channel has detectors reading more slots "
+                 "than kMaxTableMuxes = " +
+                 std::to_string(sw::wavesim::kMaxTableMuxes) +
+                 ", so it cannot be tabulated");
+}
+
 }  // namespace
 
 struct EvaluatorService::Request {
@@ -50,7 +63,8 @@ struct EvaluatorService::Request {
   /// Resolved on the submit fast path; when null the worker consults the
   /// cache with the copied target (and builds the entry on a cold miss).
   PlanCache::ProgramPtr program;
-  std::variant<sw::core::GateLayout, sw::wavesim::ProgramSpec> target;
+  std::variant<sw::core::GateLayout, GateTarget, sw::wavesim::ProgramSpec>
+      target;
   /// The input slot columns (EvalRequest::columns).
   std::vector<std::uint64_t> columns;
   /// Phase spans, seeded by the transport (wire decode) and grown here.
@@ -85,17 +99,26 @@ EvaluatorService::~EvaluatorService() {
 void EvaluatorService::post_request(EvalRequest&& source,
                                     std::unique_ptr<Request> request,
                                     bool may_run_inline) {
-  SW_REQUIRE((source.layout != nullptr) != (source.program != nullptr),
-             "EvalRequest must bind exactly one of layout or program");
+  const int targets = (source.layout != nullptr) + (source.spec != nullptr) +
+                      (source.program != nullptr);
+  SW_REQUIRE(targets == 1 && (source.spec != nullptr) ==
+                                 (source.designer != nullptr),
+             "EvalRequest must bind exactly one of layout, spec (with a "
+             "designer) or program");
   std::size_t slots = 0;
-  if (source.layout != nullptr) {
-    slots = source.layout->spec.frequencies.size() *
-            source.layout->spec.num_inputs;
-    request->num_channels = source.layout->spec.frequencies.size();
+  const sw::core::GateSpec* gate =
+      source.layout != nullptr ? &source.layout->spec : source.spec;
+  if (gate != nullptr) {
+    require_tabulable(*gate);
+    slots = gate->frequencies.size() * gate->num_inputs;
+    request->num_channels = gate->frequencies.size();
   } else {
     // Validate the spec up front so a malformed program fails on the
     // submitting thread (a typed error), not inside a worker.
     source.program->validate();
+    for (const auto& stage : source.program->stages) {
+      require_tabulable(stage.gate);
+    }
     slots = source.program->primary_slot_count();
     request->num_channels = source.program->num_channels();
   }
@@ -128,6 +151,12 @@ void EvaluatorService::post_request(EvalRequest&& source,
   if (source.layout != nullptr) {
     request->program = cache_.try_get(*source.layout);
     if (!request->program) request->target = *source.layout;
+  } else if (source.spec != nullptr) {
+    request->program = cache_.try_get(*source.spec, source.layout_hash);
+    if (!request->program) {
+      request->target =
+          GateTarget{*source.spec, source.layout_hash, *source.designer};
+    }
   } else {
     request->program = cache_.try_get(*source.program);
     if (!request->program) request->target = *source.program;
@@ -218,13 +247,13 @@ void EvaluatorService::process(Request* raw) {
     request->trace.end(kernel_slot);
     kernel_exec_hist_.record(span_seconds(request->trace, kernel_slot));
     // Synthesize per-stage child spans laid out sequentially inside the
-    // kernel span. Stage times are accumulated across blocks (and pool
-    // threads), so these are proportional shares, not wall intervals —
-    // which is exactly the "where did the kernel time go" readout.
+    // kernel span. Stage times are accumulated across blocks, so these are
+    // proportional shares, not wall intervals — which is exactly the
+    // "where did the kernel time go" readout.
     if (kernel_slot != sw::obs::TraceContext::kNoSlot) {
       std::uint64_t cursor = request->trace.span(kernel_slot).start_ns;
       for (std::size_t s = 0; s < timings.ns.size(); ++s) {
-        const std::uint64_t d = timings.ns[s].load(std::memory_order_relaxed);
+        const std::uint64_t d = timings.ns[s];
         request->trace.add(sw::obs::Phase::kStage, cursor, cursor + d,
                            static_cast<std::uint32_t>(s));
         cursor += d;

@@ -11,8 +11,9 @@
 //
 // One EvaluatorService owns the WaveEngine, a designer, a plan cache and a
 // worker pool, and accepts interleaved packed-word batches against
-// *arbitrary* targets — single gate layouts or multi-stage ProgramSpecs —
-// through one request type (serve::EvalRequest) and one submit pair:
+// *arbitrary* targets — gate layouts, gates named by their spec (the wire's
+// v2 frames) or multi-stage ProgramSpecs — through one request type
+// (serve::EvalRequest) and one submit pair:
 // submit() is asynchronous (returns a std::future), submit_async() calls
 // back. Admission control bounds the request queue and the words in flight
 // (shed or block, caller-visible). Every target becomes one cached
@@ -22,7 +23,8 @@
 // evaluation, not plan or program reconstruction. The submit fast path
 // resolves a cached entry without copying the target; a miss hands a copy
 // of the target to a worker, where construction is serialised per key
-// behind the cache entry.
+// behind the cache entry. A spec target's copy includes its Designer, so
+// its design runs on that worker and borrows nothing from the submitter.
 //
 // submit_async runs a request on the calling thread instead of the pool
 // when its program is already cached and its kernel work
@@ -30,10 +32,13 @@
 // most kMaxInlineWork: a small warm request then costs about its kernel,
 // with no queue hop, no worker handoff and no cross-thread completion. A
 // warm 4096-word sweep shard of the paper's gate is small. Cold targets and
-// large batches, and everything submit() takes, go to the pool. Either way
-// a request passes the same admission, accounting, hooks and trace. A
-// target whose plan exceeds the table budget (wavesim::kMaxTableMuxes)
-// fails its build, so its request fails and the cache keeps no entry.
+// large batches, and everything submit() takes, go to the pool, so a
+// submit_async caller never designs or builds. Either way a request passes
+// the same admission, accounting, hooks and trace. A gate with more inputs
+// per channel than wavesim::kMaxTableMuxes can never be tabulated and is
+// refused at submit, with the shape checks, before admission. Any other
+// target the cache cannot build (PlanCache) fails its request with
+// TargetError, and the cache keeps no entry.
 //
 // Each quantity the service reports has one source: a settled request's
 // submit-to-settle latency is recorded once, into the request_latency
@@ -67,8 +72,7 @@ struct ServiceOptions {
   /// worker is always spawned so submission stays asynchronous on one-core
   /// hosts.
   std::size_t num_threads = 0;
-  /// Plan-cache capacity in distinct target entries; 0 = unbounded. Every
-  /// cached program evaluates on one inline thread (see PlanCache), so a
+  /// Plan-cache capacity in distinct target entries; 0 = unbounded. A
   /// request runs entirely on the thread that evaluates it: the service
   /// worker that picked it up, or the submit_async caller for a request run
   /// inline. Parallelism comes from concurrent requests.
@@ -168,11 +172,12 @@ class EvaluatorService {
   static constexpr std::size_t kMaxInlineWork = 8192;
 
   /// Layout targets arrive designed (e.g. by InlineGateDesigner against the
-  /// same model); ProgramSpec stages are designed by designer(). `model`
-  /// must outlive the service; `alpha` is the Gilbert damping for the owned
-  /// WaveEngine. Resolves (and logs to stderr, once per process) the
-  /// evaluation kernel requests will run on, so an invalid SW_EVAL_KERNEL
-  /// override fails here rather than inside the first request.
+  /// same model), spec targets are designed by their own Designer, and
+  /// ProgramSpec stages by designer(). `model` must outlive the service;
+  /// `alpha` is the Gilbert damping for the owned WaveEngine. Resolves (and
+  /// logs to stderr, once per process) the evaluation kernel requests will
+  /// run on, so an invalid SW_EVAL_KERNEL override fails here rather than
+  /// inside the first request.
   EvaluatorService(const sw::disp::DispersionModel& model, double alpha,
                    ServiceOptions options = {});
 
@@ -184,13 +189,14 @@ class EvaluatorService {
   EvaluatorService(const EvaluatorService&) = delete;
   EvaluatorService& operator=(const EvaluatorService&) = delete;
 
-  /// Submit one EvalRequest (layout- or program-bound, see eval_request.h).
+  /// Submit one EvalRequest (bound to one target, see eval_request.h).
   /// Returns a future carrying the decoded bits as rows (ResultBatch::bits)
   /// — for a program, the LAST stage's — with stage-count/depth metadata;
-  /// evaluation errors surface through the future. Throws OverloadError
-  /// (kShed) or blocks (kBlock)
-  /// per the admission policy, and throws sw::util::Error on a shape
-  /// mismatch or a request binding neither (or both) targets.
+  /// evaluation errors (TargetError for a target that cannot be built)
+  /// surface through the future. Throws OverloadError (kShed) or blocks
+  /// (kBlock) per the admission policy, and throws sw::util::Error on a
+  /// shape mismatch, a gate too wide to tabulate, or a request not binding
+  /// exactly one target.
   std::future<ResultBatch> submit(EvalRequest request);
 
   /// Callback-style submit for event-driven callers (the epoll serving
@@ -210,8 +216,6 @@ class EvaluatorService {
 
   ServiceStats stats() const;
   const sw::wavesim::WaveEngine& engine() const { return engine_; }
-  /// The designer backing program builds (shared with the plan cache).
-  const sw::core::InlineGateDesigner& designer() const { return designer_; }
   std::size_t num_threads() const { return pool_.size(); }
 
   /// The ring of settled request traces: the trace endpoint snapshots it,

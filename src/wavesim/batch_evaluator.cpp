@@ -34,21 +34,26 @@ std::vector<std::uint8_t> BatchEvaluator::evaluate_bits(
   // Block-wise through columns: each block's rows become slot columns, the
   // phasor sum writes channel columns, and those go back to rows.
   std::vector<std::uint8_t> out(num_words * channels);
-  detail::for_each_block(
-      pool_, num_words, slots + channels, slots,
-      [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
-          std::size_t stride, const std::uint64_t** inputs) {
-        const std::size_t words = end - begin;
-        for (std::size_t j = 0; j < slots; ++j) {
-          inputs[j] = columns + j * stride;
-        }
-        std::uint64_t* outputs = columns + slots * stride;
-        kernel.to_columns(bits.data() + begin * slots, slots, words, slots,
-                          columns, stride);
-        kernels::eval_bits(plan_, inputs, words, outputs, stride);
-        kernel.to_rows(outputs, stride, words, channels,
-                       out.data() + begin * channels, channels);
-      });
+  const auto block = [&](std::size_t begin, std::size_t end,
+                         std::uint64_t* columns, std::size_t stride,
+                         const std::uint64_t** inputs) {
+    const std::size_t words = end - begin;
+    for (std::size_t j = 0; j < slots; ++j) {
+      inputs[j] = columns + j * stride;
+    }
+    std::uint64_t* outputs = columns + slots * stride;
+    kernel.to_columns(bits.data() + begin * slots, slots, words, slots,
+                      columns, stride);
+    kernels::eval_bits(plan_, inputs, words, outputs, stride);
+    kernel.to_rows(outputs, stride, words, channels,
+                   out.data() + begin * channels, channels);
+  };
+  pool_.parallel_for(kernels::column_words(num_words),
+                     [&](std::size_t first_group, std::size_t last_group) {
+                       detail::for_each_block(num_words, first_group,
+                                              last_group, slots + channels,
+                                              slots, block);
+                     });
   return out;
 }
 

@@ -96,32 +96,29 @@ class BatchEvaluator {
 
 namespace detail {
 
-/// The block loop of BatchEvaluator::evaluate_bits and EvalProgram: splits
-/// words [0, num_words) across `pool` at whole 64-word column u64s, so no
-/// two threads write one u64. Each chunk gets one zeroed table of
+/// The block loop of BatchEvaluator::evaluate_bits and EvalProgram, over
+/// the words of 64-word column groups [first_group, last_group) of a
+/// num_words batch, on the calling thread. It allocates one zeroed table of
 /// `num_columns` columns of `stride` u64s (at most
 /// kernels::kBlockColumnWords, column k at columns + k * stride) and room
-/// for `num_inputs` slot pointers, both reused by each of its blocks, and
+/// for `num_inputs` slot pointers, both reused by each block, and
 /// block(begin, end, columns, stride, inputs) runs once per block of at
-/// most stride * 64 words.
+/// most stride * 64 words. BatchEvaluator splits a batch across its pool
+/// at whole groups, so no two threads write one u64.
 template <typename Block>
-void for_each_block(sw::util::ThreadPool& pool, std::size_t num_words,
-                    std::size_t num_columns, std::size_t num_inputs,
-                    const Block& block) {
-  pool.parallel_for(
-      kernels::column_words(num_words),
-      [&](std::size_t first_group, std::size_t last_group) {
-        const std::size_t stride =
-            std::min(kernels::kBlockColumnWords, last_group - first_group);
-        std::vector<std::uint64_t> columns(num_columns * stride);
-        std::vector<const std::uint64_t*> inputs(num_inputs);
-        const std::size_t end = std::min(last_group * 64, num_words);
-        for (std::size_t begin = first_group * 64; begin < end;
-             begin += stride * 64) {
-          block(begin, std::min(begin + stride * 64, end), columns.data(),
-                stride, inputs.data());
-        }
-      });
+void for_each_block(std::size_t num_words, std::size_t first_group,
+                    std::size_t last_group, std::size_t num_columns,
+                    std::size_t num_inputs, const Block& block) {
+  const std::size_t stride =
+      std::min(kernels::kBlockColumnWords, last_group - first_group);
+  std::vector<std::uint64_t> columns(num_columns * stride);
+  std::vector<const std::uint64_t*> inputs(num_inputs);
+  const std::size_t end = std::min(last_group * 64, num_words);
+  for (std::size_t begin = first_group * 64; begin < end;
+       begin += stride * 64) {
+    block(begin, std::min(begin + stride * 64, end), columns.data(), stride,
+          inputs.data());
+  }
 }
 
 }  // namespace detail

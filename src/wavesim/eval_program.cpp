@@ -95,17 +95,13 @@ EvalStage::EvalStage(const sw::core::GateSpec& spec,
 
 EvalProgram::EvalProgram(ProgramSpec spec,
                          const sw::core::InlineGateDesigner& designer,
-                         const WaveEngine& engine, BatchOptions options)
-    : EvalProgram(
-          std::move(spec),
-          [&](const sw::core::GateSpec& gate) {
-            return std::make_shared<const EvalStage>(gate, designer, engine);
-          },
-          options) {}
+                         const WaveEngine& engine)
+    : EvalProgram(std::move(spec), [&](const sw::core::GateSpec& gate) {
+        return std::make_shared<const EvalStage>(gate, designer, engine);
+      }) {}
 
-EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
-                         BatchOptions options)
-    : spec_(std::move(spec)), pool_(options.num_threads) {
+EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve)
+    : spec_(std::move(spec)) {
   spec_.validate();
   stages_.reserve(spec_.stages.size());
   for (std::size_t s = 0; s < spec_.stages.size(); ++s) {
@@ -158,15 +154,12 @@ EvalProgram::EvalProgram(ProgramSpec spec, const StageResolver& resolve,
   num_columns_ = ones + 1 + copies - prim;
 }
 
-EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
-                         BatchOptions options)
-    : EvalProgram(
-          identity_program(layout.spec),
-          [&](const sw::core::GateSpec&) {
-            return std::make_shared<const EvalStage>(std::move(layout),
-                                                     engine);
-          },
-          options) {}
+EvalProgram::EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine)
+    : EvalProgram(identity_program(layout.spec),
+                  [&](const sw::core::GateSpec&) {
+                    return std::make_shared<const EvalStage>(std::move(layout),
+                                                             engine);
+                  }) {}
 
 std::size_t EvalProgram::kernel_work(std::size_t num_words) const {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
@@ -213,7 +206,7 @@ void EvalProgram::eval_block(const kernels::Kernel& kernel, std::size_t words,
                        is_last ? last_stride : stride);
     if (timings) {
       const std::uint64_t now = stage_clock_ns();
-      timings->ns[s].fetch_add(now - stage_start, std::memory_order_relaxed);
+      timings->ns[s] += now - stage_start;
       stage_start = now;
     }
   }
@@ -236,7 +229,7 @@ std::vector<std::uint64_t> EvalProgram::evaluate_columns(
              "num_channels x column_words(num_words) overflows size_t");
   std::vector<std::uint64_t> out(n * col_words);
   detail::for_each_block(
-      pool_, num_words, num_columns_, max_slots_,
+      num_words, 0, col_words, num_columns_, max_slots_,
       [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
           std::size_t stride, const std::uint64_t** inputs) {
         const std::size_t g = begin / 64;
@@ -273,7 +266,8 @@ std::vector<std::uint8_t> EvalProgram::evaluate_rows(
   std::vector<std::uint8_t> result(num_words * out_cols);
   // The block's primary columns follow the scratch table.
   detail::for_each_block(
-      pool_, num_words, num_columns_ + prim, max_slots_,
+      num_words, 0, kernels::column_words(num_words), num_columns_ + prim,
+      max_slots_,
       [&](std::size_t begin, std::size_t end, std::uint64_t* columns,
           std::size_t stride, const std::uint64_t** inputs) {
         const std::size_t words = end - begin;

@@ -21,7 +21,9 @@
 // columns and returns the last stage's, which is what the serving layer
 // runs (the wire decodes straight to columns). The row APIs
 // (evaluate_bits, evaluate_all_bits) add the edges: a block's primary rows
-// become columns once, and only the output stages go back to rows.
+// become columns once, and only the output stages go back to rows. Every
+// evaluation runs on the calling thread; parallelism is concurrent calls
+// (a program is immutable, so they need no lock).
 //
 // Lowering emits few distinct stage GateSpecs (a compiled cascade is MAJ
 // and inverted-MAJ gates on one fabric), so stages are resolved once per
@@ -48,7 +50,6 @@
 // designer and engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,7 +59,6 @@
 
 #include "core/gate.h"
 #include "core/gate_design.h"
-#include "util/thread_pool.h"
 #include "wavesim/batch_evaluator.h"
 #include "wavesim/eval_plan.h"
 #include "wavesim/kernels/kernel.h"
@@ -128,12 +128,10 @@ struct ProgramSpec {
 
 /// Per-stage accumulated evaluation time, filled by evaluate_columns when
 /// the caller passes a collector: ns[s] gains every block's kernel time for
-/// stage s. Accumulators are atomic because the word loop may fan out
-/// across the program's pool threads; the numbers are therefore summed CPU
-/// time per stage, not wall intervals.
+/// stage s, so the numbers are summed time per stage, not wall intervals.
 struct StageTimings {
   explicit StageTimings(std::size_t num_stages) : ns(num_stages) {}
-  std::vector<std::atomic<std::uint64_t>> ns;
+  std::vector<std::uint64_t> ns;
 };
 
 /// The expensive, immutable half of a program stage: the gate designed
@@ -165,27 +163,23 @@ using StageResolver =
 
 class EvalProgram {
  public:
-  /// Designs every distinct stage GateSpec once with `designer`, builds
-  /// its EvalPlan on `engine` and keeps a worker pool of
-  /// options.num_threads for the word loop. Neither designer nor engine
-  /// needs to outlive the program. Every constructor throws
-  /// sw::util::Error, naming kMaxTableMuxes, when a stage's plan is not
-  /// tabulated.
+  /// Designs every distinct stage GateSpec once with `designer` and builds
+  /// its EvalPlan on `engine`. Neither designer nor engine needs to outlive
+  /// the program. Every constructor throws sw::util::Error, naming
+  /// kMaxTableMuxes, when a stage's plan is not tabulated.
   EvalProgram(ProgramSpec spec, const sw::core::InlineGateDesigner& designer,
-              const WaveEngine& engine, BatchOptions options = {});
+              const WaveEngine& engine);
 
   /// Same, with stage artefacts from `resolve`, called once per distinct
   /// stage GateSpec. Stages with equal GateSpecs share the returned
   /// artefact.
-  EvalProgram(ProgramSpec spec, const StageResolver& resolve,
-              BatchOptions options = {});
+  EvalProgram(ProgramSpec spec, const StageResolver& resolve);
 
   /// A single gate as a one-stage program: the stage is `layout` as given
   /// (not re-designed) and its sources are the identity, slot j reading
   /// primary column j, so evaluate_bits takes the same row-major matrix as
   /// BatchEvaluator::evaluate_bits over that layout.
-  EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine,
-              BatchOptions options = {});
+  EvalProgram(sw::core::GateLayout layout, const WaveEngine& engine);
 
   const ProgramSpec& spec() const { return spec_; }
   std::size_t num_stages() const { return stages_.size(); }
@@ -280,7 +274,6 @@ class EvalProgram {
   /// runs: negations_[negation_begin_[s] .. negation_begin_[s + 1]).
   std::vector<std::pair<std::size_t, std::size_t>> negations_;
   std::vector<std::size_t> negation_begin_;
-  mutable sw::util::ThreadPool pool_;
 };
 
 }  // namespace sw::wavesim

@@ -419,12 +419,8 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
   const std::size_t cols = spec.primary_slot_count();
   const std::size_t stages = spec.num_stages();
   sw::serve::EvaluatorService service(fix.model, fix.wg.material.alpha);
-  // One and three pool threads: blocks end at 1024-word boundaries and at
-  // pool chunk boundaries.
-  const EvalProgram inline_program(spec, fix.designer, fix.engine,
-                                   {.num_threads = 1});
-  const EvalProgram pooled_program(spec, fix.designer, fix.engine,
-                                   {.num_threads = 3});
+  // Blocks end at 1024-word boundaries inside the larger batches.
+  const EvalProgram program(spec, fix.designer, fix.engine);
 
   // The one-stage paths over the same primary columns: a single MAJ gate
   // whose slot j reads primary column j, as a hand-built ProgramSpec and as
@@ -440,20 +436,13 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
     identity.stages[0].sources.push_back(
         {sw::wavesim::SlotSource::Kind::kPrimary, 0, j, false});
   }
-  const EvalProgram identity_inline(identity, fix.designer, fix.engine,
-                                    {.num_threads = 1});
-  const EvalProgram identity_pooled(identity, fix.designer, fix.engine,
-                                    {.num_threads = 3});
-  const EvalProgram layout_inline(layout, fix.engine, {.num_threads = 1});
-  const EvalProgram layout_pooled(layout, fix.engine, {.num_threads = 3});
+  const EvalProgram identity_program(identity, fix.designer, fix.engine);
+  const EvalProgram layout_program(layout, fix.engine);
   // One stage whose sources are not the identity (a pinned constant, a
   // negated column): it reads a constant column and a complemented copy.
   ProgramSpec first_stage = spec;
   first_stage.stages.resize(1);
-  const EvalProgram first_inline(first_stage, fix.designer, fix.engine,
-                                 {.num_threads = 1});
-  const EvalProgram first_pooled(first_stage, fix.designer, fix.engine,
-                                 {.num_threads = 3});
+  const EvalProgram first_program(first_stage, fix.designer, fix.engine);
   const sw::core::DataParallelGate gate(layout, fix.engine);
   const sw::wavesim::BatchEvaluator gate_reference(gate, {.num_threads = 1});
   sw::serve::EvaluatorService layout_service(fix.model,
@@ -478,26 +467,21 @@ TEST(ProgramGather, NonCanonicalBytesAndPartialBlocksMatchPerStageReference) {
       std::copy_n(reference.begin() + static_cast<std::ptrdiff_t>(w * stages * n),
                   n, first.begin() + static_cast<std::ptrdiff_t>(w * n));
     }
-    for (const EvalProgram* program : {&inline_program, &pooled_program}) {
-      EXPECT_EQ(program->evaluate_all_bits(words, raw), reference)
-          << words << " words";
-      EXPECT_EQ(program->evaluate_bits(words, raw), last) << words << " words";
-      EXPECT_EQ(program->evaluate_bits(words, canonical), last)
-          << words << " words";
-    }
+    EXPECT_EQ(program.evaluate_all_bits(words, raw), reference)
+        << words << " words";
+    EXPECT_EQ(program.evaluate_bits(words, raw), last) << words << " words";
+    EXPECT_EQ(program.evaluate_bits(words, canonical), last)
+        << words << " words";
     const auto served =
         service.submit(sw::serve::EvalRequest::for_program(spec, raw, words))
             .get();
     EXPECT_EQ(served.bits, last) << words << " words";
-    for (const EvalProgram* program : {&first_inline, &first_pooled}) {
-      EXPECT_EQ(program->evaluate_bits(words, raw), first)
-          << words << " words";
-    }
+    EXPECT_EQ(first_program.evaluate_bits(words, raw), first)
+        << words << " words";
 
     const auto gate_bits = gate_reference.evaluate_bits(
         words, canonical, sw::wavesim::kernels::scalar_kernel());
-    for (const EvalProgram* program : {&identity_inline, &identity_pooled,
-                                       &layout_inline, &layout_pooled}) {
+    for (const EvalProgram* program : {&identity_program, &layout_program}) {
       EXPECT_EQ(program->evaluate_all_bits(words, raw), gate_bits)
           << words << " words";
       EXPECT_EQ(program->evaluate_bits(words, raw), gate_bits)
@@ -668,8 +652,7 @@ TEST(ProgramDifferential, LastStageDecodesTheTableOnEveryKernel) {
     const std::size_t arity = c.table.num_inputs();
     const auto primary = differential_inputs(arity, n, words);
     const EvalProgram program(
-        c.spec, [&](const GateSpec& gate) { return cache.get(gate); },
-        {.num_threads = 1});
+        c.spec, [&](const GateSpec& gate) { return cache.get(gate); });
     const auto primary_columns = sw::testing::columns_of(
         primary, words, program.num_primary_slots());
     for (const auto* k : kernels) {
@@ -693,8 +676,8 @@ TEST(ProgramDifferential, LastStageDecodesTheTableOnEveryKernel) {
 }
 
 TEST(ProgramDifferential, EveryStageMatchesItsGateAlone) {
-  // evaluate_all_bits against the per-stage physics path, inline and on a
-  // pool whose chunks end inside the batch (1000 words over 3 threads).
+  // evaluate_all_bits against the per-stage physics path, at two word
+  // counts that end inside a column u64.
   const CompileFixture fix;
   const std::size_t n = 4;
   StageCache cache{fix, {}};
@@ -705,8 +688,7 @@ TEST(ProgramDifferential, EveryStageMatchesItsGateAlone) {
           differential_inputs(c.table.num_inputs(), n, words);
       const auto want = stage_by_stage(cache, c.spec, words, primary);
       const EvalProgram program(
-          c.spec, [&](const GateSpec& gate) { return cache.get(gate); },
-          {.num_threads = words > 64 * 3 ? 3u : 1u});
+          c.spec, [&](const GateSpec& gate) { return cache.get(gate); });
       // The last stage's columns, for the column entry.
       std::vector<std::uint8_t> last(words * n);
       for (std::size_t w = 0; w < words; ++w) {

@@ -241,8 +241,8 @@ void expect_kernels_match_rows(const BatchEvaluator& evaluator,
                                unsigned max_byte, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<unsigned> byte(0, max_byte);
-  const sw::wavesim::EvalProgram program(
-      evaluator.gate().layout(), evaluator.gate().engine(), {.num_threads = 1});
+  const sw::wavesim::EvalProgram program(evaluator.gate().layout(),
+                                         evaluator.gate().engine());
   const std::size_t n = evaluator.plan().num_channels();
   for (const std::size_t words : kEdgeWordCounts) {
     std::vector<std::uint8_t> packed(words * evaluator.slot_count());
@@ -553,8 +553,7 @@ TEST(KernelEquivalence, ThinMarginSumsDecodeAlikeOnEveryRung) {
   std::bernoulli_distribution coin(0.5);
   for (const DataParallelGate& gate : fix.thin_margin_gates()) {
     const EvalPlan plan(gate);
-    const sw::wavesim::EvalProgram program(gate.layout(), gate.engine(),
-                                           {.num_threads = 1});
+    const sw::wavesim::EvalProgram program(gate.layout(), gate.engine());
     const std::size_t slots = plan.slot_count();
     const std::size_t n = plan.num_channels();
     for (const std::size_t words : kEdgeWordCounts) {
@@ -841,8 +840,7 @@ TEST(TableDecode, LayoutWiderThanTheTablesStaysOnThePhasorSum) {
   const auto wide = fix.majority_gate(13, 2);
   const EvalPlan plan(wide);
   EXPECT_TRUE(plan.tabulated());
-  const sw::wavesim::EvalProgram program(wide.layout(), wide.engine(),
-                                         {.num_threads = 1});
+  const sw::wavesim::EvalProgram program(wide.layout(), wide.engine());
   EXPECT_EQ(program.kernel_work(100), 2 * plan.num_table_muxes());
   for (const std::size_t words : {1ul, 63ul, 65ul, 1100ul}) {
     std::vector<std::uint8_t> rows(words * plan.slot_count());

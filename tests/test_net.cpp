@@ -7,7 +7,9 @@
 // buffer compaction, kShed mapping to a typed error frame on a surviving
 // connection, connection-cap refusal with a live accept loop, a message
 // too large to buffer refused from its header, metrics scraping with one
-// series per quantity, and layout-hash rejection), the worker registry
+// series per quantity, and v2 frames resolved in the service's plan cache:
+// designed on a worker, never on the event thread, hash-checked, and
+// refused with kBadRequest when they cannot be served), the worker registry
 // (advert codec, TTL upsert/expiry, tag echo), and the SweepCoordinator's
 // distributed exhaustive sweep with its two-shard window per connection,
 // a first shard for every worker, registry discovery, straggler
@@ -22,13 +24,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compile/lower.h"
@@ -108,11 +113,13 @@ double metric_value(const std::string& text, const std::string& name) {
   return -1.0;
 }
 
-/// Everything a worker end needs: model, designer, service, server.
+/// Everything a worker end needs: model, designer, service, server. The
+/// server's Designer counts its calls in `designs`.
 struct ServerFixture {
   Waveguide wg = paper_waveguide();
   FvmswDispersion model{wg};
   InlineGateDesigner designer{model};
+  std::atomic<std::size_t> designs{0};
   sw::serve::EvaluatorService service;
   EvalServer server;
 
@@ -122,8 +129,38 @@ struct ServerFixture {
       : service(model, wg.material.alpha, std::move(service_options)),
         server(
             service,
-            [this](const GateSpec& spec) { return designer.design(spec); },
+            [this](const GateSpec& spec) {
+              ++designs;
+              return designer.design(spec);
+            },
             endpoint, server_options) {}
+};
+
+/// Holds a test Designer in place: wait() parks the design until release()
+/// (or 30 s pass), and wait_held() waits for a design to park.
+class DesignLatch {
+ public:
+  void wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, 30s, [this] { return released_; });
+  }
+  bool wait_held(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [this] { return held_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
 };
 
 Endpoint loopback() { return Endpoint::parse("tcp:127.0.0.1:0"); }
@@ -554,9 +591,10 @@ TEST(EvalServer, RejectsAlienGeometryWithTypedError) {
 
 TEST(EvalServer, AnswersAnOverBudgetLayoutWithATaggedError) {
   // The one-channel 10 GHz gate at m = 17, as designed, has a decision
-  // diagram past kMaxTableMuxes, so its build fails: the frame is answered
-  // with an error carrying its tag and naming the budget, and the same
-  // connection goes on serving a gate that fits.
+  // diagram past kMaxTableMuxes, so its build fails and the frame's target
+  // cannot be served: it is answered kBadRequest with its tag and the
+  // budget's name, and the same connection goes on serving a gate that
+  // fits.
   ServerFixture fx(loopback());
   const GateLayout over = fx.designer.design(majority_spec(17, 1));
   const GateLayout fits = fx.designer.design(majority_spec(3, 2));
@@ -576,6 +614,7 @@ TEST(EvalServer, AnswersAnOverBudgetLayoutWithATaggedError) {
   ASSERT_TRUE(refused.has_value());
   ASSERT_EQ(refused->kind, MessageKind::kError);
   EXPECT_EQ(refused->tag, 7u);
+  EXPECT_EQ(decode_error_message(*refused).code, ErrorCode::kBadRequest);
   EXPECT_NE(decode_error_message(*refused).text.find("kMaxTableMuxes"),
             std::string::npos);
 
@@ -595,9 +634,9 @@ TEST(EvalServer, AnswersAnOverBudgetLayoutWithATaggedError) {
 
 TEST(EvalServer, RefusesMisShapedFramesBeforeDesigning) {
   // A frame whose column count is not its target's input slot count is
-  // refused before the server designs anything (a cold v2 design runs on
-  // the event thread) or sizes the frame's columns; the connection
-  // survives.
+  // refused before anything is designed (a cold v2 frame is designed by
+  // the service's plan cache) or the frame's columns are sized; the
+  // connection survives.
   const Waveguide wg = paper_waveguide();
   const FvmswDispersion model{wg};
   const InlineGateDesigner designer{model};
@@ -660,49 +699,241 @@ TEST(EvalServer, RefusesMisShapedFramesBeforeDesigning) {
 }
 
 TEST(EvalServer, TracesAColdDesignApartFromTheWireDecode) {
-  // A cold v2 spec is designed on the event thread, after the frame is
-  // decoded: its trace carries a design span of its own, longer than the
-  // decode span, and the warm repeat carries none.
-  ServerFixture fx(loopback());
-  const GateLayout warm_up = fx.designer.design(majority_spec(2, 4));
-  const GateLayout layout = fx.designer.design(majority_spec(3, 4));
+  // A cold v2 spec is designed by the service's plan cache after the frame
+  // is decoded: the design lies inside the request's plan_build span, which
+  // starts after its wire_decode span ends, and the warm repeat has no
+  // plan_build span.
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model{wg};
+  const InlineGateDesigner designer{model};
+  sw::serve::EvaluatorService service(model, wg.material.alpha);
+  std::mutex mutex;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> designs;
+  EvalServer server(
+      service,
+      [&](const GateSpec& spec) {
+        const std::uint64_t start = sw::obs::now_ns();
+        GateLayout designed = designer.design(spec);
+        std::lock_guard<std::mutex> lock(mutex);
+        designs.emplace_back(start, sw::obs::now_ns());
+        return designed;
+      },
+      loopback());
+  const GateLayout layout = designer.design(majority_spec(3, 4));
   const std::size_t words = 64;
-  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
-  // Another spec first, so the cold request pays its design and no
-  // first-frame setup.
-  for (const GateLayout* l : {&warm_up, &layout, &layout}) {
-    const std::size_t slots = l->spec.num_inputs * l->spec.frequencies.size();
+  auto conn = Connection::connect(server.local_endpoint(), 2000ms);
+  for (int round = 0; round < 2; ++round) {
     send_message(conn,
                  make_frame_message(sw::serve::make_request_frame(
-                     *l, 0, words, random_matrix(words, slots, 23))),
+                     layout, 0, words, random_matrix(words, 12, 23))),
                  2000ms);
     ASSERT_TRUE(recv_frame(conn, 10000ms).has_value());
   }
   // The server records a trace once its reply has left for the socket.
   std::vector<sw::obs::TraceContext> traces;
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while ((traces = fx.service.trace_recorder().snapshot()).size() < 3 &&
+  while ((traces = service.trace_recorder().snapshot()).size() < 2 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(1ms);
   }
-  ASSERT_EQ(traces.size(), 3u);
-  const auto span_ns = [](const sw::obs::TraceContext& t,
-                          sw::obs::Phase phase) -> std::int64_t {
+  ASSERT_EQ(traces.size(), 2u);
+  const auto find = [](const sw::obs::TraceContext& t,
+                       sw::obs::Phase phase) -> const sw::obs::Span* {
     for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t.span(i).phase == phase) {
-        return static_cast<std::int64_t>(t.span(i).end_ns - t.span(i).start_ns);
-      }
+      if (t.span(i).phase == phase) return &t.span(i);
     }
-    return -1;
+    return nullptr;
   };
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(designs.size(), 1u);
   // Most recent first: the warm repeat, then the cold request.
-  const std::int64_t design = span_ns(traces[1], sw::obs::Phase::kDesign);
-  const std::int64_t decode = span_ns(traces[1], sw::obs::Phase::kWireDecode);
-  ASSERT_GE(design, 0) << "the cold request carries no design span";
-  ASSERT_GE(decode, 0);
-  EXPECT_LT(decode, design);
-  EXPECT_EQ(span_ns(traces[0], sw::obs::Phase::kDesign), -1);
-  EXPECT_GE(span_ns(traces[0], sw::obs::Phase::kWireDecode), 0);
+  const sw::obs::Span* build = find(traces[1], sw::obs::Phase::kPlanBuild);
+  const sw::obs::Span* decode = find(traces[1], sw::obs::Phase::kWireDecode);
+  ASSERT_NE(build, nullptr) << "the cold request carries no plan_build span";
+  ASSERT_NE(decode, nullptr);
+  EXPECT_LE(decode->end_ns, build->start_ns);
+  EXPECT_LE(build->start_ns, designs[0].first);
+  EXPECT_GE(build->end_ns, designs[0].second);
+  EXPECT_EQ(find(traces[0], sw::obs::Phase::kPlanBuild), nullptr);
+  EXPECT_NE(find(traces[0], sw::obs::Phase::kWireDecode), nullptr);
+}
+
+TEST(EvalServer, AColdDesignDoesNotDelayAWarmFrameOnAnotherConnection) {
+  // The plan cache designs a cold v2 spec on a service worker, so a design
+  // held there leaves the event thread serving: a warm frame on a second
+  // connection is answered while the design waits, and the cold frame is
+  // answered once it is let go.
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model{wg};
+  const InlineGateDesigner designer{model};
+  const GateSpec cold_spec = majority_spec(3, 4);
+  DesignLatch latch;
+  sw::serve::EvaluatorService service(model, wg.material.alpha);
+  EvalServer server(
+      service,
+      [&](const GateSpec& spec) {
+        if (spec == cold_spec) latch.wait();
+        return designer.design(spec);
+      },
+      loopback());
+  const GateLayout warm = designer.design(majority_spec(3, 2));
+  const GateLayout cold = designer.design(cold_spec);
+  const WaveEngine engine(model, wg.material.alpha);
+  const DataParallelGate warm_gate(warm, engine);
+  const DataParallelGate cold_gate(cold, engine);
+  const auto warm_matrix = random_matrix(24, 6, 61);
+  const auto cold_matrix = random_matrix(24, 12, 62);
+  const auto send = [](Connection& conn, const GateLayout& layout,
+                       const std::vector<std::uint8_t>& matrix,
+                       std::uint64_t tag) {
+    send_frame(conn,
+               sw::serve::make_request_view(layout.spec,
+                                            sw::serve::hash_layout(layout), 0,
+                                            24, matrix),
+               tag);
+  };
+  const auto expect_bits = [](const std::optional<Message>& reply,
+                              const DataParallelGate& gate,
+                              const std::vector<std::uint8_t>& matrix) {
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->kind, MessageKind::kFrame);
+    EXPECT_EQ(sw::serve::decode_frame(reply->payload).matrix,
+              BatchEvaluator(gate).evaluate_bits(24, matrix));
+  };
+
+  auto a = Connection::connect(server.local_endpoint(), 2000ms);
+  auto b = Connection::connect(server.local_endpoint(), 2000ms);
+  send(b, warm, warm_matrix, 1);  // warms the plan
+  expect_bits(recv_message(b, 60000ms), warm_gate, warm_matrix);
+  send(a, cold, cold_matrix, 2);
+  ASSERT_TRUE(latch.wait_held(30000ms)) << "the cold design never started";
+
+  send(b, warm, warm_matrix, 3);
+  std::optional<Message> reply;
+  try {
+    reply = recv_message(b, 5000ms);
+  } catch (const TimeoutError&) {
+  }
+  latch.release();
+  ASSERT_TRUE(reply.has_value()) << "the warm frame waited for the cold design";
+  EXPECT_EQ(reply->tag, 3u);
+  expect_bits(reply, warm_gate, warm_matrix);
+  expect_bits(recv_message(a, 60000ms), cold_gate, cold_matrix);
+}
+
+TEST(EvalServer, DesignsAV2SpecOncePerCacheMiss) {
+  // A warm repeat is one plan-cache lookup and never calls the Designer. A
+  // frame whose claimed hash is not its design's calls it once per attempt
+  // and leaves no entry, positive or negative, so the next attempt designs
+  // again and the good key still hits.
+  ServerFixture fx(loopback());
+  const GateLayout layout = fx.designer.design(majority_spec(3, 2));
+  const auto matrix = random_matrix(8, 6, 71);
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  const auto expect_served = [&] {
+    send_message(conn,
+                 make_frame_message(
+                     sw::serve::make_request_frame(layout, 0, 8, matrix)),
+                 2000ms);
+    EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
+  };
+  for (int round = 0; round < 4; ++round) expect_served();
+  EXPECT_EQ(fx.designs.load(), 1u);
+  auto cache = fx.service.stats().cache;
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 3u);
+
+  auto tampered = sw::serve::make_request_frame(layout, 0, 8, matrix);
+  tampered.layout_hash ^= 1;
+  for (std::size_t attempt = 1; attempt <= 2; ++attempt) {
+    send_message(conn, make_frame_message(tampered), 2000ms);
+    try {
+      (void)recv_frame(conn, 10000ms);
+      FAIL() << "expected a typed error reply";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+      EXPECT_NE(std::string(e.what()).find("hash mismatch"),
+                std::string::npos);
+    }
+    EXPECT_EQ(fx.designs.load(), 1 + attempt);
+  }
+  expect_served();
+  EXPECT_EQ(fx.designs.load(), 3u);
+  cache = fx.service.stats().cache;
+  EXPECT_EQ(cache.misses, 3u);
+  EXPECT_EQ(cache.hits, 4u);
+  EXPECT_EQ(fx.server.counters().errors_sent, 2u);
+}
+
+TEST(EvalServer, RefusesAWireSizedFrameBeforeDesigning) {
+  // A one-channel v2 spec of 4,097 inputs can never be tabulated: each
+  // detector reads more slots than kMaxTableMuxes. The frame is refused
+  // with the shape checks, kBadRequest naming the budget, before admission
+  // and without a Designer call; the connection survives.
+  ServerFixture fx(loopback());
+  const GateSpec wide = majority_spec(4097, 1);
+  auto conn = Connection::connect(fx.server.local_endpoint(), 2000ms);
+  send_frame(conn,
+             sw::serve::make_request_view(wide, /*layout_hash=*/0x5eed, 0, 2,
+                                          random_matrix(2, 4097, 73)),
+             5);
+  const auto refused = recv_message(conn, 10000ms);
+  ASSERT_TRUE(refused.has_value());
+  ASSERT_EQ(refused->kind, MessageKind::kError);
+  EXPECT_EQ(refused->tag, 5u);
+  EXPECT_EQ(decode_error_message(*refused).code, ErrorCode::kBadRequest);
+  EXPECT_NE(decode_error_message(*refused).text.find("kMaxTableMuxes"),
+            std::string::npos)
+      << decode_error_message(*refused).text;
+  EXPECT_EQ(fx.designs.load(), 0u);
+  EXPECT_EQ(fx.service.stats().submitted, 0u);
+
+  const GateLayout fits = fx.designer.design(majority_spec(3, 2));
+  send_message(conn,
+               make_frame_message(sw::serve::make_request_frame(
+                   fits, 0, 2, random_matrix(2, 6, 74))),
+               2000ms);
+  EXPECT_TRUE(recv_frame(conn, 10000ms).has_value());
+}
+
+TEST(EvalServer, DestroyingTheServerDuringAColdDesignIsClean) {
+  // A cold request carries its own copy of the Designer into the service,
+  // never a pointer into the server: the server may be destroyed while the
+  // design is held on a worker, and once released the request settles into
+  // the server's orphaned completion queue (clean under ASan).
+  const Waveguide wg = paper_waveguide();
+  const FvmswDispersion model{wg};
+  const InlineGateDesigner designer{model};
+  DesignLatch latch;
+  sw::serve::ServiceOptions options;
+  options.num_threads = 1;
+  sw::serve::EvaluatorService service(model, wg.material.alpha, options);
+  auto server = std::make_unique<EvalServer>(
+      service,
+      [&](const GateSpec& spec) {
+        latch.wait();
+        return designer.design(spec);
+      },
+      loopback());
+  const GateLayout layout = designer.design(majority_spec(3, 2));
+  {
+    auto conn = Connection::connect(server->local_endpoint(), 2000ms);
+    send_message(conn,
+                 make_frame_message(sw::serve::make_request_frame(
+                     layout, 0, 8, random_matrix(8, 6, 75))),
+                 2000ms);
+    ASSERT_TRUE(latch.wait_held(30000ms)) << "the cold design never started";
+  }
+  server.reset();
+  latch.release();
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (service.stats().completed < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
 }
 
 TEST(EvalServer, RepliesAreTheBytesOfTheMatrixEncoder) {
@@ -736,10 +967,13 @@ TEST(EvalServer, RepliesAreTheBytesOfTheMatrixEncoder) {
 }
 
 TEST(EvalServer, ServesMoreLayoutsThanItsLayoutCacheHolds) {
-  // The server keeps 32 designed v2 layouts. Forty distinct targets over
-  // one pipelined connection make it drop entries, so later frames for a
-  // dropped layout are designed and hash-checked again.
+  // The server holds no layouts: a v2 target lives in the service's plan
+  // cache, 32 entries by default. Forty distinct targets over one
+  // pipelined connection make it evict, so later frames for an evicted
+  // target are designed, hash-checked and built again, each miss calling
+  // the Designer once.
   ServerFixture fx(loopback());
+  ASSERT_EQ(sw::serve::ServiceOptions{}.plan_cache_capacity, 32u);
   constexpr std::size_t kLayouts = 40;
   constexpr std::size_t kWords = 24;
   const WaveEngine engine(fx.model, fx.wg.material.alpha);
@@ -784,13 +1018,17 @@ TEST(EvalServer, ServesMoreLayoutsThanItsLayoutCacheHolds) {
   std::vector<std::size_t> all(kLayouts);
   for (std::size_t k = 0; k < kLayouts; ++k) all[k] = k;
   pipeline(all);
+  EXPECT_EQ(fx.service.stats().cache.evictions, kLayouts - 32);
   // The first layout again, then every layout: at least eight of them
-  // were dropped from the server's layout cache by now.
+  // were evicted from the plan cache by now.
   pipeline({0});
   pipeline(all);
+  const auto cache = fx.service.stats().cache;
+  EXPECT_GE(cache.misses, kLayouts + 8);
+  EXPECT_EQ(fx.designs.load(), cache.misses);
 
-  // A tampered hash still fails the geometry check for a layout the cache
-  // dropped (and for one it holds).
+  // A tampered hash is a key no design can build, whether or not the
+  // cache holds the layout's own entry.
   auto request =
       sw::serve::make_request_frame(layouts[0], 0, kWords, matrices[0]);
   request.layout_hash ^= 0xdeadbeefull;
@@ -1056,19 +1294,21 @@ TEST(EvalServer, PipelinedTaggedRequestsCompleteOutOfOrder) {
 }
 
 TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
-  // The Designer runs on the event thread (a v2 layout miss), so the
-  // thread it last ran on names the event thread. A warm small frame is
-  // evaluated there; a cold frame (the plan is built first) and a warm
-  // frame whose kernel work passes kMaxInlineWork go to a service worker.
-  // A warm 4096-word shard of the paper's 8-channel 3-input gate is
-  // small: its tables cost 32 muxes per 64 words.
+  // A warm small frame is evaluated on the event thread; a cold frame (its
+  // plan is built first) and a warm frame whose kernel work passes
+  // kMaxInlineWork go to the service's one worker. The Designer runs where
+  // a cold v2 plan is built, so the thread it ran on names that worker;
+  // the only other thread that evaluates, and not this test's, is the
+  // event thread. A warm 4096-word shard of the paper's 8-channel 3-input
+  // gate is small: its tables cost 32 muxes per 64 words.
   const Waveguide wg = paper_waveguide();
   const FvmswDispersion model(wg);
   const InlineGateDesigner designer(model);
   std::mutex mutex;
-  std::thread::id event_thread;
+  std::thread::id worker;
   std::vector<std::thread::id> evaluated_on;  // per request, in start order
   sw::serve::ServiceOptions options;
+  options.num_threads = 1;
   options.on_request_start = [&](std::uint64_t) {
     std::lock_guard<std::mutex> lock(mutex);
     evaluated_on.push_back(std::this_thread::get_id());
@@ -1079,7 +1319,7 @@ TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
       [&](const GateSpec& spec) {
         {
           std::lock_guard<std::mutex> lock(mutex);
-          event_thread = std::this_thread::get_id();
+          worker = std::this_thread::get_id();
         }
         return designer.design(spec);
       },
@@ -1132,11 +1372,13 @@ TEST(EvalServer, WarmSmallFramesEvaluateOnTheEventThread) {
   round_trip(paper, paper_evaluator, kShard);
   std::lock_guard<std::mutex> lock(mutex);
   ASSERT_EQ(evaluated_on.size(), 6u);
-  EXPECT_NE(evaluated_on[0], event_thread) << "cold: built on the pool";
-  EXPECT_EQ(evaluated_on[1], event_thread) << "warm and small: inline";
-  EXPECT_NE(evaluated_on[2], event_thread) << "warm but large: pooled";
+  const std::thread::id event_thread = evaluated_on[1];
+  EXPECT_NE(event_thread, worker) << "warm and small: inline";
+  EXPECT_NE(event_thread, std::this_thread::get_id());
+  EXPECT_EQ(evaluated_on[0], worker) << "cold: built on the pool";
+  EXPECT_EQ(evaluated_on[2], worker) << "warm but large: pooled";
   EXPECT_EQ(evaluated_on[3], event_thread) << "warm and small: inline";
-  EXPECT_NE(evaluated_on[4], event_thread) << "cold shard: built on the pool";
+  EXPECT_EQ(evaluated_on[4], worker) << "cold shard: built on the pool";
   EXPECT_EQ(evaluated_on[5], event_thread) << "warm tabulated shard: inline";
 }
 

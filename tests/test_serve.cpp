@@ -1,11 +1,13 @@
 // Serving-layer tests: canonical layout hashing (stability across designs
 // and process runs), plan-cache hit/miss/eviction accounting and
-// single-build-under-contention, program stage sharing (per GateSpec, no
-// longer than some program holds it, failed designs leave no entry,
-// concurrent builders agree), wire-format round trips with hostile
-// input rejection, admission-control shed-vs-block semantics, and the
-// EvaluatorService end-to-end against the scalar gate path, with its
-// request counts and latency histogram agreeing on every submit path.
+// single-build-under-contention, spec targets (designed on a miss, checked
+// against the claimed hash), gates too wide to tabulate refused at submit,
+// program stage sharing (per GateSpec, no longer than some program holds
+// it, failed designs leave no entry, concurrent builders agree),
+// wire-format round trips with hostile input rejection, admission-control
+// shed-vs-block semantics, and the EvaluatorService end-to-end against
+// the scalar gate path, with its request counts and latency histogram
+// agreeing on every submit path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -612,8 +614,9 @@ TEST(EvaluatorService, ServesALayoutTooWideToTabulateByPhasorSum) {
 
 TEST(EvaluatorService, RefusesAWireSizedLayoutWithTheBudgetError) {
   // A one-channel spec of 4,097 inputs: its detector reads more slots than
-  // kMaxTableMuxes, so its plan is over budget before any diagram search
-  // and the request fails with the budget error.
+  // kMaxTableMuxes, so it can never be tabulated, and submit refuses it
+  // with the shape checks and the budget error, before admission or any
+  // plan is solved: the cache never sees it.
   const ServeFixture fix;
   const auto layout = fix.majority_layout(4097, 1);
   EvaluatorService svc(fix.model, fix.wg.material.alpha);
@@ -627,6 +630,80 @@ TEST(EvaluatorService, RefusesAWireSizedLayoutWithTheBudgetError) {
         << e.what();
   }
   EXPECT_EQ(svc.stats().cache.table_detectors, 0u);
+  EXPECT_EQ(svc.stats().cache.misses, 0u);
+}
+
+TEST(EvaluatorService, SpecTargetsDesignOnAMissAndCheckTheClaimedHash) {
+  // A gate named by its spec is keyed by the spec and its claimed layout
+  // hash: a miss designs it with the request's Designer, a warm repeat
+  // never calls it, and a design whose hash is not the claim fails with
+  // TargetError and leaves no entry. A program stage too wide to tabulate
+  // is refused at submit like a wide gate.
+  const ServeFixture fix;
+  const auto layout = fix.majority_layout(3, 4);
+  const std::uint64_t hash = hash_layout(layout);
+  std::atomic<int> designs{0};
+  const Designer designer = [&](const GateSpec& spec) {
+    ++designs;
+    return fix.designer.design(spec);
+  };
+  EvaluatorService svc(fix.model, fix.wg.material.alpha);
+  const DataParallelGate gate(layout, fix.engine);
+  const BatchEvaluator reference(gate, {.num_threads = 1});
+  const auto matrix = random_matrix(96, reference.slot_count(), /*seed=*/36);
+  const auto request = [&](std::uint64_t claimed) {
+    EvalRequest r = EvalRequest::for_layout(layout, matrix, 96);
+    r.layout = nullptr;
+    r.spec = &layout.spec;
+    r.layout_hash = claimed;
+    r.designer = &designer;
+    return r;
+  };
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(svc.submit(request(hash)).get().bits,
+              reference.evaluate_bits(96, matrix));
+  }
+  EXPECT_EQ(designs.load(), 1);
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    try {
+      (void)svc.submit(request(hash ^ 1)).get();
+      FAIL() << "expected a hash mismatch";
+    } catch (const TargetError& e) {
+      EXPECT_NE(std::string(e.what()).find("hash mismatch"),
+                std::string::npos);
+    }
+    EXPECT_EQ(designs.load(), 1 + attempt);
+  }
+  auto cache = svc.stats().cache;
+  EXPECT_EQ(cache.misses, 3u);
+  EXPECT_EQ(cache.hits, 1u);
+
+  EvalRequest both = request(hash);
+  both.layout = &layout;
+  EXPECT_THROW((void)svc.submit(std::move(both)), sw::util::Error);
+  EvalRequest no_designer = request(hash);
+  no_designer.designer = nullptr;
+  EXPECT_THROW((void)svc.submit(std::move(no_designer)), sw::util::Error);
+
+  sw::wavesim::ProgramSpec wide;
+  wide.num_primary_inputs = sw::wavesim::kMaxTableMuxes + 1;
+  wide.stages.push_back({GateSpec{}, {}});
+  wide.stages[0].gate.num_inputs = wide.num_primary_inputs;
+  wide.stages[0].gate.frequencies = channel_frequencies(1);
+  for (std::uint32_t j = 0; j < wide.num_primary_inputs; ++j) {
+    wide.stages[0].sources.push_back(
+        {sw::wavesim::SlotSource::Kind::kPrimary, 0, j, false});
+  }
+  try {
+    (void)svc.submit(EvalRequest::for_program(
+        wide, random_matrix(1, wide.num_primary_inputs, /*seed=*/37), 1));
+    FAIL() << "expected the budget error";
+  } catch (const sw::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxTableMuxes"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(svc.stats().cache.misses, cache.misses);
+  EXPECT_EQ(svc.stats().submitted, 4u);
 }
 
 TEST(EvaluatorService, CompensatedGatesDecodeMajorityAtEveryWidth) {
@@ -1128,8 +1205,7 @@ sw::wavesim::ProgramSpec maj_and_inverted_maj(int variant, std::size_t n) {
 std::vector<std::uint8_t> standalone_bits(
     const ServeFixture& fix, const sw::wavesim::ProgramSpec& program,
     const std::vector<std::uint8_t>& matrix, std::size_t words) {
-  const sw::wavesim::EvalProgram standalone(program, fix.designer, fix.engine,
-                                            {.num_threads = 1});
+  const sw::wavesim::EvalProgram standalone(program, fix.designer, fix.engine);
   return standalone.evaluate_bits(words, matrix);
 }
 
